@@ -22,7 +22,7 @@ use std::time::Instant;
 trait MemLike {
     fn access(&mut self, core: u32, kind: AccessKind, addr: u64, now: u64) -> AccessResult;
     fn tick(&mut self, now: u64);
-    fn drain_completions(&mut self, core: u32) -> Vec<Completion>;
+    fn drain_completions_into(&mut self, core: u32, out: &mut Vec<Completion>);
 }
 
 impl MemLike for MemorySystem {
@@ -32,8 +32,8 @@ impl MemLike for MemorySystem {
     fn tick(&mut self, now: u64) {
         MemorySystem::tick(self, now)
     }
-    fn drain_completions(&mut self, core: u32) -> Vec<Completion> {
-        MemorySystem::drain_completions(self, core)
+    fn drain_completions_into(&mut self, core: u32, out: &mut Vec<Completion>) {
+        MemorySystem::drain_completions_into(self, core, out)
     }
 }
 
@@ -44,8 +44,8 @@ impl MemLike for FastMemory {
     fn tick(&mut self, now: u64) {
         FastMemory::tick(self, now)
     }
-    fn drain_completions(&mut self, core: u32) -> Vec<Completion> {
-        FastMemory::drain_completions(self, core)
+    fn drain_completions_into(&mut self, core: u32, out: &mut Vec<Completion>) {
+        FastMemory::drain_completions_into(self, core, out)
     }
 }
 
@@ -64,13 +64,16 @@ fn addr_of(i: u64) -> u64 {
 fn drive_enum(mut m: MemoryModel, n: u64) -> (f64, u64) {
     let start = Instant::now();
     let mut sink = 0u64;
+    let mut done = Vec::new();
     for i in 0..n {
         m.tick(i);
         if let AccessResult::Miss { req, .. } = m.access(0, AccessKind::Load, addr_of(i), i) {
             sink = sink.wrapping_add(req as u64);
         }
         if i % 64 == 0 {
-            sink = sink.wrapping_add(m.drain_completions(0).len() as u64);
+            m.drain_completions_into(0, &mut done);
+            sink = sink.wrapping_add(done.len() as u64);
+            done.clear();
         }
     }
     (start.elapsed().as_secs_f64(), sink)
@@ -81,13 +84,16 @@ fn drive_enum(mut m: MemoryModel, n: u64) -> (f64, u64) {
 fn drive_dyn(m: &mut dyn MemLike, n: u64) -> (f64, u64) {
     let start = Instant::now();
     let mut sink = 0u64;
+    let mut done = Vec::new();
     for i in 0..n {
         m.tick(i);
         if let AccessResult::Miss { req, .. } = m.access(0, AccessKind::Load, addr_of(i), i) {
             sink = sink.wrapping_add(req as u64);
         }
         if i % 64 == 0 {
-            sink = sink.wrapping_add(m.drain_completions(0).len() as u64);
+            m.drain_completions_into(0, &mut done);
+            sink = sink.wrapping_add(done.len() as u64);
+            done.clear();
         }
     }
     (start.elapsed().as_secs_f64(), sink)

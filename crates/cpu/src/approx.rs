@@ -33,7 +33,7 @@ use crate::stats::{CoreStats, ThreadProbe, ThreadStats};
 use crate::thread::{FetchGate, ThreadProgram};
 use smtsim_energy::{EnergyAccount, PipelineStage, SquashCause};
 use smtsim_mem::addr::bank_of;
-use smtsim_mem::{AccessKind, AccessResult, MemEvent, MemoryModel, ReqId};
+use smtsim_mem::{AccessKind, AccessResult, Completion, MemEvent, MemoryModel, ReqId};
 use smtsim_obs::{EventRing, TraceEvent};
 use smtsim_policy::{FetchPolicy, PolicyAction, ThreadSnapshot};
 use smtsim_trace::{BasicBlockDict, DynInstr, InstrClass, InstrStream, ReplayableStream};
@@ -96,6 +96,9 @@ pub struct IpcApproxCore {
     /// and must not allocate).
     replay_scratch: Vec<DynInstr>,
     squashed_loads_scratch: Vec<u64>,
+    /// Drain buffers for the memory system's per-core outboxes (D10).
+    mem_events: Vec<MemEvent>,
+    mem_done: Vec<Completion>,
     fetch_active_cycles: u64,
     rob_full_stalls: u64,
     mshr_retries: u64,
@@ -150,6 +153,8 @@ impl IpcApproxCore {
             actions: Vec::new(),
             replay_scratch: Vec::new(),
             squashed_loads_scratch: Vec::new(),
+            mem_events: Vec::new(),
+            mem_done: Vec::new(),
             fetch_active_cycles: 0,
             rob_full_stalls: 0,
             mshr_retries: 0,
@@ -235,7 +240,9 @@ impl IpcApproxCore {
     pub fn notify_skip(&mut self, _from: u64, _cycles: u64) {}
 
     fn process_mem(&mut self, now: u64, mem: &mut MemoryModel) {
-        for ev in mem.drain_events(self.core_id) {
+        let mut events = std::mem::take(&mut self.mem_events);
+        mem.drain_events_into(self.core_id, &mut events);
+        for ev in events.drain(..) {
             match ev {
                 MemEvent::L2MissDetected { req, at } => {
                     if let Some(&(tid, token)) = self.waiters.get(&req) {
@@ -244,7 +251,10 @@ impl IpcApproxCore {
                 }
             }
         }
-        for c in mem.drain_completions(self.core_id) {
+        self.mem_events = events;
+        let mut done = std::mem::take(&mut self.mem_done);
+        mem.drain_completions_into(self.core_id, &mut done);
+        for c in done.drain(..) {
             let Some((tid, token)) = self.waiters.remove(&c.req) else {
                 continue; // stores and squash orphans complete silently
             };
@@ -266,6 +276,7 @@ impl IpcApproxCore {
                 self.policy.on_thread_resumed(tid, now);
             }
         }
+        self.mem_done = done;
     }
 
     fn commit(&mut self, _now: u64) {

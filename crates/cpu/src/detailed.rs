@@ -17,7 +17,7 @@ use crate::stats::{CoreStats, ThreadProbe, ThreadStats};
 use crate::thread::{FetchGate, FrontendEntry, ThreadCtx, ThreadProgram, WrongPathMode};
 use smtsim_energy::{PipelineStage, SquashCause};
 use smtsim_mem::addr::{bank_of, line_base};
-use smtsim_mem::{AccessKind, AccessResult, MemEvent, MemoryModel, ReqId};
+use smtsim_mem::{AccessKind, AccessResult, Completion, MemEvent, MemoryModel, ReqId};
 
 use smtsim_obs::{EventRing, TraceEvent};
 use smtsim_policy::{FetchPolicy, PolicyAction, ThreadSnapshot};
@@ -26,10 +26,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-/// What an in-flight memory request resolves to.
+/// What an in-flight memory request resolves to. A load carries its
+/// ROB position next to its token (see [`crate::rob::Rob::at`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MemTarget {
-    Load { tid: usize, token: u64 },
+    Load { tid: usize, token: u64, pos: u64 },
     IFetch { tid: usize },
     Store,
 }
@@ -44,15 +45,18 @@ enum MemTarget {
 ///
 /// Squashes do not edit these lists: a squashed entry goes stale in
 /// place and is dropped lazily wherever it next surfaces, validated
-/// against the ROB (`token` still resident and `InQueue`). Tokens are
-/// never reused, so a stale record can never be mistaken for a live
-/// one. For *live* entries the scheme is exact because source
-/// readiness is monotone: a source register can be rolled back or
-/// released only after every InQueue reader of it has itself been
-/// squashed or committed.
+/// against the ROB (`(pos, token)` still resident and `InQueue`).
+/// Tokens are never reused, so a stale record can never be mistaken
+/// for a live one, even once a younger entry reuses its position. For
+/// *live* entries the scheme is exact because source readiness is
+/// monotone: a source register can be rolled back or released only
+/// after every InQueue reader of it has itself been squashed or
+/// committed.
 #[derive(Debug, Clone, Copy)]
 struct IqEntry {
     token: u64,
+    /// ROB position ([`crate::rob::Rob::push`]).
+    pos: u64,
     tid: u32,
     /// Queue index (`QueueKind::index`), so wakeups route to the right
     /// ready list without a ROB lookup.
@@ -82,8 +86,9 @@ pub struct DetailedCore {
     /// from the front at commit, truncated from the back on squash.
     /// Store-to-load forwarding scans this instead of the ROB.
     store_fwd: Vec<VecDeque<(u64, u64)>>,
-    /// Scheduled execution completions: (done_at, tid, token).
-    exec_heap: BinaryHeap<Reverse<(u64, usize, u64)>>,
+    /// Scheduled execution completions: (done_at, tid, token, pos).
+    /// Tokens are unique, so `pos` never decides the pop order.
+    exec_heap: BinaryHeap<Reverse<(u64, usize, u64, u64)>>,
     /// Per-thread wrong-path prefetch buffers.
     wp_buffers: Vec<VecDeque<DynInstr>>,
     next_token: u64,
@@ -108,9 +113,10 @@ pub struct DetailedCore {
     snaps_fresh: bool,
     prio: Vec<usize>,
     actions: Vec<PolicyAction>,
-    /// Issue-stage candidate lists, one per queue kind (D10: the issue
-    /// stage runs every cycle and must not allocate).
-    iq_cands: [Vec<(u64, usize)>; 3],
+    /// Issue-stage candidate lists of `(token, tid, pos)`, one per
+    /// queue kind (D10: the issue stage runs every cycle and must not
+    /// allocate).
+    iq_cands: [Vec<(u64, usize, u64)>; 3],
     /// Ready issue-queue residents, one list per queue kind (see
     /// [`IqEntry`]): every live entry whose sources are all ready.
     /// Pre-sized to the queue capacities at construction so the cycle
@@ -132,6 +138,10 @@ pub struct DetailedCore {
     squash_rob: Vec<RobEntry>,
     replay_buf: Vec<DynInstr>,
     replay_fe: Vec<DynInstr>,
+    /// Drain buffers for the memory system's per-core outboxes (D10:
+    /// a delivery every few cycles must not allocate).
+    mem_events: Vec<MemEvent>,
+    mem_done: Vec<Completion>,
     // Core-level stats.
     fetch_active_cycles: u64,
     iq_full_stalls: u64,
@@ -199,6 +209,8 @@ impl DetailedCore {
             squash_rob: Vec::new(),
             replay_buf: Vec::new(),
             replay_fe: Vec::new(),
+            mem_events: Vec::new(),
+            mem_done: Vec::new(),
             fetch_active_cycles: 0,
             iq_full_stalls: 0,
             reg_full_stalls: 0,
@@ -322,7 +334,7 @@ impl DetailedCore {
         if !self.store_queue.is_empty() {
             return from;
         }
-        if let Some(&Reverse((done_at, _, _))) = self.exec_heap.peek() {
+        if let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
             if done_at <= from {
                 return from;
             }
@@ -357,13 +369,10 @@ impl DetailedCore {
         // stale (squashed) records must be ignored, not trusted.
         for list in &self.iq_ready {
             for e in list {
-                let tid = e.tid as usize;
-                let live = self.threads[tid]
+                let live = self.threads[e.tid as usize]
                     .rob
-                    .index_of(e.token)
-                    .is_some_and(|idx| {
-                        self.threads[tid].rob.entry_at(idx).state == InstrState::InQueue
-                    });
+                    .at(e.pos, e.token)
+                    .is_some_and(|r| r.state == InstrState::InQueue);
                 if live {
                     return from;
                 }
@@ -371,7 +380,7 @@ impl DetailedCore {
         }
         // Quiescent at `from`: gather the scheduled wake-ups.
         let mut at = self.policy.next_wake(from);
-        if let Some(&Reverse((done_at, _, _))) = self.exec_heap.peek() {
+        if let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
             at = at.min(done_at);
         }
         for t in &self.threads {
@@ -442,18 +451,19 @@ impl DetailedCore {
     // ----------------------------------------------------------------
 
     fn process_mem(&mut self, now: u64, mem: &mut MemoryModel) {
-        for ev in mem.drain_events(self.core_id) {
+        let mut events = std::mem::take(&mut self.mem_events);
+        mem.drain_events_into(self.core_id, &mut events);
+        for ev in events.drain(..) {
             match ev {
                 MemEvent::L2MissDetected { req, at } => {
-                    if let Some(&(_, MemTarget::Load { tid, token })) =
+                    if let Some(&(_, MemTarget::Load { tid, token, pos })) =
                         self.req_map.iter().find(|(r, _)| *r == req)
                     {
                         // Only correct-path tracked loads reach the policy.
                         if self.threads[tid]
                             .rob
-                            .find_mut(token)
-                            .map(|e| e.load_tracked && !e.wrong_path)
-                            .unwrap_or(false)
+                            .at(pos, token)
+                            .is_some_and(|e| e.load_tracked && !e.wrong_path)
                         {
                             self.policy.on_l2_miss(tid, token, at);
                         }
@@ -461,17 +471,20 @@ impl DetailedCore {
                 }
             }
         }
-        for c in mem.drain_completions(self.core_id) {
-            let Some(pos) = self.req_map.iter().position(|(r, _)| *r == c.req) else {
+        self.mem_events = events;
+        let mut done = std::mem::take(&mut self.mem_done);
+        mem.drain_completions_into(self.core_id, &mut done);
+        for c in done.drain(..) {
+            let Some(i) = self.req_map.iter().position(|(r, _)| *r == c.req) else {
                 continue; // orphaned by a squash
             };
-            let (_, target) = self.req_map.swap_remove(pos);
+            let (_, target) = self.req_map.swap_remove(i);
             match target {
-                MemTarget::Load { tid, token } => {
+                MemTarget::Load { tid, token, pos } => {
                     let mut resume = false;
                     let mut notify = false;
                     let mut ready_reg = None;
-                    if let Some(e) = self.threads[tid].rob.find_mut(token) {
+                    if let Some(e) = self.threads[tid].rob.at_mut(pos, token) {
                         e.state = InstrState::Done;
                         notify = e.load_tracked && !e.wrong_path;
                         if let Some((newr, _)) = e.dst {
@@ -511,6 +524,7 @@ impl DetailedCore {
                 MemTarget::Store => {}
             }
         }
+        self.mem_done = done;
     }
 
     // ----------------------------------------------------------------
@@ -518,15 +532,15 @@ impl DetailedCore {
     // ----------------------------------------------------------------
 
     fn exec_complete(&mut self, now: u64) {
-        while let Some(&Reverse((done_at, _, _))) = self.exec_heap.peek() {
+        while let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
             if done_at > now {
                 break;
             }
-            let Some(Reverse((_, tid, token))) = self.exec_heap.pop() else {
+            let Some(Reverse((_, tid, token, pos))) = self.exec_heap.pop() else {
                 break; // unreachable: peek above returned Some
             };
             let (resolve_mispredict, load_complete, is_cond_branch, dst) =
-                match self.threads[tid].rob.find_mut(token) {
+                match self.threads[tid].rob.at_mut(pos, token) {
                     Some(e) if matches!(e.state, InstrState::Executing { .. }) => {
                         e.state = InstrState::Done;
                         (
@@ -658,16 +672,14 @@ impl DetailedCore {
                 let tid = e.tid as usize;
                 let live = self.threads[tid]
                     .rob
-                    .index_of(e.token)
-                    .is_some_and(|idx| {
-                        self.threads[tid].rob.entry_at(idx).state == InstrState::InQueue
-                    });
+                    .at(e.pos, e.token)
+                    .is_some_and(|r| r.state == InstrState::InQueue);
                 if live {
                     debug_assert!(
                         e.srcs.iter().flatten().all(|&p| self.regs.is_ready(p)),
                         "iq_ready entry with a not-ready source"
                     );
-                    list.push((e.token, tid));
+                    list.push((e.token, tid, e.pos));
                     i += 1;
                 } else {
                     self.iq_ready[qi].swap_remove(i);
@@ -678,11 +690,11 @@ impl DetailedCore {
         for (qi, list) in cands.iter_mut().enumerate() {
             list.sort_unstable();
             let mut issued = 0;
-            for &(token, tid) in list.iter() {
+            for &(token, tid, pos) in list.iter() {
                 if issued == units[qi] {
                     break;
                 }
-                if self.try_issue_one(tid, token, now, mem) {
+                if self.try_issue_one(tid, token, pos, now, mem) {
                     self.iq_unready(qi, token);
                     issued += 1;
                 }
@@ -735,89 +747,88 @@ impl DetailedCore {
     }
 
     /// Issue one instruction; returns false when it must stay queued
-    /// (MSHR full). The entry is resolved by index exactly once —
-    /// issue candidates sit near the tail of a deep ROB, where the
-    /// head-first [`Rob::find_mut`] scan is at its worst — and nothing
-    /// below moves ROB entries, so the index stays valid throughout.
-    fn try_issue_one(&mut self, tid: usize, token: u64, now: u64, mem: &mut MemoryModel) -> bool {
-        let idx = self.threads[tid]
-            .rob
-            .index_of(token)
-            // lint: allow(D3) -- issue candidates come from iq_lists, which mirror resident InQueue ROB entries
-            .expect("issue candidate resident in ROB");
+    /// (MSHR full). The entry is resolved by its ROB position: once to
+    /// read it, once to record the outcome. Nothing in between squashes,
+    /// so both resolve.
+    fn try_issue_one(
+        &mut self,
+        tid: usize,
+        token: u64,
+        pos: u64,
+        now: u64,
+        mem: &mut MemoryModel,
+    ) -> bool {
         let (class, addr, queue, addr_pc, wrong_path) = {
-            let e = self.threads[tid].rob.entry_at(idx);
-            (e.instr.class, e.instr.mem_addr, e.queue, e.instr.pc, e.wrong_path)
+            let e = self.threads[tid]
+                .rob
+                .at(pos, token)
+                // lint: allow(D3) -- issue candidates were validated resident and InQueue by this cycle's gather
+                .expect("issue candidate resident in ROB");
+            (
+                e.instr.class,
+                e.instr.mem_addr,
+                e.queue,
+                e.instr.pc,
+                e.wrong_path,
+            )
         };
 
-        match class {
-            InstrClass::Load => {
-                // Wrong-path loads execute without touching the data
-                // cache (SMTsim models wrong-path effects on the
-                // I-cache and branch predictor only; junk data accesses
-                // would fabricate MSHR/bank traffic at made-up
-                // addresses).
-                if wrong_path {
-                    let e = self.threads[tid].rob.entry_at_mut(idx);
-                    e.state = InstrState::Executing { done_at: now + 1 };
-                    self.exec_heap.push(Reverse((now + 1, tid, token)));
-                    self.iq_used[queue.index()] -= 1;
-                    self.iq_per_thread[tid] = self.iq_per_thread[tid].saturating_sub(1);
-                    return true;
-                }
-                // Store-to-load forwarding: an older in-flight store of
-                // the same thread to the same word supplies the data
-                // directly (no cache access).
-                if self.store_forward_hit(tid, token, addr) {
-                    let e = self.threads[tid].rob.entry_at_mut(idx);
-                    e.state = InstrState::Executing { done_at: now + 1 };
-                    e.load_tracked = false;
-                    self.exec_heap.push(Reverse((now + 1, tid, token)));
-                    self.store_forwards += 1;
-                    self.iq_used[queue.index()] -= 1;
-                    self.iq_per_thread[tid] = self.iq_per_thread[tid].saturating_sub(1);
-                    return true;
-                }
-                match mem.access(self.core_id, AccessKind::Load, addr, now) {
-                    AccessResult::L1Hit { ready_at, .. } => {
-                        let e = self.threads[tid].rob.entry_at_mut(idx);
-                        e.state = InstrState::Executing { done_at: ready_at };
-                        e.load_tracked = true;
-                        self.exec_heap.push(Reverse((ready_at, tid, token)));
-                        self.threads[tid].loads_issued += 1;
-                        self.policy.on_load_issue(tid, token, addr_pc, now);
-                    }
-                    AccessResult::Miss { req, .. } => {
-                        let bank = bank_of(addr, mem.config().l2_banks);
-                        let e = self.threads[tid].rob.entry_at_mut(idx);
-                        e.state = InstrState::WaitingMem { req };
-                        e.load_tracked = true;
-                        debug_assert!(!self.req_map.iter().any(|(r, _)| *r == req), "duplicate req id {req} in req_map");
-                        self.req_map.push((req, MemTarget::Load { tid, token }));
-                        self.threads[tid].l1d_misses_in_flight += 1;
-                        self.threads[tid].loads_issued += 1;
-                        self.policy.on_load_issue(tid, token, addr_pc, now);
-                        self.policy.on_l1d_miss(tid, token, bank, now);
-                    }
-                    AccessResult::MshrFull => {
-                        self.mshr_retries += 1;
-                        return false;
-                    }
-                }
+        // The new state, and whether the fetch policy now tracks the
+        // load (every entry dispatches untracked).
+        let (state, load_tracked) = match class {
+            // Wrong-path loads execute without touching the data cache
+            // (SMTsim models wrong-path effects on the I-cache and
+            // branch predictor only; junk data accesses would fabricate
+            // MSHR/bank traffic at made-up addresses).
+            InstrClass::Load if wrong_path => (InstrState::Executing { done_at: now + 1 }, false),
+            // Store-to-load forwarding: an older in-flight store of the
+            // same thread to the same word supplies the data directly
+            // (no cache access).
+            InstrClass::Load if self.store_forward_hit(tid, token, addr) => {
+                self.store_forwards += 1;
+                (InstrState::Executing { done_at: now + 1 }, false)
             }
-            InstrClass::Store => {
-                // Address generation only; memory access happens at
-                // commit via the store queue.
-                let e = self.threads[tid].rob.entry_at_mut(idx);
-                e.state = InstrState::Executing { done_at: now + 1 };
-                self.exec_heap.push(Reverse((now + 1, tid, token)));
-            }
-            _ => {
-                let done = now + class.exec_latency() as u64;
-                let e = self.threads[tid].rob.entry_at_mut(idx);
-                e.state = InstrState::Executing { done_at: done };
-                self.exec_heap.push(Reverse((done, tid, token)));
-            }
+            InstrClass::Load => match mem.access(self.core_id, AccessKind::Load, addr, now) {
+                AccessResult::L1Hit { ready_at, .. } => {
+                    self.threads[tid].loads_issued += 1;
+                    self.policy.on_load_issue(tid, token, addr_pc, now);
+                    (InstrState::Executing { done_at: ready_at }, true)
+                }
+                AccessResult::Miss { req, .. } => {
+                    let bank = bank_of(addr, mem.config().l2_banks);
+                    debug_assert!(
+                        !self.req_map.iter().any(|(r, _)| *r == req),
+                        "duplicate req id {req} in req_map"
+                    );
+                    self.req_map
+                        .push((req, MemTarget::Load { tid, token, pos }));
+                    self.threads[tid].l1d_misses_in_flight += 1;
+                    self.threads[tid].loads_issued += 1;
+                    self.policy.on_load_issue(tid, token, addr_pc, now);
+                    self.policy.on_l1d_miss(tid, token, bank, now);
+                    (InstrState::WaitingMem { req }, true)
+                }
+                AccessResult::MshrFull => {
+                    self.mshr_retries += 1;
+                    return false;
+                }
+            },
+            // Stores only generate their address here; the memory
+            // access happens at commit via the store queue.
+            InstrClass::Store => (InstrState::Executing { done_at: now + 1 }, false),
+            _ => (
+                InstrState::Executing {
+                    done_at: now + class.exec_latency() as u64,
+                },
+                false,
+            ),
+        };
+        if let Some(e) = self.threads[tid].rob.at_mut(pos, token) {
+            e.state = state;
+            e.load_tracked = load_tracked;
+        }
+        if let InstrState::Executing { done_at } = state {
+            self.exec_heap.push(Reverse((done_at, tid, token, pos)));
         }
         // The instruction left its issue queue.
         self.iq_used[queue.index()] -= 1;
@@ -888,7 +899,7 @@ impl DetailedCore {
                     None
                 };
                 self.threads[tid].frontend.pop_front();
-                self.threads[tid].rob.push(RobEntry {
+                let pos = self.threads[tid].rob.push(RobEntry {
                     token: fe.token,
                     instr: fe.instr,
                     wrong_path: fe.wrong_path,
@@ -901,6 +912,7 @@ impl DetailedCore {
                 });
                 self.park_or_ready(IqEntry {
                     token: fe.token,
+                    pos,
                     tid: tid as u32,
                     qi: queue.index() as u8,
                     srcs,
@@ -999,17 +1011,15 @@ impl DetailedCore {
     /// Execute the FLUSH response action on `tid`, keeping the offending
     /// load `token` and squashing everything younger.
     fn execute_flush(&mut self, tid: usize, token: u64, now: u64) {
-        // Validate: the load must still be outstanding.
-        let outstanding = self.threads[tid]
-            .rob
-            .find_mut(token)
-            .map(|e| {
-                matches!(
-                    e.state,
-                    InstrState::WaitingMem { .. } | InstrState::Executing { .. }
-                )
-            })
-            .unwrap_or(false);
+        // Validate: the load must still be outstanding. The policy hands
+        // over a bare token, so this is the one lookup by search.
+        let rob = &self.threads[tid].rob;
+        let outstanding = rob.index_of(token).is_some_and(|i| {
+            matches!(
+                rob.entry_at(i).state,
+                InstrState::WaitingMem { .. } | InstrState::Executing { .. }
+            )
+        });
         if !outstanding {
             // Raced with the completion; tell the policy the thread runs.
             self.policy.on_thread_resumed(tid, now);

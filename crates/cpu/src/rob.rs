@@ -89,10 +89,27 @@ impl RobEntry {
 }
 
 /// A bounded, in-order reorder buffer for one hardware context.
+///
+/// Every entry gets a stable **absolute position** when it is pushed:
+/// the number of entries ever popped at the head (`base`) plus the
+/// occupancy. An entry keeps its position for as long as it is
+/// resident — entries leave only at the head (commit, which advances
+/// `base`) or at the tail (squash) — so [`Rob::at`] resolves it with
+/// one index computation instead of a search.
+///
+/// A squash pops from the back without advancing `base`, so the next
+/// push reuses a squashed entry's position. Tokens are never reused,
+/// which is why every lookup carries the token too: a `(pos, token)`
+/// pair recorded before the squash finds a different token at that
+/// position and resolves to `None`, exactly like a search for a token
+/// that is no longer resident.
 #[derive(Debug, Clone)]
 pub struct Rob {
     entries: VecDeque<RobEntry>,
     capacity: usize,
+    /// Entries popped at the head so far: the absolute position of
+    /// `entries[0]`.
+    base: u64,
 }
 
 impl Rob {
@@ -102,6 +119,7 @@ impl Rob {
         Rob {
             entries: VecDeque::with_capacity(capacity),
             capacity,
+            base: 0,
         }
     }
 
@@ -120,14 +138,16 @@ impl Rob {
         self.entries.is_empty()
     }
 
-    /// Append a dispatched instruction (program order). Panics when
-    /// full — callers must check [`Rob::has_room`].
-    pub fn push(&mut self, e: RobEntry) {
+    /// Append a dispatched instruction (program order) and return its
+    /// absolute position (see [`Rob::at`]). Panics when full — callers
+    /// must check [`Rob::has_room`].
+    pub fn push(&mut self, e: RobEntry) -> u64 {
         assert!(self.has_room(), "ROB overflow");
         if let Some(last) = self.entries.back() {
             debug_assert!(e.token > last.token, "ROB must stay in program order");
         }
         self.entries.push_back(e);
+        self.base + self.entries.len() as u64 - 1
     }
 
     /// Oldest instruction.
@@ -137,7 +157,9 @@ impl Rob {
 
     /// Remove and return the oldest instruction (commit).
     pub fn pop_head(&mut self) -> Option<RobEntry> {
-        self.entries.pop_front()
+        let e = self.entries.pop_front()?;
+        self.base += 1;
+        Some(e)
     }
 
     /// Remove every entry younger than `keep_token`, appending them to
@@ -157,26 +179,29 @@ impl Rob {
         self.entries.iter()
     }
 
-    /// Iterate with mutation, oldest → newest.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
-        self.entries.iter_mut()
+    /// The entry pushed at absolute position `pos` (from [`Rob::push`]),
+    /// provided it is still resident and still holds `token`; `None`
+    /// once it committed or was squashed, even if a younger entry now
+    /// occupies the reused position.
+    #[inline]
+    pub fn at(&self, pos: u64, token: u64) -> Option<&RobEntry> {
+        let i = usize::try_from(pos.checked_sub(self.base)?).ok()?;
+        self.entries.get(i).filter(|e| e.token == token)
     }
 
-    /// Find an entry by token, scanning from the head. Tokens are
-    /// strictly increasing in program order ([`Rob::push`] asserts it),
-    /// so a binary search would also work — but completions and memory
-    /// returns overwhelmingly resolve instructions near the head, where
-    /// a forward linear scan finds them in a couple of probes (measured
-    /// faster than `VecDeque::binary_search_by`'s ~8 scattered ones).
-    pub fn find_mut(&mut self, token: u64) -> Option<&mut RobEntry> {
-        self.entries.iter_mut().find(|e| e.token == token)
+    /// Mutable [`Rob::at`].
+    #[inline]
+    pub fn at_mut(&mut self, pos: u64, token: u64) -> Option<&mut RobEntry> {
+        let i = usize::try_from(pos.checked_sub(self.base)?).ok()?;
+        self.entries.get_mut(i).filter(|e| e.token == token)
     }
 
-    /// Index of `token`, by binary search on the strictly-increasing
-    /// token order. The issue stage resolves candidates through this:
-    /// freshly-woken instructions sit near the *tail* of a deep ROB,
-    /// where the head-first scan of [`Rob::find_mut`] degenerates. The
-    /// index stays valid only until the next push/pop/squash.
+    /// Index (from the head) of the resident entry holding `token`, by
+    /// binary search on the strictly-increasing token order. For
+    /// callers that hold a bare token with no recorded position (a
+    /// policy's FLUSH request); everything the core tracks itself
+    /// resolves through [`Rob::at`]. The index stays valid only until
+    /// the next push/pop/squash.
     pub fn index_of(&self, token: u64) -> Option<usize> {
         let (mut lo, mut hi) = (0usize, self.entries.len());
         while lo < hi {
@@ -196,22 +221,6 @@ impl Rob {
     /// Entry at `index` (from [`Rob::index_of`]).
     pub fn entry_at(&self, index: usize) -> &RobEntry {
         &self.entries[index]
-    }
-
-    /// Mutable entry at `index` (from [`Rob::index_of`]).
-    pub fn entry_at_mut(&mut self, index: usize) -> &mut RobEntry {
-        &mut self.entries[index]
-    }
-
-    /// [`find_mut`](Self::find_mut) for tokens the core knows are
-    /// resident. Invariant: every token parked in the issue queues, the
-    /// exec heap or `req_map` is removed from those structures by the
-    /// same squash that removes its ROB entry, so a tracked token
-    /// always resolves. Centralising the panic here keeps the cycle
-    /// loop's call sites free of bare `unwrap()`s (lint rule D3).
-    pub fn tracked_mut(&mut self, token: u64) -> &mut RobEntry {
-        // lint: allow(D3) -- documented invariant: tracked tokens are evicted from side structures before their ROB entry
-        self.find_mut(token).expect("tracked token resident in ROB")
     }
 }
 
@@ -307,16 +316,94 @@ mod tests {
     }
 
     #[test]
-    fn find_mut_locates_entry() {
+    fn at_resolves_by_position_and_token() {
         let mut r = Rob::new(8);
-        for t in 0..5 {
+        let pos: Vec<u64> = (0..5).map(|t| r.push(entry(t))).collect();
+        assert_eq!(pos, vec![0, 1, 2, 3, 4]);
+        r.at_mut(pos[3], 3).unwrap().state = InstrState::Done;
+        assert_eq!(r.find_linear(3).unwrap().state, InstrState::Done);
+        assert!(r.at(pos[3], 4).is_none(), "wrong token at a live position");
+        assert!(r.at(99, 3).is_none(), "position past the tail");
+        // Commit advances the base: the popped position stops resolving,
+        // the survivors keep theirs.
+        r.pop_head();
+        assert!(r.at(pos[0], 0).is_none());
+        assert_eq!(r.at(pos[4], 4).unwrap().token, 4);
+        assert_eq!(r.push(entry(5)), 5);
+    }
+
+    #[test]
+    fn squashed_position_reused_by_younger_push_does_not_resolve() {
+        let mut r = Rob::new(8);
+        for t in 0..4 {
             r.push(entry(t));
         }
-        r.find_mut(3).unwrap().state = InstrState::Done;
-        assert_eq!(
-            r.iter().find(|e| e.token == 3).unwrap().state,
-            InstrState::Done
-        );
-        assert!(r.find_mut(99).is_none());
+        let stale = (r.push(entry(10)), 10);
+        let mut removed = Vec::new();
+        r.squash_younger_into(3, &mut removed);
+        assert!(r.at(stale.0, stale.1).is_none());
+        let reused = r.push(entry(11));
+        assert_eq!(reused, stale.0, "the squashed position is reused");
+        assert!(r.at(stale.0, stale.1).is_none(), "stale record resolved");
+        assert_eq!(r.at(reused, 11).unwrap().token, 11);
+    }
+
+    impl Rob {
+        /// Reference lookup the position scheme must agree with.
+        fn find_linear(&self, token: u64) -> Option<&RobEntry> {
+            self.iter().find(|e| e.token == token)
+        }
+    }
+
+    #[test]
+    fn position_lookup_matches_linear_search() {
+        use smtsim_trace::check::Cases;
+        Cases::new(128).run("rob_position_lookup", |g| {
+            let mut r = Rob::new(g.usize_in(1..24));
+            let mut next_token = 1u64;
+            // Every (pos, token) the ROB ever handed out, plus the ones
+            // that were squashed (they must never resolve again).
+            let mut issued: Vec<(u64, u64)> = Vec::new();
+            let mut squashed: Vec<(u64, u64)> = Vec::new();
+            let mut removed = Vec::new();
+            for _ in 0..g.usize_in(1..300) {
+                match g.u32_in(0..10) {
+                    0..=4 if r.has_room() => {
+                        // Gaps mimic tokens burned by squashed front-end
+                        // entries: ROB tokens increase, not contiguously.
+                        next_token += g.u64_in(1..4);
+                        let pos = r.push(entry(next_token));
+                        for &(p, t) in &squashed {
+                            assert!(
+                                r.at(p, t).is_none(),
+                                "squashed ({p}, {t}) resolved after push at {pos}"
+                            );
+                        }
+                        issued.push((pos, next_token));
+                    }
+                    5..=7 => {
+                        r.pop_head();
+                    }
+                    _ => {
+                        let keep = if r.is_empty() || g.bool() {
+                            g.u64_in(0..next_token + 2)
+                        } else {
+                            r.entry_at(g.usize_in(0..r.len())).token
+                        };
+                        removed.clear();
+                        r.squash_younger_into(keep, &mut removed);
+                        for e in &removed {
+                            let rec = issued.iter().find(|&&(_, t)| t == e.token).unwrap();
+                            squashed.push(*rec);
+                        }
+                    }
+                }
+                for &(p, t) in &issued {
+                    let by_pos = r.at(p, t).map(|e| e.token);
+                    assert_eq!(by_pos, r.find_linear(t).map(|e| e.token), "at({p}, {t})");
+                    assert_eq!(r.index_of(t).map(|i| r.entry_at(i).token), by_pos);
+                }
+            }
+        });
     }
 }

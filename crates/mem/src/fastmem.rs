@@ -280,14 +280,18 @@ impl FastMemory {
         }
     }
 
-    /// Take all completions for `core`.
-    pub fn drain_completions(&mut self, core: u32) -> Vec<Completion> {
-        std::mem::take(&mut self.cores[core as usize].outbox)
+    /// Move all completions for `core` (delivered during the most
+    /// recent ticks) to the end of `out`, oldest first. Both buffers
+    /// keep their capacity, so a caller that reuses `out` drains
+    /// without allocating (rule D10).
+    pub fn drain_completions_into(&mut self, core: u32, out: &mut Vec<Completion>) {
+        out.append(&mut self.cores[core as usize].outbox);
     }
 
-    /// Take all intermediate events for `core`.
-    pub fn drain_events(&mut self, core: u32) -> Vec<MemEvent> {
-        std::mem::take(&mut self.cores[core as usize].events)
+    /// Move all intermediate events for `core` to the end of `out`
+    /// (same contract as [`Self::drain_completions_into`]).
+    pub fn drain_events_into(&mut self, core: u32, out: &mut Vec<MemEvent>) {
+        out.append(&mut self.cores[core as usize].events);
     }
 
     /// Snapshot per-core statistics.
@@ -422,6 +426,13 @@ impl FastMemory {
 mod tests {
     use super::*;
 
+    /// All completions delivered to `core` so far.
+    fn drained(m: &mut FastMemory, core: u32) -> Vec<Completion> {
+        let mut out = Vec::new();
+        m.drain_completions_into(core, &mut out);
+        out
+    }
+
     fn fast(cores: u32) -> FastMemory {
         FastMemory::new(MemConfig::paper(cores))
     }
@@ -429,7 +440,7 @@ mod tests {
     fn complete_one(m: &mut FastMemory, core: u32, req: ReqId, from: u64, until: u64) -> Completion {
         for now in from..until {
             m.tick(now);
-            if let Some(c) = m.drain_completions(core).into_iter().find(|c| c.req == req) {
+            if let Some(c) = drained(m, core).into_iter().find(|c| c.req == req) {
                 return c;
             }
         }
@@ -502,11 +513,13 @@ mod tests {
         for now in 0..=detect_at {
             m.tick(now);
         }
+        let mut events = Vec::new();
+        m.drain_events_into(0, &mut events);
         assert_eq!(
-            m.drain_events(0),
+            events,
             vec![MemEvent::L2MissDetected { req, at: detect_at }]
         );
-        assert!(m.drain_completions(0).is_empty(), "completion comes later");
+        assert!(drained(&mut m, 0).is_empty(), "completion comes later");
     }
 
     #[test]
@@ -531,7 +544,7 @@ mod tests {
                 let addr = (i * 2654435761) % (8 << 20);
                 let _ = m.access(core, AccessKind::Load, addr, i);
                 m.tick(i);
-                for c in m.drain_completions(core) {
+                for c in drained(&mut m, core) {
                     log.push((c.req, c.addr, c.completed_at, c.l2_hit));
                 }
             }

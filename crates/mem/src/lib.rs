@@ -36,9 +36,11 @@
 //!     AccessResult::Miss { req, .. } => req, // cold caches miss
 //!     other => panic!("{other:?}"),
 //! };
+//! let mut done = Vec::new();
 //! for now in 1..2_000 {
 //!     mem.tick(now);
-//!     if let Some(c) = mem.drain_completions(0).into_iter().find(|c| c.req == req) {
+//!     mem.drain_completions_into(0, &mut done);
+//!     if let Some(c) = done.drain(..).find(|c| c.req == req) {
 //!         assert!(!c.l2_hit);
 //!         return;
 //!     }

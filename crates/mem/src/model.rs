@@ -138,15 +138,16 @@ impl MemoryModel {
         dispatch!(self, account_skip(cycles))
     }
 
-    /// Take all completions for `core` (delivered during the most
-    /// recent ticks).
-    pub fn drain_completions(&mut self, core: u32) -> Vec<Completion> {
-        dispatch!(self, drain_completions(core))
+    /// Move all completions for `core` (delivered during the most
+    /// recent ticks) to the end of `out`; neither buffer allocates
+    /// when `out` is reused.
+    pub fn drain_completions_into(&mut self, core: u32, out: &mut Vec<Completion>) {
+        dispatch!(self, drain_completions_into(core, out))
     }
 
-    /// Take all intermediate events for `core`.
-    pub fn drain_events(&mut self, core: u32) -> Vec<MemEvent> {
-        dispatch!(self, drain_events(core))
+    /// Move all intermediate events for `core` to the end of `out`.
+    pub fn drain_events_into(&mut self, core: u32, out: &mut Vec<MemEvent>) {
+        dispatch!(self, drain_events_into(core, out))
     }
 
     /// Snapshot per-core statistics.
@@ -266,8 +267,9 @@ mod tests {
             facade.tick(now);
             bare.tick(now);
         }
-        let ca = facade.drain_completions(0);
-        let cb = bare.drain_completions(0);
+        let (mut ca, mut cb) = (Vec::new(), Vec::new());
+        facade.drain_completions_into(0, &mut ca);
+        bare.drain_completions_into(0, &mut cb);
         assert_eq!(ca, cb);
         assert!(!ca.is_empty());
     }

@@ -2,8 +2,8 @@
 //! the banked L2 and main memory, advanced in lock-step with the cores.
 //!
 //! Cores call [`MemorySystem::access`] when an instruction fetch, load or
-//! store probes the hierarchy, then poll [`MemorySystem::drain_completions`]
-//! each cycle for finished misses and [`MemorySystem::drain_events`] for
+//! store probes the hierarchy, then poll [`MemorySystem::drain_completions_into`]
+//! each cycle for finished misses and [`MemorySystem::drain_events_into`] for
 //! intermediate events (currently: L2-miss detection, the hook the
 //! non-speculative FLUSH policy needs).
 
@@ -928,15 +928,18 @@ impl MemorySystem {
         self.cores[cidx].mshr.recycle(entry.waiters);
     }
 
-    /// Take all completions for `core` (delivered during the most recent
-    /// ticks).
-    pub fn drain_completions(&mut self, core: u32) -> Vec<Completion> {
-        std::mem::take(&mut self.cores[core as usize].outbox)
+    /// Move all completions for `core` (delivered during the most
+    /// recent ticks) to the end of `out`, oldest first. Both buffers
+    /// keep their capacity, so a caller that reuses `out` drains
+    /// without allocating (rule D10).
+    pub fn drain_completions_into(&mut self, core: u32, out: &mut Vec<Completion>) {
+        out.append(&mut self.cores[core as usize].outbox);
     }
 
-    /// Take all intermediate events for `core`.
-    pub fn drain_events(&mut self, core: u32) -> Vec<MemEvent> {
-        std::mem::take(&mut self.cores[core as usize].events)
+    /// Move all intermediate events for `core` to the end of `out`
+    /// (same contract as [`Self::drain_completions_into`]).
+    pub fn drain_events_into(&mut self, core: u32, out: &mut Vec<MemEvent>) {
+        out.append(&mut self.cores[core as usize].events);
     }
 
     /// Snapshot per-core statistics.
@@ -1066,6 +1069,13 @@ impl MemorySystem {
 mod tests {
     use super::*;
 
+    /// All completions delivered to `core` so far.
+    fn drained(m: &mut MemorySystem, core: u32) -> Vec<Completion> {
+        let mut out = Vec::new();
+        m.drain_completions_into(core, &mut out);
+        out
+    }
+
     fn sys(cores: u32) -> MemorySystem {
         MemorySystem::new(MemConfig::paper(cores))
     }
@@ -1084,7 +1094,7 @@ mod tests {
         for _ in 0..100_000 {
             now += 1;
             m.tick(now);
-            let done = m.drain_completions(core);
+            let done = drained(m, core);
             if let Some(c) = done.iter().find(|c| c.req == req) {
                 return (*c, now);
             }
@@ -1266,7 +1276,7 @@ mod tests {
             'outer: for _ in 0..10_000 {
                 t += 1;
                 m.tick(t);
-                for c in m.drain_completions(core) {
+                for c in drained(&mut m, core) {
                     if c.req == req {
                         assert!(c.l2_hit, "expected L2 hit");
                         latencies.push(c.latency());
@@ -1365,7 +1375,7 @@ mod tests {
             other => panic!("next line not prefetched: {other:?}"),
         }
         // Prefetches deliver no completions.
-        assert!(m.drain_completions(0).is_empty());
+        assert!(drained(&mut m, 0).is_empty());
     }
 
     #[test]
@@ -1446,8 +1456,8 @@ mod tests {
         }
         for now in 1..5_000 {
             m.tick(now);
-            m.drain_completions(0);
-            m.drain_completions(1);
+            drained(&mut m, 0);
+            drained(&mut m, 1);
         }
         assert_eq!(m.inflight_count(), 0);
     }
@@ -1469,7 +1479,7 @@ mod tests {
         for now in 1..5_000 {
             m.tick(now);
             assert!(
-                !m.drain_completions(0).iter().any(|c| c.req == req),
+                !drained(&mut m, 0).iter().any(|c| c.req == req),
                 "swallowed DRAM response must never complete"
             );
         }
@@ -1505,7 +1515,7 @@ mod tests {
         for now in 1..5_000 {
             m.tick(now);
             assert!(
-                m.drain_completions(0).is_empty(),
+                drained(&mut m, 0).is_empty(),
                 "a permanently busy bank must never serve its queue"
             );
         }

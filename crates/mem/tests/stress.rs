@@ -15,15 +15,18 @@ fn stress(cores: u32, cycles: u64, seed: u64, addr_pool: u64) {
     let mut m = MemorySystem::new(MemConfig::paper(cores));
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let mut outstanding: BTreeMap<(u32, ReqId), u64> = BTreeMap::new();
+    let (mut done, mut events) = (Vec::new(), Vec::new());
     for now in 0..cycles {
         m.tick(now);
         for core in 0..cores {
-            for c in m.drain_completions(core) {
+            m.drain_completions_into(core, &mut done);
+            for c in done.drain(..) {
                 outstanding
                     .remove(&(core, c.req))
                     .expect("completion for unknown request");
             }
-            m.drain_events(core);
+            m.drain_events_into(core, &mut events);
+            events.clear();
             // Issue up to 2 random accesses per core per cycle.
             for _ in 0..rng.gen_range(0..=2u32) {
                 let kind = match rng.gen_range(0..10u32) {

@@ -14,8 +14,8 @@
 //! `SimError::JobPanicked`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -207,11 +207,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         let _ = stream.set_write_timeout(Some(Duration::from_millis(1_000)));
         if shared.draining.load(Ordering::SeqCst) {
             ServeCounters::bump_tally(&shared.counters.shed_total);
-            respond_http(
+            shed(
                 &mut stream,
                 503,
                 "Service Unavailable",
-                &[("Retry-After", "1")],
                 "{\"error\":\"server is draining; no new work accepted\"}\n",
             );
             continue;
@@ -220,11 +219,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
         if q.len() >= shared.cfg.max_queue {
             drop(q);
             ServeCounters::bump_tally(&shared.counters.shed_total);
-            respond_http(
+            shed(
                 &mut stream,
                 429,
                 "Too Many Requests",
-                &[("Retry-After", "1")],
                 "{\"error\":\"request queue is full; retry shortly\"}\n",
             );
             continue;
@@ -236,6 +234,25 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             .store(q.len() as u64, Ordering::Relaxed);
         drop(q);
         shared.queue_cv.notify_one();
+    }
+}
+
+/// Refuse a connection from the accept thread. Its request was never
+/// read, and closing a socket with unread input makes the kernel send
+/// a reset, which can destroy the response before the client reads
+/// it. So respond, half-close, and drain what the client sent before
+/// the stream drops; the drain is bounded in reads and by a short read
+/// timeout, so a slow client cannot stall the accept loop for long.
+fn shed(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
+    respond_http(stream, status, reason, &[("Retry-After", "1")], body);
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
     }
 }
 

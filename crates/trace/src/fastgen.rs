@@ -111,7 +111,7 @@ impl InstrStream for FastTraceGenerator {
     fn next_instr(&mut self) -> DynInstr {
         // Field-disjoint borrows: `dict` is only read, the RNG and
         // memory stream are only written, so no per-instruction
-        // `Arc::clone` is needed (the detailed generator pays one).
+        // `Arc::clone` is needed.
         let dict = &self.dict;
         let block = dict.block(self.block);
         let cls = block.classes[self.slot];

@@ -166,10 +166,22 @@ impl TraceGenerator {
 
 impl InstrStream for TraceGenerator {
     fn next_instr(&mut self) -> DynInstr {
-        let dict = Arc::clone(&self.dict);
-        let block = dict.block(self.block);
-        let cls = block.classes[self.slot];
-        let pc = block.base_pc + 4 * self.slot as u64;
+        // Copy out the scalar block fields instead of holding a borrow of
+        // `self.dict` across the `&mut self` helpers below (which would
+        // need a per-instruction `Arc::clone`). Successor PCs are read
+        // from the dictionary only where an arm needs them.
+        let (cls, pc, len, bias, term, taken_succ, fallthrough_succ) = {
+            let b = self.dict.block(self.block);
+            (
+                b.classes[self.slot],
+                b.base_pc + 4 * self.slot as u64,
+                b.classes.len(),
+                b.bias,
+                b.term,
+                b.taken_succ,
+                b.fallthrough_succ,
+            )
+        };
         let seq = self.seq;
         self.seq += 1;
 
@@ -211,36 +223,33 @@ impl InstrStream for TraceGenerator {
             }
             InstrClass::BranchCond => {
                 instr.srcs[0] = self.pick_src();
-                let taken = self.rng.gen::<f64>() < block.bias;
+                let taken = self.rng.gen::<f64>() < bias;
                 instr.taken = taken;
-                instr.target = dict.block(block.taken_succ).base_pc;
+                instr.target = self.dict.block(taken_succ).base_pc;
                 // Advance control flow below.
             }
             InstrClass::BranchUncond => {
                 instr.taken = true;
-                match block.term {
+                match term {
                     TermKind::Call => {
                         instr.uncond_kind = UncondKind::Call;
-                        instr.target = dict.block(block.taken_succ).base_pc;
+                        instr.target = self.dict.block(taken_succ).base_pc;
                         if self.call_stack.len() == CALL_STACK_MAX {
                             self.call_stack.remove(0);
                         }
-                        self.call_stack.push(block.fallthrough_succ);
+                        self.call_stack.push(fallthrough_succ);
                     }
                     TermKind::Ret => {
                         instr.uncond_kind = UncondKind::Ret;
-                        let target_block = self
-                            .call_stack
-                            .pop()
-                            .unwrap_or(block.taken_succ);
-                        instr.target = dict.block(target_block).base_pc;
+                        let target_block = self.call_stack.pop().unwrap_or(taken_succ);
+                        instr.target = self.dict.block(target_block).base_pc;
                         // Stash the dynamic successor for the cursor
                         // advance below via the target match.
                         self.ret_target = Some(target_block);
                     }
                     _ => {
                         instr.uncond_kind = UncondKind::Jump;
-                        instr.target = dict.block(block.taken_succ).base_pc;
+                        instr.target = self.dict.block(taken_succ).base_pc;
                     }
                 }
             }
@@ -258,7 +267,7 @@ impl InstrStream for TraceGenerator {
         }
 
         // Advance the cursor.
-        if self.slot + 1 < block.classes.len() {
+        if self.slot + 1 < len {
             self.slot += 1;
         } else {
             // Block terminator: follow the outcome (returns follow the
@@ -266,9 +275,9 @@ impl InstrStream for TraceGenerator {
             self.block = if let Some(rt) = self.ret_target.take() {
                 rt
             } else if instr.class.is_branch() && instr.taken {
-                block.taken_succ
+                taken_succ
             } else {
-                block.fallthrough_succ
+                fallthrough_succ
             };
             self.slot = 0;
         }

@@ -15,6 +15,13 @@ cargo build --release --offline --workspace
 echo "== test (workspace, offline) =="
 cargo test -q --offline --workspace
 
+echo "== benchmark package tests (offline) =="
+# The benchmark is a package of its own (not a workspace member), so the
+# workspace gate above does not reach it. Its traced driver rebuilds
+# Simulator::build from public cpu/mem parts; traced_driver_is_byte_identical
+# catches any drift between the two.
+cargo test --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
 echo "== determinism lint (smtsim-lint, call-graph rules) =="
 # Gate 3: the in-tree determinism linter (DESIGN.md §10/§14), including
 # the call-graph rules D10-D12. Exits nonzero on any unwaived finding;
