@@ -586,7 +586,7 @@ mod tests {
                 "impl Simulator { pub fn step(&mut self) { profile_phase(); tally(); } }\n",
             ),
             (
-                "crates/bench/src/profile.rs",
+                "crates/bench/src/bin/benchmark/traced.rs",
                 "pub fn profile_phase() { let t = Instant::now(); }\npub fn tally() { let m: HashMap<u64,u64> = make(); }\n",
             ),
         ]);

@@ -64,7 +64,6 @@ const HOT_PATH_FILES: &[&str] = &[
 const GOLDEN_FIGURE_FILES: &[&str] = &[
     "crates/bench/src/figures.rs",
     "crates/bench/src/bin/figures.rs",
-    "crates/bench/src/bin/bench_figures.rs",
     "crates/core/src/calibration.rs",
 ];
 
@@ -572,7 +571,7 @@ mod tests {
         assert!(FileClass::of("crates/cpu/src/core.rs").simulator);
         assert!(FileClass::of("crates/cpu/src/core.rs").hot_path);
         assert!(!FileClass::of("crates/cpu/tests/pipeline.rs").simulator);
-        assert!(FileClass::of("crates/bench/src/timing.rs").bench);
+        assert!(FileClass::of("crates/bench/src/bin/benchmark/stats.rs").bench);
         assert!(FileClass::of("crates/policy/src/mflush.rs").hot_path);
         assert!(FileClass::of("src/lib.rs").simulator);
         assert!(FileClass::of("examples/quickstart.rs").test_file);
@@ -600,7 +599,11 @@ mod tests {
         let f = findings("crates/core/src/sweep.rs", "let t = Instant::now();");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].symbol, "Instant::now");
-        assert!(findings("crates/bench/src/timing.rs", "let t = Instant::now();").is_empty());
+        assert!(findings(
+            "crates/bench/src/bin/benchmark/stats.rs",
+            "let t = Instant::now();"
+        )
+        .is_empty());
         let f = findings("crates/trace/src/gen.rs", "use std::time::SystemTime;");
         assert_eq!(f.len(), 1);
     }
@@ -643,7 +646,7 @@ mod tests {
         assert_eq!(f[0].rule, Rule::D9);
         assert_eq!(f[0].symbol, "with_fidelity");
         // The same code is fine anywhere that is not a figure driver.
-        assert!(findings("crates/bench/src/bin/bench_profile.rs", src).is_empty());
+        assert!(findings("crates/bench/src/bin/benchmark/sims.rs", src).is_empty());
         // A mention inside a comment or string never flags.
         assert!(findings(
             "crates/bench/src/figures.rs",

@@ -4,40 +4,75 @@
 //! cargo run --release -p smtsim-bench --bin figures -- all
 //! cargo run --release -p smtsim-bench --bin figures -- fig8 --cycles 300000
 //! cargo run --release -p smtsim-bench --bin figures -- all --journal out/journals
+//! cargo run --release -p smtsim-bench --bin figures -- ablations --cycles 40000
 //! ```
 //!
 //! With `--journal DIR`, every sweep appends finished jobs to a file
 //! under DIR; re-running the same command after an interruption skips
 //! the recorded jobs and produces byte-identical figures.
+//!
+//! `extensions` and `ablations` go beyond the paper and are not part of
+//! `all`. A bad flag value or an unknown name exits 2 with a usage line.
 
 use smtsim_bench as figs;
+use smtsim_core::suggest::did_you_mean;
 use std::path::PathBuf;
+use std::str::FromStr;
+
+/// Every name `figures` accepts.
+const NAMES: &[&str] = &[
+    "all",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "extensions",
+    "ablations",
+];
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: figures [all|fig1..fig11|extensions|ablations]... \
+         [--cycles N] [--workers N] [--journal DIR]"
+    );
+    std::process::exit(2);
+}
+
+/// Parse the value following `flag`, or exit 2.
+fn value<T: FromStr>(flag: &str, v: Option<&String>) -> T {
+    v.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("bad or missing value for {flag}");
+        usage()
+    })
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<String> = Vec::new();
+    let mut which: Vec<&str> = Vec::new();
     let mut cycles = 0u64;
     let mut workers = 0usize;
     let mut journal_dir: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--cycles" => {
-                cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cycles N");
+            "--cycles" => cycles = value("--cycles", it.next()),
+            "--workers" => workers = value("--workers", it.next()),
+            "--journal" => journal_dir = Some(value("--journal", it.next())),
+            name if NAMES.contains(&name) => which.push(name),
+            other => {
+                match did_you_mean(other, NAMES) {
+                    Some(s) => eprintln!("unknown figure '{other}' (did you mean '{s}'?)"),
+                    None => eprintln!("unknown figure '{other}'"),
+                }
+                usage();
             }
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers N");
-            }
-            "--journal" => {
-                journal_dir = Some(PathBuf::from(it.next().expect("--journal DIR")));
-            }
-            other => which.push(other.to_string()),
         }
     }
     if let Some(dir) = &journal_dir {
@@ -45,10 +80,10 @@ fn main() {
     }
     let journal = journal_dir.as_deref();
     if which.is_empty() {
-        which.push("all".into());
+        which.push("all");
     }
-    let all = which.iter().any(|w| w == "all");
-    let want = |name: &str| all || which.iter().any(|w| w == name);
+    let all = which.contains(&"all");
+    let want = |name: &str| all || which.contains(&name);
 
     if want("fig1") {
         println!("{}", figs::fig1());
@@ -83,8 +118,11 @@ fn main() {
     if want("fig11") {
         println!("{}", figs::fig11(cycles, workers, journal).text);
     }
-    // Beyond the paper: pass `extensions` explicitly (not part of `all`).
-    if which.iter().any(|w| w == "extensions") {
+    // Beyond the paper: pass these explicitly (not part of `all`).
+    if which.contains(&"extensions") {
         println!("{}", figs::extension_study(cycles, workers, journal).text);
+    }
+    if which.contains(&"ablations") {
+        println!("{}", figs::ablations(cycles, workers, journal).text);
     }
 }

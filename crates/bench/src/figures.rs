@@ -5,7 +5,7 @@ use smtsim_core::{report, run_sweep_journaled, SimConfig, SimResult, SweepJob, W
 use smtsim_core::workloads::{ALL_WORKLOADS, FIG5B_WORKLOAD};
 use smtsim_energy::report as energy_report;
 use smtsim_mem::{LatencyHistogram, MemConfig};
-use smtsim_policy::mflush::{McRegConfig, McRegFile, MflushConfig};
+use smtsim_policy::mflush::{McRegConfig, McRegFile, McRegReducer, MflushConfig};
 use smtsim_policy::PolicyKind;
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
@@ -42,20 +42,22 @@ fn sweep_workloads(
             ));
         }
     }
-    let flat = run_sweep_journaled(&jobs, workers, journal.as_deref());
-    let per = policies.len();
+    let flat = run_jobs(&jobs, workers, journal);
     workloads
         .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let results = flat[i * per..(i + 1) * per]
-                .iter()
-                .map(|(label, r)| match r {
-                    Ok(r) => r.clone(),
-                    Err(e) => panic!("figure sweep job '{label}' failed: {e}"),
-                })
-                .collect();
-            (w.name.to_string(), results)
+        .zip(flat.chunks(policies.len()))
+        .map(|(w, results)| (w.name.to_string(), results.to_vec()))
+        .collect()
+}
+
+/// Run `jobs` through the journaled sweep runner, in job order. A
+/// failed job is fatal: a partial figure is worse than none.
+fn run_jobs(jobs: &[SweepJob], workers: usize, journal: Option<PathBuf>) -> Vec<SimResult> {
+    run_sweep_journaled(jobs, workers, journal.as_deref())
+        .into_iter()
+        .map(|(label, r)| match r {
+            Ok(r) => r,
+            Err(e) => panic!("figure sweep job '{label}' failed: {e}"),
         })
         .collect()
 }
@@ -510,6 +512,101 @@ pub fn extension_study(cycles: u64, workers: usize, journal: Option<&Path>) -> E
 }
 
 // ----------------------------------------------------------------
+// Ablations — the design choices DESIGN.md §6 calls out
+// ----------------------------------------------------------------
+
+/// Ablation report data (not a paper figure).
+pub struct Ablations {
+    /// (variant label, 8W3 IPC), in report order.
+    pub rows: Vec<(String, f64)>,
+    pub text: String,
+}
+
+fn mflush_variant(history: usize, reducer: McRegReducer, preventive: bool, mt: bool) -> PolicyKind {
+    PolicyKind::MflushCustom {
+        mcreg_history: history,
+        mcreg_reducer: reducer,
+        preventive,
+        mt_enabled: mt,
+    }
+}
+
+/// Run the DESIGN.md §6 ablations on 8W3, one job per variant: MCReg
+/// history and reducer, the Preventive State, the MT term, STALL vs
+/// FLUSH, L2 bank and cluster counts, the related-work policies and
+/// next-line prefetching. Variants that restate the paper default
+/// (MCReg 1/Last, 4 L2 banks, 1 cluster, no prefetch) are run again
+/// under their own label, so they must agree exactly.
+pub fn ablations(cycles: u64, workers: usize, journal: Option<&Path>) -> Ablations {
+    let w = Workload::by_name("8W3").unwrap();
+    let cycles = budget(cycles);
+    let cfg = |p: PolicyKind| SimConfig::for_workload(w, p).with_cycles(cycles);
+    let mut variants = vec![
+        (
+            "MCReg history 1/Last (paper)".to_string(),
+            cfg(PolicyKind::Mflush),
+        ),
+        (
+            "MCReg history 4/Mean".into(),
+            cfg(mflush_variant(4, McRegReducer::Mean, true, true)),
+        ),
+        (
+            "MCReg history 4/Max".into(),
+            cfg(mflush_variant(4, McRegReducer::Max, true, true)),
+        ),
+        (
+            "MFLUSH w/o preventive state".into(),
+            cfg(mflush_variant(1, McRegReducer::Last, false, true)),
+        ),
+        (
+            "MFLUSH w/o MT term".into(),
+            cfg(mflush_variant(1, McRegReducer::Last, true, false)),
+        ),
+        ("STALL-S30".into(), cfg(PolicyKind::StallSpec(30))),
+        ("FLUSH-S30".into(), cfg(PolicyKind::FlushSpec(30))),
+    ];
+    for banks in [1u32, 2, 4, 8] {
+        let mut c = cfg(PolicyKind::Icount);
+        c.mem.l2_banks = banks;
+        variants.push((format!("ICOUNT with {banks} L2 bank(s)"), c));
+    }
+    for (label, p) in [
+        ("ADTS adaptive (related work)", PolicyKind::Adts),
+        ("DCRA (related work [3])", PolicyKind::Dcra),
+        ("FLUSH-ADAPT (hill-climbed)", PolicyKind::FlushAdaptive),
+        ("FLUSH-LMP (miss predictor)", PolicyKind::FlushMissPredict),
+    ] {
+        variants.push((label.into(), cfg(p)));
+    }
+    for clusters in [1u32, 2, 4] {
+        let mut c = cfg(PolicyKind::Mflush);
+        c.mem.l2_clusters = clusters;
+        c.topology.l2_clusters = clusters;
+        variants.push((format!("MFLUSH with {clusters} L2 cluster(s)"), c));
+    }
+    let mut prefetch = cfg(PolicyKind::Icount);
+    prefetch.mem.next_line_prefetch = true;
+    variants.push(("ICOUNT + next-line prefetch".into(), prefetch));
+    variants.push(("ICOUNT without prefetch".into(), cfg(PolicyKind::Icount)));
+
+    let jobs: Vec<SweepJob> = variants
+        .into_iter()
+        .map(|(label, c)| SweepJob::new(label, c))
+        .collect();
+    let results = run_jobs(&jobs, workers, journal_file(journal, "ablations"));
+    let mut text = String::new();
+    let _ = writeln!(text, "== Ablation report ({cycles}-cycle runs on 8W3) ==");
+    let mut rows = Vec::new();
+    for (job, r) in jobs.iter().zip(&results) {
+        let label = format!("{}:", job.label);
+        let ipc = r.throughput();
+        let _ = writeln!(text, "{label:<30}{ipc:.4}");
+        rows.push((job.label.clone(), ipc));
+    }
+    Ablations { rows, text }
+}
+
+// ----------------------------------------------------------------
 // Figs. 9 & 10 — the energy model tables
 // ----------------------------------------------------------------
 
@@ -610,4 +707,37 @@ pub fn fig11(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig11 {
         fig.mflush_vs_s100()
     );
     fig
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ablation_rows_that_restate_the_paper_default_agree() {
+        let a = ablations(3_000, 0, None);
+        let ipc = |label: &str| match a.rows.iter().find(|(l, _)| l == label) {
+            Some(&(_, ipc)) => ipc,
+            None => panic!("no row '{label}'"),
+        };
+        // MemConfig's defaults are 4 L2 banks and 1 L2 cluster.
+        assert_eq!(
+            ipc("ICOUNT with 4 L2 bank(s)"),
+            ipc("ICOUNT without prefetch")
+        );
+        assert_eq!(
+            ipc("MFLUSH with 1 L2 cluster(s)"),
+            ipc("MCReg history 1/Last (paper)")
+        );
+        // A variant that changes the machine must change the answer,
+        // or the equalities above prove nothing.
+        assert_ne!(
+            ipc("ICOUNT with 1 L2 bank(s)"),
+            ipc("ICOUNT with 4 L2 bank(s)")
+        );
+        assert_ne!(
+            ipc("MFLUSH with 4 L2 cluster(s)"),
+            ipc("MFLUSH with 1 L2 cluster(s)")
+        );
+    }
 }

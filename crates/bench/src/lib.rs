@@ -3,9 +3,8 @@
 //!
 //! One function per table/figure of the paper's evaluation. Each
 //! returns structured data *and* renders the same rows/series the paper
-//! reports, so the `figures` binary, the timing binaries
-//! (`bench_figures`, `bench_ablations`) and the integration tests all
-//! share a single implementation.
+//! reports, so the `figures` binary and the integration tests share a
+//! single implementation.
 //!
 //! | Paper artefact | Function |
 //! |----------------|----------|
@@ -20,23 +19,17 @@
 //! | Fig. 9 (energy distribution) | [`figures::fig9`] |
 //! | Fig. 10 (energy consumption factor) | [`figures::fig10`] |
 //! | Fig. 11 (FLUSH wasted energy) | [`figures::fig11`] |
+//! | Extension study (beyond the paper) | [`figures::extension_study`] |
+//! | Ablations (beyond the paper) | [`figures::ablations`] |
 //!
 //! The defaults use a scaled-down fixed interval (see
 //! `smtsim_core::config::DEFAULT_CYCLES`); pass larger budgets for
 //! tighter numbers.
 //!
-//! Beyond the paper artefacts, the crate ships the host-performance
-//! tooling documented in PERFORMANCE.md: `bench_profile` (the
-//! [`profile::PhaseProfile`] host-time phase profiler with
-//! `--baseline` drift reporting against `BENCH_baseline.json`),
-//! `bench_serve` (cold vs cache-hit latency of the serving layer,
-//! recorded in `BENCH_serve.json`), and `bench_cycleloop` (the stall
-//! skip-ahead throughput and byte-identity record behind
-//! `BENCH_cycleloop.json`, deterministically gated by
-//! `bench_cycleloop --check` in CI).
+//! Host-time measurement is not here: the simulator's one benchmark is
+//! the package under `src/bin/benchmark` (a package of its own, see its
+//! README.md and PERFORMANCE.md).
 
 pub mod figures;
-pub mod profile;
-pub mod timing;
 
 pub use figures::*;

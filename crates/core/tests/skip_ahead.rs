@@ -8,7 +8,8 @@
 //!
 //! 1. same-seed byte-identity with skip off vs on, across all four
 //!    fidelity pairs (the skip must also engage, so the equality is
-//!    exercised rather than vacuous);
+//!    exercised rather than vacuous), plus pinned committed and
+//!    skipped-cycle counts per tracked MFLUSH workload;
 //! 2. a `FaultPlan` whose consequences land inside what would
 //!    otherwise be one unbounded idle window — the watchdog must fire
 //!    at the exact same cycle with an identical structured diagnosis;
@@ -73,6 +74,41 @@ fn skip_is_byte_identical_across_all_fidelity_pairs() {
                 }
             }
         }
+    }
+}
+
+/// `(workload, committed, skipped_cycles)` under MFLUSH at `CYCLES`.
+/// The memory-bound workloads skip heavily; the high-ILP control `4W3`
+/// rarely does. Byte-identity alone cannot see a horizon that turns
+/// more conservative (it skips less and changes nothing observable);
+/// these counts can.
+const SKIP_PINS: &[(&str, u64, u64)] = &[
+    ("2W1", 35_727, 29_977),
+    ("2W2", 105_949, 11_721),
+    ("2W3", 79_985, 14_539),
+    ("2W5", 62_974, 19_823),
+    ("4W3", 160_528, 3_174),
+];
+
+#[test]
+fn skip_counts_are_pinned() {
+    for &(workload, committed, skipped) in SKIP_PINS {
+        let cfg = base(workload);
+        let (off_json, off_skipped) = run(&cfg.clone().with_skip_ahead(false));
+        let mut on = Simulator::build(&cfg.with_skip_ahead(true)).unwrap();
+        on.step(CYCLES).unwrap();
+        let result = on.snapshot();
+        assert_eq!(off_skipped, 0, "skip_ahead=false must never skip");
+        assert_eq!(
+            off_json,
+            result.to_json(),
+            "{workload}: skip-ahead changed the result bytes"
+        );
+        assert_eq!(
+            (result.total_committed(), on.skipped_cycles()),
+            (committed, skipped),
+            "{workload}: (committed, skipped_cycles) drifted from the pin"
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! `dyn` trait object — the variants are closed (a fidelity is a
 //! simulator *mode*, not a plugin), enum dispatch keeps the model
 //! inlinable in the per-cycle hot loop, and the measured cost gap is
-//! recorded in DESIGN.md §13 (see `bench_dispatch` in `smtsim-bench`).
+//! recorded in DESIGN.md §13 (which says where the measuring tool lives).
 //!
 //! The refactor invariant: [`MemoryModel::Detailed`] delegates every
 //! call 1:1 to the pre-existing [`MemorySystem`], so

@@ -10,9 +10,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build (release, offline) =="
+# Gate 1.
 cargo build --release --offline --workspace
 
 echo "== test (workspace, offline) =="
+# Gate 2: every workspace test, then the benchmark package's.
 cargo test -q --offline --workspace
 
 echo "== benchmark package tests (offline) =="
@@ -76,76 +78,14 @@ cargo test -q --offline -p smtsim-serve --test robustness
 cargo test -q --offline -p smtsim-serve --test corruption
 scripts/serve_smoke.sh
 
-echo "== bench baseline delta (informational, warns past +/-25%) =="
-# Not a gate: host time is machine-dependent (PERFORMANCE.md section 1).
-# Prints the drift of the tracked configurations against
-# BENCH_baseline.json; past +/-25% it *warns* — on the machine that
-# recorded the baseline that usually means an accidental model-cost
-# regression — but it never fails the build.
-warn_drift() { # reads one "--baseline" output line on stdin
-    local line pct
-    line=$(cat)
-    echo "$line"
-    pct=$(printf '%s' "$line" | sed -n 's/.*(\([+-][0-9.]*\)%.*/\1/p')
-    if [ -n "$pct" ] && awk "BEGIN{exit !($pct > 25 || $pct < -25)}"; then
-        echo "warning: host-time drift ${pct}% exceeds 25% — model-cost regression, or a different machine (see PERFORMANCE.md section 1)" >&2
-    fi
-}
-if [ -f BENCH_baseline.json ]; then
-    BP=target/release/bench_profile
-    "$BP" --workload 4W3 --policy mflush --cycles 300000 \
-          --fidelity mem=fast,core=approx --plain --json \
-          --baseline BENCH_baseline.json | tail -1 | warn_drift
-    "$BP" --workload 4W3 --policy mflush --cycles 300000 \
-          --plain --json --baseline BENCH_baseline.json | tail -1 | warn_drift
-else
-    echo "BENCH_baseline.json missing; run scripts/bench_baseline.sh" >&2
-fi
-# Cold-vs-cache-hit host time for the serving layer; the recorded
-# snapshot lives in BENCH_serve.json (regenerate: bench_serve > it).
-target/release/bench_serve --cycles 150000
-
-echo "== cycle-loop skip-ahead record (deterministic gate) =="
-# Gate 8: the stall skip-ahead record (DESIGN.md section 16). The
-# deterministic fields of BENCH_cycleloop.json (committed, IPC,
-# skipped cycles) re-measure byte-exactly on every machine; drift
-# means the skip horizon changed behaviour and FAILS the build. The
-# generated table in PERFORMANCE.md section 4 must match the committed
-# record. Host seconds in both are informational only. BLESS=1
-# regenerates the JSON and the doc table together.
-BC=target/release/bench_cycleloop
-cycleloop_table_in_doc() {
-    awk '/BEGIN bench_cycleloop table/{f=1;next}/END bench_cycleloop table/{f=0}f' \
-        PERFORMANCE.md
-}
-if [ "${BLESS:-0}" = "1" ]; then
-    "$BC" > BENCH_cycleloop.json
-    "$BC" --table BENCH_cycleloop.json > target/cycleloop_table.md
-    awk '
-        /BEGIN bench_cycleloop table/ {
-            print
-            while ((getline line < "target/cycleloop_table.md") > 0) print line
-            skip = 1; next
-        }
-        /END bench_cycleloop table/ { skip = 0 }
-        !skip { print }
-    ' PERFORMANCE.md > PERFORMANCE.md.tmp && mv PERFORMANCE.md.tmp PERFORMANCE.md
-    echo "blessed BENCH_cycleloop.json and the PERFORMANCE.md table"
-fi
-"$BC" --check BENCH_cycleloop.json
-if ! diff <("$BC" --table BENCH_cycleloop.json) <(cycleloop_table_in_doc); then
-    echo "PERFORMANCE.md table drifted from BENCH_cycleloop.json (BLESS=1 scripts/ci.sh regenerates)" >&2
-    exit 1
-fi
-echo "PERFORMANCE.md table matches BENCH_cycleloop.json"
-
 echo "== rustdoc (-D warnings) =="
-# Gate 6: the API reference must build warning-free (missing docs on
+# Gate 8: the API reference must build warning-free (missing docs on
 # the core/obs surfaces are warnings via #![warn(missing_docs)], and
 # broken intra-doc links are rejected here).
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 
 echo "== clippy (-D warnings) =="
+# Gate 9: clippy over every target, warnings denied.
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --offline --workspace --all-targets -- -D warnings
 else
