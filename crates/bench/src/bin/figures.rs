@@ -3,13 +3,15 @@
 //! ```text
 //! cargo run --release -p smtsim-bench --bin figures -- all
 //! cargo run --release -p smtsim-bench --bin figures -- fig8 --cycles 300000
-//! cargo run --release -p smtsim-bench --bin figures -- all --journal out/journals
+//! cargo run --release -p smtsim-bench --bin figures -- all --journal out/figures.jsonl
 //! cargo run --release -p smtsim-bench --bin figures -- ablations --cycles 40000
 //! ```
 //!
-//! With `--journal DIR`, every sweep appends finished jobs to a file
-//! under DIR; re-running the same command after an interruption skips
-//! the recorded jobs and produces byte-identical figures.
+//! With `--journal FILE`, every figure's sweep records finished jobs in
+//! FILE, one result journal shared by all figures (the same format as
+//! `smtsim sweep --journal FILE`). Re-running after an interruption
+//! replays the recorded jobs and produces byte-identical figures; a
+//! config that recurs across figures is simulated once.
 //!
 //! `extensions` and `ablations` go beyond the paper and are not part of
 //! `all`. A bad flag value or an unknown name exits 2 with a usage line.
@@ -40,7 +42,7 @@ const NAMES: &[&str] = &[
 fn usage() -> ! {
     eprintln!(
         "usage: figures [all|fig1..fig11|extensions|ablations]... \
-         [--cycles N] [--workers N] [--journal DIR]"
+         [--cycles N] [--workers N] [--journal FILE]"
     );
     std::process::exit(2);
 }
@@ -58,13 +60,13 @@ fn main() {
     let mut which: Vec<&str> = Vec::new();
     let mut cycles = 0u64;
     let mut workers = 0usize;
-    let mut journal_dir: Option<PathBuf> = None;
+    let mut journal: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--cycles" => cycles = value("--cycles", it.next()),
             "--workers" => workers = value("--workers", it.next()),
-            "--journal" => journal_dir = Some(value("--journal", it.next())),
+            "--journal" => journal = Some(value("--journal", it.next())),
             name if NAMES.contains(&name) => which.push(name),
             other => {
                 match did_you_mean(other, NAMES) {
@@ -75,10 +77,11 @@ fn main() {
             }
         }
     }
-    if let Some(dir) = &journal_dir {
-        std::fs::create_dir_all(dir).expect("create --journal directory");
+    if journal.as_deref().is_some_and(|p| p.is_dir()) {
+        eprintln!("--journal takes a file, not a directory");
+        usage();
     }
-    let journal = journal_dir.as_deref();
+    let journal = journal.as_deref();
     if which.is_empty() {
         which.push("all");
     }

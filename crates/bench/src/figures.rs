@@ -8,7 +8,7 @@ use smtsim_mem::{LatencyHistogram, MemConfig};
 use smtsim_policy::mflush::{McRegConfig, McRegFile, McRegReducer, MflushConfig};
 use smtsim_policy::PolicyKind;
 use std::fmt::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Resolve a cycle budget (0 → default).
 fn budget(cycles: u64) -> u64 {
@@ -19,19 +19,12 @@ fn budget(cycles: u64) -> u64 {
     }
 }
 
-/// Per-sweep journal file inside the optional `--journal` directory.
-/// Each figure (and each machine size within a figure) gets its own
-/// file so interrupted regenerations resume at sweep granularity.
-fn journal_file(dir: Option<&Path>, tag: &str) -> Option<PathBuf> {
-    dir.map(|d| d.join(format!("{tag}.jsonl")))
-}
-
 fn sweep_workloads(
     workloads: &[&Workload],
     policies: &[PolicyKind],
     cycles: u64,
     workers: usize,
-    journal: Option<PathBuf>,
+    journal: Option<&Path>,
 ) -> Vec<(String, Vec<SimResult>)> {
     let mut jobs = Vec::new();
     for w in workloads {
@@ -52,8 +45,8 @@ fn sweep_workloads(
 
 /// Run `jobs` through the journaled sweep runner, in job order. A
 /// failed job is fatal: a partial figure is worse than none.
-fn run_jobs(jobs: &[SweepJob], workers: usize, journal: Option<PathBuf>) -> Vec<SimResult> {
-    run_sweep_journaled(jobs, workers, journal.as_deref())
+fn run_jobs(jobs: &[SweepJob], workers: usize, journal: Option<&Path>) -> Vec<SimResult> {
+    run_sweep_journaled(jobs, workers, journal)
         .into_iter()
         .map(|(label, r)| match r {
             Ok(r) => r,
@@ -126,13 +119,7 @@ impl Fig2 {
 pub fn fig2(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig2 {
     let workloads = Workload::of_size(2);
     let policies = [PolicyKind::Icount, PolicyKind::FlushSpec(30)];
-    let data = sweep_workloads(
-        &workloads,
-        &policies,
-        cycles,
-        workers,
-        journal_file(journal, "fig2"),
-    );
+    let data = sweep_workloads(&workloads, &policies, cycles, workers, journal);
     let mut rows = Vec::new();
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 2: Throughput in single-core SMT ==");
@@ -186,13 +173,7 @@ pub fn fig3(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig3 {
     let _ = writeln!(text, "== Fig. 3: Average throughput, multicore CMP+SMT ==");
     let _ = writeln!(text, "{:<9}{:>12}{:>12}{:>10}", "threads", "ICOUNT", "FLUSH-S30", "ratio");
     for size in [2usize, 4, 6, 8] {
-        let data = sweep_workloads(
-            &Workload::of_size(size),
-            &policies,
-            cycles,
-            workers,
-            journal_file(journal, &format!("fig3-{size}t")),
-        );
+        let data = sweep_workloads(&Workload::of_size(size), &policies, cycles, workers, journal);
         let avg = |k: usize| {
             data.iter().map(|(_, r)| r[k].throughput()).sum::<f64>() / data.len() as f64
         };
@@ -236,7 +217,7 @@ pub fn fig4(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig4 {
             &[PolicyKind::Icount],
             cycles,
             workers,
-            journal_file(journal, &format!("fig4-{size}t")),
+            journal,
         );
         let mut merged = LatencyHistogram::for_l2_hit_time();
         for (_, rs) in &data {
@@ -293,13 +274,7 @@ pub fn fig5(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig5 {
         .collect();
     let w_a = Workload::by_name("8W3").unwrap();
     let w_b = &FIG5B_WORKLOAD;
-    let data = sweep_workloads(
-        &[w_a, w_b],
-        &triggers,
-        cycles,
-        workers,
-        journal_file(journal, "fig5"),
-    );
+    let data = sweep_workloads(&[w_a, w_b], &triggers, cycles, workers, journal);
     let mut rows = Vec::new();
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 5: Detection Moment analysis ==");
@@ -413,13 +388,7 @@ pub fn fig8(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig8 {
         .iter()
         .flat_map(|&s| Workload::of_size(s))
         .collect();
-    let results = sweep_workloads(
-        &workloads,
-        &policies,
-        cycles,
-        workers,
-        journal_file(journal, "fig8"),
-    );
+    let results = sweep_workloads(&workloads, &policies, cycles, workers, journal);
     let mut rows = Vec::new();
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 8: Throughput results ==");
@@ -486,13 +455,7 @@ pub fn extension_study(cycles: u64, workers: usize, journal: Option<&Path>) -> E
         PolicyKind::Mflush,
     ];
     let workloads = Workload::of_size(8);
-    let data = sweep_workloads(
-        &workloads,
-        &policies,
-        cycles,
-        workers,
-        journal_file(journal, "extensions"),
-    );
+    let data = sweep_workloads(&workloads, &policies, cycles, workers, journal);
     let mut rows = Vec::new();
     let mut text = String::new();
     let _ = writeln!(
@@ -593,7 +556,7 @@ pub fn ablations(cycles: u64, workers: usize, journal: Option<&Path>) -> Ablatio
         .into_iter()
         .map(|(label, c)| SweepJob::new(label, c))
         .collect();
-    let results = run_jobs(&jobs, workers, journal_file(journal, "ablations"));
+    let results = run_jobs(&jobs, workers, journal);
     let mut text = String::new();
     let _ = writeln!(text, "== Ablation report ({cycles}-cycle runs on 8W3) ==");
     let mut rows = Vec::new();
@@ -669,13 +632,7 @@ pub fn fig11(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig11 {
         .iter()
         .flat_map(|&s| Workload::of_size(s))
         .collect();
-    let results = sweep_workloads(
-        &workloads,
-        &policies,
-        cycles,
-        workers,
-        journal_file(journal, "fig11"),
-    );
+    let results = sweep_workloads(&workloads, &policies, cycles, workers, journal);
     let mut rows = Vec::new();
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 11: FLUSH wasted energy (energy units) ==");

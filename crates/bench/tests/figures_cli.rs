@@ -1,6 +1,7 @@
 //! The `figures` binary's exit-code contract: `0` on success, `2` with
 //! a usage line for a bad flag value or an unknown figure name (the
-//! latter with a "did you mean" hint), matching the `smtsim` CLI.
+//! latter with a "did you mean" hint), matching the `smtsim` CLI; and
+//! its `--journal FILE` contract: a resumed run prints the same bytes.
 
 use std::process::{Command, Output};
 
@@ -44,4 +45,43 @@ fn fig1_exits_0() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("== Fig. 1: Simulation parameters =="));
+}
+
+#[test]
+fn journal_directory_exits_2_with_usage() {
+    let dir = std::env::temp_dir();
+    let out = figures(&["fig8", "--journal", dir.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("--journal"), "stderr: {stderr}");
+    assert!(stderr.contains("usage: figures"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing runs on a usage error");
+}
+
+#[test]
+fn resumed_journal_gives_identical_figures() {
+    let path = std::env::temp_dir().join(format!(
+        "smtsim-figures-cli-{}-fig8.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let journal = path.to_str().unwrap();
+    let plain = figures(&["fig8", "--cycles", "2000"]);
+    let first = figures(&["fig8", "--cycles", "2000", "--journal", journal]);
+    let recorded = std::fs::read(&path).expect("the first run writes the journal");
+    let second = figures(&["fig8", "--cycles", "2000", "--journal", journal]);
+    let replayed = std::fs::read(&path).expect("the journal survives");
+    let _ = std::fs::remove_file(&path);
+    for out in [&plain, &first, &second] {
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert!(!recorded.is_empty());
+    assert_eq!(first.stdout, plain.stdout, "journaling must not change the figure");
+    assert_eq!(second.stdout, plain.stdout, "a resumed figure must be byte-identical");
+    assert_eq!(replayed, recorded, "a full replay appends nothing");
 }

@@ -1,16 +1,17 @@
-//! Persistent fingerprint-keyed result cache (DESIGN.md §15).
+//! Persistent fingerprint-keyed result journal (DESIGN.md §11, §15).
 //!
-//! The serving layer (`smtsim-serve`) answers repeat sweep queries
-//! without re-simulating: a completed job's [`SimResult`] (or its
-//! deterministic [`SimError`]) is stored in an append-only JSONL file
-//! keyed by the FNV-1a fingerprint of the config's JSON — the same
-//! fingerprint the sweep journal (PR 3) uses to detect stale entries.
-//! Because every raw field in our JSON is an integer/bool/string, a
-//! replayed entry re-serialises **byte-identically** to the fresh run
-//! that produced it; that invariant is what makes a cached HTTP answer
+//! The one persisted result format in the workspace. Resumable sweeps
+//! (`run_sweep_journaled`, hence `smtsim sweep --journal` and
+//! `figures --journal`) and the serving layer (`smtsim-serve`) both
+//! store a completed job's [`SimResult`] (or its deterministic
+//! [`SimError`]) here, in an append-only JSONL file keyed by
+//! [`config_fingerprint`]. Because every raw field in our JSON is an
+//! integer/bool/string, a replayed entry re-serialises
+//! **byte-identically** to the fresh run that produced it; that
+//! invariant is what makes a resumed sweep or a cached HTTP answer
 //! indistinguishable from a recomputed one.
 //!
-//! The line format extends the journal format with a self-checksum:
+//! Each line carries a self-checksum:
 //!
 //! ```text
 //! {"job":N,"label":"...","cfg":"<fnv64 hex>","ok":true,"result":{...},"sum":"<fnv64 hex>"}
@@ -36,21 +37,53 @@ use std::path::{Path, PathBuf};
 /// FNV-1a 64-bit — the config fingerprint and cache-line checksum.
 /// Pinned by tests: this is a file format, not an implementation
 /// detail.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
+pub const fn fnv64(bytes: &[u8]) -> u64 {
+    fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a 64-bit hash from state `h` over `bytes`, so
+/// `fnv64_extend(fnv64(a), b)` is `fnv64` of `a` followed by `b`.
+const fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
     }
     h
 }
 
-/// The 16-hex-digit FNV-1a fingerprint of a config's canonical JSON.
-/// Identical configs — and only identical configs, up to hash
-/// collision — share a fingerprint; the sweep journal and the serve
-/// cache both key on it.
+/// Stamp of the simulation model, folded into every
+/// [`config_fingerprint`]: FNV-1a over the committed fidelity golden
+/// fixtures, computed at compile time. Re-blessing any golden changes
+/// the stamp, so persisted sweep journals and serve caches written by
+/// the old model stop matching and are re-simulated; nobody has to
+/// remember to bump a version. The stamp only sees model changes that
+/// move a fidelity golden: a change that leaves all four goldens
+/// byte-identical keeps the stamp, and old entries still replay.
+pub const MODEL_STAMP: u64 = {
+    let goldens: [&[u8]; 4] = [
+        include_bytes!("../tests/fixtures/fidelity/run_2W1_mflush_c10000_s7.golden.json"),
+        include_bytes!("../tests/fixtures/fidelity/run_4W3_flush-s30_c6000.golden.json"),
+        include_bytes!("../tests/fixtures/fidelity/run_8W2_icount_c4000.golden.json"),
+        include_bytes!("../tests/fixtures/fidelity/sweep_2W2_c3000.golden.json"),
+    ];
+    let mut h = fnv64(&[]);
+    let mut i = 0;
+    while i < goldens.len() {
+        h = fnv64_extend(h, goldens[i]);
+        i += 1;
+    }
+    h
+};
+
+/// The 16-hex-digit fingerprint of a config under the current model:
+/// FNV-1a over the fidelity goldens ([`MODEL_STAMP`]) followed by the
+/// config's canonical JSON. Identical configs — and only identical
+/// configs, up to hash collision — share a fingerprint; the sweep
+/// journal and the serve cache both key on it.
 pub fn config_fingerprint(cfg: &SimConfig) -> String {
-    format!("{:016x}", fnv64(cfg.to_json().as_bytes()))
+    format!("{:016x}", fnv64_extend(MODEL_STAMP, cfg.to_json().as_bytes()))
 }
 
 /// One cached outcome: the label it was computed under plus the result
@@ -166,11 +199,16 @@ impl ResultCache {
     }
 
     /// Store an outcome under `fingerprint`, appending a checksummed
-    /// line to the backing file (when there is one). A failed append is
-    /// reported but non-fatal: the entry still serves from memory — a
-    /// cache that cannot persist degrades, it does not take requests
-    /// down with it.
+    /// line to the backing file (when there is one). A transient
+    /// failure ([`SimError::is_transient`]) is not stored at all, in
+    /// memory or on disk: a later run should retry it, not replay it.
+    /// A failed append is reported but non-fatal: the entry still
+    /// serves from memory — a cache that cannot persist degrades, it
+    /// does not take requests down with it.
     pub fn store_outcome(&mut self, fingerprint: &str, label: &str, outcome: &JobOutcome) {
+        if outcome.as_ref().is_err_and(SimError::is_transient) {
+            return;
+        }
         let line = format_cache_line(self.seq, label, fingerprint, outcome);
         self.seq += 1;
         self.entries.insert(
@@ -353,6 +391,50 @@ mod tests {
         assert_eq!(c.entry_count(), 1);
         assert_eq!(c.cached("fp").unwrap().label, "lbl");
         c.sync_to_disk(); // no-op, must not error
+    }
+
+    #[test]
+    fn transient_outcomes_are_never_stored() {
+        let path = temp_path("transient.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let panicked: JobOutcome = Err(SimError::JobPanicked {
+            label: "lbl".into(),
+            payload: "boom".into(),
+        });
+        let invalid: JobOutcome = Err(SimError::InvalidConfig("cycles == 0".into()));
+        let mut c = ResultCache::load_from(&path);
+        c.store_outcome("panicked", "lbl", &panicked);
+        c.store_outcome("invalid", "lbl", &invalid);
+        assert!(c.cached("panicked").is_none(), "transient: retry, never replay");
+        assert!(c.cached("invalid").is_some(), "deterministic errors are permanent");
+        let reloaded = ResultCache::load_from(&path);
+        assert_eq!(reloaded.entry_count(), 1);
+        assert!(reloaded.cached("panicked").is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn entries_keyed_without_the_model_stamp_are_not_replayed() {
+        // A journal written before the model stamp keyed each config by
+        // the bare hash of its JSON. Record a wrong answer under that
+        // key: the sweep must not find it, so it re-simulates.
+        let w = Workload::by_name("2W1").unwrap();
+        let cfg = SimConfig::for_workload(w, PolicyKind::Icount).with_cycles(2_000);
+        let stale_key = format!("{:016x}", fnv64(cfg.to_json().as_bytes()));
+        assert_ne!(stale_key, config_fingerprint(&cfg));
+        let wrong = crate::sim::Simulator::build(&cfg.clone().with_seed(999))
+            .unwrap()
+            .run();
+        let path = temp_path("stamp.jsonl");
+        std::fs::write(&path, format_cache_line(0, "old", &stale_key, &wrong)).unwrap();
+
+        let jobs = [crate::sweep::SweepJob::new("job", cfg.clone())];
+        let out = crate::sweep::run_sweep_journaled(&jobs, 1, Some(&path));
+        let fresh = crate::sim::Simulator::build(&cfg).unwrap().run().unwrap();
+        assert_eq!(out[0].1.as_ref().unwrap().to_json(), fresh.to_json());
+        let reloaded = ResultCache::load_from(&path);
+        assert_eq!(reloaded.entry_count(), 2, "the job re-ran and was recorded");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl ToJson for SimError {
 }
 
 // ---------------------------------------------------------------------
-// JSON decoding — the inverse of the impls above, used by the sweep
+// JSON decoding — the inverse of the impls above, used by the result
 // journal to replay recorded failures byte-identically.
 // ---------------------------------------------------------------------
 
@@ -213,6 +213,17 @@ fn diag_from_json(v: &JsonValue) -> Result<ProgressDiagnostic, String> {
 }
 
 impl SimError {
+    /// Whether re-running the same job could give a different outcome.
+    /// True only for [`SimError::JobPanicked`]: every other failure is a
+    /// deterministic function of the config (the watchdog counts
+    /// simulated cycles, not wall time), so a retry would fail
+    /// identically and the error is as permanent as a result. The one
+    /// rule for what is retried (serve) and what is never persisted
+    /// ([`crate::cache::ResultCache::store_outcome`]).
+    pub fn is_transient(&self) -> bool {
+        matches!(self, SimError::JobPanicked { .. })
+    }
+
     /// Decode an error from its own JSON rendering (exact inverse of
     /// the [`ToJson`] impl — every field is an integer, bool or string,
     /// so `encode(decode(encode(e))) == encode(e)` holds byte-for-byte).

@@ -14,20 +14,19 @@
 //!   job's slot while every other job completes normally;
 //! * poisoned result slots are recovered, not re-panicked — one bad job
 //!   can't cascade into a confusing secondary panic at collection time;
-//! * [`run_sweep_journaled`] appends each finished job to a JSONL
-//!   journal and, on restart, replays recorded jobs instead of
-//!   re-running them. Because every raw field in our JSON is an
-//!   integer/bool/string, the replayed output is **byte-identical** to
-//!   an uninterrupted sweep — the `deterministic_across_sweep_workers`
-//!   guarantee extended across process boundaries.
+//! * [`run_sweep_journaled`] persists each finished job through the
+//!   checksummed [`ResultCache`] and, on restart, replays every job
+//!   whose config fingerprint is recorded instead of re-running it.
+//!   Because every raw field in our JSON is an integer/bool/string,
+//!   the replayed output is **byte-identical** to an uninterrupted
+//!   sweep — the `deterministic_across_sweep_workers` guarantee
+//!   extended across process boundaries.
 
+use crate::cache::{config_fingerprint, ResultCache};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::json::{parse_json, JsonObject};
 use crate::result::SimResult;
 use crate::sim::Simulator;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,12 +96,13 @@ pub fn run_sweep(jobs: &[SweepJob], max_workers: usize) -> Vec<(String, JobOutco
     run_sweep_journaled(jobs, max_workers, None)
 }
 
-/// [`run_sweep`] with an optional append-only journal. Jobs already
-/// recorded in the journal (matched by index, label and a fingerprint
-/// of the config) are replayed instead of re-run, so an interrupted
-/// sweep resumes where it stopped. Journal lines are self-describing
-/// and the reader skips anything malformed — a `kill -9` can at worst
-/// truncate the final line.
+/// [`run_sweep`] with an optional result journal: a [`ResultCache`]
+/// file. Jobs whose config fingerprint the journal already records are
+/// replayed instead of re-run, so an interrupted sweep resumes where it
+/// stopped; the job's index and label play no part in the match. Every
+/// finished job is stored as one checksummed line. Torn, corrupt and
+/// stale lines cost their own entry only and are re-simulated. With no
+/// journal nothing is fingerprinted or stored.
 pub fn run_sweep_journaled(
     jobs: &[SweepJob],
     max_workers: usize,
@@ -117,24 +117,18 @@ pub fn run_sweep_journaled(
     }
     .min(jobs.len().max(1));
 
-    let results: Vec<Mutex<Option<JobOutcome>>> =
-        jobs.iter().map(|_| Mutex::new(None)).collect();
-
     // Resume: pre-fill slots from the journal before any worker starts.
-    let mut journal_file: Option<Mutex<File>> = None;
-    if let Some(path) = journal {
-        for (i, outcome) in read_journal(path, jobs) {
-            *lock_recovering(&results[i]) = Some(outcome);
-        }
-        match OpenOptions::new().create(true).append(true).open(path) {
-            Ok(f) => journal_file = Some(Mutex::new(f)),
-            Err(e) => {
-                // A sweep that can't journal still produces results;
-                // it just won't be resumable.
-                eprintln!("warning: cannot open journal {}: {e}", path.display());
-            }
-        }
-    }
+    let cache = journal.map(ResultCache::load_from);
+    let results: Vec<Mutex<Option<JobOutcome>>> = jobs
+        .iter()
+        .map(|job| {
+            let recorded = cache
+                .as_ref()
+                .and_then(|c| c.cached(&config_fingerprint(&job.config)));
+            Mutex::new(recorded.map(|entry| entry.outcome.clone()))
+        })
+        .collect();
+    let cache = cache.map(Mutex::new);
 
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -148,8 +142,9 @@ pub fn run_sweep_journaled(
                     continue; // replayed from the journal
                 }
                 let outcome = run_job(&jobs[i]);
-                if let Some(jf) = &journal_file {
-                    append_journal_line(jf, i, &jobs[i], &outcome);
+                if let Some(c) = &cache {
+                    let fingerprint = config_fingerprint(&jobs[i].config);
+                    lock_recovering(c).store_outcome(&fingerprint, &jobs[i].label, &outcome);
                 }
                 *lock_recovering(&results[i]) = Some(outcome);
             });
@@ -188,79 +183,6 @@ pub fn run_sweep_ok(jobs: &[SweepJob], max_workers: usize) -> Vec<(String, SimRe
             Err(e) => panic!("sweep job '{label}' failed: {e}"),
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Journal format: one JSON object per line, append-only.
-//   {"job":3,"label":"...","cfg":"<fnv64 of config JSON>","ok":true,"result":{...}}
-//   {"job":4,"label":"...","cfg":"...","ok":false,"error":{...}}
-// Append order is completion order (workers finish out of order); the
-// final output is job-ordered regardless because entries carry their
-// index. The cfg fingerprint keeps a stale journal (edited sweep,
-// different cycles/seed) from polluting a new run.
-// ---------------------------------------------------------------------
-
-// The fingerprint lives in crate::cache (pub) since the serve-layer
-// result cache keys on the identical hash; the journal reuses it.
-use crate::cache::config_fingerprint;
-
-fn append_journal_line(jf: &Mutex<File>, index: usize, job: &SweepJob, outcome: &JobOutcome) {
-    let mut line = String::new();
-    {
-        let mut o = JsonObject::begin(&mut line);
-        o.field("job", &index)
-            .field("label", &job.label)
-            .field("cfg", &config_fingerprint(&job.config));
-        match outcome {
-            Ok(r) => o.field("ok", &true).field("result", r),
-            Err(e) => o.field("ok", &false).field("error", e),
-        };
-        o.end();
-    }
-    line.push('\n');
-    let mut f = lock_recovering(jf);
-    // One write + flush per line keeps lines atomic enough for the
-    // crash model we care about (a killed process truncates the tail).
-    if let Err(e) = f.write_all(line.as_bytes()).and_then(|()| f.flush()) {
-        eprintln!("warning: journal write failed: {e}");
-    }
-}
-
-/// Parse a journal, returning `(job_index, outcome)` for every line
-/// that matches a job in this sweep. Malformed or stale lines are
-/// skipped silently — they are expected after a crash.
-fn read_journal(path: &Path, jobs: &[SweepJob]) -> Vec<(usize, JobOutcome)> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(_) => return Vec::new(), // fresh sweep: no journal yet
-    };
-    let mut entries = Vec::new();
-    for line in BufReader::new(file).lines() {
-        let Ok(line) = line else { break };
-        let Some(entry) = parse_journal_line(&line, jobs) else {
-            continue;
-        };
-        entries.push(entry);
-    }
-    entries
-}
-
-fn parse_journal_line(line: &str, jobs: &[SweepJob]) -> Option<(usize, JobOutcome)> {
-    let v = parse_json(line).ok()?;
-    let index = v.req_u64("job").ok()? as usize;
-    let job = jobs.get(index)?;
-    if v.req_str("label").ok()? != job.label {
-        return None;
-    }
-    if v.req_str("cfg").ok()? != config_fingerprint(&job.config) {
-        return None;
-    }
-    let outcome = if v.req_bool("ok").ok()? {
-        Ok(SimResult::from_json(v.get("result")?).ok()?)
-    } else {
-        Err(SimError::from_json(v.get("error")?).ok()?)
-    };
-    Some((index, outcome))
 }
 
 #[cfg(test)]

@@ -7,7 +7,10 @@
 //! livelock into a structured `SimError::NoForwardProgress`, sweep
 //! neighbours of the wedged job stay byte-identical to a fault-free
 //! run, and a journaled sweep interrupted mid-flight resumes to
-//! byte-identical final output.
+//! byte-identical final output. The journal tests also damage it the
+//! ways a disk or a crash does — a flipped digit, an invalid UTF-8
+//! line, a torn tail — and demand that damage costs one entry, never a
+//! wrong answer and never the entries after it.
 
 use smtsim_core::json::ToJson;
 use smtsim_core::{
@@ -185,4 +188,110 @@ fn error_json_of_a_real_livelock_roundtrips() {
     let back = SimError::from_json(&parse_json(&j).unwrap()).unwrap();
     assert_eq!(back, err);
     assert_eq!(back.to_json(), j);
+}
+
+/// Three healthy jobs with distinct configs for the journal-damage
+/// tests.
+fn journal_jobs() -> Vec<SweepJob> {
+    vec![
+        SweepJob::new("a", healthy(21)),
+        SweepJob::new("b", healthy(22)),
+        SweepJob::new("c", healthy(23)),
+    ]
+}
+
+/// Each job's result JSON: the bytes a resumed sweep must reproduce.
+fn render_json(out: &[(String, Result<smtsim_core::SimResult, SimError>)]) -> Vec<String> {
+    out.iter()
+        .map(|(_, r)| r.as_ref().expect("healthy job").to_json())
+        .collect()
+}
+
+/// A fresh journal path for one test, plus a full journal of `jobs`.
+fn recorded_journal(tag: &str, jobs: &[SweepJob]) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "smtsim-robustness-{}-{tag}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let _ = run_sweep_journaled(jobs, 1, Some(&path));
+    path
+}
+
+fn line_count(path: &std::path::Path) -> usize {
+    std::fs::read(path)
+        .unwrap()
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count()
+}
+
+#[test]
+fn flipped_digit_in_a_journaled_result_is_resimulated_not_replayed() {
+    let jobs = journal_jobs();
+    let fresh = render_json(&run_sweep(&jobs, 1));
+    let path = recorded_journal("flip", &jobs);
+    // Flip one digit inside the first line's result body; never to `0`,
+    // so the number stays valid JSON and only the checksum can tell.
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    let body = text.find("\"result\":").unwrap();
+    let pos = body + text[body..].find(|c: char| c.is_ascii_digit()).unwrap();
+    let flipped = match text.as_bytes()[pos] {
+        b'9' => '1',
+        d => char::from(d + 1),
+    };
+    text.replace_range(pos..pos + 1, &flipped.to_string());
+    std::fs::write(&path, text).unwrap();
+
+    let resumed = render_json(&run_sweep_journaled(&jobs, 2, Some(&path)));
+    assert_eq!(resumed, fresh, "a flipped digit must never replay as a wrong result");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn invalid_utf8_line_costs_one_entry_not_the_rest() {
+    let jobs = journal_jobs();
+    let fresh = render_json(&run_sweep(&jobs, 1));
+    let path = recorded_journal("utf8", &jobs);
+    let data = std::fs::read(&path).unwrap();
+    let first_end = data.iter().position(|&b| b == b'\n').unwrap();
+    let mut damaged = vec![0xff, 0xfe, b'{', 0xc3];
+    damaged.extend_from_slice(&data[first_end..]);
+    std::fs::write(&path, damaged).unwrap();
+    let before = line_count(&path);
+
+    let resumed = render_json(&run_sweep_journaled(&jobs, 2, Some(&path)));
+    assert_eq!(resumed, fresh);
+    assert_eq!(
+        line_count(&path),
+        before + 1,
+        "only the damaged entry re-runs; the entries after it replay"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn append_after_a_torn_tail_does_not_weld_onto_it() {
+    let jobs = journal_jobs();
+    let fresh = render_json(&run_sweep(&jobs, 1));
+    let path = recorded_journal("tear", &jobs);
+    // kill -9 mid-append: the last line is cut short, no newline.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let last_start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+    let cut = last_start + (text.len() - last_start) / 2;
+    std::fs::write(&path, &text[..cut]).unwrap();
+
+    let resumed = render_json(&run_sweep_journaled(&jobs, 2, Some(&path)));
+    assert_eq!(resumed, fresh);
+    // The resume's append must land on a line of its own, so a third
+    // run replays everything and appends nothing.
+    let after_resume = std::fs::read(&path).unwrap();
+    let third = render_json(&run_sweep_journaled(&jobs, 2, Some(&path)));
+    assert_eq!(third, fresh);
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        after_resume,
+        "the third run must append zero lines"
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -16,9 +16,10 @@
 //!   clients get 408 and the worker moves on), plus the simulator's
 //!   own forward-progress watchdog per job;
 //! * deterministic capped-exponential retry/backoff for jobs that die
-//!   by `JobPanicked` or the watchdog — seeded from the config
-//!   fingerprint via splitmix64, so there is no wall-clock jitter
-//!   anywhere (the whole crate is D2-clean: it never reads a clock);
+//!   by `JobPanicked`, the one transient failure — seeded from the
+//!   config fingerprint via splitmix64, so there is no wall-clock
+//!   jitter anywhere (the whole crate is D2-clean: it never reads a
+//!   clock);
 //! * bounded accept queue with load shedding (429 + `Retry-After`)
 //!   and 503 while draining, instead of unbounded memory growth;
 //! * graceful drain on `POST /shutdown`: in-flight jobs finish, the

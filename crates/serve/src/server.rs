@@ -431,8 +431,9 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
 }
 
 /// Run the job up to `max_attempts` times, sleeping the deterministic
-/// per-fingerprint backoff between retryable failures (`JobPanicked`
-/// from the sweep supervisor, or the forward-progress watchdog).
+/// per-fingerprint backoff between transient failures
+/// ([`SimError::is_transient`]). A deterministic failure, such as the
+/// forward-progress watchdog, is answered after one attempt.
 fn execute_with_retry(
     shared: &Arc<Shared>,
     cfg: &SimConfig,
@@ -459,11 +460,7 @@ fn execute_with_retry(
                 ))),
             }
         };
-        let retryable = matches!(
-            &last,
-            Err(SimError::JobPanicked { .. }) | Err(SimError::NoForwardProgress { .. })
-        );
-        if !retryable || attempt + 1 == attempts {
+        if !last.as_ref().is_err_and(SimError::is_transient) || attempt + 1 == attempts {
             break;
         }
         ServeCounters::bump_tally(&shared.counters.retries_total);
@@ -472,11 +469,10 @@ fn execute_with_retry(
     last
 }
 
-/// Record the outcome in the cache — except transient `JobPanicked`
-/// failures (a later request should retry, not replay the failure).
-/// The torn-write fault swaps the append for half a line and skips
-/// the in-memory insert, leaving exactly what a kill -9 mid-append
-/// leaves.
+/// Record the outcome in the cache (which drops transient failures:
+/// a later request should retry, not replay them). The torn-write
+/// fault swaps the append for half a line and skips the in-memory
+/// insert, leaving exactly what a kill -9 mid-append leaves.
 fn persist_outcome(
     shared: &Arc<Shared>,
     ordinal: u64,
@@ -484,9 +480,6 @@ fn persist_outcome(
     fingerprint: &str,
     outcome: &JobOutcome,
 ) {
-    if matches!(outcome, Err(SimError::JobPanicked { .. })) {
-        return;
-    }
     let mut cache = lock_clean(&shared.cache);
     if shared.cfg.fault.wants_torn_cache_write(ordinal) {
         if let Some(path) = cache.backing_path() {

@@ -271,6 +271,28 @@ fn exhausted_retries_answer_500_and_are_not_cached() {
 }
 
 #[test]
+fn deterministic_failures_are_answered_once_and_not_retried() {
+    let handle = launch(ServerConfig {
+        max_attempts: 3,
+        backoff_cap_ms: 10,
+        ..ServerConfig::default()
+    });
+    let addr = handle.bound_addr();
+    // A 1-cycle watchdog fires before the first commit: the watchdog
+    // counts simulated cycles, so every attempt would fail identically.
+    let body =
+        "{\"workload\":\"2W1\",\"policy\":\"icount\",\"cycles\":2000,\"seed\":109,\"watchdog_cycles\":1}";
+    let failed = http_post(&addr, "/run", body, 30_000).expect("responds");
+    assert_eq!(failed.status, 500);
+    assert!(failed.body.contains("no_forward_progress"), "{}", failed.body);
+    let c = handle.service_counters();
+    assert_eq!(c.jobs_simulated.load(Ordering::Relaxed), 1);
+    assert_eq!(c.retries_total.load(Ordering::Relaxed), 0);
+
+    shutdown_and_join(handle);
+}
+
+#[test]
 fn identical_inflight_requests_coalesce_to_one_simulation() {
     // Stall request #1 before it checks the cache, so #2 (same
     // config, other worker) leads and #1 follows — either way, the

@@ -5,7 +5,9 @@
 # resume to final output byte-identical to an uninterrupted run: the
 # journal replays recorded jobs, the rest run fresh, and because every
 # raw field in the JSON output is an integer/bool/string, replayed and
-# fresh results cannot diverge in formatting.
+# fresh results cannot diverge in formatting. Between the kill and the
+# resume one digit of a recorded result is flipped, as a bad disk
+# would: the resume must re-simulate that job, never replay it.
 #
 # Usage: scripts/kill_resume_smoke.sh
 set -euo pipefail
@@ -38,6 +40,24 @@ wait "$VICTIM" 2>/dev/null || true
 
 LINES=$(wc -l < "$TMP/sweep.jsonl" 2>/dev/null || echo 0)
 echo "journal held $LINES job line(s) at kill time"
+
+# Bit-flip: bump the first `committed` count of the first recorded
+# result (9 becomes 1, so the number stays valid). The JSON still
+# parses and the field still decodes, so only the line's checksum can
+# tell the entry is damaged. Were it replayed, the resumed output would
+# carry the wrong count and the final cmp would fail. Every later byte,
+# a torn tail included, is kept as the kill left it.
+head -n 1 "$TMP/sweep.jsonl" | awk 'match($0, /"committed":[0-9]/) {
+    pos = RSTART + RLENGTH - 1
+    d = substr($0, pos, 1)
+    $0 = substr($0, 1, pos - 1) (d == "9" ? 1 : d + 1) substr($0, pos + 1)
+} { print }' > "$TMP/flipped.jsonl"
+tail -n +2 "$TMP/sweep.jsonl" >> "$TMP/flipped.jsonl"
+if [[ "$LINES" -lt 1 ]] || cmp -s "$TMP/sweep.jsonl" "$TMP/flipped.jsonl"; then
+    echo "kill-resume smoke: no recorded result to flip" >&2
+    exit 1
+fi
+mv "$TMP/flipped.jsonl" "$TMP/sweep.jsonl"
 
 # Resume: recorded jobs replay from the journal; the rest run fresh.
 "$BIN" sweep --workload "$WORKLOAD" --cycles "$CYCLES" \
