@@ -42,8 +42,6 @@ use std::collections::{BTreeMap, VecDeque};
 const CYCLE_ROOTS: &[(&str, &str)] = &[
     ("Simulator", "step"),
     ("SmtCore", "tick"),
-    ("DetailedCore", "tick"),
-    ("IpcApproxCore", "tick"),
     ("MemoryModel", "tick"),
     ("MemorySystem", "tick"),
     ("FastMemory", "tick"),
@@ -569,13 +567,13 @@ mod tests {
     #[test]
     fn graph_d3_flags_cycle_reachable_unwrap_with_chain() {
         let f = findings(&[(
-            "crates/cpu/src/detailed.rs",
-            "impl DetailedCore {\n pub fn tick(&mut self) { self.commit(); }\n fn commit(&mut self) { self.rob.head().unwrap(); }\n pub fn new() { cfg.validate().expect(\"bad\"); }\n}\n",
+            "crates/cpu/src/core.rs",
+            "impl SmtCore {\n pub fn tick(&mut self) { self.commit(); }\n fn commit(&mut self) { self.rob.head().unwrap(); }\n pub fn new() { cfg.validate().expect(\"bad\"); }\n}\n",
         )]);
         let d3: Vec<_> = f.iter().filter(|f| f.rule == Rule::D3).collect();
         assert_eq!(d3.len(), 1, "{f:?}");
         assert_eq!(d3[0].symbol, "unwrap");
-        assert_eq!(d3[0].chain, ["DetailedCore::tick", "DetailedCore::commit"]);
+        assert_eq!(d3[0].chain, ["SmtCore::tick", "SmtCore::commit"]);
     }
 
     #[test]
@@ -618,17 +616,17 @@ mod tests {
     fn dispatch_macro_plain_calls_resolve_to_methods() {
         let f = findings(&[
             (
-                "crates/cpu/src/core.rs",
-                "impl SmtCore { pub fn tick(&mut self, now: u64) { dispatch!(&mut self.backend, tick(now)) } }\n",
+                "crates/mem/src/model.rs",
+                "impl MemoryModel { pub fn tick(&mut self, now: u64) { dispatch!(self, tick_inner(now)) } }\n",
             ),
             (
-                "crates/cpu/src/detailed.rs",
-                "impl DetailedCore { pub fn tick(&mut self, now: u64) { self.buf.clone(); } }\n",
+                "crates/mem/src/system.rs",
+                "impl Bus { fn tick_inner(&mut self, now: u64) { self.buf.clone(); } }\n",
             ),
         ]);
         let d10: Vec<_> = f.iter().filter(|f| f.rule == Rule::D10).collect();
         assert!(
-            d10.iter().any(|f| f.path.ends_with("detailed.rs") && f.symbol == "clone"),
+            d10.iter().any(|f| f.path.ends_with("system.rs") && f.symbol == "clone"),
             "{f:?}"
         );
     }

@@ -93,7 +93,7 @@ impl Rule {
             Rule::D6 => "no floating-point cycle/counter struct fields or float accumulation into counters",
             Rule::D7 => "no catch_unwind outside crates/core/src/sweep.rs (panic isolation has one blessed boundary)",
             Rule::D8 => "every registered MetricSpec name must appear in METRICS.md, and METRICS.md must not list unregistered metrics",
-            Rule::D9 => "no reduced-fidelity components (FastMemory, IpcApproxCore, FastTraceGenerator, with_fidelity) in golden-figure drivers without an inline waiver",
+            Rule::D9 => "no reduced-fidelity components (FastMemory, with_fidelity) in golden-figure drivers without an inline waiver",
             Rule::D10 => "no heap allocation (Vec::new, vec!, Box::new, clone, format!, to_string, collect, ...) in functions reachable from the cycle-loop roots",
             Rule::D11 => "no panic site (unwrap/expect outside D3's hot files, panic!, unreachable!) in functions reachable from a run/sweep entry point",
             Rule::D12 => "no nondeterminism source (wall-clock call, hash-ordered collection) reachable from sim state where D1/D2 do not already apply",
@@ -145,8 +145,7 @@ every simulated cycle — the single biggest obstacle to the cycles/sec target (
 1). Scope: call-graph — allocation sites (Vec::new, vec!, Box::new, .clone(), format!, \
 to_string, collect, String::from, to_vec, to_owned, with_capacity) inside non-test functions \
 transitively reachable from a cycle-loop root: Simulator::step, SmtCore::tick, \
-DetailedCore::tick, IpcApproxCore::tick, MemoryModel::tick, MemorySystem::tick, \
-FastMemory::tick. Findings print the full call chain from the root. Fix: hoist into a \
+MemoryModel::tick, MemorySystem::tick, FastMemory::tick. Findings print the full call chain from the root. Fix: hoist into a \
 reusable scratch buffer on the owning struct; for cold diagnostic paths, waive at the site \
 or put a function-scope waiver on the subtree's entry fn.",
             Rule::D11 => "A panic reachable from a run/sweep entry point can kill a job \
@@ -194,7 +193,7 @@ pub struct Finding {
     pub message: String,
     /// For call-graph rules (D3 graph scope, D10–D12): the shortest
     /// call chain from a root to the function containing the site,
-    /// root first (`["Simulator::step", "DetailedCore::tick", …]`).
+    /// root first (`["Simulator::step", "SmtCore::tick", …]`).
     /// Empty for file-scoped rules.
     pub chain: Vec<String>,
     /// Suppressed by an inline waiver or a baseline entry.

@@ -34,8 +34,6 @@ pub struct FileClass {
 /// reviewed decision.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/cpu/src/core.rs",
-    "crates/cpu/src/detailed.rs",
-    "crates/cpu/src/approx.rs",
     "crates/cpu/src/rob.rs",
     "crates/cpu/src/thread.rs",
     "crates/cpu/src/regfile.rs",
@@ -52,7 +50,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/mem/src/mshr.rs",
     "crates/mem/src/tlb.rs",
     "crates/mem/src/histogram.rs",
-    "crates/trace/src/fastgen.rs",
     "crates/core/src/sim.rs",
 ];
 
@@ -72,9 +69,6 @@ const GOLDEN_FIGURE_FILES: &[&str] = &[
 /// in a figure driver deserves a stated reason.
 const REDUCED_FIDELITY_IDENTS: &[&str] = &[
     "FastMemory",
-    "IpcApproxCore",
-    "FastTraceGenerator",
-    "IpcApprox",
     "with_fidelity",
 ];
 
@@ -650,7 +644,7 @@ mod tests {
         // A mention inside a comment or string never flags.
         assert!(findings(
             "crates/bench/src/figures.rs",
-            "// FastMemory is documented here\nlet s = \"IpcApproxCore\";\n"
+            "// FastMemory is documented here\nlet s = \"with_fidelity\";\n"
         )
         .is_empty());
     }

@@ -135,17 +135,17 @@ fn seeded_d10_mutation_is_caught_with_its_chain() {
     );
 
     // Seed the defect: a fresh allocation inside `try_issue_one`,
-    // three frames below `DetailedCore::tick` in the cycle loop.
+    // three frames below `SmtCore::tick` in the cycle loop.
     let anchor = "let (class, addr, queue, addr_pc, wrong_path) = {";
-    let detailed = files
+    let core = files
         .iter_mut()
-        .find(|(rel, _)| rel == "crates/cpu/src/detailed.rs")
-        .expect("detailed.rs present");
+        .find(|(rel, _)| rel == "crates/cpu/src/core.rs")
+        .expect("core.rs present");
     assert!(
-        detailed.1.contains(anchor),
-        "mutation anchor {anchor:?} not found in detailed.rs; update this test"
+        core.1.contains(anchor),
+        "mutation anchor {anchor:?} not found in core.rs; update this test"
     );
-    detailed.1 = detailed.1.replacen(
+    core.1 = core.1.replacen(
         anchor,
         "let _mutant: Vec<u64> = Vec::new();\n        let (class, addr, queue, addr_pc, wrong_path) = {",
         1,
@@ -156,7 +156,7 @@ fn seeded_d10_mutation_is_caught_with_its_chain() {
         .findings
         .iter()
         .filter(|f| {
-            f.rule == Rule::D10 && f.path == "crates/cpu/src/detailed.rs" && f.symbol == "Vec::new"
+            f.rule == Rule::D10 && f.path == "crates/cpu/src/core.rs" && f.symbol == "Vec::new"
         })
         .collect();
     assert_eq!(planted.len(), 1, "expected the planted D10, got {planted:?}");
@@ -164,9 +164,9 @@ fn seeded_d10_mutation_is_caught_with_its_chain() {
     assert!(!f.waived);
     // The chain must walk from a cycle root down to the planted site's
     // function through its one real caller.
-    assert_eq!(f.chain.last().map(String::as_str), Some("DetailedCore::try_issue_one"));
+    assert_eq!(f.chain.last().map(String::as_str), Some("SmtCore::try_issue_one"));
     assert!(
-        f.chain.contains(&"DetailedCore::issue".to_string()),
+        f.chain.contains(&"SmtCore::issue".to_string()),
         "chain must pass through the only caller: {:?}",
         f.chain
     );

@@ -45,7 +45,7 @@ pub const DEFAULT_METRICS_INTERVAL: u64 = 10_000;
 /// One complete experiment: machine + workload + policy + interval.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Explicit machine geometry and per-component fidelity
+    /// Explicit machine geometry and memory-model fidelity
     /// (DESIGN.md §13). `validate` cross-checks `core`, `mem` and the
     /// benchmark list against it.
     pub topology: Topology,
@@ -138,13 +138,13 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style override of the per-component fidelity.
+    /// Builder-style override of the memory-model fidelity.
     pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
         self.topology.fidelity = fidelity;
         self
     }
 
-    /// The per-component fidelity this experiment runs at.
+    /// The memory-model fidelity this experiment runs at.
     pub fn fidelity(&self) -> Fidelity {
         self.topology.fidelity
     }

@@ -12,7 +12,7 @@
 //! * [`workloads`] — the paper's Fig. 1 workload table (2W1 … 8W5) plus
 //!   the Fig. 5(b) special bzip2/twolf workload;
 //! * [`topology`] — explicit machine geometry (cores, contexts per
-//!   core, L2 clusters) plus the per-component fidelity selection
+//!   core, L2 clusters) plus the memory-model fidelity selection
 //!   (DESIGN.md §13), with a validating builder;
 //! * [`config`] — one [`config::SimConfig`] describes a complete
 //!   experiment (topology + machine + workload + policy + interval);
@@ -48,7 +48,7 @@ pub use error::{CoreDiagnostic, ProgressDiagnostic, SimError};
 pub use json::ToJson;
 pub use obs::{MetricsRecorder, TraceRow};
 pub use config::SimConfig;
-pub use topology::{CoreFidelity, Fidelity, MemFidelity, Topology, TopologyBuilder};
+pub use topology::{Fidelity, MemFidelity, Topology, TopologyBuilder};
 pub use result::SimResult;
 pub use sim::Simulator;
 pub use sweep::{run_sweep, run_sweep_journaled, run_sweep_ok, SweepJob};

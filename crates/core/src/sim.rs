@@ -3,9 +3,9 @@
 //! A [`Simulator`] owns `N` [`SmtCore`]s and the shared
 //! [`MemoryModel`]. Each cycle the memory system advances first, then
 //! every core, in id order — matching the in-order tick protocol the
-//! component crates document. Which implementation sits behind each
-//! facade — the detailed golden-figure models or the reduced
-//! fast-forward ones — is chosen by the config's
+//! component crates document. Which memory model sits behind the
+//! [`MemoryModel`] facade — the detailed golden-figure hierarchy or the
+//! fast scouting one — is chosen by the config's
 //! [`crate::topology::Topology`] fidelity section (DESIGN.md §13);
 //! the driver itself is fidelity-agnostic.
 //!
@@ -26,8 +26,7 @@ use smtsim_cpu::SmtCore;
 use smtsim_mem::MemoryModel;
 
 use smtsim_policy::build_policy;
-use smtsim_cpu::CoreFidelity;
-use smtsim_trace::{spec, FastTraceGenerator, TraceGenerator};
+use smtsim_trace::{spec, TraceGenerator};
 
 /// A built machine ready to run.
 pub struct Simulator {
@@ -59,8 +58,7 @@ impl Simulator {
         cfg.validate().map_err(SimError::InvalidConfig)?;
         let env = cfg.policy_env();
         let contexts = cfg.core.contexts as usize;
-        let fidelity = cfg.fidelity();
-        let mem = MemoryModel::new(cfg.mem, fidelity.mem);
+        let mem = MemoryModel::new(cfg.mem, cfg.fidelity().mem);
         let num_cores = cfg.cores() as usize;
         let mut cores = Vec::with_capacity(num_cores);
         for core_id in 0..cfg.cores() {
@@ -73,18 +71,9 @@ impl Simulator {
                     || SimError::InvalidConfig(format!("unknown benchmark {}", cfg.benchmarks[global])),
                 )?;
                 let seed = cfg.seed + global as u64 * 7919;
-                // The IPC-approx backend reads no register operands, so
-                // it gets the dependency-free generator (same code
-                // layout and address-stream shape, far cheaper per
-                // instruction — DESIGN.md §13).
-                programs.push(if fidelity.core == CoreFidelity::IpcApprox {
-                    ThreadProgram::from_fast_generator(FastTraceGenerator::new(profile, seed))
-                } else {
-                    ThreadProgram::from_generator(TraceGenerator::new(profile, seed))
-                });
+                programs.push(ThreadProgram::from_generator(TraceGenerator::new(profile, seed)));
             }
-            cores.push(SmtCore::with_fidelity(
-                fidelity.core,
+            cores.push(SmtCore::new(
                 core_id,
                 cfg.core,
                 build_policy(cfg.policy, &env),

@@ -1,4 +1,4 @@
-//! Explicit machine topology: geometry plus per-component fidelity.
+//! Explicit machine topology: geometry plus memory-model fidelity.
 //!
 //! Before the pluggable-fidelity refactor (DESIGN.md §13) a
 //! [`crate::config::SimConfig`]'s geometry was *implicit*: the core
@@ -6,7 +6,7 @@
 //! by `core.contexts` (truncating!), and the L2 cluster count lived
 //! only inside `MemConfig`. A [`Topology`] names that geometry up
 //! front — cores, contexts per core, L2 clusters — together with the
-//! fidelity each component model runs at, and validation checks the
+//! fidelity the memory model runs at, and validation checks the
 //! rest of the configuration *against* it instead of re-deriving it.
 //!
 //! Build one with [`TopologyBuilder`]:
@@ -18,57 +18,56 @@
 //!     .cores(4)
 //!     .contexts_per_core(2)
 //!     .l2_clusters(1)
-//!     .fidelity(Fidelity::parse("mem=fast,core=approx").unwrap())
+//!     .fidelity(Fidelity::parse("mem=fast").unwrap())
 //!     .build()
 //!     .unwrap();
 //! assert_eq!(t.threads(), 8);
 //! ```
 
-pub use smtsim_cpu::CoreFidelity;
 pub use smtsim_mem::MemFidelity;
 
-/// Which model implementation each swappable component runs at.
+/// Which model implementation each swappable component runs at. The
+/// memory hierarchy is the only swappable component: the core always
+/// runs the detailed pipeline.
 ///
-/// The default — detailed memory and detailed cores — is the
-/// golden-figure configuration and reproduces pre-refactor results
-/// byte for byte (`crates/core/tests/fidelity.rs`).
+/// The default — detailed memory — is the golden-figure configuration
+/// and reproduces pre-refactor results byte for byte
+/// (`crates/core/tests/fidelity.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Fidelity {
     /// Memory-hierarchy model ([`smtsim_mem::MemoryModel`] variant).
     pub mem: MemFidelity,
-    /// Core backend ([`smtsim_cpu::CoreBackend`] variant).
-    pub core: CoreFidelity,
 }
 
 impl Fidelity {
-    /// Both components detailed: the golden-figure configuration.
+    /// Detailed memory: the golden-figure configuration.
     pub fn detailed() -> Fidelity {
         Fidelity::default()
     }
 
-    /// Both components reduced: the fast-forward configuration.
+    /// Fast memory: the scouting configuration (its validity envelope
+    /// is in EXPERIMENTS.md).
     pub fn fast() -> Fidelity {
         Fidelity {
             mem: MemFidelity::Fast,
-            core: CoreFidelity::IpcApprox,
         }
     }
 
-    /// `true` when any component runs below detailed fidelity.
+    /// `true` when the memory model runs below detailed fidelity.
     pub fn is_reduced(&self) -> bool {
         *self != Fidelity::detailed()
     }
 
     /// Canonical spelling, accepted back by [`Fidelity::parse`]:
-    /// `"mem=detailed,core=approx"`.
+    /// `"mem=fast"`.
     pub fn label(&self) -> String {
-        format!("mem={},core={}", self.mem.as_str(), self.core.as_str())
+        format!("mem={}", self.mem.as_str())
     }
 
-    /// Parse a `--fidelity` override: comma-separated `mem=<f>` /
-    /// `core=<f>` assignments in any order, each optional (omitted
-    /// components stay detailed). Unknown components or fidelity names
-    /// are errors, with the valid spellings named in the message.
+    /// Parse a `--fidelity` override: comma-separated `component=value`
+    /// assignments, where `mem=<detailed|fast>` is the only component
+    /// (omitted → detailed). Unknown components or fidelity names are
+    /// errors, with the valid spellings named in the message.
     pub fn parse(s: &str) -> Result<Fidelity, String> {
         let mut out = Fidelity::default();
         for part in s.split(',') {
@@ -85,14 +84,9 @@ impl Fidelity {
                         format!("unknown mem fidelity '{value}' (want detailed or fast)")
                     })?;
                 }
-                "core" => {
-                    out.core = CoreFidelity::parse(value).ok_or_else(|| {
-                        format!("unknown core fidelity '{value}' (want detailed or approx)")
-                    })?;
-                }
                 other => {
                     return Err(format!(
-                        "unknown fidelity component '{other}' (want mem or core)"
+                        "unknown fidelity component '{other}' (mem is the only component)"
                     ));
                 }
             }
@@ -115,7 +109,7 @@ impl Fidelity {
             }
             if args[i] == "--fidelity" {
                 if i + 1 >= args.len() {
-                    return Err("--fidelity needs a value (e.g. mem=fast,core=approx)".into());
+                    return Err("--fidelity needs a value (e.g. mem=fast)".into());
                 }
                 let f = Fidelity::parse(&args[i + 1])?;
                 args.drain(i..i + 2);
@@ -127,7 +121,7 @@ impl Fidelity {
     }
 }
 
-/// The machine's explicit geometry and per-component fidelity.
+/// The machine's explicit geometry and memory-model fidelity.
 ///
 /// Constructed by [`TopologyBuilder`] (which validates) or the
 /// [`Topology::paper`] shorthand; carried by
@@ -143,7 +137,7 @@ pub struct Topology {
     /// L2 clusters the cores are partitioned over; must match
     /// `MemConfig::l2_clusters` and divide `cores`.
     pub l2_clusters: u32,
-    /// Fidelity each component model runs at.
+    /// Fidelity the memory model runs at.
     pub fidelity: Fidelity,
 }
 
@@ -221,7 +215,7 @@ impl TopologyBuilder {
         self
     }
 
-    /// Set the per-component fidelity.
+    /// Set the memory-model fidelity.
     pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
         self.topo.fidelity = fidelity;
         self
@@ -259,14 +253,7 @@ mod tests {
 
     #[test]
     fn fidelity_labels_round_trip() {
-        for f in [
-            Fidelity::detailed(),
-            Fidelity::fast(),
-            Fidelity {
-                mem: MemFidelity::Fast,
-                core: CoreFidelity::Detailed,
-            },
-        ] {
+        for f in [Fidelity::detailed(), Fidelity::fast()] {
             assert_eq!(Fidelity::parse(&f.label()).unwrap(), f);
         }
         assert!(!Fidelity::detailed().is_reduced());
@@ -275,17 +262,21 @@ mod tests {
 
     #[test]
     fn fidelity_parse_accepts_partial_and_rejects_unknown() {
-        let f = Fidelity::parse("mem=fast").unwrap();
-        assert_eq!(f.mem, MemFidelity::Fast);
-        assert_eq!(f.core, CoreFidelity::Detailed);
-        let f = Fidelity::parse("core=approx").unwrap();
-        assert_eq!(f.mem, MemFidelity::Detailed);
-        assert_eq!(f.core, CoreFidelity::IpcApprox);
+        assert_eq!(Fidelity::parse("mem=fast").unwrap().mem, MemFidelity::Fast);
+        assert_eq!(Fidelity::parse("mem=detailed").unwrap(), Fidelity::detailed());
         assert_eq!(Fidelity::parse("").unwrap(), Fidelity::detailed());
 
         assert!(Fidelity::parse("mem=warp9").unwrap_err().contains("mem fidelity"));
-        assert!(Fidelity::parse("core=fast").unwrap_err().contains("core fidelity"));
         assert!(Fidelity::parse("gpu=fast").unwrap_err().contains("component"));
+        // The core has one model; its old reduced spelling is rejected,
+        // alone or next to a valid mem assignment.
+        for retired in ["core=approx", "core=detailed", "mem=fast,core=approx"] {
+            let err = Fidelity::parse(retired).unwrap_err();
+            assert!(
+                err.contains("'core'") && err.contains("mem is the only component"),
+                "{retired}: {err}"
+            );
+        }
         assert!(Fidelity::parse("fast").unwrap_err().contains("component=value"));
     }
 
@@ -293,13 +284,12 @@ mod tests {
     fn extract_from_args_strips_the_flag_and_keeps_positionals() {
         let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
 
-        let mut args = to_args(&["4W3", "--fidelity", "mem=fast,core=approx", "50000"]);
+        let mut args = to_args(&["4W3", "--fidelity", "mem=fast", "50000"]);
         assert_eq!(Fidelity::extract_from_args(&mut args).unwrap(), Fidelity::fast());
         assert_eq!(args, to_args(&["4W3", "50000"]));
 
-        let mut args = to_args(&["--fidelity=core=approx", "2W1"]);
-        let f = Fidelity::extract_from_args(&mut args).unwrap();
-        assert_eq!(f.core, CoreFidelity::IpcApprox);
+        let mut args = to_args(&["--fidelity=mem=fast", "2W1"]);
+        assert_eq!(Fidelity::extract_from_args(&mut args).unwrap(), Fidelity::fast());
         assert_eq!(args, to_args(&["2W1"]));
 
         let mut args = to_args(&["4W3"]);
@@ -312,6 +302,8 @@ mod tests {
         let mut args = to_args(&["--fidelity"]);
         assert!(Fidelity::extract_from_args(&mut args).unwrap_err().contains("needs a value"));
         let mut args = to_args(&["--fidelity", "mem=warp9"]);
+        assert!(Fidelity::extract_from_args(&mut args).is_err());
+        let mut args = to_args(&["--fidelity", "core=approx"]);
         assert!(Fidelity::extract_from_args(&mut args).is_err());
     }
 }

@@ -6,8 +6,8 @@
 //! diagnoses, watchdog fire cycles. These tests pin that bar from
 //! three directions:
 //!
-//! 1. same-seed byte-identity with skip off vs on, across all four
-//!    fidelity pairs (the skip must also engage, so the equality is
+//! 1. same-seed byte-identity with skip off vs on, at both memory
+//!    fidelities (the skip must also engage, so the equality is
 //!    exercised rather than vacuous), plus pinned committed and
 //!    skipped-cycle counts per tracked MFLUSH workload;
 //! 2. a `FaultPlan` whose consequences land inside what would
@@ -21,7 +21,7 @@
 //!    the resolution the invariant claims.
 
 use smtsim_core::json::ToJson;
-use smtsim_core::topology::{CoreFidelity, MemFidelity};
+use smtsim_core::topology::MemFidelity;
 use smtsim_core::{Fidelity, SimConfig, Simulator, Workload};
 use smtsim_mem::FaultPlan;
 use smtsim_policy::PolicyKind;
@@ -41,37 +41,30 @@ fn run(cfg: &SimConfig) -> (String, u64) {
 }
 
 #[test]
-fn skip_is_byte_identical_across_all_fidelity_pairs() {
+fn skip_is_byte_identical_at_every_fidelity() {
     for workload in ["2W1", "4W3"] {
         for mem in [MemFidelity::Detailed, MemFidelity::Fast] {
-            for core in [CoreFidelity::Detailed, CoreFidelity::IpcApprox] {
-                let fidelity = Fidelity { mem, core };
-                let cfg = base(workload).with_fidelity(fidelity);
-                let (off_json, off_skipped) =
-                    run(&cfg.clone().with_skip_ahead(false));
-                let (on_json, on_skipped) = run(&cfg.with_skip_ahead(true));
-                assert_eq!(off_skipped, 0, "skip_ahead=false must never skip");
-                assert_eq!(
-                    off_json,
-                    on_json,
-                    "{workload}/{}: skip-ahead changed the result bytes",
+            let fidelity = Fidelity { mem };
+            let cfg = base(workload).with_fidelity(fidelity);
+            let (off_json, off_skipped) = run(&cfg.clone().with_skip_ahead(false));
+            let (on_json, on_skipped) = run(&cfg.with_skip_ahead(true));
+            assert_eq!(off_skipped, 0, "skip_ahead=false must never skip");
+            assert_eq!(
+                off_json,
+                on_json,
+                "{workload}/{}: skip-ahead changed the result bytes",
+                fidelity.label()
+            );
+            // Detailed memory on the memory-bound workload must
+            // actually engage the mechanism, otherwise the equality
+            // above tests nothing. (Fast memory leaves no stall window
+            // long enough to skip.)
+            if workload == "2W1" && mem == MemFidelity::Detailed {
+                assert!(
+                    on_skipped > 0,
+                    "{workload}/{}: skip never engaged; identity is vacuous",
                     fidelity.label()
                 );
-                // The default pair on the memory-bound workload must
-                // actually engage the mechanism, otherwise the
-                // equality above tests nothing. (`IpcApprox` opts out
-                // of skip by design, and fast memory leaves no stall
-                // window long enough to skip.)
-                if workload == "2W1"
-                    && core == CoreFidelity::Detailed
-                    && mem == MemFidelity::Detailed
-                {
-                    assert!(
-                        on_skipped > 0,
-                        "{workload}/{}: skip never engaged; identity is vacuous",
-                        fidelity.label()
-                    );
-                }
             }
         }
     }

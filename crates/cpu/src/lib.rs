@@ -21,12 +21,9 @@
 //! * loads/stores/ifetches travelling through [`smtsim_mem`]'s shared
 //!   hierarchy.
 //!
-//! Since the pluggable-fidelity refactor (DESIGN.md §13) the pipeline
-//! above lives in [`DetailedCore`]; [`SmtCore`] is a thin front-end
-//! that dispatches to a [`core::CoreBackend`] — either the detailed
-//! pipeline or the reduced [`IpcApproxCore`] commit-rate model — and
-//! cores talk to the memory hierarchy through
-//! [`smtsim_mem::MemoryModel`] rather than a concrete system.
+//! The pipeline above is [`SmtCore`]; cores talk to the memory
+//! hierarchy through [`smtsim_mem::MemoryModel`], so the same core runs
+//! against the detailed or the fast memory model (DESIGN.md §13).
 //!
 //! ```
 //! use smtsim_cpu::thread::ThreadProgram;
@@ -60,12 +57,10 @@
 //! assert!(core.total_committed() > 1_000);
 //! ```
 
-pub mod approx;
 pub mod bpred;
 pub mod btb;
 pub mod config;
 pub mod core;
-pub mod detailed;
 pub mod metrics;
 pub mod ras;
 pub mod regfile;
@@ -73,12 +68,10 @@ pub mod rob;
 pub mod stats;
 pub mod thread;
 
-pub use approx::IpcApproxCore;
 pub use bpred::PerceptronPredictor;
 pub use btb::Btb;
 pub use config::CoreConfig;
-pub use core::{CoreBackend, CoreFidelity, SmtCore};
-pub use detailed::DetailedCore;
+pub use core::SmtCore;
 pub use metrics::METRICS;
 pub use ras::ReturnAddressStack;
 pub use stats::{CoreStats, ThreadProbe, ThreadStats};

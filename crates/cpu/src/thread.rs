@@ -4,9 +4,7 @@ use crate::ras::ReturnAddressStack;
 use crate::rob::Rob;
 use smtsim_energy::EnergyAccount;
 use smtsim_mem::ReqId;
-use smtsim_trace::{
-    BasicBlockDict, DynInstr, FastTraceGenerator, InstrStream, ReplayableStream, TraceGenerator,
-};
+use smtsim_trace::{BasicBlockDict, DynInstr, InstrStream, ReplayableStream, TraceGenerator};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -27,25 +25,6 @@ impl ThreadProgram {
     // lint: allow(D5) -- construction-time Box of the stream; the crate clippy.toml bans Box::new for the cycle loop
     #[allow(clippy::disallowed_methods)]
     pub fn from_generator(gen: TraceGenerator) -> Self {
-        let dict = gen.dict_arc();
-        let bases = gen.data_region_bases();
-        let mem = gen.profile().mem;
-        ThreadProgram {
-            dict,
-            warm_regions: [
-                (bases[0], mem.l1_ws_bytes),
-                (bases[1], mem.l2_ws_bytes),
-            ],
-            stream: Box::new(gen),
-        }
-    }
-
-    /// Bundle a reduced-fidelity generator (for the IPC-approx
-    /// backend, which reads no register operands — see
-    /// [`smtsim_trace::fastgen`]).
-    // lint: allow(D5) -- construction-time Box of the stream; the crate clippy.toml bans Box::new for the cycle loop
-    #[allow(clippy::disallowed_methods)]
-    pub fn from_fast_generator(gen: FastTraceGenerator) -> Self {
         let dict = gen.dict_arc();
         let bases = gen.data_region_bases();
         let mem = gen.profile().mem;

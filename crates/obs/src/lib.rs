@@ -351,13 +351,13 @@ pub const METRIC_SERVE_SHED_TOTAL: MetricSpec = MetricSpec {
     figure: "",
 };
 
-/// Job retries after JobPanicked / watchdog, paced by seeded backoff.
+/// Job retries after JobPanicked (never after a watchdog abort), paced by seeded backoff.
 pub const METRIC_SERVE_RETRIES_TOTAL: MetricSpec = MetricSpec {
     name: "serve.retries_total",
     unit: "retries",
     kind: MetricKind::Counter,
     krate: "serve",
-    doc: "Job re-executions after JobPanicked or watchdog abort, paced by fingerprint-seeded backoff.",
+    doc: "Job re-executions after JobPanicked (the only transient SimError; a watchdog abort is answered after one attempt), paced by fingerprint-seeded backoff.",
     figure: "",
 };
 

@@ -209,6 +209,7 @@ mod tests {
             "{\"workload\":\"2W2\",\"benchmarks\":[\"mcf\",\"gzip\"]}",
             "{\"workload\":\"2W2\",\"cycles\":\"many\"}",
             "{\"workload\":\"2W2\",\"fidelity\":\"mem=warp\"}",
+            "{\"workload\":\"2W2\",\"fidelity\":\"core=approx\"}",
             "{\"workload\":2}",
         ] {
             assert!(parse_sim_request(bad).is_err(), "{bad:?} should be rejected");

@@ -24,7 +24,7 @@ const WRITER_WINDOW: usize = 48;
 /// finite (mcf's arc lists average a handful of links) and interleave
 /// several independent chains, which is what gives even mcf a little
 /// memory-level parallelism.
-pub(crate) const CHASE_CHAIN_BREAK: f64 = 0.25;
+const CHASE_CHAIN_BREAK: f64 = 0.25;
 
 /// Stable hash of the benchmark name, used to seed code generation so
 /// that all instances of a benchmark share identical code (they would in
@@ -36,13 +36,6 @@ fn code_seed(name: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Build the static code dictionary for `profile` (shared helper for
-/// the detailed and reduced-fidelity generators, so both see the same
-/// code layout).
-pub(crate) fn shared_dict(profile: &'static BenchProfile) -> Arc<BasicBlockDict> {
-    Arc::new(BasicBlockDict::generate(profile, code_seed(profile.name)))
 }
 
 /// Deterministic generator of one thread's dynamic instruction stream.
@@ -79,7 +72,8 @@ impl TraceGenerator {
     /// share I-cache footprints; behaviour (outcomes, addresses,
     /// dependencies) is seeded by `seed`.
     pub fn new(profile: &'static BenchProfile, seed: u64) -> Self {
-        Self::with_dict(profile, shared_dict(profile), seed)
+        let dict = Arc::new(BasicBlockDict::generate(profile, code_seed(profile.name)));
+        Self::with_dict(profile, dict, seed)
     }
 
     /// Build a generator reusing an existing dictionary (cheap way to

@@ -41,7 +41,6 @@
 pub mod analysis;
 pub mod bbdict;
 pub mod check;
-pub mod fastgen;
 pub mod gen;
 pub mod instr;
 pub mod memstream;
@@ -53,7 +52,6 @@ pub mod stream;
 
 pub use analysis::{analyze, TraceStats};
 pub use bbdict::{BasicBlock, BasicBlockDict};
-pub use fastgen::FastTraceGenerator;
 pub use gen::TraceGenerator;
 pub use instr::{DynInstr, InstrClass, LogReg, UncondKind, NUM_LOG_REGS};
 pub use memstream::{MemRegion, MemStream};

@@ -151,86 +151,6 @@ impl MemStream {
         (self.bases[idx] + (off & !7), region)
     }
 
-    /// Single-draw variant of [`MemStream::next_addr`] for the
-    /// reduced-fidelity generator ([`crate::fastgen`]).
-    ///
-    /// Models the same structure — three nested regions, stride
-    /// cursors, bursty phases, hot-page locality — but carves every
-    /// probabilistic decision out of the bit-fields of one RNG draw
-    /// (two for non-strided offsets) instead of spending one `f64`
-    /// draw per decision. The stream it produces is deterministic but
-    /// *different* from [`MemStream::next_addr`]'s; a detailed and a
-    /// reduced-fidelity run are statistically comparable, never
-    /// cycle-exact. The detailed path is untouched and streams never
-    /// mix the two methods.
-    pub fn next_addr_lite(&mut self, pointer_chase: bool) -> (u64, MemRegion) {
-        self.generated += 1;
-        const FP20: u64 = 1 << 20;
-        const FP10: u64 = 1 << 10;
-        const PAGE: u64 = 8192;
-        // Uniform [0, n) via multiply-shift (no integer division).
-        #[inline]
-        fn bounded(r: u64, n: u64) -> u64 {
-            ((r as u128 * n as u128) >> 64) as u64
-        }
-        let r = self.rng.next_u64();
-        // Bits 0..20: phase toggle.
-        if (r & (FP20 - 1)) < (self.mem.phase_toggle_prob * FP20 as f64) as u64 {
-            self.bursty = !self.bursty;
-        }
-        let region = if pointer_chase {
-            MemRegion::Mem
-        } else {
-            // Bits 20..40: region select.
-            let sel = (r >> 20) & (FP20 - 1);
-            let memf = (self.mem_frac_now() * FP20 as f64) as u64;
-            let l2f = (self.mem.l2_frac * FP20 as f64) as u64;
-            if sel < memf {
-                MemRegion::Mem
-            } else if sel < memf + l2f {
-                MemRegion::L2
-            } else {
-                MemRegion::L1
-            }
-        };
-        let (idx, size) = match region {
-            MemRegion::L1 => (0usize, self.mem.l1_ws_bytes),
-            MemRegion::L2 => (1, self.mem.l2_ws_bytes),
-            MemRegion::Mem => (2, self.mem.mem_ws_bytes),
-        };
-        // Bits 40..50: strided?
-        let strided =
-            !pointer_chase && ((r >> 40) & (FP10 - 1)) < (self.mem.stride_frac * FP10 as f64) as u64;
-        let off = if strided {
-            let c = self.cursors[idx];
-            let mut next = c + self.strides[idx];
-            if next >= size {
-                next -= size;
-            }
-            self.cursors[idx] = next;
-            c
-        } else if region == MemRegion::Mem {
-            // Bits 50..60: hot-page reuse; fresh draw for the offset.
-            let r2 = self.rng.next_u64();
-            if !self.hot_pages.is_empty()
-                && ((r >> 50) & (FP10 - 1)) < (HOT_PAGE_REUSE * FP10 as f64) as u64
-            {
-                let i = bounded(r2, self.hot_pages.len() as u64) as usize;
-                self.hot_pages[i] + (bounded(r2.rotate_left(32), PAGE) & !7)
-            } else {
-                let page = bounded(r2, size) & !(PAGE - 1);
-                if self.hot_pages.len() == HOT_PAGES {
-                    self.hot_pages.pop_front();
-                }
-                self.hot_pages.push_back(page);
-                page + (bounded(r2.rotate_left(32), PAGE) & !7)
-            }
-        } else {
-            bounded(self.rng.next_u64(), size) & !7
-        };
-        (self.bases[idx] + (off & !7), region)
-    }
-
     /// Random offset in the memory-resident region with page-level
     /// locality (see [`HOT_PAGE_REUSE`]).
     fn random_mem_offset(&mut self, size: u64) -> u64 {

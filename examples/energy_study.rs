@@ -2,7 +2,7 @@
 //! and what does that cost? (The machinery behind Figs. 9–11.)
 //!
 //! ```text
-//! cargo run --release --example energy_study [WORKLOAD] [CYCLES] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example energy_study [WORKLOAD] [CYCLES] [--fidelity mem=fast]
 //! ```
 
 use mflush::energy::{accumulated_factor, ALL_STAGES};

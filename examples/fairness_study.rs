@@ -4,7 +4,7 @@
 //! min/max fairness index, plus per-thread speedups over ICOUNT.
 //!
 //! ```text
-//! cargo run --release --example fairness_study [WORKLOAD] [CYCLES] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example fairness_study [WORKLOAD] [CYCLES] [--fidelity mem=fast]
 //! ```
 
 use mflush::prelude::*;

@@ -3,7 +3,7 @@
 //! what that does to a fixed FLUSH trigger.
 //!
 //! ```text
-//! cargo run --release --example l2_contention [CYCLES] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example l2_contention [CYCLES] [--fidelity mem=fast]
 //! ```
 
 use mflush::prelude::*;

@@ -2,7 +2,7 @@
 //! the paper's Figs. 2/3/8, on demand.
 //!
 //! ```text
-//! cargo run --release --example policy_comparison [WORKLOAD] [CYCLES] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example policy_comparison [WORKLOAD] [CYCLES] [--fidelity mem=fast]
 //! ```
 
 use mflush::prelude::*;

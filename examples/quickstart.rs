@@ -1,7 +1,7 @@
 //! Quickstart: simulate one of the paper's workloads under MFLUSH.
 //!
 //! ```text
-//! cargo run --release --example quickstart [WORKLOAD] [CYCLES] [TRACE_FILE] [--fidelity mem=fast,core=approx]
+//! cargo run --release --example quickstart [WORKLOAD] [CYCLES] [TRACE_FILE] [--fidelity mem=fast]
 //! cargo run --release --example quickstart 6W3 200000
 //! cargo run --release --example quickstart 8W3 200000 /tmp/8w3.jsonl
 //! ```

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! smtsim run --workload 8W3 --policy mflush --cycles 200000
-//! smtsim run --workload 8W3 --fidelity mem=fast,core=approx --json
+//! smtsim run --workload 8W3 --fidelity mem=fast --json
 //! smtsim run --benchmarks mcf,gzip,swim,crafty --policy flush-s50 --json
 //! smtsim run --workload 4W3 --policy flush-s30 --trace-events trace.jsonl --metrics-interval 5000
 //! smtsim run --workload 4W3 --trace-events trace.json --trace-format chrome
@@ -39,7 +39,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          smtsim run --workload <xWy> [--policy <p>] [--cycles N] [--seed N] [--json]\n             \
-         [--fidelity mem=<detailed|fast>,core=<detailed|approx>]\n             \
+         [--fidelity mem=<detailed|fast>]\n             \
          [--trace-events FILE] [--metrics-interval N] [--trace-format jsonl|chrome]\n  \
          smtsim run --benchmarks a,b,c,d [--policy <p>] [--cycles N] [--json]\n  \
          smtsim sweep --workload <xWy> [--cycles N] [--fidelity ...] [--journal FILE] [--csv | --json]\n  \
@@ -131,7 +131,7 @@ impl Args {
     }
 }
 
-/// Parse `--fidelity mem=fast,core=approx` (absent → detailed).
+/// Parse `--fidelity mem=fast` (absent → detailed).
 /// Unknown components or fidelity names are usage errors: exit 2.
 fn parse_fidelity_arg(args: &Args) -> Fidelity {
     match args.get("fidelity") {
