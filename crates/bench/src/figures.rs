@@ -544,7 +544,6 @@ pub fn ablations(cycles: u64, workers: usize, journal: Option<&Path>) -> Ablatio
     for clusters in [1u32, 2, 4] {
         let mut c = cfg(PolicyKind::Mflush);
         c.mem.l2_clusters = clusters;
-        c.topology.l2_clusters = clusters;
         variants.push((format!("MFLUSH with {clusters} L2 cluster(s)"), c));
     }
     let mut prefetch = cfg(PolicyKind::Icount);

@@ -1,7 +1,8 @@
 //! Experiment configuration.
 
-use crate::suggest::did_you_mean;
-use crate::topology::{Fidelity, Topology};
+use crate::fidelity::Fidelity;
+use crate::resolve::benchmark_names;
+use crate::suggest::unknown_name;
 use crate::workloads::Workload;
 use smtsim_cpu::CoreConfig;
 use smtsim_mem::MemConfig;
@@ -14,6 +15,10 @@ use smtsim_policy::{PolicyEnv, PolicyKind};
 /// scaled down to keep full figure sweeps tractable. Every driver knob
 /// remains overridable.
 pub const DEFAULT_CYCLES: u64 = 150_000;
+
+/// Default base RNG seed: what `smtsim run` and a serve request use
+/// when no seed is given, so their answers byte-match.
+pub const DEFAULT_SEED: u64 = 0x5eed;
 
 /// Default forward-progress watchdog interval in cycles.
 ///
@@ -45,15 +50,15 @@ pub const DEFAULT_METRICS_INTERVAL: u64 = 10_000;
 /// One complete experiment: machine + workload + policy + interval.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Explicit machine geometry and memory-model fidelity
-    /// (DESIGN.md §13). `validate` cross-checks `core`, `mem` and the
-    /// benchmark list against it.
-    pub topology: Topology,
-    /// Per-core configuration (Fig. 1 defaults).
+    /// Per-core configuration (Fig. 1 defaults); `contexts` is the
+    /// machine's threads per core.
     pub core: CoreConfig,
-    /// Memory hierarchy configuration; `num_cores` must match the
-    /// workload.
+    /// Memory hierarchy configuration; `num_cores` and `l2_clusters`
+    /// are the machine's core count and L2 partitioning.
     pub mem: MemConfig,
+    /// Model implementation the memory hierarchy runs at (DESIGN.md
+    /// §13).
+    pub fidelity: Fidelity,
     /// Fetch policy for every core.
     pub policy: PolicyKind,
     /// Benchmark names, one per hardware thread, in thread order
@@ -80,9 +85,9 @@ impl SimConfig {
     /// Experiment on a paper workload with Fig. 1 machine defaults.
     pub fn for_workload(workload: &Workload, policy: PolicyKind) -> Self {
         SimConfig {
-            topology: Topology::paper(workload.cores()),
             core: CoreConfig::paper(),
             mem: MemConfig::paper(workload.cores()),
+            fidelity: Fidelity::detailed(),
             policy,
             benchmarks: workload
                 .benchmark_names()
@@ -90,7 +95,7 @@ impl SimConfig {
                 .map(String::from)
                 .collect(),
             cycles: DEFAULT_CYCLES,
-            seed: 0x5eed,
+            seed: DEFAULT_SEED,
             warmup: true,
             watchdog_cycles: DEFAULT_WATCHDOG,
             skip_ahead: true,
@@ -101,13 +106,13 @@ impl SimConfig {
     pub fn for_benchmarks(benchmarks: &[&str], policy: PolicyKind) -> Self {
         let cores = (benchmarks.len() / 2).max(1) as u32;
         SimConfig {
-            topology: Topology::paper(cores),
             core: CoreConfig::paper(),
             mem: MemConfig::paper(cores),
+            fidelity: Fidelity::detailed(),
             policy,
             benchmarks: benchmarks.iter().map(|s| s.to_string()).collect(),
             cycles: DEFAULT_CYCLES,
-            seed: 0x5eed,
+            seed: DEFAULT_SEED,
             warmup: true,
             watchdog_cycles: DEFAULT_WATCHDOG,
             skip_ahead: true,
@@ -140,20 +145,20 @@ impl SimConfig {
 
     /// Builder-style override of the memory-model fidelity.
     pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.topology.fidelity = fidelity;
+        self.fidelity = fidelity;
         self
     }
 
     /// The memory-model fidelity this experiment runs at.
     pub fn fidelity(&self) -> Fidelity {
-        self.topology.fidelity
+        self.fidelity
     }
 
-    /// Number of SMT cores — the declared topology, not a division of
-    /// the benchmark list (`validate` checks the list fills it
+    /// Number of SMT cores — `mem.num_cores`, not a division of the
+    /// benchmark list (`validate` checks the list fills the machine
     /// exactly).
     pub fn cores(&self) -> u32 {
-        self.topology.cores
+        self.mem.num_cores
     }
 
     /// The policy environment the machine parameters imply (feeds
@@ -173,27 +178,8 @@ impl SimConfig {
 
     /// Validate the experiment.
     pub fn validate(&self) -> Result<(), String> {
-        self.topology.validate()?;
         self.core.validate()?;
         self.mem.validate()?;
-        if self.topology.contexts_per_core != self.core.contexts {
-            return Err(format!(
-                "topology declares {} contexts per core but the core config has {}",
-                self.topology.contexts_per_core, self.core.contexts
-            ));
-        }
-        if self.topology.l2_clusters != self.mem.l2_clusters {
-            return Err(format!(
-                "topology declares {} L2 clusters but the mem config has {}",
-                self.topology.l2_clusters, self.mem.l2_clusters
-            ));
-        }
-        if self.topology.cores != self.mem.num_cores {
-            return Err(format!(
-                "topology declares {} cores but mem config has {}",
-                self.topology.cores, self.mem.num_cores
-            ));
-        }
         if self.benchmarks.is_empty() {
             return Err("no benchmarks".into());
         }
@@ -210,26 +196,25 @@ impl SimConfig {
                 contexts
             ));
         }
-        if self.benchmarks.len() != self.topology.threads() {
+        let threads = self.mem.num_cores as usize * contexts;
+        if self.benchmarks.len() != threads {
             return Err(format!(
-                "{} benchmarks but the topology has {} threads ({} cores x {} contexts)",
+                "{} benchmarks but the machine has {threads} threads ({} cores x {contexts} contexts)",
                 self.benchmarks.len(),
-                self.topology.threads(),
-                self.topology.cores,
-                self.topology.contexts_per_core
+                self.mem.num_cores,
             ));
         }
-        let known: Vec<&str> = smtsim_trace::spec::ALL_BENCHMARKS
+        if let Some(b) = self
+            .benchmarks
             .iter()
-            .map(|b| b.name)
-            .collect();
-        for b in &self.benchmarks {
-            if smtsim_trace::spec::benchmark_by_name(b).is_none() {
-                return Err(match did_you_mean(b, &known) {
-                    Some(s) => format!("unknown benchmark {b} (did you mean '{s}'?)"),
-                    None => format!("unknown benchmark {b}"),
-                });
-            }
+            .find(|b| smtsim_trace::spec::benchmark_by_name(b).is_none())
+        {
+            return Err(unknown_name(
+                "benchmark",
+                b,
+                &benchmark_names(),
+                "see the SPEC2000 names in DESIGN.md §4",
+            ));
         }
         if self.cycles == 0 {
             return Err("cycles == 0".into());
@@ -306,37 +291,24 @@ mod tests {
     }
 
     #[test]
-    fn benchmark_count_must_fill_declared_topology() {
+    fn benchmark_count_must_fill_the_machine() {
         let w = Workload::by_name("4W1").unwrap();
         let mut cfg = SimConfig::for_workload(w, PolicyKind::Icount);
         // Even count (passes the multiple-of-contexts gate) but one
-        // whole core short of the declared 2-core topology.
+        // whole core short of the 2-core machine.
         cfg.benchmarks.truncate(2);
         let err = cfg.validate().unwrap_err();
-        assert!(err.contains("topology has 4 threads"), "{err}");
+        assert!(err.contains("machine has 4 threads"), "{err}");
     }
 
     #[test]
     fn fidelity_defaults_detailed_and_overrides() {
-        use crate::topology::Fidelity;
         let w = Workload::by_name("2W1").unwrap();
         let cfg = SimConfig::for_workload(w, PolicyKind::Icount);
         assert_eq!(cfg.fidelity(), Fidelity::detailed());
         let cfg = cfg.with_fidelity(Fidelity::fast());
         assert_eq!(cfg.fidelity(), Fidelity::fast());
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn topology_cross_checks_catch_drift() {
-        let w = Workload::by_name("2W1").unwrap();
-        let mut cfg = SimConfig::for_workload(w, PolicyKind::Icount);
-        cfg.topology.contexts_per_core = 4;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("contexts per core"), "{err}");
-        let mut cfg = SimConfig::for_workload(w, PolicyKind::Icount);
-        cfg.topology.l2_clusters = 2;
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

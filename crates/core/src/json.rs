@@ -661,12 +661,10 @@ impl ToJson for SimConfig {
             .field("watchdog_cycles", &self.watchdog_cycles)
             .field("skip_ahead", &self.skip_ahead)
             .field("cores", &self.cores())
-            // validate() pins core.contexts == topology.contexts_per_core;
-            // emitting the core-side field keeps `core` in the report.
             .field("contexts_per_core", &self.core.contexts)
             .field("l2_banks", &self.mem.l2_banks)
-            .field("l2_clusters", &self.topology.l2_clusters)
-            .field("fidelity", &self.topology.fidelity.label());
+            .field("l2_clusters", &self.mem.l2_clusters)
+            .field("fidelity", &self.fidelity.label());
         o.end();
     }
 }
@@ -781,5 +779,29 @@ mod tests {
         assert_eq!(v.req_u64("cycles").unwrap(), 150000);
         assert_eq!(v.req_opt_u64("min").unwrap(), None);
         assert_eq!(v.req_str("note").unwrap(), "a\nb");
+    }
+
+    #[test]
+    fn config_json_bytes_are_pinned() {
+        // Config JSON is what `config_fingerprint` hashes, so these bytes
+        // key every cache and journal entry: a change here re-simulates
+        // everything ever stored.
+        use crate::fidelity::Fidelity;
+        use crate::workloads::Workload;
+        use smtsim_policy::PolicyKind;
+        let w = Workload::by_name("8W3").unwrap();
+        assert_eq!(
+            SimConfig::for_workload(w, PolicyKind::Mflush).to_json(),
+            r#"{"policy":"MFLUSH","benchmarks":["art","swim","lucas","equake","gap","vortex","crafty","eon"],"cycles":150000,"seed":24301,"warmup":true,"watchdog_cycles":50000,"skip_ahead":true,"cores":4,"contexts_per_core":2,"l2_banks":4,"l2_clusters":1,"fidelity":"mem=detailed"}"#
+        );
+        let w = Workload::by_name("8W2").unwrap();
+        let mut clustered =
+            SimConfig::for_workload(w, PolicyKind::Mflush).with_fidelity(Fidelity::fast());
+        clustered.mem.l2_clusters = 2;
+        clustered.validate().unwrap();
+        assert_eq!(
+            clustered.to_json(),
+            r#"{"policy":"MFLUSH","benchmarks":["vpr","parser","art","swim","gzip","eon","apsi","wupwise"],"cycles":150000,"seed":24301,"warmup":true,"watchdog_cycles":50000,"skip_ahead":true,"cores":4,"contexts_per_core":2,"l2_banks":4,"l2_clusters":2,"fidelity":"mem=fast"}"#
+        );
     }
 }

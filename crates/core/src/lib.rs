@@ -11,11 +11,13 @@
 //!
 //! * [`workloads`] — the paper's Fig. 1 workload table (2W1 … 8W5) plus
 //!   the Fig. 5(b) special bzip2/twolf workload;
-//! * [`topology`] — explicit machine geometry (cores, contexts per
-//!   core, L2 clusters) plus the memory-model fidelity selection
-//!   (DESIGN.md §13), with a validating builder;
+//! * [`fidelity`] — the memory-model fidelity selection (DESIGN.md
+//!   §13);
 //! * [`config`] — one [`config::SimConfig`] describes a complete
-//!   experiment (topology + machine + workload + policy + interval);
+//!   experiment (machine + fidelity + workload + policy + interval);
+//! * [`resolve`] — run parameters (workload or benchmark names,
+//!   policy, fidelity, cycles, seed, watchdog) → validated
+//!   [`config::SimConfig`], shared by the CLI and serve;
 //! * [`sim`] — the cycle-level driver;
 //! * [`result`] — measurement snapshot with throughput/energy helpers;
 //! * [`sweep`] — a `std::thread::scope` parallel runner for parameter
@@ -32,14 +34,15 @@ pub mod cache;
 pub mod calibration;
 pub mod config;
 pub mod error;
+pub mod fidelity;
 pub mod json;
 pub mod obs;
 pub mod report;
+pub mod resolve;
 pub mod result;
 pub mod sim;
 pub mod suggest;
 pub mod sweep;
-pub mod topology;
 pub mod workloads;
 
 pub use cache::{config_fingerprint, CacheEntry, ResultCache};
@@ -48,7 +51,8 @@ pub use error::{CoreDiagnostic, ProgressDiagnostic, SimError};
 pub use json::ToJson;
 pub use obs::{MetricsRecorder, TraceRow};
 pub use config::SimConfig;
-pub use topology::{Fidelity, MemFidelity, Topology, TopologyBuilder};
+pub use fidelity::{Fidelity, MemFidelity};
+pub use resolve::RunParams;
 pub use result::SimResult;
 pub use sim::Simulator;
 pub use sweep::{run_sweep, run_sweep_journaled, run_sweep_ok, SweepJob};

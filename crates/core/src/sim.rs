@@ -6,7 +6,7 @@
 //! component crates document. Which memory model sits behind the
 //! [`MemoryModel`] facade — the detailed golden-figure hierarchy or the
 //! fast scouting one — is chosen by the config's
-//! [`crate::topology::Topology`] fidelity section (DESIGN.md §13);
+//! [`crate::fidelity::Fidelity`] (DESIGN.md §13);
 //! the driver itself is fidelity-agnostic.
 //!
 //! The cycle loop carries a forward-progress watchdog: if no core

@@ -1,9 +1,7 @@
-//! "Did you mean" support for unknown names.
-//!
-//! Lived in the `smtsim` CLI originally; promoted into the library so
-//! [`crate::config::SimConfig::validate`] can attach the same typo
-//! hints to unknown-benchmark errors that the CLI attaches to unknown
-//! workload/policy names.
+//! "Did you mean" support for unknown names: the workload, benchmark
+//! and policy names [`crate::resolve::RunParams`] and
+//! [`crate::config::SimConfig::validate`] reject, and the flag or key
+//! names the front ends reject.
 
 /// Edit distance with adjacent transpositions counted as one edit
 /// (optimal string alignment — `mfc` is one typo from `mcf`, not two).
@@ -43,6 +41,15 @@ pub fn did_you_mean<'a>(input: &str, candidates: &[&'a str]) -> Option<&'a str> 
         .filter(|(d, _)| *d <= budget)
         .min_by_key(|(d, _)| *d)
         .map(|(_, c)| c)
+}
+
+/// The message for an unknown `kind` name: the nearest candidate as a
+/// hint when one is close enough, else `fallback`.
+pub fn unknown_name(kind: &str, input: &str, candidates: &[&str], fallback: &str) -> String {
+    match did_you_mean(input, candidates) {
+        Some(s) => format!("unknown {kind} '{input}' (did you mean '{s}'?)"),
+        None => format!("unknown {kind} '{input}' ({fallback})"),
+    }
 }
 
 #[cfg(test)]

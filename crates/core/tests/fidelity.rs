@@ -15,8 +15,7 @@
 
 use smtsim_core::json::{write_escaped, JsonObject};
 use smtsim_core::{
-    run_sweep_journaled, Fidelity, SimConfig, SimError, Simulator, SweepJob, ToJson, Topology,
-    Workload,
+    run_sweep_journaled, Fidelity, SimConfig, SimError, Simulator, SweepJob, ToJson, Workload,
 };
 use smtsim_policy::PolicyKind;
 
@@ -234,18 +233,18 @@ impl XorShift {
 
 #[test]
 fn invalid_topologies_error_and_never_panic() {
-    // Directed cases: every way a Topology can be self-inconsistent or
-    // disagree with the component configs.
+    // Directed cases: every way the geometry `core` and `mem` state can
+    // be self-inconsistent or disagree with the benchmark list.
     let w = Workload::by_name("2W2").unwrap();
     let mut directed: Vec<SimConfig> = Vec::new();
     for mutate in [
-        (|c: &mut SimConfig| c.topology.cores = 0) as fn(&mut SimConfig),
-        |c| c.topology.contexts_per_core = 0,
-        |c| c.topology.l2_clusters = 0,
-        |c| c.topology.l2_clusters = 3, // does not divide cores, disagrees with mem
-        |c| c.topology.cores = 7,       // disagrees with mem.num_cores
-        |c| c.topology.contexts_per_core = 5, // disagrees with core.contexts
-        |c| c.benchmarks.push("mcf".into()), // no longer fills the topology
+        (|c: &mut SimConfig| c.mem.num_cores = 0) as fn(&mut SimConfig),
+        |c| c.core.contexts = 0,
+        |c| c.mem.l2_clusters = 0,
+        |c| c.mem.l2_clusters = 3,           // does not divide cores
+        |c| c.mem.num_cores = 7,             // the benchmark list no longer fills it
+        |c| c.core.contexts = 5,             // nor here
+        |c| c.benchmarks.push("mcf".into()), // no longer fills the machine
         |c| c.benchmarks.clear(),
     ] {
         let mut cfg = SimConfig::for_workload(w, PolicyKind::Icount);
@@ -256,27 +255,28 @@ fn invalid_topologies_error_and_never_panic() {
         match Simulator::build(cfg) {
             Err(SimError::InvalidConfig(_)) => {}
             Err(e) => panic!("wrong error class for invalid topology: {e}"),
-            Ok(_) => panic!("invalid topology accepted: {:?}", cfg.topology),
+            Ok(_) => panic!("invalid topology accepted: {cfg:?}"),
         }
     }
 
     // Seeded fuzz: arbitrary geometry must validate cleanly or reject
-    // with InvalidConfig — building must never panic. Topology::builder
-    // is the user-facing entry, so it gets the same treatment.
+    // with InvalidConfig — building must never panic. Half the cases
+    // resize the benchmark list to fill the machine, so valid shapes
+    // other than the paper's get built too.
     let mut rng = XorShift(0x5eed_f1de_11ee_7e57);
-    for _ in 0..500 {
+    for i in 0..500 {
         let cores = (rng.next() % 12) as u32;
         let contexts = (rng.next() % 6) as u32;
         let clusters = (rng.next() % 5) as u32;
-        let built = Topology::builder()
-            .cores(cores)
-            .contexts_per_core(contexts)
-            .l2_clusters(clusters)
-            .build();
         let mut cfg = SimConfig::for_workload(w, PolicyKind::Icount);
-        match built {
-            Ok(topo) => cfg.topology = topo,
-            Err(_) => continue, // rejected at the builder — also fine
+        cfg.mem.num_cores = cores;
+        cfg.core.contexts = contexts;
+        cfg.mem.l2_clusters = clusters;
+        if i % 2 == 0 {
+            let pair = cfg.benchmarks.clone();
+            cfg.benchmarks = (0..cores * contexts)
+                .map(|t| pair[t as usize % pair.len()].clone())
+                .collect();
         }
         match Simulator::build(&cfg) {
             Ok(_) | Err(SimError::InvalidConfig(_)) => {}

@@ -21,7 +21,7 @@
 //!    the resolution the invariant claims.
 
 use smtsim_core::json::ToJson;
-use smtsim_core::topology::MemFidelity;
+use smtsim_core::fidelity::MemFidelity;
 use smtsim_core::{Fidelity, SimConfig, Simulator, Workload};
 use smtsim_mem::FaultPlan;
 use smtsim_policy::PolicyKind;

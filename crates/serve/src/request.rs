@@ -9,17 +9,16 @@
 //! {"benchmarks":["mcf","gzip"],"policy":"flush-s30"}
 //! ```
 //!
-//! Every rejection is an exit-2-style message with a did-you-mean
-//! hint where one applies — unknown keys, workloads, benchmarks and
-//! policies all suggest their nearest valid spelling.
+//! This module only spells the keys into a
+//! [`smtsim_core::resolve::RunParams`]; names, defaults and validation
+//! are resolved there, the same way as for `smtsim run`. Every
+//! rejection is a message with a did-you-mean hint where one applies —
+//! unknown keys, workloads, benchmarks and policies all suggest their
+//! nearest valid spelling.
 
-use smtsim_core::config::{DEFAULT_CYCLES, DEFAULT_WATCHDOG};
-use smtsim_core::json::parse_json;
-use smtsim_core::suggest::did_you_mean;
-use smtsim_core::topology::Fidelity;
-use smtsim_core::workloads::{ALL_WORKLOADS, FIG5B_WORKLOAD};
-use smtsim_core::{SimConfig, Workload};
-use smtsim_policy::PolicyKind;
+use smtsim_core::json::{parse_json, JsonValue};
+use smtsim_core::suggest::unknown_name;
+use smtsim_core::{RunParams, SimConfig};
 
 /// Top-level keys a request may carry.
 const KNOWN_KEYS: [&str; 7] = [
@@ -32,46 +31,17 @@ const KNOWN_KEYS: [&str; 7] = [
     "fidelity",
 ];
 
-/// The CLI's default seed (`smtsim run --seed` default), kept equal so
-/// served answers byte-match `smtsim run --json`.
-pub const DEFAULT_SEED: u64 = 0x5eed;
-
-fn workload_names() -> Vec<&'static str> {
-    ALL_WORKLOADS
-        .iter()
-        .chain([&FIG5B_WORKLOAD])
-        .map(|w| w.name)
-        .collect()
-}
-
-fn benchmark_names() -> Vec<&'static str> {
-    smtsim_trace::spec::ALL_BENCHMARKS
-        .iter()
-        .map(|b| b.name)
-        .collect()
-}
-
-/// Render an unknown-name message with a typo suggestion when one is
-/// close enough.
-fn unknown_with_hint(kind: &str, input: &str, candidates: &[&str], fallback: &str) -> String {
-    match did_you_mean(input, candidates) {
-        Some(s) => format!("unknown {kind} '{input}' (did you mean '{s}'?)"),
-        None => format!("unknown {kind} '{input}' ({fallback})"),
-    }
-}
-
 /// Parse and validate one `POST /run` body. `Ok` carries the config
 /// plus a human-readable label for the cache/journal line; `Err` is
 /// the complete 400 message.
 pub fn parse_sim_request(body: &str) -> Result<(SimConfig, String), String> {
     let v = parse_json(body).map_err(|e| format!("request body is not JSON: {e}"))?;
-    let fields = match &v {
-        smtsim_core::json::JsonValue::Obj(fields) => fields,
-        _ => return Err(String::from("request body must be a JSON object")),
+    let JsonValue::Obj(fields) = &v else {
+        return Err(String::from("request body must be a JSON object"));
     };
     for (key, _) in fields {
         if !KNOWN_KEYS.contains(&key.as_str()) {
-            return Err(unknown_with_hint(
+            return Err(unknown_name(
                 "request field",
                 key,
                 &KNOWN_KEYS,
@@ -80,92 +50,44 @@ pub fn parse_sim_request(body: &str) -> Result<(SimConfig, String), String> {
         }
     }
 
-    let policy = match v.get("policy") {
-        None => PolicyKind::Mflush,
-        Some(p) => {
-            let name = p
-                .as_str()
-                .ok_or_else(|| String::from("field \"policy\" must be a string"))?;
-            PolicyKind::parse_name(name).ok_or_else(|| {
-                unknown_with_hint("policy", name, &PolicyKind::SUGGESTED_NAMES, "try `smtsim policies`")
-            })?
-        }
+    let opt_str = |key: &str| -> Result<Option<&str>, String> {
+        v.get(key)
+            .map(|x| {
+                x.as_str()
+                    .ok_or_else(|| format!("field {key:?} must be a string"))
+            })
+            .transpose()
     };
-
-    let fidelity = match v.get("fidelity") {
-        None => Fidelity::detailed(),
-        Some(f) => {
-            let spec = f
-                .as_str()
-                .ok_or_else(|| String::from("field \"fidelity\" must be a string"))?;
-            Fidelity::parse(spec).map_err(|e| format!("bad fidelity: {e}"))?
-        }
-    };
-
-    let (base, what) = match (v.get("workload"), v.get("benchmarks")) {
-        (Some(_), Some(_)) => {
-            return Err(String::from(
-                "give either \"workload\" or \"benchmarks\", not both",
-            ))
-        }
-        (Some(w), None) => {
-            let name = w
-                .as_str()
-                .ok_or_else(|| String::from("field \"workload\" must be a string"))?;
-            let workload = Workload::by_name(name).ok_or_else(|| {
-                unknown_with_hint("workload", name, &workload_names(), "try `smtsim workloads`")
-            })?;
-            (
-                SimConfig::for_workload(workload, policy),
-                name.to_string(),
-            )
-        }
-        (None, Some(list)) => {
-            let items = list
-                .as_arr()
-                .ok_or_else(|| String::from("field \"benchmarks\" must be an array of strings"))?;
-            let mut names: Vec<&str> = Vec::new();
-            for item in items {
-                names.push(item.as_str().ok_or_else(|| {
-                    String::from("field \"benchmarks\" must be an array of strings")
-                })?);
-            }
-            if names.is_empty() || !names.len().is_multiple_of(2) {
-                return Err(String::from(
-                    "need an even, non-zero number of benchmarks (2 per core)",
-                ));
-            }
-            for n in &names {
-                if smtsim_trace::spec::benchmark_by_name(n).is_none() {
-                    return Err(unknown_with_hint(
-                        "benchmark",
-                        n,
-                        &benchmark_names(),
-                        "see the SPEC2000 names in DESIGN.md §4",
-                    ));
-                }
-            }
-            (SimConfig::for_benchmarks(&names, policy), names.join(","))
-        }
-        (None, None) => return Err(String::from("need \"workload\" or \"benchmarks\"")),
-    };
-
     let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(x) => x
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("field {key:?} must be a non-negative integer")),
-        }
+        v.get(key)
+            .map(|x| {
+                x.as_u64()
+                    .ok_or_else(|| format!("field {key:?} must be a non-negative integer"))
+            })
+            .transpose()
     };
-    let cfg = base
-        .with_fidelity(fidelity)
-        .with_cycles(opt_u64("cycles")?.unwrap_or(DEFAULT_CYCLES))
-        .with_seed(opt_u64("seed")?.unwrap_or(DEFAULT_SEED))
-        .with_watchdog(opt_u64("watchdog_cycles")?.unwrap_or(DEFAULT_WATCHDOG));
-    cfg.validate()?;
-    let label = format!("{what}/{}", policy.label());
+    let benchmarks = v
+        .get("benchmarks")
+        .map(|list| {
+            list.as_arr()
+                .and_then(|items| items.iter().map(JsonValue::as_str).collect())
+                .ok_or_else(|| String::from("field \"benchmarks\" must be an array of strings"))
+        })
+        .transpose()?;
+    let params = RunParams {
+        workload: opt_str("workload")?,
+        benchmarks,
+        policy: opt_str("policy")?,
+        fidelity: opt_str("fidelity")?,
+        cycles: opt_u64("cycles")?,
+        seed: opt_u64("seed")?,
+        watchdog: opt_u64("watchdog_cycles")?,
+    };
+    let cfg = params.resolve()?;
+    let what = params
+        .workload
+        .map_or_else(|| cfg.benchmarks.join(","), String::from);
+    let label = format!("{what}/{}", cfg.policy.label());
     Ok((cfg, label))
 }
 
@@ -177,13 +99,19 @@ mod tests {
     #[test]
     fn request_matches_cli_defaults() {
         let (cfg, label) = parse_sim_request("{\"workload\":\"2W2\"}").expect("parses");
-        let w = Workload::by_name("2W2").unwrap();
-        let cli = SimConfig::for_workload(w, PolicyKind::Mflush)
-            .with_cycles(DEFAULT_CYCLES)
-            .with_seed(DEFAULT_SEED)
-            .with_watchdog(DEFAULT_WATCHDOG);
-        assert_eq!(cfg.to_json(), cli.to_json(), "defaults must mirror `smtsim run`");
+        let cli = RunParams {
+            workload: Some("2W2"),
+            ..RunParams::default()
+        };
+        assert_eq!(
+            cfg.to_json(),
+            cli.resolve().unwrap().to_json(),
+            "defaults must mirror `smtsim run`"
+        );
         assert_eq!(label, "2W2/MFLUSH");
+        let (_, label) =
+            parse_sim_request("{\"benchmarks\":[\"mcf\",\"gzip\"],\"policy\":\"icount\"}").unwrap();
+        assert_eq!(label, "mcf,gzip/ICOUNT");
     }
 
     #[test]

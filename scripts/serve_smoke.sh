@@ -27,6 +27,7 @@ cleanup() {
 trap cleanup EXIT
 
 BODY='{"workload":"2W2","policy":"mflush","cycles":30000}'
+BENCH_BODY='{"benchmarks":["mcf","gzip","swim","crafty"],"policy":"flush-s30","cycles":20000,"seed":7}'
 SLOW_BODY='{"workload":"2W2","policy":"icount","cycles":2000000}'
 
 # The address a `serve --addr 127.0.0.1:0` instance actually bound.
@@ -41,8 +42,11 @@ bound_addr() {
     echo "$addr"
 }
 
-# Golden: what the CLI answers for the same config, no server involved.
+# Goldens: what the CLI answers for the same configs, no server
+# involved — one per way of naming the machine (workload or benchmarks).
 "$BIN" run --workload 2W2 --policy mflush --cycles 30000 --json > "$TMP/golden.json"
+"$BIN" run --benchmarks mcf,gzip,swim,crafty --policy flush-s30 --cycles 20000 --seed 7 \
+    --json > "$TMP/golden_bench.json"
 
 # Server 1: answer once (populating the cache journal), then die hard
 # mid-way through a second, long-running job.
@@ -54,6 +58,10 @@ ADDR=$(bound_addr "$TMP/server1.log")
 "$BIN" request --addr "$ADDR" --body "$BODY" > "$TMP/first.json"
 cmp "$TMP/golden.json" "$TMP/first.json"
 echo "serve smoke: fresh served answer matches smtsim run --json"
+
+"$BIN" request --addr "$ADDR" --body "$BENCH_BODY" > "$TMP/bench.json"
+cmp "$TMP/golden_bench.json" "$TMP/bench.json"
+echo "serve smoke: seeded benchmark-list answer matches smtsim run --json"
 
 "$BIN" request --addr "$ADDR" --body "$SLOW_BODY" --timeout 60000 \
     > /dev/null 2>&1 &

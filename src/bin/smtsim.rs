@@ -16,10 +16,14 @@
 //! ```
 //!
 //! Exit codes: `0` success, `1` a simulation or request failed
-//! (invalid configuration caught at build time, watchdog-detected
-//! livelock, a panicked sweep job, or a non-200 server answer), `2`
-//! usage errors — including unknown workload/benchmark/policy names,
-//! which come with a "did you mean" suggestion.
+//! (watchdog-detected livelock, a panicked sweep job, or a non-200
+//! server answer), `2` usage errors: a flag the subcommand does not
+//! take (with a "did you mean" over its flags) or a repeated flag,
+//! `--workload` together with `--benchmarks`, and every run parameter
+//! [`smtsim_core::resolve::RunParams`] rejects — unknown
+//! workload/benchmark/policy names (with a "did you mean"), a bad
+//! `--fidelity`, a benchmark list that does not fill whole cores, or
+//! `--cycles 0`.
 //!
 //! This binary lives in the root `mflush` package (not a simulator
 //! crate) because `serve`/`request` pull in `smtsim-serve`, and lint
@@ -30,19 +34,18 @@ use smtsim_core::json::{write_escaped, JsonObject};
 use smtsim_core::report::{histogram_table, results_csv, throughput_table};
 use smtsim_core::suggest::did_you_mean;
 use smtsim_core::workloads::{ALL_WORKLOADS, FIG5B_WORKLOAD};
-use smtsim_core::{run_sweep_journaled, Fidelity, SimConfig, Simulator, SweepJob, ToJson, Workload};
+use smtsim_core::{run_sweep_journaled, RunParams, SimConfig, Simulator, SweepJob, ToJson};
 use smtsim_policy::PolicyKind;
-use smtsim_trace::spec;
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  \
-         smtsim run --workload <xWy> [--policy <p>] [--cycles N] [--seed N] [--json]\n             \
-         [--fidelity mem=<detailed|fast>]\n             \
+         smtsim run (--workload <xWy> | --benchmarks a,b,c,d) [--policy <p>] [--json]\n             \
+         [--cycles N] [--seed N] [--watchdog N] [--fidelity mem=<detailed|fast>]\n             \
          [--trace-events FILE] [--metrics-interval N] [--trace-format jsonl|chrome]\n  \
-         smtsim run --benchmarks a,b,c,d [--policy <p>] [--cycles N] [--json]\n  \
-         smtsim sweep --workload <xWy> [--cycles N] [--fidelity ...] [--journal FILE] [--csv | --json]\n  \
+         smtsim sweep (--workload <xWy> | --benchmarks a,b,c,d) [--cycles N] [--seed N]\n             \
+         [--watchdog N] [--fidelity ...] [--journal FILE] [--csv | --json]\n  \
          smtsim serve [--addr HOST:PORT] [--cache DIR] [--max-queue N] [--workers N]\n  \
          smtsim request --body JSON [--addr HOST:PORT] [--timeout MS]\n  \
          smtsim calibrate [--cycles N] [--json]\n  \
@@ -53,45 +56,58 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-// ----------------------------------------------------------------
-// "did you mean" support for unknown names
-// ----------------------------------------------------------------
-// The edit-distance machinery lives in `smtsim_core::suggest` (shared
-// with `SimConfig::validate`'s unknown-benchmark hints); the policy
-// name table and parser live on `PolicyKind` (shared with the serve
-// layer's request validation).
-
-/// Report an unknown name with a typo suggestion and exit 2.
-fn unknown_name(kind: &str, input: &str, candidates: &[&str], hint: &str) -> ! {
-    match did_you_mean(input, candidates) {
-        Some(s) => eprintln!("unknown {kind} '{input}' (did you mean '{s}'?)"),
-        None => eprintln!("unknown {kind} '{input}' ({hint})"),
-    }
-    std::process::exit(2);
-}
-
-fn workload_names() -> Vec<&'static str> {
-    ALL_WORKLOADS
-        .iter()
-        .chain([&FIG5B_WORKLOAD])
-        .map(|w| w.name)
-        .collect()
-}
-
-fn benchmark_names() -> Vec<&'static str> {
-    spec::ALL_BENCHMARKS.iter().map(|b| b.name).collect()
-}
+/// Flags each subcommand takes; any other flag is a usage error.
+const RUN_FLAGS: &[&str] = &[
+    "workload",
+    "benchmarks",
+    "policy",
+    "cycles",
+    "seed",
+    "watchdog",
+    "fidelity",
+    "json",
+    "trace-events",
+    "metrics-interval",
+    "trace-format",
+];
+const SWEEP_FLAGS: &[&str] = &[
+    "workload",
+    "benchmarks",
+    "cycles",
+    "seed",
+    "watchdog",
+    "fidelity",
+    "journal",
+    "csv",
+    "json",
+];
+const SERVE_FLAGS: &[&str] = &["addr", "cache", "max-queue", "workers"];
+const REQUEST_FLAGS: &[&str] = &["body", "addr", "timeout"];
+const CALIBRATE_FLAGS: &[&str] = &["cycles", "json"];
 
 struct Args {
     flags: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Self {
+    /// Parse `--name [value]` pairs, rejecting a repeated flag and any
+    /// flag not in `known`.
+    fn parse(cmd: &str, args: &[String], known: &[&str]) -> Self {
         let mut flags = Vec::new();
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
+                if !known.contains(&name) {
+                    let hint = did_you_mean(name, known)
+                        .map(|s| format!(" (did you mean --{s}?)"))
+                        .unwrap_or_default();
+                    eprintln!("unknown flag --{name} for `smtsim {cmd}`{hint}");
+                    usage();
+                }
+                if flags.iter().any(|(n, _)| n == name) {
+                    eprintln!("--{name} given twice");
+                    usage();
+                }
                 let value = if it
                     .peek()
                     .map(|v| !v.starts_with("--"))
@@ -117,13 +133,13 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get(name)
-            .map(|v| v.parse().unwrap_or_else(|_| {
+    fn get_u64(&self, name: &str) -> Option<u64> {
+        self.get(name).map(|v| {
+            v.parse().unwrap_or_else(|_| {
                 eprintln!("bad value for --{name}: {v}");
                 usage();
-            }))
-            .unwrap_or(default)
+            })
+        })
     }
 
     fn has(&self, name: &str) -> bool {
@@ -131,80 +147,33 @@ impl Args {
     }
 }
 
-/// Parse `--fidelity mem=fast` (absent → detailed).
-/// Unknown components or fidelity names are usage errors: exit 2.
-fn parse_fidelity_arg(args: &Args) -> Fidelity {
-    match args.get("fidelity") {
-        None => Fidelity::detailed(),
-        Some(spec) => Fidelity::parse(spec).unwrap_or_else(|e| {
-            eprintln!("bad value for --fidelity: {e}");
-            std::process::exit(2);
-        }),
+/// The run parameters `run` and `sweep` share, as smtsim-core
+/// resolves them.
+fn run_params(args: &Args) -> RunParams<'_> {
+    RunParams {
+        workload: args.get("workload"),
+        benchmarks: args.get("benchmarks").map(|list| list.split(',').collect()),
+        policy: args.get("policy"),
+        fidelity: args.get("fidelity"),
+        cycles: args.get_u64("cycles"),
+        seed: args.get_u64("seed"),
+        watchdog: args.get_u64("watchdog"),
     }
 }
 
-fn build_config(args: &Args, policy: PolicyKind) -> SimConfig {
-    let fidelity = parse_fidelity_arg(args);
-    if let Some(wl) = args.get("workload") {
-        let w = Workload::by_name(wl).unwrap_or_else(|| {
-            unknown_name("workload", wl, &workload_names(), "try `smtsim workloads`");
-        });
-        SimConfig::for_workload(w, policy).with_fidelity(fidelity)
-    } else if let Some(list) = args.get("benchmarks") {
-        let names: Vec<&str> = list.split(',').collect();
-        if !names.len().is_multiple_of(2) {
-            eprintln!("need an even number of benchmarks (2 per core)");
-            std::process::exit(2);
-        }
-        for n in &names {
-            if spec::benchmark_by_name(n).is_none() {
-                unknown_name(
-                    "benchmark",
-                    n,
-                    &benchmark_names(),
-                    "see the SPEC2000 names in DESIGN.md §4",
-                );
-            }
-        }
-        SimConfig::for_benchmarks(&names, policy).with_fidelity(fidelity)
-    } else {
-        eprintln!("need --workload or --benchmarks");
-        usage();
-    }
-}
-
-fn parse_policy_arg(args: &Args) -> PolicyKind {
-    args.get("policy")
-        .map(|p| {
-            PolicyKind::parse_name(p).unwrap_or_else(|| {
-                unknown_name(
-                    "policy",
-                    p,
-                    &PolicyKind::SUGGESTED_NAMES,
-                    "try `smtsim policies`",
-                );
-            })
-        })
-        .unwrap_or(PolicyKind::Mflush)
+/// Resolve the run parameters; a rejected one is a usage error.
+fn sim_config(args: &Args) -> SimConfig {
+    run_params(args).resolve().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 fn cmd_run(args: &Args) {
-    let policy = parse_policy_arg(args);
-    let cfg = build_config(args, policy)
-        .with_cycles(args.get_u64("cycles", smtsim_core::config::DEFAULT_CYCLES))
-        .with_seed(args.get_u64("seed", 0x5eed))
-        .with_watchdog(args.get_u64(
-            "watchdog",
-            smtsim_core::config::DEFAULT_WATCHDOG,
-        ));
+    let cfg = sim_config(args);
     let workload = cfg.benchmarks.join(",");
     let trace_path: Option<PathBuf> = args.get("trace-events").map(PathBuf::from);
-    let metrics_interval: Option<u64> = args.has("metrics-interval").then(|| {
-        args.get_u64(
-            "metrics-interval",
-            smtsim_core::config::DEFAULT_METRICS_INTERVAL,
-        )
-    });
+    let metrics_interval = args.get_u64("metrics-interval");
     if metrics_interval.is_some() && trace_path.is_none() {
         eprintln!("--metrics-interval requires --trace-events");
         usage();
@@ -276,7 +245,6 @@ fn cmd_run(args: &Args) {
 }
 
 fn cmd_sweep(args: &Args) {
-    let cycles = args.get_u64("cycles", smtsim_core::config::DEFAULT_CYCLES);
     let journal: Option<PathBuf> = args.get("journal").map(PathBuf::from);
     let policies = [
         PolicyKind::Icount,
@@ -287,7 +255,7 @@ fn cmd_sweep(args: &Args) {
         PolicyKind::Mflush,
         PolicyKind::Dcra,
     ];
-    let base = build_config(args, PolicyKind::Icount).with_cycles(cycles);
+    let base = sim_config(args);
     let jobs: Vec<SweepJob> = policies
         .iter()
         .map(|p| {
@@ -346,8 +314,8 @@ fn cmd_sweep(args: &Args) {
 
 fn cmd_serve(args: &Args) {
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
-    let max_queue = args.get_u64("max-queue", 16) as usize;
-    let workers = args.get_u64("workers", 2) as usize;
+    let max_queue = args.get_u64("max-queue").unwrap_or(16) as usize;
+    let workers = args.get_u64("workers").unwrap_or(2) as usize;
     if let Err(e) = smtsim_serve::cli::serve_main(addr, args.get("cache"), max_queue, workers) {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -360,7 +328,7 @@ fn cmd_request(args: &Args) {
         usage();
     };
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080");
-    let timeout_ms = args.get_u64("timeout", 30_000);
+    let timeout_ms = args.get_u64("timeout").unwrap_or(30_000);
     if let Err(e) = smtsim_serve::cli::request_main(addr, body, timeout_ms) {
         eprintln!("error: {e}");
         std::process::exit(1);
@@ -368,7 +336,7 @@ fn cmd_request(args: &Args) {
 }
 
 fn cmd_calibrate(args: &Args) {
-    let cycles = args.get_u64("cycles", 60_000);
+    let cycles = args.get_u64("cycles").unwrap_or(60_000);
     let rows = calibrate(cycles, 0);
     if args.has("json") {
         println!("{}", calibration_json(&rows));
@@ -412,15 +380,21 @@ fn cmd_policies() {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else { usage() };
-    let rest = Args::parse(&argv[1..]);
+    let args = |known| Args::parse(cmd, &argv[1..], known);
     match cmd.as_str() {
-        "run" => cmd_run(&rest),
-        "sweep" => cmd_sweep(&rest),
-        "serve" => cmd_serve(&rest),
-        "request" => cmd_request(&rest),
-        "calibrate" => cmd_calibrate(&rest),
-        "workloads" => cmd_workloads(),
-        "policies" => cmd_policies(),
+        "run" => cmd_run(&args(RUN_FLAGS)),
+        "sweep" => cmd_sweep(&args(SWEEP_FLAGS)),
+        "serve" => cmd_serve(&args(SERVE_FLAGS)),
+        "request" => cmd_request(&args(REQUEST_FLAGS)),
+        "calibrate" => cmd_calibrate(&args(CALIBRATE_FLAGS)),
+        "workloads" => {
+            args(&[]);
+            cmd_workloads()
+        }
+        "policies" => {
+            args(&[]);
+            cmd_policies()
+        }
         _ => usage(),
     }
 }
@@ -429,39 +403,61 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// `smtsim run` flags → the config `run` would simulate.
+    fn resolve(argv: &[&str]) -> Result<SimConfig, String> {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        run_params(&Args::parse("run", &argv, RUN_FLAGS)).resolve()
+    }
+
     #[test]
     fn suggestions_catch_close_typos() {
-        assert_eq!(
-            did_you_mean("mflsh", &PolicyKind::SUGGESTED_NAMES),
-            Some("mflush")
-        );
-        assert_eq!(
-            did_you_mean("icont", &PolicyKind::SUGGESTED_NAMES),
-            Some("icount")
-        );
-        assert_eq!(
-            did_you_mean("FLUSH-NS", &PolicyKind::SUGGESTED_NAMES),
-            Some("flush-ns")
-        );
-        assert_eq!(did_you_mean("8W2", &workload_names()), Some("8W2"));
-        assert!(did_you_mean("8w9", &workload_names()).is_some());
-        assert_eq!(did_you_mean("mfc", &benchmark_names()), Some("mcf"));
+        assert_eq!(did_you_mean("cycels", RUN_FLAGS), Some("cycles"));
+        assert_eq!(did_you_mean("jsno", SWEEP_FLAGS), Some("json"));
+        assert_eq!(did_you_mean("max-qeue", SERVE_FLAGS), Some("max-queue"));
+        // Names reach smtsim-core's resolver, which adds the hint.
+        for (argv, hint) in [
+            (
+                &["--workload", "2W1", "--policy", "mflsh"][..],
+                "did you mean 'mflush'?",
+            ),
+            (&["--workload", "8W9"], "did you mean '8W"),
+            (&["--benchmarks", "mfc,gzip"], "did you mean 'mcf'?"),
+        ] {
+            let e = resolve(argv).unwrap_err();
+            assert!(e.contains(hint), "{argv:?}: {e}");
+        }
     }
 
     #[test]
     fn distant_garbage_gets_no_suggestion() {
-        assert_eq!(did_you_mean("zzzzzzzzzz", &PolicyKind::SUGGESTED_NAMES), None);
-        assert_eq!(did_you_mean("qqqq", &benchmark_names()), None);
+        let e = resolve(&["--workload", "2W1", "--policy", "zzzzzzzzzz"]).unwrap_err();
+        assert!(
+            e.contains("unknown policy") && !e.contains("did you mean"),
+            "{e}"
+        );
+        let e = resolve(&["--benchmarks", "qqqq,gzip"]).unwrap_err();
+        assert!(
+            e.contains("unknown benchmark") && !e.contains("did you mean"),
+            "{e}"
+        );
+        assert_eq!(did_you_mean("zzzzzzzzzz", RUN_FLAGS), None);
     }
 
     #[test]
     fn policy_parser_accepts_documented_spellings() {
-        for name in PolicyKind::SUGGESTED_NAMES {
-            assert!(PolicyKind::parse_name(name).is_some(), "{name} should parse");
+        for name in PolicyKind::SUGGESTED_NAMES
+            .iter()
+            .chain(&["flush-s85", "stall-s120"])
+        {
+            let cfg = resolve(&["--workload", "2W1", "--policy", name])
+                .unwrap_or_else(|e| panic!("{name} should parse: {e}"));
+            assert_eq!(Some(cfg.policy), PolicyKind::parse_name(name));
         }
-        assert!(PolicyKind::parse_name("flush-s85").is_some());
-        assert!(PolicyKind::parse_name("stall-s120").is_some());
-        assert!(PolicyKind::parse_name("flush-sXX").is_none());
-        assert!(PolicyKind::parse_name("no-such-policy").is_none());
+        for bad in ["flush-sXX", "no-such-policy"] {
+            assert!(
+                resolve(&["--workload", "2W1", "--policy", bad]).is_err(),
+                "{bad}"
+            );
+        }
     }
 }

@@ -131,7 +131,6 @@ fn l2_clusters_reduce_mt_and_still_run() {
     let w = Workload::by_name("8W2").unwrap();
     let mut cfg = SimConfig::for_workload(w, PolicyKind::Mflush).with_cycles(10_000);
     cfg.mem.l2_clusters = 2;
-    cfg.topology.l2_clusters = 2; // keep the declared topology in sync
     cfg.validate().unwrap();
     let env = cfg.policy_env();
     assert_eq!(env.num_cores, 2, "MT scales with cores per cluster");
