@@ -35,6 +35,7 @@ pub struct FileClass {
 const HOT_PATH_FILES: &[&str] = &[
     "crates/cpu/src/core.rs",
     "crates/cpu/src/rob.rs",
+    "crates/cpu/src/wheel.rs",
     "crates/cpu/src/thread.rs",
     "crates/cpu/src/regfile.rs",
     "crates/cpu/src/bpred.rs",

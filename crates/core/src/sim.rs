@@ -49,6 +49,9 @@ pub struct Simulator {
     /// Cycles elided by stall skip-ahead so far (host-work saved;
     /// simulated results are identical with or without them).
     skipped_cycles: u64,
+    /// The first `step` has prewarmed the caches (a `step(0)` does not
+    /// advance `now`, so the cycle count cannot tell).
+    warmed: bool,
 }
 
 impl Simulator {
@@ -88,6 +91,7 @@ impl Simulator {
             last_progress_cycle: 0,
             metrics: None,
             skipped_cycles: 0,
+            warmed: false,
             cores,
             mem,
             now: 0,
@@ -97,11 +101,12 @@ impl Simulator {
     /// Advance `cycles` cycles (without collecting a result). Returns
     /// [`SimError::NoForwardProgress`] if the watchdog fires.
     pub fn step(&mut self, cycles: u64) -> Result<(), SimError> {
-        if self.now == 0 && self.cfg.warmup {
+        if !self.warmed && self.cfg.warmup {
             for c in &mut self.cores {
                 c.prewarm(&mut self.mem);
             }
         }
+        self.warmed = true;
         let watchdog = self.cfg.watchdog_cycles;
         let end = self.now.saturating_add(cycles);
         while self.now < end {
@@ -499,6 +504,27 @@ mod tests {
         let late = sim.snapshot().total_committed();
         assert!(late > early);
         assert_eq!(sim.now(), 4_000);
+    }
+
+    #[test]
+    fn zero_cycle_step_does_not_prewarm_twice() {
+        use crate::json::ToJson;
+        for name in ["2W1", "4W3"] {
+            let w = Workload::by_name(name).unwrap();
+            for policy in PolicyKind::fig8_set() {
+                let cfg = SimConfig::for_workload(w, policy).with_cycles(3_000);
+                let mut once = Simulator::build(&cfg).unwrap();
+                once.step(3_000).unwrap();
+                let mut twice = Simulator::build(&cfg).unwrap();
+                twice.step(0).unwrap();
+                twice.step(3_000).unwrap();
+                assert_eq!(
+                    twice.snapshot().to_json(),
+                    once.snapshot().to_json(),
+                    "{name}/{policy:?}: step(0) changed the run"
+                );
+            }
+        }
     }
 
     #[test]

@@ -78,6 +78,30 @@ fn detailed_run_reproduces_pre_refactor_goldens() {
     }
 }
 
+/// L1-hit loads behind a TLB walk far longer than any completion-wheel
+/// span: with 4000-cycle walks and a 4-entry TLB, L1-resident lines
+/// lose their translations, so some completions are scheduled thousands
+/// of cycles out and go through the wheel's overflow heap. The Fig. 1
+/// machine (512 entries, 300 cycles) never reaches that path, so its
+/// goldens would not notice it breaking. The fixture was captured
+/// before the wheel replaced the binary-heap schedule; skip-ahead must
+/// not change a byte either.
+#[test]
+fn overflowing_completions_reproduce_pre_wheel_bytes() {
+    let w = Workload::by_name("2W1").unwrap();
+    let mut cfg = SimConfig::for_workload(w, PolicyKind::Mflush).with_cycles(60_000);
+    cfg.mem.tlb_miss_cycles = 4_000;
+    cfg.mem.tlb_entries = 4;
+    let skip_on = run_stdout(&cfg.clone().with_skip_ahead(true));
+    let skip_off = run_stdout(&cfg.with_skip_ahead(false));
+    assert_eq!(skip_on, skip_off, "skip-ahead changed the bytes");
+    assert_eq!(
+        skip_on,
+        golden("run_2W1_mflush_tlb4000x4_c60000.golden.json"),
+        "overflowing completions diverged from the pre-wheel bytes"
+    );
+}
+
 /// The exact job list `smtsim sweep` builds, for one workload.
 fn sweep_jobs(workload: &str, cycles: u64) -> Vec<SweepJob> {
     let w = Workload::by_name(workload).unwrap();

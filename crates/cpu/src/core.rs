@@ -15,6 +15,7 @@ use crate::regfile::{PhysReg, RegFile};
 use crate::rob::{InstrState, QueueKind, RobEntry};
 use crate::stats::{CoreStats, ThreadProbe, ThreadStats};
 use crate::thread::{FetchGate, FrontendEntry, ThreadCtx, ThreadProgram, WrongPathMode};
+use crate::wheel::{CompletionWheel, Due};
 use smtsim_energy::{PipelineStage, SquashCause};
 use smtsim_mem::addr::{bank_of, line_base};
 use smtsim_mem::{AccessKind, AccessResult, Completion, MemEvent, MemoryModel, ReqId};
@@ -22,8 +23,7 @@ use smtsim_mem::{AccessKind, AccessResult, Completion, MemEvent, MemoryModel, Re
 use smtsim_obs::{EventRing, TraceEvent};
 use smtsim_policy::{FetchPolicy, PolicyAction, ThreadSnapshot};
 use smtsim_trace::{DynInstr, InstrClass, UncondKind};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// What an in-flight memory request resolves to. A load carries its
@@ -41,7 +41,8 @@ enum MemTarget {
 /// per-queue ready list (`iq_ready`) when its last source is marked
 /// ready. The issue stage and the skip-ahead horizon therefore scan
 /// only *ready* entries — O(issuable) instead of O(queue residents)
-/// per cycle.
+/// per cycle. Each ready list is kept in token order (oldest first),
+/// so the issue stage arbitrates in one walk with no sort.
 ///
 /// Squashes do not edit these lists: a squashed entry goes stale in
 /// place and is dropped lazily wherever it next surfaces, validated
@@ -86,9 +87,11 @@ pub struct SmtCore {
     /// from the front at commit, truncated from the back on squash.
     /// Store-to-load forwarding scans this instead of the ROB.
     store_fwd: Vec<VecDeque<(u64, u64)>>,
-    /// Scheduled execution completions: (done_at, tid, token, pos).
-    /// Tokens are unique, so `pos` never decides the pop order.
-    exec_heap: BinaryHeap<Reverse<(u64, usize, u64, u64)>>,
+    /// Scheduled execution completions, drained in
+    /// `(done_at, tid, token)` order.
+    wheel: CompletionWheel,
+    /// Reusable drain buffer for [`Self::wheel`] (D10).
+    exec_due: Vec<Due>,
     /// Per-thread wrong-path prefetch buffers.
     wp_buffers: Vec<VecDeque<DynInstr>>,
     next_token: u64,
@@ -113,15 +116,11 @@ pub struct SmtCore {
     snaps_fresh: bool,
     prio: Vec<usize>,
     actions: Vec<PolicyAction>,
-    /// Issue-stage candidate lists of `(token, tid, pos)`, one per
-    /// queue kind (D10: the issue stage runs every cycle and must not
-    /// allocate).
-    iq_cands: [Vec<(u64, usize, u64)>; 3],
     /// Ready issue-queue residents, one list per queue kind (see
-    /// [`IqEntry`]): every live entry whose sources are all ready.
-    /// Pre-sized to the queue capacities at construction so the cycle
-    /// loop never grows them (D10); may also hold stale (squashed)
-    /// records, dropped lazily by the issue stage.
+    /// [`IqEntry`]): every live entry whose sources are all ready, in
+    /// token order. Pre-sized to the queue capacities at construction
+    /// so the cycle loop does not grow them (D10); may also hold stale
+    /// (squashed) records, dropped lazily by the issue stage.
     iq_ready: [Vec<IqEntry>; 3],
     /// Wakeup lists: entries parked on a not-ready source register,
     /// indexed by physical register. Drained by [`Self::wake_reg`]
@@ -172,6 +171,7 @@ impl SmtCore {
             .into_iter()
             .map(|p| ThreadCtx::new(p, cfg.rob_per_thread as usize, cfg.ras_entries as usize))
             .collect();
+        let issue_width = (cfg.int_units + cfg.fp_units + cfg.ls_units) as usize;
         SmtCore {
             core_id,
             regs: RegFile::new(cfg.phys_regs, cfg.contexts),
@@ -186,7 +186,8 @@ impl SmtCore {
             req_map: Vec::new(),
             store_queue: VecDeque::new(),
             store_fwd: (0..threads.len()).map(|_| VecDeque::new()).collect(),
-            exec_heap: BinaryHeap::new(),
+            wheel: CompletionWheel::new(issue_width),
+            exec_due: Vec::with_capacity(issue_width),
             wp_buffers: (0..threads.len()).map(|_| VecDeque::new()).collect(),
             next_token: 1,
             commit_log: None,
@@ -197,7 +198,6 @@ impl SmtCore {
             snaps_fresh: false,
             prio: Vec::new(),
             actions: Vec::new(),
-            iq_cands: [Vec::new(), Vec::new(), Vec::new()],
             iq_ready: [
                 Vec::with_capacity(cfg.int_queue as usize),
                 Vec::with_capacity(cfg.fp_queue as usize),
@@ -327,17 +327,16 @@ impl SmtCore {
     ///   before any access).
     ///
     /// What remains are pure waits with known wake-ups: scheduled
-    /// completions (`exec_heap`), front-end pipe maturation
+    /// completions (`wheel`), front-end pipe maturation
     /// (`fetched_at + frontend_latency`), fetch redirect timers, and
     /// the policy's own clock ([`FetchPolicy::next_wake`]).
     pub fn next_event_cycle(&self, from: u64) -> u64 {
         if !self.store_queue.is_empty() {
             return from;
         }
-        if let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
-            if done_at <= from {
-                return from;
-            }
+        let next_done = self.wheel.next_due();
+        if next_done.is_some_and(|at| at <= from) {
+            return from;
         }
         let fetch_cap = self.cfg.fetch_queue as usize;
         for t in &self.threads {
@@ -380,7 +379,7 @@ impl SmtCore {
         }
         // Quiescent at `from`: gather the scheduled wake-ups.
         let mut at = self.policy.next_wake(from);
-        if let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
+        if let Some(done_at) = next_done {
             at = at.min(done_at);
         }
         for t in &self.threads {
@@ -532,13 +531,9 @@ impl SmtCore {
     // ----------------------------------------------------------------
 
     fn exec_complete(&mut self, now: u64) {
-        while let Some(&Reverse((done_at, ..))) = self.exec_heap.peek() {
-            if done_at > now {
-                break;
-            }
-            let Some(Reverse((_, tid, token, pos))) = self.exec_heap.pop() else {
-                break; // unreachable: peek above returned Some
-            };
+        let mut due = std::mem::take(&mut self.exec_due);
+        self.wheel.drain_due(now, &mut due);
+        for &Due { tid, token, pos, .. } in &due {
             let (resolve_mispredict, load_complete, is_cond_branch, dst) =
                 match self.threads[tid].rob.at_mut(pos, token) {
                     Some(e) if matches!(e.state, InstrState::Executing { .. }) => {
@@ -570,6 +565,7 @@ impl SmtCore {
                 self.resolve_mispredict(tid, token, now);
             }
         }
+        self.exec_due = due;
     }
 
     /// A mispredicted branch resolved: squash its wrong-path shadow and
@@ -657,63 +653,49 @@ impl SmtCore {
     // ----------------------------------------------------------------
 
     fn issue(&mut self, now: u64, mem: &mut MemoryModel) {
-        // Gather candidates per queue, oldest (smallest token) first
-        // across both threads. The wakeup scheduler keeps `iq_ready`
-        // down to issuable entries, so this touches O(issuable) state —
-        // a stalled thread costs nothing here. Stale (squashed) records
-        // are dropped as they surface; live records are ready by
-        // construction (readiness is monotone, see [`IqEntry`]).
-        let mut cands = std::mem::take(&mut self.iq_cands);
-        for (qi, list) in cands.iter_mut().enumerate() {
-            list.clear();
-            let mut i = 0;
-            while i < self.iq_ready[qi].len() {
-                let e = self.iq_ready[qi][i];
+        // One walk per queue over its ready list, oldest (smallest
+        // token) first across both threads. The wakeup scheduler keeps
+        // `iq_ready` down to issuable entries, so this touches
+        // O(issuable) state — a stalled thread costs nothing here.
+        // Stale (squashed) records are dropped as they surface; live
+        // records are ready by construction (readiness is monotone, see
+        // [`IqEntry`]). Issued entries leave the list in the same pass;
+        // entries past the unit count stay, in order.
+        let units = [self.cfg.int_units, self.cfg.fp_units, self.cfg.ls_units];
+        for (qi, &width) in units.iter().enumerate() {
+            if self.iq_ready[qi].is_empty() {
+                continue;
+            }
+            let mut list = std::mem::take(&mut self.iq_ready[qi]);
+            let (mut read, mut kept, mut issued) = (0, 0, 0);
+            while read < list.len() && issued < width {
+                let e = list[read];
+                read += 1;
                 let tid = e.tid as usize;
                 let live = self.threads[tid]
                     .rob
                     .at(e.pos, e.token)
                     .is_some_and(|r| r.state == InstrState::InQueue);
-                if live {
-                    debug_assert!(
-                        e.srcs.iter().flatten().all(|&p| self.regs.is_ready(p)),
-                        "iq_ready entry with a not-ready source"
-                    );
-                    list.push((e.token, tid, e.pos));
-                    i += 1;
-                } else {
-                    self.iq_ready[qi].swap_remove(i);
+                if !live {
+                    continue;
                 }
-            }
-        }
-        let units = [self.cfg.int_units, self.cfg.fp_units, self.cfg.ls_units];
-        for (qi, list) in cands.iter_mut().enumerate() {
-            list.sort_unstable();
-            let mut issued = 0;
-            for &(token, tid, pos) in list.iter() {
-                if issued == units[qi] {
-                    break;
-                }
-                if self.try_issue_one(tid, token, pos, now, mem) {
-                    self.iq_unready(qi, token);
+                debug_assert!(
+                    e.srcs.iter().flatten().all(|&p| self.regs.is_ready(p)),
+                    "iq_ready entry with a not-ready source"
+                );
+                if self.try_issue_one(tid, e.token, e.pos, now, mem) {
                     issued += 1;
+                } else {
+                    list[kept] = e;
+                    kept += 1;
                 }
             }
+            if kept < read {
+                list.copy_within(read.., kept);
+                list.truncate(list.len() - (read - kept));
+            }
+            self.iq_ready[qi] = list;
         }
-        self.iq_cands = cands;
-    }
-
-    /// Remove `token` from ready list `qi` (the entry left `InQueue`
-    /// state by issuing). The lists are small, so a linear find +
-    /// swap_remove is cheap; order is irrelevant because candidates
-    /// are re-sorted every cycle.
-    fn iq_unready(&mut self, qi: usize, token: u64) {
-        let pos = self.iq_ready[qi]
-            .iter()
-            .position(|e| e.token == token)
-            // lint: allow(D3) -- the issue stage only issues candidates gathered from this very list
-            .expect("issued token present in its ready list");
-        self.iq_ready[qi].swap_remove(pos);
     }
 
     /// `p` was just marked ready: re-examine every entry parked on it.
@@ -735,7 +717,11 @@ impl SmtCore {
     }
 
     /// Insert `e` into the wakeup structures: parked on its first
-    /// not-ready source, or onto its queue's ready list.
+    /// not-ready source, or into its queue's ready list at its token
+    /// position. From dispatch that is usually, but not always, the
+    /// end: tokens are handed out at fetch across both threads, and
+    /// dispatch may take an older instruction of one thread after a
+    /// younger one of the other.
     fn park_or_ready(&mut self, e: IqEntry) {
         for &src in e.srcs.iter().flatten() {
             if !self.regs.is_ready(src) {
@@ -743,7 +729,9 @@ impl SmtCore {
                 return;
             }
         }
-        self.iq_ready[e.qi as usize].push(e);
+        let list = &mut self.iq_ready[e.qi as usize];
+        let i = list.partition_point(|l| l.token < e.token);
+        list.insert(i, e);
     }
 
     /// Issue one instruction; returns false when it must stay queued
@@ -762,7 +750,7 @@ impl SmtCore {
             let e = self.threads[tid]
                 .rob
                 .at(pos, token)
-                // lint: allow(D3) -- issue candidates were validated resident and InQueue by this cycle's gather
+                // lint: allow(D3) -- the issue walk validated this entry resident and InQueue just before the call
                 .expect("issue candidate resident in ROB");
             (
                 e.instr.class,
@@ -828,7 +816,7 @@ impl SmtCore {
             e.load_tracked = load_tracked;
         }
         if let InstrState::Executing { done_at } = state {
-            self.exec_heap.push(Reverse((done_at, tid, token, pos)));
+            self.wheel.push(Due { done_at, tid, token, pos });
         }
         // The instruction left its issue queue.
         self.iq_used[queue.index()] -= 1;

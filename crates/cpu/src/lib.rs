@@ -67,6 +67,7 @@ pub mod regfile;
 pub mod rob;
 pub mod stats;
 pub mod thread;
+mod wheel;
 
 pub use bpred::PerceptronPredictor;
 pub use btb::Btb;

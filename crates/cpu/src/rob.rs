@@ -4,7 +4,6 @@ use crate::regfile::PhysReg;
 use smtsim_energy::PipelineStage;
 use smtsim_mem::ReqId;
 use smtsim_trace::{DynInstr, InstrClass};
-use std::collections::VecDeque;
 
 /// Which shared issue queue an instruction occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,13 +90,14 @@ impl RobEntry {
 /// A bounded, in-order reorder buffer for one hardware context.
 ///
 /// Every entry gets a stable **absolute position** when it is pushed:
-/// the number of entries ever popped at the head (`base`) plus the
+/// the number of entries ever popped at the head (`head`) plus the
 /// occupancy. An entry keeps its position for as long as it is
 /// resident — entries leave only at the head (commit, which advances
-/// `base`) or at the tail (squash) — so [`Rob::at`] resolves it with
-/// one index computation instead of a search.
+/// `head`) or at the tail (squash) — so [`Rob::at`] resolves it with
+/// a bounds check and a mask instead of a search: the storage is a
+/// power-of-two ring and position `p` lives in slot `p & mask`.
 ///
-/// A squash pops from the back without advancing `base`, so the next
+/// A squash pops from the back without advancing `head`, so the next
 /// push reuses a squashed entry's position. Tokens are never reused,
 /// which is why every lookup carries the token too: a `(pos, token)`
 /// pair recorded before the squash finds a different token at that
@@ -105,37 +105,50 @@ impl RobEntry {
 /// that is no longer resident.
 #[derive(Debug, Clone)]
 pub struct Rob {
-    entries: VecDeque<RobEntry>,
+    /// Ring storage of `mask + 1` slots, filled on the first lap.
+    slots: Vec<RobEntry>,
+    mask: u64,
     capacity: usize,
-    /// Entries popped at the head so far: the absolute position of
-    /// `entries[0]`.
-    base: u64,
+    /// Absolute position of the oldest resident entry: entries popped
+    /// at the head so far.
+    head: u64,
+    /// Absolute position the next push gets: `head` plus the occupancy.
+    tail: u64,
 }
 
 impl Rob {
     /// ROB with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
+        let ring = capacity.next_power_of_two();
         Rob {
-            entries: VecDeque::with_capacity(capacity),
+            slots: Vec::with_capacity(ring),
+            mask: ring as u64 - 1,
             capacity,
-            base: 0,
+            head: 0,
+            tail: 0,
         }
     }
 
     /// True when another instruction can dispatch.
     pub fn has_room(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len() < self.capacity
     }
 
     /// Occupancy.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        (self.tail - self.head) as usize
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.tail == self.head
+    }
+
+    #[inline]
+    fn slot(&self, pos: u64) -> &RobEntry {
+        &self.slots[(pos & self.mask) as usize]
     }
 
     /// Append a dispatched instruction (program order) and return its
@@ -143,22 +156,32 @@ impl Rob {
     /// must check [`Rob::has_room`].
     pub fn push(&mut self, e: RobEntry) -> u64 {
         assert!(self.has_room(), "ROB overflow");
-        if let Some(last) = self.entries.back() {
-            debug_assert!(e.token > last.token, "ROB must stay in program order");
+        if !self.is_empty() {
+            debug_assert!(
+                e.token > self.slot(self.tail - 1).token,
+                "ROB must stay in program order"
+            );
         }
-        self.entries.push_back(e);
-        self.base + self.entries.len() as u64 - 1
+        let i = (self.tail & self.mask) as usize;
+        if i < self.slots.len() {
+            self.slots[i] = e;
+        } else {
+            // First lap: the ring grows one slot at a time.
+            self.slots.push(e);
+        }
+        self.tail += 1;
+        self.tail - 1
     }
 
     /// Oldest instruction.
     pub fn head(&self) -> Option<&RobEntry> {
-        self.entries.front()
+        (!self.is_empty()).then(|| self.slot(self.head))
     }
 
     /// Remove and return the oldest instruction (commit).
     pub fn pop_head(&mut self) -> Option<RobEntry> {
-        let e = self.entries.pop_front()?;
-        self.base += 1;
+        let e = *self.head()?;
+        self.head += 1;
         Some(e)
     }
 
@@ -167,16 +190,19 @@ impl Rob {
     /// Into-style so the caller's scratch buffer survives across
     /// squashes (rule D10: the squash path must not allocate).
     pub fn squash_younger_into(&mut self, keep_token: u64, out: &mut Vec<RobEntry>) {
-        while self.entries.back().is_some_and(|b| b.token > keep_token) {
-            if let Some(e) = self.entries.pop_back() {
-                out.push(e);
+        while !self.is_empty() {
+            let e = *self.slot(self.tail - 1);
+            if e.token <= keep_token {
+                break;
             }
+            out.push(e);
+            self.tail -= 1;
         }
     }
 
     /// Iterate oldest → newest.
     pub fn iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.entries.iter()
+        (self.head..self.tail).map(|p| self.slot(p))
     }
 
     /// The entry pushed at absolute position `pos` (from [`Rob::push`]),
@@ -185,15 +211,23 @@ impl Rob {
     /// occupies the reused position.
     #[inline]
     pub fn at(&self, pos: u64, token: u64) -> Option<&RobEntry> {
-        let i = usize::try_from(pos.checked_sub(self.base)?).ok()?;
-        self.entries.get(i).filter(|e| e.token == token)
+        if pos.wrapping_sub(self.head) >= self.tail - self.head {
+            return None;
+        }
+        self.slots
+            .get((pos & self.mask) as usize)
+            .filter(|e| e.token == token)
     }
 
     /// Mutable [`Rob::at`].
     #[inline]
     pub fn at_mut(&mut self, pos: u64, token: u64) -> Option<&mut RobEntry> {
-        let i = usize::try_from(pos.checked_sub(self.base)?).ok()?;
-        self.entries.get_mut(i).filter(|e| e.token == token)
+        if pos.wrapping_sub(self.head) >= self.tail - self.head {
+            return None;
+        }
+        self.slots
+            .get_mut((pos & self.mask) as usize)
+            .filter(|e| e.token == token)
     }
 
     /// Index (from the head) of the resident entry holding `token`, by
@@ -203,10 +237,10 @@ impl Rob {
     /// resolves through [`Rob::at`]. The index stays valid only until
     /// the next push/pop/squash.
     pub fn index_of(&self, token: u64) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, self.entries.len());
+        let (mut lo, mut hi) = (0usize, self.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let t = self.entries[mid].token;
+            let t = self.entry_at(mid).token;
             if t == token {
                 return Some(mid);
             } else if t < token {
@@ -220,7 +254,8 @@ impl Rob {
 
     /// Entry at `index` (from [`Rob::index_of`]).
     pub fn entry_at(&self, index: usize) -> &RobEntry {
-        &self.entries[index]
+        assert!(index < self.len(), "ROB index {index} out of range");
+        self.slot(self.head + index as u64)
     }
 }
 
