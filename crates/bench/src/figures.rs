@@ -501,8 +501,24 @@ fn mflush_variant(history: usize, reducer: McRegReducer, preventive: bool, mt: b
 /// (MCReg 1/Last, 4 L2 banks, 1 cluster, no prefetch) are run again
 /// under their own label, so they must agree exactly.
 pub fn ablations(cycles: u64, workers: usize, journal: Option<&Path>) -> Ablations {
-    let w = Workload::by_name("8W3").unwrap();
     let cycles = budget(cycles);
+    let jobs = ablation_jobs(cycles);
+    let results = run_jobs(&jobs, workers, journal);
+    let mut text = String::new();
+    let _ = writeln!(text, "== Ablation report ({cycles}-cycle runs on 8W3) ==");
+    let mut rows = Vec::new();
+    for (job, r) in jobs.iter().zip(&results) {
+        let label = format!("{}:", job.label);
+        let ipc = r.throughput();
+        let _ = writeln!(text, "{label:<30}{ipc:.4}");
+        rows.push((job.label.clone(), ipc));
+    }
+    Ablations { rows, text }
+}
+
+/// The [`ablations`] jobs, one per variant, in report order.
+fn ablation_jobs(cycles: u64) -> Vec<SweepJob> {
+    let w = Workload::by_name("8W3").unwrap();
     let cfg = |p: PolicyKind| SimConfig::for_workload(w, p).with_cycles(cycles);
     let mut variants = vec![
         (
@@ -550,22 +566,10 @@ pub fn ablations(cycles: u64, workers: usize, journal: Option<&Path>) -> Ablatio
     prefetch.mem.next_line_prefetch = true;
     variants.push(("ICOUNT + next-line prefetch".into(), prefetch));
     variants.push(("ICOUNT without prefetch".into(), cfg(PolicyKind::Icount)));
-
-    let jobs: Vec<SweepJob> = variants
+    variants
         .into_iter()
         .map(|(label, c)| SweepJob::new(label, c))
-        .collect();
-    let results = run_jobs(&jobs, workers, journal);
-    let mut text = String::new();
-    let _ = writeln!(text, "== Ablation report ({cycles}-cycle runs on 8W3) ==");
-    let mut rows = Vec::new();
-    for (job, r) in jobs.iter().zip(&results) {
-        let label = format!("{}:", job.label);
-        let ipc = r.throughput();
-        let _ = writeln!(text, "{label:<30}{ipc:.4}");
-        rows.push((job.label.clone(), ipc));
-    }
-    Ablations { rows, text }
+        .collect()
 }
 
 // ----------------------------------------------------------------
@@ -668,6 +672,34 @@ pub fn fig11(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig11 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smtsim_core::cache::config_fingerprint;
+
+    #[test]
+    fn ablation_fingerprints_tell_every_distinct_machine_apart() {
+        // A journal keys each job by its config fingerprint, so two
+        // variants that share one replay each other's answers.
+        let jobs = ablation_jobs(3_000);
+        let print = |label: &str| match jobs.iter().find(|j| j.label == label) {
+            Some(j) => config_fingerprint(&j.config),
+            None => panic!("no job '{label}'"),
+        };
+        let distinct: std::collections::BTreeSet<String> =
+            jobs.iter().map(|j| config_fingerprint(&j.config)).collect();
+        assert_eq!(jobs.len(), 20);
+        assert_eq!(
+            distinct.len(),
+            18,
+            "only the two restatements of the default may share"
+        );
+        assert_eq!(
+            print("ICOUNT with 4 L2 bank(s)"),
+            print("ICOUNT without prefetch")
+        );
+        assert_eq!(
+            print("MFLUSH with 1 L2 cluster(s)"),
+            print("MCReg history 1/Last (paper)")
+        );
+    }
 
     #[test]
     fn ablation_rows_that_restate_the_paper_default_agree() {

@@ -85,3 +85,39 @@ fn resumed_journal_gives_identical_figures() {
     assert_eq!(second.stdout, plain.stdout, "a resumed figure must be byte-identical");
     assert_eq!(replayed, recorded, "a full replay appends nothing");
 }
+
+#[test]
+fn journaled_ablations_replay_every_variant_as_its_own_machine() {
+    // Several ablation variants differ only in MFLUSH parameters or
+    // next-line prefetch: a replay that confuses two of them prints
+    // the wrong row.
+    let path = std::env::temp_dir().join(format!(
+        "smtsim-figures-cli-{}-ablations.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let journal = path.to_str().unwrap();
+    let plain = figures(&["ablations", "--cycles", "3000"]);
+    let first = figures(&["ablations", "--cycles", "3000", "--journal", journal]);
+    let second = figures(&["ablations", "--cycles", "3000", "--journal", journal]);
+    let _ = std::fs::remove_file(&path);
+    for out in [&plain, &first, &second] {
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let text = |out: &Output| String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(
+        text(&first),
+        text(&plain),
+        "journaling must not change the report"
+    );
+    assert_eq!(
+        text(&second),
+        text(&plain),
+        "a replayed report must be byte-identical"
+    );
+}

@@ -26,10 +26,11 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::json::{parse_json, JsonObject, ToJson};
+use crate::json::{parse_json, JsonObject};
 use crate::result::SimResult;
 use crate::sweep::JobOutcome;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -79,11 +80,24 @@ pub const MODEL_STAMP: u64 = {
 
 /// The 16-hex-digit fingerprint of a config under the current model:
 /// FNV-1a over the fidelity goldens ([`MODEL_STAMP`]) followed by the
-/// config's canonical JSON. Identical configs — and only identical
+/// config's derived `Debug` rendering, which names every field of
+/// every part of the config — so a field added later is keyed
+/// without anyone listing it. Identical configs — and only identical
 /// configs, up to hash collision — share a fingerprint; the sweep
 /// journal and the serve cache both key on it.
 pub fn config_fingerprint(cfg: &SimConfig) -> String {
-    format!("{:016x}", fnv64_extend(MODEL_STAMP, cfg.to_json().as_bytes()))
+    /// Hashes what is written to it instead of buffering it.
+    struct Fnv(u64);
+    impl fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = fnv64_extend(self.0, s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Fnv(MODEL_STAMP);
+    // Fnv::write_str never fails, and derived Debug only forwards it.
+    let _ = write!(h, "{cfg:?}");
+    format!("{:016x}", h.0)
 }
 
 /// One cached outcome: the label it was computed under plus the result
@@ -201,7 +215,8 @@ impl ResultCache {
     /// Store an outcome under `fingerprint`, appending a checksummed
     /// line to the backing file (when there is one). A transient
     /// failure ([`SimError::is_transient`]) is not stored at all, in
-    /// memory or on disk: a later run should retry it, not replay it.
+    /// memory or on disk: a later run simulates it afresh, it never
+    /// replays it.
     /// A failed append is reported but non-fatal: the entry still
     /// serves from memory — a cache that cannot persist degrades, it
     /// does not take requests down with it.
@@ -298,6 +313,7 @@ pub fn parse_cache_line(line: &str) -> Option<(String, CacheEntry)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
     use crate::workloads::Workload;
     use smtsim_policy::PolicyKind;
 
@@ -416,11 +432,11 @@ mod tests {
     #[test]
     fn entries_keyed_without_the_model_stamp_are_not_replayed() {
         // A journal written before the model stamp keyed each config by
-        // the bare hash of its JSON. Record a wrong answer under that
-        // key: the sweep must not find it, so it re-simulates.
+        // the bare hash of its rendering. Record a wrong answer under
+        // that key: the sweep must not find it, so it re-simulates.
         let w = Workload::by_name("2W1").unwrap();
         let cfg = SimConfig::for_workload(w, PolicyKind::Icount).with_cycles(2_000);
-        let stale_key = format!("{:016x}", fnv64(cfg.to_json().as_bytes()));
+        let stale_key = format!("{:016x}", fnv64(format!("{cfg:?}").as_bytes()));
         assert_ne!(stale_key, config_fingerprint(&cfg));
         let wrong = crate::sim::Simulator::build(&cfg.clone().with_seed(999))
             .unwrap()
@@ -439,12 +455,42 @@ mod tests {
 
     #[test]
     fn config_fingerprint_tracks_config_identity() {
-        let w = Workload::by_name("2W1").unwrap();
-        let a = SimConfig::for_workload(w, PolicyKind::Icount);
-        let b = a.clone();
-        assert_eq!(config_fingerprint(&a), config_fingerprint(&b));
-        let c = a.clone().with_seed(999);
-        assert_ne!(config_fingerprint(&a), config_fingerprint(&c));
-        assert_eq!(config_fingerprint(&a).len(), 16);
+        // A journal keys each job by its fingerprint, so configs that
+        // differ in any field — policy parameters behind a shared
+        // label included — must not share one.
+        let w = Workload::by_name("8W3").unwrap();
+        let base = SimConfig::for_workload(w, PolicyKind::Mflush);
+        assert_eq!(config_fingerprint(&base), config_fingerprint(&base.clone()));
+        assert_eq!(config_fingerprint(&base).len(), 16);
+        let mflush = |history, reducer, preventive, mt_enabled| PolicyKind::MflushCustom {
+            mcreg_history: history,
+            mcreg_reducer: reducer,
+            preventive,
+            mt_enabled,
+        };
+        use smtsim_policy::McRegReducer::{Last, Max, Mean};
+        let mut variants = vec![base.clone(), base.clone().with_seed(999)];
+        for policy in [
+            mflush(4, Mean, true, true),
+            mflush(4, Max, true, true),
+            mflush(1, Last, false, true),
+            mflush(1, Last, true, false),
+        ] {
+            let mut c = base.clone();
+            c.policy = policy;
+            variants.push(c);
+        }
+        let mut c = base.clone();
+        c.mem.next_line_prefetch = true;
+        variants.push(c);
+        let mut c = base.clone();
+        c.mem.dram_cycles = 800;
+        variants.push(c);
+        let mut c = base.clone();
+        c.core.rob_per_thread += 1;
+        variants.push(c);
+        let prints: std::collections::BTreeSet<String> =
+            variants.iter().map(config_fingerprint).collect();
+        assert_eq!(prints.len(), variants.len(), "two distinct configs collide");
     }
 }

@@ -30,16 +30,14 @@ pub enum SimError {
         /// Structured machine-state snapshot at the firing cycle.
         diagnostic: ProgressDiagnostic,
     },
-    /// A sweep job panicked (twice — jobs are retried once).
+    /// A sweep job panicked. Jobs run once: a simulation is a pure
+    /// function of its config, so a second attempt would panic again.
     JobPanicked {
         /// The job's sweep label.
         label: String,
         /// The panic payload, when it was a string.
         payload: String,
     },
-    /// A recorded trace failed validation (see `smtsim_trace`'s
-    /// `TraceError::Corrupt`).
-    TraceCorrupt(String),
 }
 
 /// Machine-state snapshot attached to a `NoForwardProgress` error:
@@ -88,18 +86,11 @@ impl fmt::Display for SimError {
             SimError::JobPanicked { label, payload } => {
                 write!(f, "job '{label}' panicked: {payload}")
             }
-            SimError::TraceCorrupt(msg) => write!(f, "corrupt trace: {msg}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
-
-impl From<smtsim_trace::TraceError> for SimError {
-    fn from(e: smtsim_trace::TraceError) -> Self {
-        SimError::TraceCorrupt(e.to_string())
-    }
-}
 
 impl ToJson for ThreadProbe {
     fn write_json(&self, out: &mut String) {
@@ -161,9 +152,6 @@ impl ToJson for SimError {
                     .field("label", label)
                     .field("payload", payload);
             }
-            SimError::TraceCorrupt(msg) => {
-                o.field("error", &"trace_corrupt").field("detail", msg);
-            }
         }
         o.end();
     }
@@ -213,13 +201,14 @@ fn diag_from_json(v: &JsonValue) -> Result<ProgressDiagnostic, String> {
 }
 
 impl SimError {
-    /// Whether re-running the same job could give a different outcome.
-    /// True only for [`SimError::JobPanicked`]: every other failure is a
+    /// Whether the error says nothing permanent about the config.
+    /// True only for [`SimError::JobPanicked`]: a panic is a simulator
+    /// bug, not an answer, so it is never persisted
+    /// ([`crate::cache::ResultCache::store_outcome`]) and a later run
+    /// simulates the config afresh. Every other failure is a
     /// deterministic function of the config (the watchdog counts
-    /// simulated cycles, not wall time), so a retry would fail
-    /// identically and the error is as permanent as a result. The one
-    /// rule for what is retried (serve) and what is never persisted
-    /// ([`crate::cache::ResultCache::store_outcome`]).
+    /// simulated cycles, not wall time) and is as permanent as a
+    /// result.
     pub fn is_transient(&self) -> bool {
         matches!(self, SimError::JobPanicked { .. })
     }
@@ -242,7 +231,6 @@ impl SimError {
                 label: v.req_str("label")?.to_string(),
                 payload: v.req_str("payload")?.to_string(),
             }),
-            "trace_corrupt" => Ok(SimError::TraceCorrupt(v.req_str("detail")?.to_string())),
             other => Err(format!("unknown error kind {other:?}")),
         }
     }
@@ -289,7 +277,6 @@ mod tests {
                 label: "fig8/6W4/MFLUSH".into(),
                 payload: "index out of bounds".into(),
             },
-            SimError::TraceCorrupt("record 7: checksum mismatch".into()),
         ] {
             let j = e.to_json();
             let v = parse_json(&j).unwrap();
@@ -304,21 +291,5 @@ mod tests {
         let msg = sample_npf().to_string();
         assert!(msg.contains("cycle 70000"));
         assert!(msg.contains("core 1"));
-    }
-
-    #[test]
-    fn trace_error_converts() {
-        let te = smtsim_trace::TraceError::Corrupt {
-            offset: 56,
-            detail: "checksum mismatch".into(),
-        };
-        let se: SimError = te.into();
-        match &se {
-            SimError::TraceCorrupt(m) => {
-                assert!(m.contains("56"), "offset lost: {m}");
-                assert!(m.contains("checksum mismatch"));
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
     }
 }

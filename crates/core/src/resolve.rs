@@ -123,7 +123,6 @@ pub(crate) fn benchmark_names() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::ToJson;
     use crate::suggest::did_you_mean;
 
     #[test]
@@ -155,8 +154,8 @@ mod tests {
         .unwrap();
         let w = Workload::by_name("2W2").unwrap();
         assert_eq!(
-            cfg.to_json(),
-            SimConfig::for_workload(w, PolicyKind::Mflush).to_json()
+            format!("{cfg:?}"),
+            format!("{:?}", SimConfig::for_workload(w, PolicyKind::Mflush))
         );
     }
 

@@ -9,9 +9,10 @@
 //!
 //! Fault tolerance (DESIGN.md §11):
 //!
-//! * each job runs under `catch_unwind` and is **retried once** on
-//!   panic; a second panic becomes `SimError::JobPanicked` in that
-//!   job's slot while every other job completes normally;
+//! * each job runs once under `catch_unwind`; a panic becomes
+//!   `SimError::JobPanicked` in that job's slot while every other job
+//!   completes normally (a run is a pure function of its config, so
+//!   there is nothing to retry);
 //! * poisoned result slots are recovered, not re-panicked — one bad job
 //!   can't cascade into a confusing secondary panic at collection time;
 //! * [`run_sweep_journaled`] persists each finished job through the
@@ -61,32 +62,25 @@ fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Run one job with panic isolation: panics are caught and the job is
-/// retried once (transient panics — e.g. allocation failure — get a
-/// second chance; deterministic ones fail identically and are
-/// reported).
+/// Run one job with panic isolation: a panic is caught and reported as
+/// `SimError::JobPanicked` in the job's slot. It is not retried — a
+/// simulation is a pure function of its config, so a second attempt
+/// would panic the same way.
 fn run_job(job: &SweepJob) -> JobOutcome {
-    for attempt in 0..2 {
-        match catch_unwind(AssertUnwindSafe(|| {
-            Simulator::build(&job.config).and_then(|s| s.run())
-        })) {
-            Ok(outcome) => return outcome,
-            Err(payload) if attempt == 0 => drop(payload),
-            Err(payload) => {
-                let text = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                return Err(SimError::JobPanicked {
-                    label: job.label.clone(),
-                    payload: text,
-                });
-            }
-        }
-    }
-    // lint: allow(D11) -- both retry attempts return; this arm is unreachable by construction
-    unreachable!("loop returns on both attempts")
+    catch_unwind(AssertUnwindSafe(|| {
+        Simulator::build(&job.config).and_then(|s| s.run())
+    }))
+    .unwrap_or_else(|payload| {
+        let text = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string panic payload>".to_string());
+        Err(SimError::JobPanicked {
+            label: job.label.clone(),
+            payload: text,
+        })
+    })
 }
 
 /// Run all jobs, `max_workers` at a time (0 = number of host CPUs).

@@ -1,9 +1,8 @@
 //! Main memory model.
 //!
-//! Fig. 1 specifies a flat 250-cycle main-memory latency. We model a
-//! fixed-latency queue with an optional bound on concurrently open
-//! requests (unbounded by default, matching the paper's setup where DRAM
-//! bandwidth is never the bottleneck under study).
+//! Fig. 1 specifies a flat 250-cycle main-memory latency. We model an
+//! unbounded fixed-latency queue, matching the paper's setup where DRAM
+//! bandwidth is never the bottleneck under study.
 
 use std::collections::VecDeque;
 
@@ -11,25 +10,18 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct Dram<T> {
     latency: u64,
-    /// Max requests in service at once; `0` = unlimited.
-    max_inflight: usize,
     /// (ready_at, payload) in service, ordered by ready_at.
     in_service: VecDeque<(u64, T)>,
-    /// Requests waiting for a service slot (only if bounded).
-    waiting: VecDeque<T>,
     accepted: u64,
     completed: u64,
 }
 
 impl<T> Dram<T> {
-    /// Memory with `latency` cycles per access and `max_inflight`
-    /// concurrent requests (0 = unlimited).
-    pub fn new(latency: u64, max_inflight: usize) -> Self {
+    /// Memory with `latency` cycles per access.
+    pub fn new(latency: u64) -> Self {
         Dram {
             latency,
-            max_inflight,
             in_service: VecDeque::new(),
-            waiting: VecDeque::new(),
             accepted: 0,
             completed: 0,
         }
@@ -38,11 +30,7 @@ impl<T> Dram<T> {
     /// Submit a request at cycle `now`.
     pub fn request(&mut self, now: u64, payload: T) {
         self.accepted += 1;
-        if self.max_inflight == 0 || self.in_service.len() < self.max_inflight {
-            self.in_service.push_back((now + self.latency, payload));
-        } else {
-            self.waiting.push_back(payload);
-        }
+        self.in_service.push_back((now + self.latency, payload));
     }
 
     /// Advance to cycle `now`, appending payloads whose access
@@ -54,32 +42,19 @@ impl<T> Dram<T> {
             if let Some((_, payload)) = self.in_service.pop_front() {
                 out.push(payload);
                 self.completed += 1;
-                // Promote a waiter into the freed slot.
-                if let Some(w) = self.waiting.pop_front() {
-                    self.in_service.push_back((now + self.latency, w));
-                }
             } else {
                 break;
             }
         }
     }
 
-    /// Requests currently in service or waiting.
-    pub fn pending(&self) -> usize {
-        self.in_service.len() + self.waiting.len()
-    }
-
     /// Earliest cycle ≥ `from` at which a tick completes a request:
-    /// the head of `in_service` (ordered by ready-at), `from` when a
-    /// waiter exists without anything in service (defensive — promotion
-    /// happens at completion time, so the state is unreachable through
-    /// ticks), `u64::MAX` when empty (skip-ahead horizon).
+    /// the head of `in_service` (ordered by ready-at), `u64::MAX` when
+    /// empty (skip-ahead horizon).
     pub fn next_event_cycle(&self, from: u64) -> u64 {
-        match self.in_service.front() {
-            Some(&(at, _)) => at.max(from),
-            None if !self.waiting.is_empty() => from,
-            None => u64::MAX,
-        }
+        self.in_service
+            .front()
+            .map_or(u64::MAX, |&(at, _)| at.max(from))
     }
 
     /// (accepted, completed).
@@ -101,7 +76,7 @@ mod tests {
 
     #[test]
     fn completes_after_latency() {
-        let mut d: Dram<u32> = Dram::new(250, 0);
+        let mut d: Dram<u32> = Dram::new(250);
         d.request(0, 1);
         assert!(tick(&mut d, 249).is_empty());
         assert_eq!(tick(&mut d, 250), vec![1]);
@@ -109,7 +84,7 @@ mod tests {
 
     #[test]
     fn unlimited_inflight_overlaps() {
-        let mut d: Dram<u32> = Dram::new(10, 0);
+        let mut d: Dram<u32> = Dram::new(10);
         d.request(0, 1);
         d.request(0, 2);
         d.request(5, 3);
@@ -118,24 +93,12 @@ mod tests {
     }
 
     #[test]
-    fn bounded_inflight_queues() {
-        let mut d: Dram<u32> = Dram::new(10, 1);
-        d.request(0, 1);
-        d.request(0, 2);
-        assert_eq!(d.pending(), 2);
-        assert_eq!(tick(&mut d, 10), vec![1]);
-        // Request 2 started at cycle 10, finishes at 20.
-        assert!(tick(&mut d, 19).is_empty());
-        assert_eq!(tick(&mut d, 20), vec![2]);
-    }
-
-    #[test]
     fn stats_track_accepted_and_completed() {
-        let mut d: Dram<u32> = Dram::new(5, 0);
+        let mut d: Dram<u32> = Dram::new(5);
         d.request(0, 1);
         d.request(1, 2);
         tick(&mut d, 100);
         assert_eq!(d.stats(), (2, 2));
-        assert_eq!(d.pending(), 0);
+        assert_eq!(d.next_event_cycle(100), u64::MAX, "nothing left in service");
     }
 }

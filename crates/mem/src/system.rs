@@ -121,8 +121,6 @@ pub struct MemConfig {
     pub l2_bank_cycles: u64,
     /// Main memory latency (250).
     pub dram_cycles: u64,
-    /// Max concurrent DRAM accesses (0 = unlimited).
-    pub dram_max_inflight: usize,
     /// Enable a next-line L1D prefetcher: every demand load miss also
     /// fetches the following line (if it is absent and an MSHR is
     /// free). Off in the paper's machine; exists for the future-work
@@ -167,7 +165,6 @@ impl MemConfig {
             l2_banks: 4,
             l2_bank_cycles: 15,
             dram_cycles: 250,
-            dram_max_inflight: 0,
             next_line_prefetch: false,
             l2_clusters: 1,
             faults: FaultPlan::none(),
@@ -429,7 +426,7 @@ impl MemorySystem {
             banks: (0..cfg.l2_clusters * cfg.l2_banks)
                 .map(|_| L2Bank::new(bank_geom, cfg.l2_bank_cycles))
                 .collect(),
-            dram: Dram::new(cfg.dram_cycles, cfg.dram_max_inflight),
+            dram: Dram::new(cfg.dram_cycles),
             bus_scratch: Vec::new(),
             dram_scratch: Vec::new(),
             waiter_scratch: Vec::new(),

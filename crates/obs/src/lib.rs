@@ -351,23 +351,12 @@ pub const METRIC_SERVE_SHED_TOTAL: MetricSpec = MetricSpec {
     figure: "",
 };
 
-/// Job retries after JobPanicked (never after a watchdog abort), paced by seeded backoff.
-pub const METRIC_SERVE_RETRIES_TOTAL: MetricSpec = MetricSpec {
-    name: "serve.retries_total",
-    unit: "retries",
-    kind: MetricKind::Counter,
-    krate: "serve",
-    doc: "Job re-executions after JobPanicked (the only transient SimError; a watchdog abort is answered after one attempt), paced by fingerprint-seeded backoff.",
-    figure: "",
-};
-
 /// Every serve-layer metric, in documentation order.
 pub const SERVE_METRICS: &[MetricSpec] = &[
     METRIC_SERVE_QUEUE_DEPTH,
     METRIC_SERVE_CACHE_HITS,
     METRIC_SERVE_CACHE_MISSES,
     METRIC_SERVE_SHED_TOTAL,
-    METRIC_SERVE_RETRIES_TOTAL,
 ];
 
 #[cfg(test)]

@@ -16,10 +16,8 @@ pub struct ServeFaultPlan {
     /// — the classic torn write a kill -9 leaves behind.
     pub torn_cache_write_for: Option<u64>,
     /// Synthesize `SimError::JobPanicked` for this ordinal's job
-    /// instead of simulating, for its first `poison_attempts` tries.
+    /// instead of simulating it.
     pub poison_job_for: Option<u64>,
-    /// How many attempts of the poisoned job fail before it heals.
-    pub poison_attempts: u32,
     /// Sleep `stall_ms` before responding to this ordinal (drives the
     /// client-timeout and queue-overflow tests).
     pub stall_response_for: Option<u64>,
@@ -38,10 +36,9 @@ impl ServeFaultPlan {
         self.torn_cache_write_for == Some(ordinal)
     }
 
-    /// True when `ordinal`'s job attempt `attempt` (0-based) should
-    /// fail as a synthetic panic.
-    pub fn wants_poisoned_job(&self, ordinal: u64, attempt: u32) -> bool {
-        self.poison_job_for == Some(ordinal) && attempt < self.poison_attempts
+    /// True when `ordinal`'s job should fail as a synthetic panic.
+    pub fn wants_poisoned_job(&self, ordinal: u64) -> bool {
+        self.poison_job_for == Some(ordinal)
     }
 
     /// Stall duration for `ordinal`, if any.
@@ -60,21 +57,8 @@ mod tests {
         for ordinal in 0..8 {
             assert!(!p.wants_response_drop(ordinal));
             assert!(!p.wants_torn_cache_write(ordinal));
-            assert!(!p.wants_poisoned_job(ordinal, 0));
+            assert!(!p.wants_poisoned_job(ordinal));
             assert_eq!(p.wants_response_stall(ordinal), None);
         }
-    }
-
-    #[test]
-    fn poison_heals_after_configured_attempts() {
-        let p = ServeFaultPlan {
-            poison_job_for: Some(3),
-            poison_attempts: 2,
-            ..ServeFaultPlan::default()
-        };
-        assert!(p.wants_poisoned_job(3, 0));
-        assert!(p.wants_poisoned_job(3, 1));
-        assert!(!p.wants_poisoned_job(3, 2), "third attempt succeeds");
-        assert!(!p.wants_poisoned_job(4, 0), "only the targeted ordinal");
     }
 }

@@ -15,11 +15,10 @@
 //! * per-request deadline via socket read/write timeouts (slow-loris
 //!   clients get 408 and the worker moves on), plus the simulator's
 //!   own forward-progress watchdog per job;
-//! * deterministic capped-exponential retry/backoff for jobs that die
-//!   by `JobPanicked`, the one transient failure — seeded from the
-//!   config fingerprint via splitmix64, so there is no wall-clock
-//!   jitter anywhere (the whole crate is D2-clean: it never reads a
-//!   clock);
+//! * one attempt per job: a panicking job is answered 500
+//!   (`JobPanicked`) and never cached, so the next request for the
+//!   same config simulates afresh; no wall-clock reads anywhere (the
+//!   whole crate is D2-clean);
 //! * bounded accept queue with load shedding (429 + `Retry-After`)
 //!   and 503 while draining, instead of unbounded memory growth;
 //! * graceful drain on `POST /shutdown`: in-flight jobs finish, the
@@ -34,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backoff;
 pub mod cli;
 pub mod client;
 pub mod fault;
@@ -43,7 +41,6 @@ pub mod metrics;
 pub mod request;
 pub mod server;
 
-pub use backoff::Backoff;
 pub use client::{http_get, http_post, ClientResponse};
 pub use fault::ServeFaultPlan;
 pub use metrics::ServeCounters;

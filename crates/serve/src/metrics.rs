@@ -19,9 +19,6 @@ pub struct ServeCounters {
     /// `serve.shed_total` — requests refused 429/503 under load or
     /// drain.
     pub shed_total: AtomicU64,
-    /// `serve.retries_total` — job re-executions after a retryable
-    /// failure.
-    pub retries_total: AtomicU64,
     /// Jobs actually simulated (not a registered metric; the dedup
     /// test pins it to prove coalescing never re-simulates).
     pub jobs_simulated: AtomicU64,
@@ -33,13 +30,12 @@ impl ServeCounters {
     pub fn healthz_json(&self, draining: bool) -> String {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         format!(
-            "{{\"status\":\"{}\",\"serve.queue_depth\":{},\"serve.cache_hits\":{},\"serve.cache_misses\":{},\"serve.shed_total\":{},\"serve.retries_total\":{},\"jobs_simulated\":{}}}\n",
+            "{{\"status\":\"{}\",\"serve.queue_depth\":{},\"serve.cache_hits\":{},\"serve.cache_misses\":{},\"serve.shed_total\":{},\"jobs_simulated\":{}}}\n",
             if draining { "draining" } else { "ok" },
             g(&self.queue_depth),
             g(&self.cache_hits),
             g(&self.cache_misses),
             g(&self.shed_total),
-            g(&self.retries_total),
             g(&self.jobs_simulated),
         )
     }

@@ -94,7 +94,6 @@ pub fn parse_sim_request(body: &str) -> Result<(SimConfig, String), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smtsim_core::ToJson;
 
     #[test]
     fn request_matches_cli_defaults() {
@@ -104,8 +103,8 @@ mod tests {
             ..RunParams::default()
         };
         assert_eq!(
-            cfg.to_json(),
-            cli.resolve().unwrap().to_json(),
+            format!("{cfg:?}"),
+            format!("{:?}", cli.resolve().unwrap()),
             "defaults must mirror `smtsim run`"
         );
         assert_eq!(label, "2W2/MFLUSH");

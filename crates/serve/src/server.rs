@@ -1,5 +1,5 @@
 //! The server: bounded accept queue, worker pool, fingerprint cache,
-//! in-flight dedup, deterministic retry, graceful drain.
+//! in-flight dedup, graceful drain.
 //!
 //! Threading model: one accept thread pushes connections into a
 //! bounded queue (shedding 429 when full, 503 while draining); N
@@ -27,7 +27,6 @@ use smtsim_core::json::write_escaped;
 use smtsim_core::sweep::JobOutcome;
 use smtsim_core::{run_sweep, SimConfig, SimError, SweepJob, ToJson};
 
-use crate::backoff::Backoff;
 use crate::fault::ServeFaultPlan;
 use crate::http::{read_http_request, respond_http, respond_http_truncated, HttpError};
 use crate::metrics::ServeCounters;
@@ -45,10 +44,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Socket read/write timeout per request, ms (0 = unbounded).
     pub request_timeout_ms: u64,
-    /// Total tries per job, counting the first (clamped to at least 1).
-    pub max_attempts: u32,
-    /// Ceiling for the per-fingerprint exponential backoff, ms.
-    pub backoff_cap_ms: u64,
     /// Tests-only fault injection; `Default` injects nothing.
     pub fault: ServeFaultPlan,
 }
@@ -61,8 +56,6 @@ impl Default for ServerConfig {
             max_queue: 16,
             workers: 2,
             request_timeout_ms: 2_000,
-            max_attempts: 3,
-            backoff_cap_ms: 50,
             fault: ServeFaultPlan::default(),
         }
     }
@@ -365,7 +358,7 @@ fn error_body(message: &str) -> String {
 }
 
 /// The `POST /run` lifecycle: validate, fingerprint, consult cache,
-/// dedup in-flight, simulate with retry, persist, answer.
+/// dedup in-flight, simulate, persist, answer.
 fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: &str) {
     if let Some(ms) = shared.cfg.fault.wants_response_stall(ordinal) {
         thread::sleep(Duration::from_millis(ms));
@@ -419,7 +412,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
         return;
     }
 
-    let outcome = execute_with_retry(shared, &cfg, &label, &fingerprint, ordinal);
+    let outcome = execute(shared, &cfg, &label, ordinal);
     persist_outcome(shared, ordinal, &label, &fingerprint, &outcome);
     {
         let mut done = lock_clean(&slot.done);
@@ -430,47 +423,28 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
     respond_outcome(shared, stream, ordinal, &outcome, "miss");
 }
 
-/// Run the job up to `max_attempts` times, sleeping the deterministic
-/// per-fingerprint backoff between transient failures
-/// ([`SimError::is_transient`]). A deterministic failure, such as the
-/// forward-progress watchdog, is answered after one attempt.
-fn execute_with_retry(
-    shared: &Arc<Shared>,
-    cfg: &SimConfig,
-    label: &str,
-    fingerprint: &str,
-    ordinal: u64,
-) -> JobOutcome {
-    let schedule = Backoff::for_fingerprint(fingerprint, shared.cfg.backoff_cap_ms);
-    let attempts = shared.cfg.max_attempts.max(1);
-    let mut last: JobOutcome = Err(SimError::InvalidConfig(String::from("no attempt ran")));
-    for attempt in 0..attempts {
-        last = if shared.cfg.fault.wants_poisoned_job(ordinal, attempt) {
-            Err(SimError::JobPanicked {
-                label: label.to_string(),
-                payload: String::from("injected poison (ServeFaultPlan)"),
-            })
-        } else {
-            ServeCounters::bump_tally(&shared.counters.jobs_simulated);
-            let job = SweepJob::new(label, cfg.clone());
-            match run_sweep(std::slice::from_ref(&job), 1).pop() {
-                Some((_, outcome)) => outcome,
-                None => Err(SimError::InvalidConfig(String::from(
-                    "sweep returned no outcome",
-                ))),
-            }
-        };
-        if !last.as_ref().is_err_and(SimError::is_transient) || attempt + 1 == attempts {
-            break;
-        }
-        ServeCounters::bump_tally(&shared.counters.retries_total);
-        thread::sleep(Duration::from_millis(schedule.delay_ms(attempt)));
+/// Run the job once. A panic comes back as `SimError::JobPanicked`
+/// (answered 500 and never cached); it is not retried, because a
+/// simulation is a pure function of its config.
+fn execute(shared: &Arc<Shared>, cfg: &SimConfig, label: &str, ordinal: u64) -> JobOutcome {
+    if shared.cfg.fault.wants_poisoned_job(ordinal) {
+        return Err(SimError::JobPanicked {
+            label: label.to_string(),
+            payload: String::from("injected poison (ServeFaultPlan)"),
+        });
     }
-    last
+    ServeCounters::bump_tally(&shared.counters.jobs_simulated);
+    let job = SweepJob::new(label, cfg.clone());
+    match run_sweep(std::slice::from_ref(&job), 1).pop() {
+        Some((_, outcome)) => outcome,
+        None => Err(SimError::InvalidConfig(String::from(
+            "sweep returned no outcome",
+        ))),
+    }
 }
 
-/// Record the outcome in the cache (which drops transient failures:
-/// a later request should retry, not replay them). The torn-write
+/// Record the outcome in the cache (which drops a panic: a later
+/// request simulates afresh rather than replay it). The torn-write
 /// fault swaps the append for half a line and skips the in-memory
 /// insert, leaving exactly what a kill -9 mid-append leaves.
 fn persist_outcome(
@@ -537,6 +511,5 @@ mod tests {
         assert_eq!(cfg.addr, "127.0.0.1:0");
         assert!(cfg.max_queue > 0);
         assert!(cfg.workers > 0);
-        assert!(cfg.max_attempts > 0);
     }
 }

@@ -209,39 +209,10 @@ fn mid_response_drop_is_a_client_error_not_corruption() {
 }
 
 #[test]
-fn poisoned_jobs_retry_deterministically_and_heal() {
+fn panicked_jobs_answer_500_and_are_not_cached() {
     let handle = launch(ServerConfig {
-        max_attempts: 3,
-        backoff_cap_ms: 20,
         fault: ServeFaultPlan {
             poison_job_for: Some(1),
-            poison_attempts: 2,
-            ..ServeFaultPlan::default()
-        },
-        ..ServerConfig::default()
-    });
-    let addr = handle.bound_addr();
-    let body = tiny_body(107);
-    let want = fresh_answer(&body);
-
-    let healed = http_post(&addr, "/run", &body, 30_000).expect("heals on attempt 3");
-    assert_eq!(healed.status, 200);
-    assert_eq!(healed.body, want, "post-retry answer must be byte-identical");
-    let c = handle.service_counters();
-    assert_eq!(c.retries_total.load(Ordering::Relaxed), 2);
-    assert_eq!(c.jobs_simulated.load(Ordering::Relaxed), 1);
-
-    shutdown_and_join(handle);
-}
-
-#[test]
-fn exhausted_retries_answer_500_and_are_not_cached() {
-    let handle = launch(ServerConfig {
-        max_attempts: 2,
-        backoff_cap_ms: 10,
-        fault: ServeFaultPlan {
-            poison_job_for: Some(1),
-            poison_attempts: 10, // never heals within the budget
             ..ServeFaultPlan::default()
         },
         ..ServerConfig::default()
@@ -252,31 +223,25 @@ fn exhausted_retries_answer_500_and_are_not_cached() {
     let failed = http_post(&addr, "/run", &body, 30_000).expect("responds");
     assert_eq!(failed.status, 500);
     assert!(failed.body.contains("job_panicked"), "{}", failed.body);
-    assert_eq!(
-        handle
-            .service_counters()
-            .retries_total
-            .load(Ordering::Relaxed),
-        1
-    );
+    assert_eq!(failed.header("x-cache"), Some("miss"));
+    // One attempt, and the injected panic stood in for it: nothing ran.
+    let c = handle.service_counters();
+    assert_eq!(c.jobs_simulated.load(Ordering::Relaxed), 0);
 
-    // Transient failures are not cached: the same config (ordinal 2,
-    // no longer poisoned) now simulates and succeeds.
+    // A panic is not cached: the same config (ordinal 2, no longer
+    // poisoned) now simulates and succeeds.
     let recovered = http_post(&addr, "/run", &body, 30_000).expect("responds");
     assert_eq!(recovered.status, 200);
     assert_eq!(recovered.header("x-cache"), Some("miss"));
     assert_eq!(recovered.body, fresh_answer(&body));
+    assert_eq!(c.jobs_simulated.load(Ordering::Relaxed), 1);
 
     shutdown_and_join(handle);
 }
 
 #[test]
 fn deterministic_failures_are_answered_once_and_not_retried() {
-    let handle = launch(ServerConfig {
-        max_attempts: 3,
-        backoff_cap_ms: 10,
-        ..ServerConfig::default()
-    });
+    let handle = launch(ServerConfig::default());
     let addr = handle.bound_addr();
     // A 1-cycle watchdog fires before the first commit: the watchdog
     // counts simulated cycles, so every attempt would fail identically.
@@ -287,7 +252,6 @@ fn deterministic_failures_are_answered_once_and_not_retried() {
     assert!(failed.body.contains("no_forward_progress"), "{}", failed.body);
     let c = handle.service_counters();
     assert_eq!(c.jobs_simulated.load(Ordering::Relaxed), 1);
-    assert_eq!(c.retries_total.load(Ordering::Relaxed), 0);
 
     shutdown_and_join(handle);
 }

@@ -2,8 +2,7 @@
 //! stream — the same quantities the benchmark profiles promise.
 //!
 //! Used to validate that generated streams deliver their calibration
-//! targets (the profile-fidelity tests) and by the `trace_tools`
-//! example to summarise captured traces.
+//! targets (the profile-fidelity tests).
 
 use crate::instr::{DynInstr, InstrClass, UncondKind};
 use crate::stream::InstrStream;

@@ -46,7 +46,6 @@ pub mod instr;
 pub mod memstream;
 pub mod profile;
 pub mod rng;
-pub mod serialize;
 pub mod spec;
 pub mod stream;
 
@@ -57,5 +56,4 @@ pub use instr::{DynInstr, InstrClass, LogReg, UncondKind, NUM_LOG_REGS};
 pub use memstream::{MemRegion, MemStream};
 pub use profile::{BenchProfile, InstrMix, MemProfile, Suite};
 pub use rng::{SplitMix64, Xoshiro256pp};
-pub use serialize::{TraceError, TraceReader, TraceWriter};
 pub use stream::{InstrStream, ReplayableStream};

@@ -51,7 +51,6 @@ echo "== robustness (fault injection, watchdog, kill-resume) =="
 # bar visible and adds the cross-process kill -9 resume check, which no
 # in-process test can cover.
 cargo test -q --offline -p smtsim-core --test robustness
-cargo test -q --offline -p smtsim-trace --test corruption
 cargo test -q --offline -p smtsim-mem --lib fault
 scripts/kill_resume_smoke.sh
 
