@@ -18,7 +18,9 @@ use crate::thread::{FetchGate, FrontendEntry, ThreadCtx, ThreadProgram, WrongPat
 use crate::wheel::{CompletionWheel, Due};
 use smtsim_energy::{PipelineStage, SquashCause};
 use smtsim_mem::addr::{bank_of, line_base};
-use smtsim_mem::{AccessKind, AccessResult, Completion, MemEvent, MemoryModel, ReqId};
+use smtsim_mem::{
+    AccessKind, AccessResult, Completion, MemEvent, MemoryModel, ReqId, WarmRegion,
+};
 
 use smtsim_obs::{EventRing, TraceEvent};
 use smtsim_policy::{FetchPolicy, PolicyAction, ThreadSnapshot};
@@ -246,41 +248,12 @@ impl SmtCore {
     /// D-TLB). The main-memory stream stays cold — those accesses are
     /// *supposed* to miss. Call once before the measurement loop.
     pub fn prewarm(&mut self, mem: &mut MemoryModel) {
-        const LINE: u64 = 64;
-        const PAGE: u64 = 8192;
+        let core = self.core_id;
         for t in &self.threads {
-            // Code.
-            let base = t.dict.entry_pc();
-            let bytes = t.dict.code_bytes();
-            let mut a = base;
-            while a < base + bytes {
-                mem.prewarm_line(self.core_id, AccessKind::IFetch, a);
-                a += LINE;
-            }
-            let mut p = base & !(PAGE - 1);
-            while p < base + bytes {
-                mem.prewarm_tlb(self.core_id, AccessKind::IFetch, p);
-                p += PAGE;
-            }
-            // Data: L1 region into L1D + L2; L2 region into L2 only.
             let [(l1b, l1s), (l2b, l2s)] = t.warm_regions;
-            let mut a = l1b;
-            while a < l1b + l1s {
-                mem.prewarm_line(self.core_id, AccessKind::Load, a);
-                a += LINE;
-            }
-            let mut a = l2b;
-            while a < l2b + l2s {
-                mem.prewarm_l2_line(self.core_id, a);
-                a += LINE;
-            }
-            for (rb, rs) in [(l1b, l1s), (l2b, l2s)] {
-                let mut p = rb & !(PAGE - 1);
-                while p < rb + rs {
-                    mem.prewarm_tlb(self.core_id, AccessKind::Load, p);
-                    p += PAGE;
-                }
-            }
+            mem.prewarm_range(core, WarmRegion::Code, t.dict.entry_pc(), t.dict.code_bytes());
+            mem.prewarm_range(core, WarmRegion::L1Data, l1b, l1s);
+            mem.prewarm_range(core, WarmRegion::L2Data, l2b, l2s);
         }
     }
 

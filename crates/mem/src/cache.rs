@@ -59,16 +59,48 @@ pub enum AccessOutcome {
     Miss,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// Low bits of [`Line::meta`]; the use stamp sits above them.
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
+
+/// One tag-array entry in 16 bytes: the tag and one metadata word,
+/// `meta = last_use << 2 | dirty << 1 | valid`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_use: u64,
+    meta: u64,
+}
+
+impl Line {
+    #[inline]
+    fn valid(&self) -> bool {
+        self.meta & VALID != 0
+    }
+
+    #[inline]
+    fn dirty(&self) -> bool {
+        self.meta & DIRTY != 0
+    }
+
+    #[inline]
+    fn last_use(&self) -> u64 {
+        self.meta >> 2
+    }
+
+    #[inline]
+    fn holds(&self, tag: u64) -> bool {
+        self.valid() && self.tag == tag
+    }
+
+    /// Refresh a resident line: new stamp, dirty bit sticky.
+    #[inline]
+    fn touch(&mut self, stamp: u64, dirty: bool) {
+        self.meta = stamp << 2 | (self.meta & DIRTY) | (dirty as u64) << 1 | VALID;
+    }
 }
 
 /// Tag-only set-associative cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
@@ -106,14 +138,11 @@ impl SetAssocCache {
         self.geometry
     }
 
+    /// `(set, tag)` of `addr`.
     #[inline]
-    fn set_of(&self, addr: u64) -> usize {
-        (line_index(addr) % self.sets) as usize
-    }
-
-    #[inline]
-    fn tag_of(&self, addr: u64) -> u64 {
-        line_index(addr) / self.sets
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = line_index(addr);
+        ((line % self.sets) as usize, line / self.sets)
     }
 
     #[inline]
@@ -125,12 +154,11 @@ impl SetAssocCache {
     /// Probe without updating replacement state or stats (used by tag
     /// checks that should not disturb LRU, e.g. MSHR merging checks).
     pub fn probe(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
+        let (set, tag) = self.locate(addr);
         let start = set * self.ways;
         self.lines[start..start + self.ways]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.holds(tag))
     }
 
     /// Access `addr`; on a hit, update recency (and the dirty bit for
@@ -139,14 +167,10 @@ impl SetAssocCache {
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
         self.stamp += 1;
         let stamp = self.stamp;
-        let tag = self.tag_of(addr);
-        let set = self.set_of(addr);
+        let (set, tag) = self.locate(addr);
         for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
-                l.last_use = stamp;
-                if is_write {
-                    l.dirty = true;
-                }
+            if l.holds(tag) {
+                l.touch(stamp, is_write);
                 self.hits += 1;
                 return AccessOutcome::Hit;
             }
@@ -167,55 +191,74 @@ impl SetAssocCache {
     /// Install the line for `addr`. Returns the evicted line's base
     /// address if a **dirty** line had to be written back.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<u64> {
+        let (set, tag) = self.locate(addr);
+        self.fill_at(set, tag, dirty)
+    }
+
+    /// Install `count` clean lines: the line holding `first`, then every
+    /// `step`-th line after it, in ascending order — the same state as
+    /// that many [`SetAssocCache::fill`] calls, with the set and tag
+    /// carried forward instead of divided out per line. Dirty victims
+    /// are dropped without a writeback (cache warm-up runs before any
+    /// line is written).
+    pub fn fill_lines(&mut self, first: u64, count: u64, step: u64) {
+        let (mut set, mut tag) = self.locate(first);
+        let sets = self.sets as usize;
+        let (tag_step, set_step) = (step / self.sets, (step % self.sets) as usize);
+        for _ in 0..count {
+            let _ = self.fill_at(set, tag, false);
+            set += set_step;
+            tag += tag_step;
+            if set >= sets {
+                set -= sets;
+                tag += 1;
+            }
+        }
+    }
+
+    fn fill_at(&mut self, set: usize, tag: u64, dirty: bool) -> Option<u64> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let tag = self.tag_of(addr);
-        let set = self.set_of(addr);
-        let sets = self.sets;
-
-        // Already present (e.g. racing fills after an MSHR merge): just
-        // refresh.
         let slice_start = set * self.ways;
-        for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
-                l.last_use = stamp;
-                l.dirty |= dirty;
+
+        // One scan: an already-present line (e.g. racing fills after an
+        // MSHR merge) is just refreshed; otherwise note the first
+        // invalid way.
+        let mut free = None;
+        for (i, l) in self.set_slice(set).iter_mut().enumerate() {
+            if l.holds(tag) {
+                l.touch(stamp, dirty);
                 return None;
+            }
+            if free.is_none() && !l.valid() {
+                free = Some(i);
             }
         }
         // Pick a victim: first invalid way, else by policy.
-        let victim_idx = {
-            let slice = &self.lines[slice_start..slice_start + self.ways];
-            if let Some(i) = slice.iter().position(|l| !l.valid) {
-                i
-            } else {
-                match self.policy {
-                    // `unwrap_or(0)` never fires: a set has ≥ 1 way by
-                    // geometry validation, and way 0 is a sound victim.
-                    ReplacementPolicy::Lru => slice
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.last_use)
-                        .map(|(i, _)| i)
-                        .unwrap_or(0),
-                    ReplacementPolicy::Random => {
-                        (self.xorshift() % self.ways as u64) as usize
-                    }
-                }
-            }
+        let victim_idx = match free {
+            Some(i) => i,
+            None => match self.policy {
+                // `unwrap_or(0)` never fires: a set has ≥ 1 way by
+                // geometry validation, and way 0 is a sound victim.
+                ReplacementPolicy::Lru => self.lines[slice_start..slice_start + self.ways]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.last_use())
+                    .map(|(i, _)| i)
+                    .unwrap_or(0),
+                ReplacementPolicy::Random => (self.xorshift() % self.ways as u64) as usize,
+            },
         };
         let victim = &mut self.lines[slice_start + victim_idx];
-        let writeback = if victim.valid && victim.dirty {
+        let writeback = if victim.valid() && victim.dirty() {
             // Reconstruct the victim's base address from (tag, set).
-            Some((victim.tag * sets + set as u64) * LINE_BYTES)
+            Some((victim.tag * self.sets + set as u64) * LINE_BYTES)
         } else {
             None
         };
         *victim = Line {
             tag,
-            valid: true,
-            dirty,
-            last_use: stamp,
+            meta: stamp << 2 | (dirty as u64) << 1 | VALID,
         };
         writeback
     }
@@ -223,11 +266,10 @@ impl SetAssocCache {
     /// Invalidate the line holding `addr`, if present. Returns true when
     /// a line was invalidated.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let tag = self.tag_of(addr);
-        let set = self.set_of(addr);
+        let (set, tag) = self.locate(addr);
         for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
-                l.valid = false;
+            if l.holds(tag) {
+                l.meta &= !VALID;
                 return true;
             }
         }
@@ -241,7 +283,7 @@ impl SetAssocCache {
 
     /// Number of valid lines (for tests / occupancy reporting).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 
     /// Total line slots.
@@ -263,6 +305,59 @@ mod tests {
             },
             ReplacementPolicy::Lru,
         )
+    }
+
+    #[test]
+    fn tag_lines_pack_into_16_bytes() {
+        assert_eq!(std::mem::size_of::<Line>(), 16);
+    }
+
+    #[test]
+    fn refresh_keeps_the_dirty_bit() {
+        let mut c = small_cache(1);
+        c.fill(0, true);
+        assert_eq!(c.fill(0, false), None, "refill of a resident line");
+        assert_eq!(c.access(0, false), AccessOutcome::Hit, "read hit");
+        assert_eq!(c.fill(4 * 64, false), Some(0), "still dirty after refreshes");
+    }
+
+    #[test]
+    fn invalidate_keeps_the_lru_order_of_other_ways() {
+        let mut c = small_cache(4); // 4 sets × 4 ways; set 0 = lines 0, 4, 8, ...
+        let line = |i: u64| i * 4 * 64;
+        for i in 0..4 {
+            c.fill(line(i), false);
+        }
+        c.access(line(0), false); // recency, oldest first: 1, 2, 3, 0
+        assert!(c.invalidate(line(2)));
+        c.fill(line(4), false); // takes the invalidated way
+        assert!(c.probe(line(1)) && c.probe(line(3)) && c.probe(line(0)));
+        c.fill(line(5), false); // evicts 1, the oldest survivor
+        assert!(!c.probe(line(1)));
+        c.fill(line(6), false); // then 3
+        assert!(!c.probe(line(3)));
+        assert!(c.probe(line(0)) && c.probe(line(4)));
+    }
+
+    #[test]
+    fn dirty_victim_writeback_address_in_a_12_way_bank() {
+        // Non-power-of-two set count: the victim address is rebuilt
+        // from (tag, set), so a large tag must survive the packing.
+        let mut c = SetAssocCache::new(
+            CacheGeometry {
+                bytes: 1 << 20,
+                ways: 12,
+                line_bytes: 64,
+            },
+            ReplacementPolicy::Lru,
+        );
+        let span = c.geometry().sets() * 64; // same set, next tag
+        let dirty = 0x7_1234_5000 + 17 * 64;
+        c.fill(dirty, true);
+        for k in 1..12 {
+            assert_eq!(c.fill(dirty + k * span, false), None);
+        }
+        assert_eq!(c.fill(dirty + 12 * span, false), Some(dirty));
     }
 
     #[test]

@@ -28,7 +28,8 @@ use crate::addr::{bank_of, line_base};
 use crate::cache::{AccessOutcome, CacheGeometry, ReplacementPolicy, SetAssocCache};
 use crate::histogram::LatencyHistogram;
 use crate::system::{
-    AccessKind, AccessResult, Completion, CoreMemStats, MemConfig, MemEvent, MemStats, ReqId,
+    prewarm_private, warm_line_count, AccessKind, AccessResult, Completion, CoreMemStats,
+    MemConfig, MemEvent, MemStats, ReqId, WarmRegion,
 };
 use crate::tlb::Tlb;
 use smtsim_obs::{EventRing, TraceEvent};
@@ -361,43 +362,21 @@ impl FastMemory {
         self.total_completions
     }
 
-    /// Warm one line into the L1 of `core` and its cluster's L2 without
-    /// spending simulated time or touching statistics.
-    pub fn prewarm_line(&mut self, core: u32, kind: AccessKind, addr: u64) {
-        let line = line_base(addr);
+    /// Warm `[base, base + bytes)` into `region`'s L1 and TLB of `core`
+    /// and its cluster's L2 without spending simulated time or touching
+    /// statistics (same contract as
+    /// [`crate::MemorySystem::prewarm_range`]).
+    pub fn prewarm_range(&mut self, core: u32, region: WarmRegion, base: u64, bytes: u64) {
         let port = &mut self.cores[core as usize];
-        match kind {
-            AccessKind::IFetch => {
-                port.l1i.fill(line, false);
-            }
-            AccessKind::Load | AccessKind::Store => {
-                port.l1d.fill(line, kind == AccessKind::Store);
-            }
-        }
+        prewarm_private(
+            region,
+            (&mut port.l1i, &mut port.l1d),
+            (&mut port.itlb, &mut port.dtlb),
+            base,
+            bytes,
+        );
         let cluster = self.cfg.cluster_of(core) as usize;
-        let _ = self.l2[cluster].fill(line, false);
-    }
-
-    /// Warm a line into `core`'s L2 cluster only.
-    pub fn prewarm_l2_line(&mut self, core: u32, addr: u64) {
-        let cluster = self.cfg.cluster_of(core) as usize;
-        let _ = self.l2[cluster].fill(line_base(addr), false);
-    }
-
-    /// Warm the page of `addr` into `core`'s I- or D-TLB.
-    pub fn prewarm_tlb(&mut self, core: u32, kind: AccessKind, addr: u64) {
-        let port = &mut self.cores[core as usize];
-        match kind {
-            AccessKind::IFetch => {
-                port.itlb.access(addr);
-            }
-            AccessKind::Load | AccessKind::Store => {
-                port.dtlb.access(addr);
-            }
-        }
-        // Warming must not perturb statistics.
-        port.stats.itlb_misses = 0;
-        port.stats.dtlb_misses = 0;
+        self.l2[cluster].fill_lines(base, warm_line_count(bytes), 1);
     }
 
     /// Diagnostic: scheduled completions as `(req, core, kind, addr,
@@ -486,8 +465,7 @@ mod tests {
     fn l2_hit_after_l1_eviction_uses_nominal_miss_latency() {
         let mut m = fast(1);
         // Prewarm the L2 (not the L1) so the access is an L1-miss/L2-hit.
-        m.prewarm_l2_line(0, 0x8000);
-        m.prewarm_tlb(0, AccessKind::Load, 0x8000);
+        m.prewarm_range(0, WarmRegion::L2Data, 0x8000, 64);
         let req = match m.access(0, AccessKind::Load, 0x8000, 5) {
             AccessResult::Miss { req, tlb_miss } => {
                 assert!(!tlb_miss);
@@ -504,7 +482,8 @@ mod tests {
     #[test]
     fn l2_miss_detection_event_precedes_completion() {
         let mut m = fast(1);
-        m.prewarm_tlb(0, AccessKind::Load, 0x9000);
+        // Warms the D-TLB page of 0x9000 but only the L2 line at 0x8000.
+        m.prewarm_range(0, WarmRegion::L2Data, 0x8000, 64);
         let req = match m.access(0, AccessKind::Load, 0x9000, 0) {
             AccessResult::Miss { req, .. } => req,
             other => panic!("{other:?}"),

@@ -155,10 +155,11 @@ impl<T: Copy> L2Bank<T> {
         (self.serviced, self.queue_delay_sum, self.queue_peak)
     }
 
-    /// Install a line directly in the tag array, bypassing the port —
-    /// cache warm-up before measurement (trace-driven methodology).
-    pub fn prewarm(&mut self, addr: u64) {
-        self.cache.fill(addr, false);
+    /// Install `count` lines directly in the tag array — the line of
+    /// `first`, then every `step`-th line — bypassing the port: cache
+    /// warm-up before measurement (trace-driven methodology).
+    pub fn prewarm_lines(&mut self, first: u64, count: u64, step: u64) {
+        self.cache.fill_lines(first, count, step);
     }
 
     /// Direct cache stats (hits, misses) of the bank slice.

@@ -71,6 +71,6 @@ pub use metrics::METRICS;
 pub use model::{MemFidelity, MemoryModel};
 pub use system::{
     AccessKind, AccessResult, Completion, CoreMemStats, MemConfig, MemEvent, MemStats,
-    MemorySystem, ReqId,
+    MemorySystem, ReqId, WarmRegion,
 };
 pub use tlb::Tlb;

@@ -18,6 +18,7 @@ use crate::fastmem::FastMemory;
 use crate::histogram::LatencyHistogram;
 use crate::system::{
     AccessKind, AccessResult, Completion, MemConfig, MemEvent, MemStats, MemorySystem, ReqId,
+    WarmRegion,
 };
 use smtsim_obs::EventRing;
 
@@ -204,20 +205,10 @@ impl MemoryModel {
         dispatch!(self, total_completions())
     }
 
-    /// Warm one line into the hierarchy without spending simulated time
-    /// or touching statistics.
-    pub fn prewarm_line(&mut self, core: u32, kind: AccessKind, addr: u64) {
-        dispatch!(self, prewarm_line(core, kind, addr))
-    }
-
-    /// Warm a line into `core`'s shared L2 cluster only.
-    pub fn prewarm_l2_line(&mut self, core: u32, addr: u64) {
-        dispatch!(self, prewarm_l2_line(core, addr))
-    }
-
-    /// Warm the page of `addr` into `core`'s I- or D-TLB.
-    pub fn prewarm_tlb(&mut self, core: u32, kind: AccessKind, addr: u64) {
-        dispatch!(self, prewarm_tlb(core, kind, addr))
+    /// Warm `[base, base + bytes)` into `region`'s caches and TLB of
+    /// `core` without spending simulated time or touching statistics.
+    pub fn prewarm_range(&mut self, core: u32, region: WarmRegion, base: u64, bytes: u64) {
+        dispatch!(self, prewarm_range(core, region, base, bytes))
     }
 
     /// Diagnostic: live request ids with (core, kind, addr, issued_at).

@@ -7,7 +7,7 @@
 //! intermediate events (currently: L2-miss detection, the hook the
 //! non-speculative FLUSH policy needs).
 
-use crate::addr::{bank_of, l1_bank_of, line_base, LINE_BYTES};
+use crate::addr::{bank_of, l1_bank_of, line_base, line_index, page_base, LINE_BYTES, PAGE_BYTES};
 use crate::fault::FaultPlan;
 
 /// Local alias keeping arithmetic sites terse.
@@ -37,6 +37,52 @@ pub enum AccessKind {
     Load,
     /// Data store (write-allocate into L1D).
     Store,
+}
+
+/// Which structures a [`MemorySystem::prewarm_range`] call warms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmRegion {
+    /// Code: the L1I, the L2 and the I-TLB.
+    Code,
+    /// An L1-resident working set: the L1D, the L2 and the D-TLB.
+    L1Data,
+    /// An L2-resident working set: the L2 and the D-TLB.
+    L2Data,
+}
+
+/// Number of lines a warm of `bytes` covers: one per 64 bytes stepped
+/// from the start address, the first being the line holding it.
+pub(crate) fn warm_line_count(bytes: u64) -> u64 {
+    bytes.div_ceil(LINE_BYTES)
+}
+
+/// The core-private half of a range warm, shared by both memory models:
+/// the region's L1 lines, then every page overlapping
+/// `[base, base + bytes)` in its TLB, each in ascending order.
+pub(crate) fn prewarm_private(
+    region: WarmRegion,
+    (l1i, l1d): (&mut SetAssocCache, &mut SetAssocCache),
+    (itlb, dtlb): (&mut Tlb, &mut Tlb),
+    base: u64,
+    bytes: u64,
+) {
+    let lines = warm_line_count(bytes);
+    let tlb = match region {
+        WarmRegion::Code => {
+            l1i.fill_lines(base, lines, 1);
+            itlb
+        }
+        WarmRegion::L1Data => {
+            l1d.fill_lines(base, lines, 1);
+            dtlb
+        }
+        WarmRegion::L2Data => dtlb,
+    };
+    let mut page = page_base(base);
+    while page < base + bytes {
+        tlb.access(page);
+        page += PAGE_BYTES;
+    }
 }
 
 /// Outcome of [`MemorySystem::access`].
@@ -999,52 +1045,48 @@ impl MemorySystem {
         self.total_completions
     }
 
-    /// Warm one line into the hierarchy without spending simulated time
-    /// or touching statistics: the line is installed in the appropriate
-    /// L1 of `core` and in its shared L2 bank.
+    /// Warm `[base, base + bytes)` into the hierarchy without spending
+    /// simulated time or touching statistics: `region`'s L1 and TLB of
+    /// `core`, and its cluster's shared L2 banks.
     ///
     /// Trace-driven methodology: the paper simulates the most
     /// representative 300M-instruction SimPoint segment of each
     /// benchmark, i.e. the caches start *warm*. Drivers use this to
     /// reproduce that starting condition before measurement.
-    pub fn prewarm_line(&mut self, core: u32, kind: AccessKind, addr: u64) {
-        let line = line_base(addr);
+    ///
+    /// Lines interleave across the banks, so bank `k` of the range takes
+    /// every `l2_banks`-th line from the range's `k`-th; every cache sees
+    /// its lines in ascending order, as a line-by-line warm would.
+    pub fn prewarm_range(&mut self, core: u32, region: WarmRegion, base: u64, bytes: u64) {
         let port = &mut self.cores[core as usize];
-        match kind {
-            AccessKind::IFetch => {
-                port.l1i.fill(line, false);
-            }
-            AccessKind::Load | AccessKind::Store => {
-                port.l1d.fill(line, kind == AccessKind::Store);
-            }
+        prewarm_private(
+            region,
+            (&mut port.l1i, &mut port.l1d),
+            (&mut port.itlb, &mut port.dtlb),
+            base,
+            bytes,
+        );
+        let lines = warm_line_count(bytes);
+        let banks = self.cfg.l2_banks as u64;
+        let cluster = self.cfg.cluster_of(core);
+        for k in 0..banks.min(lines) {
+            let first = (line_index(base) + k) * LINE_BYTES;
+            let bank = self.bank_index(cluster, first);
+            self.banks[bank].prewarm_lines(first, (lines - k).div_ceil(banks), banks);
         }
-        // Direct tag-array install, bypassing the port timing.
-        let bank = self.bank_index(self.cfg.cluster_of(core), line);
-        self.banks[bank].prewarm(line);
     }
 
-    /// Warm a line into `core`'s shared L2 cluster only (for working
-    /// sets larger than the L1s).
-    pub fn prewarm_l2_line(&mut self, core: u32, addr: u64) {
-        let line = line_base(addr);
-        let bank = self.bank_index(self.cfg.cluster_of(core), line);
-        self.banks[bank].prewarm(line);
+    /// Test/diagnostic access to `core`'s private tag state:
+    /// `(L1I, L1D, I-TLB, D-TLB)`.
+    pub fn debug_core_tags(&self, core: u32) -> (&SetAssocCache, &SetAssocCache, &Tlb, &Tlb) {
+        let p = &self.cores[core as usize];
+        (&p.l1i, &p.l1d, &p.itlb, &p.dtlb)
     }
 
-    /// Warm the page of `addr` into `core`'s I- or D-TLB.
-    pub fn prewarm_tlb(&mut self, core: u32, kind: AccessKind, addr: u64) {
-        let port = &mut self.cores[core as usize];
-        match kind {
-            AccessKind::IFetch => {
-                port.itlb.access(addr);
-            }
-            AccessKind::Load | AccessKind::Store => {
-                port.dtlb.access(addr);
-            }
-        }
-        // Warming must not perturb statistics.
-        port.stats.itlb_misses = 0;
-        port.stats.dtlb_misses = 0;
+    /// Test/diagnostic access to the tag array of L2 bank `bank`
+    /// (`cluster * l2_banks + line bank`).
+    pub fn debug_bank_tags(&self, bank: usize) -> &SetAssocCache {
+        self.banks[bank].cache()
     }
 
     /// Diagnostic: live request ids with (core, kind, addr, issued_at).
@@ -1416,7 +1458,7 @@ mod tests {
         let mut m = MemorySystem::new(cfg);
         // Warm the same line set into each core's own cluster.
         for core in 0..2u32 {
-            m.prewarm_l2_line(core, 0x40_0000);
+            m.prewarm_range(core, WarmRegion::L2Data, 0x40_0000, 64);
         }
         let mut reqs = Vec::new();
         for core in 0..2u32 {
@@ -1425,8 +1467,9 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        // Both L2 hits complete uncontended (22 + TLB walk 300 cycles)
-        // because each cluster has its own bank 0.
+        // Both L2 hits complete uncontended (22 cycles; the warm also
+        // installed the D-TLB page) because each cluster has its own
+        // bank 0.
         let mut latencies = Vec::new();
         for (core, req) in reqs {
             let (c, _) = run_until_complete(&mut m, core, req, 0);

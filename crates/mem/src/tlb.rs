@@ -19,7 +19,7 @@ const EMPTY: u64 = u64::MAX;
 /// definition. Replacement is exact LRU over unique use-stamps, so the
 /// observable behaviour (hit/miss sequence, victim choice, stats) is
 /// independent of the table layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tlb {
     /// `(page, last-use stamp)`; `page == EMPTY` marks a free slot.
     slots: Vec<(u64, u64)>,

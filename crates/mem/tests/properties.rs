@@ -2,8 +2,11 @@
 //! reference models, on the in-repo harness (`smtsim_trace::check`).
 
 use smtsim_mem::util::Slab;
-use smtsim_mem::{CacheGeometry, LatencyHistogram, ReplacementPolicy, SetAssocCache, Tlb};
-use smtsim_trace::check::Cases;
+use smtsim_mem::{
+    CacheGeometry, LatencyHistogram, MemConfig, MemorySystem, ReplacementPolicy, SetAssocCache,
+    Tlb, WarmRegion,
+};
+use smtsim_trace::check::{Cases, Gen};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The slab behaves like a map: inserted values are retrievable until
@@ -132,6 +135,128 @@ fn cache_capacity_and_invalidate() {
                 assert!(cache.invalidate(line));
                 assert!(!cache.probe(line));
             }
+        }
+    });
+}
+
+fn geometry(g: &mut Gen, max_sets: u32) -> CacheGeometry {
+    let ways = *g.choose(&[1u32, 2, 3, 4, 12]);
+    CacheGeometry {
+        bytes: g.u64_in(1..max_sets as u64 + 1) * ways as u64 * 64,
+        ways,
+        line_bytes: 64,
+    }
+}
+
+/// `fill_lines` leaves a cache — tags, stamps, dirty bits, replacement
+/// RNG and stats — exactly as the same lines filled one by one, from a
+/// state that already holds clean, dirty and invalidated lines, under
+/// both replacement policies and with strides longer than a set cycle.
+#[test]
+fn prewarm_equivalence_fill_lines() {
+    Cases::new(64).run("prewarm_equivalence_fill_lines", |g| {
+        let policy = *g.choose(&[ReplacementPolicy::Lru, ReplacementPolicy::Random]);
+        let mut cache = SetAssocCache::new(geometry(g, 40), policy);
+        for _ in 0..g.usize_in(0..200) {
+            let a = g.u64_in(0..1 << 16);
+            match g.u32_in(0..4) {
+                0 => {
+                    cache.access(a, g.bool());
+                }
+                1 => {
+                    cache.invalidate(a);
+                }
+                _ => {
+                    cache.fill(a, g.bool());
+                }
+            }
+        }
+        let mut oracle = cache.clone();
+        let first = g.u64_in(0..1 << 20);
+        let count = g.u64_in(0..400);
+        let step = g.u64_in(1..100);
+        cache.fill_lines(first, count, step);
+        for i in 0..count {
+            oracle.fill((first & !63) + i * step * 64, false);
+        }
+        assert!(cache == oracle, "fill_lines({first:#x}, {count}, {step}) diverged");
+    });
+}
+
+/// `prewarm_range` leaves every L1I, L1D, L2-bank tag array and both TLBs
+/// exactly as the line-by-line warm it replaces: each 64-byte step from
+/// the base fills its line into the region's L1 and the core's cluster
+/// bank, then every page the range overlaps is touched in the region's
+/// TLB. Regions are unaligned, overlap, and may exceed the whole L2.
+#[test]
+fn prewarm_equivalence_system() {
+    Cases::new(48).run("prewarm_equivalence_system", |g| {
+        let mut cfg = MemConfig::paper(1);
+        cfg.l2_clusters = g.u32_in(1..3);
+        cfg.num_cores = cfg.l2_clusters * g.u32_in(1..3);
+        cfg.l1i = geometry(g, 16);
+        cfg.l1d = geometry(g, 16);
+        cfg.tlb_entries = g.usize_in(1..24);
+        cfg.l2_banks = g.u32_in(1..5);
+        let bank = geometry(g, 24);
+        cfg.l2_ways = bank.ways;
+        cfg.l2_bytes = bank.bytes * (cfg.l2_clusters * cfg.l2_banks) as u64;
+        let mut m = MemorySystem::new(cfg);
+
+        let banks = (cfg.l2_clusters * cfg.l2_banks) as usize;
+        let mut l2: Vec<SetAssocCache> =
+            (0..banks).map(|b| m.debug_bank_tags(b).clone()).collect();
+        let mut private: Vec<(SetAssocCache, SetAssocCache, Tlb, Tlb)> = (0..cfg.num_cores)
+            .map(|c| {
+                let (l1i, l1d, itlb, dtlb) = m.debug_core_tags(c);
+                (l1i.clone(), l1d.clone(), itlb.clone(), dtlb.clone())
+            })
+            .collect();
+
+        // Bases from a few page-spaced anchors so regions overlap.
+        let regions = [WarmRegion::Code, WarmRegion::L1Data, WarmRegion::L2Data];
+        for _ in 0..g.usize_in(1..10) {
+            let core = g.u32_in(0..cfg.num_cores);
+            let region = *g.choose(&regions);
+            let base = g.u64_in(0..4) * 8192 + g.u64_in(0..8192);
+            let bytes = g.u64_in(0..2 * cfg.l2_bytes + 8192);
+            m.prewarm_range(core, region, base, bytes);
+
+            let (l1i, l1d, itlb, dtlb) = &mut private[core as usize];
+            let cluster = cfg.cluster_of(core) as usize;
+            let mut a = base;
+            while a < base + bytes {
+                let line = a & !63;
+                match region {
+                    WarmRegion::Code => {
+                        l1i.fill(line, false);
+                    }
+                    WarmRegion::L1Data => {
+                        l1d.fill(line, false);
+                    }
+                    WarmRegion::L2Data => {}
+                }
+                let banks = cfg.l2_banks as u64;
+                l2[cluster * banks as usize + (line / 64 % banks) as usize].fill(line, false);
+                a += 64;
+            }
+            let tlb = if region == WarmRegion::Code { itlb } else { dtlb };
+            let mut p = base & !8191;
+            while p < base + bytes {
+                tlb.access(p);
+                p += 8192;
+            }
+        }
+
+        for (c, (l1i, l1d, itlb, dtlb)) in private.iter().enumerate() {
+            let got = m.debug_core_tags(c as u32);
+            assert!(got.0 == l1i, "core {c} L1I diverged");
+            assert!(got.1 == l1d, "core {c} L1D diverged");
+            assert!(got.2 == itlb, "core {c} I-TLB diverged");
+            assert!(got.3 == dtlb, "core {c} D-TLB diverged");
+        }
+        for (b, oracle) in l2.iter().enumerate() {
+            assert!(m.debug_bank_tags(b) == oracle, "L2 bank {b} diverged");
         }
     });
 }

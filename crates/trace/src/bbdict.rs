@@ -50,13 +50,16 @@ pub enum TermKind {
 }
 
 /// One static basic block: a run of non-branch instructions terminated by
-/// a branch.
-#[derive(Debug, Clone)]
+/// a branch. Its instruction classes sit in the owning dictionary's flat
+/// class array ([`BasicBlockDict::classes`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct BasicBlock {
     /// Address of the first instruction.
     pub base_pc: u64,
-    /// Per-slot instruction classes; the last slot is always a branch.
-    pub classes: Vec<InstrClass>,
+    /// Index of the block's first class in the dictionary's class array.
+    start: u32,
+    /// Number of instructions; the last one is always a branch.
+    len: u32,
     /// Taken-probability of the terminating branch (1.0 for unconditional).
     pub bias: f64,
     /// Index of the successor block when the branch is taken.
@@ -71,33 +74,36 @@ impl BasicBlock {
     /// Number of instructions in the block.
     #[inline]
     pub fn len(&self) -> usize {
-        self.classes.len()
+        self.len as usize
     }
 
     /// True when the block holds no instructions (never happens for
     /// generated dictionaries; kept for API completeness).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
+        self.len == 0
     }
 
     /// PC of the terminating branch.
     #[inline]
     pub fn branch_pc(&self) -> u64 {
-        self.base_pc + 4 * (self.classes.len() as u64 - 1)
+        self.base_pc + 4 * (self.len as u64 - 1)
     }
 
     /// PC one past the end of the block (the fall-through target).
     #[inline]
     pub fn end_pc(&self) -> u64 {
-        self.base_pc + 4 * self.classes.len() as u64
+        self.base_pc + 4 * self.len as u64
     }
 }
 
 /// The whole static program of one benchmark.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BasicBlockDict {
     blocks: Vec<BasicBlock>,
+    /// Every block's instruction classes, back to back in block order
+    /// (one allocation per dictionary, indexed by `BasicBlock::start`).
+    classes: Vec<InstrClass>,
     /// First instruction address (benchmark-specific segment).
     base: u64,
     /// Total code bytes (blocks are contiguous from `base`).
@@ -144,6 +150,7 @@ impl BasicBlockDict {
 
         let base = code_segment_base(profile.name);
         let mut blocks = Vec::with_capacity(n);
+        let mut classes = Vec::with_capacity(lengths.iter().sum());
         let mut pc = base;
         for (idx, &len) in lengths.iter().enumerate() {
             // The final block has no physically contiguous successor —
@@ -173,7 +180,8 @@ impl BasicBlockDict {
                     Self::pick_target(&mut rng, idx, n, backward),
                 )
             };
-            let mut classes = Self::body_classes(&mut rng, profile, len - 1);
+            let start = classes.len();
+            Self::push_body_classes(&mut rng, profile, len - 1, &mut classes);
             classes.push(if uncond {
                 InstrClass::BranchUncond
             } else {
@@ -182,7 +190,8 @@ impl BasicBlockDict {
             let fallthrough_succ = ((idx + 1) % n) as u32;
             blocks.push(BasicBlock {
                 base_pc: pc,
-                classes,
+                start: start as u32,
+                len: len as u32,
                 bias,
                 taken_succ,
                 fallthrough_succ,
@@ -193,21 +202,27 @@ impl BasicBlockDict {
 
         BasicBlockDict {
             blocks,
+            classes,
             base,
             code_bytes: pc - base,
         }
     }
 
-    /// Fill `n` body slots with non-branch classes matching the profile
-    /// mix *within the block* (largest-remainder quotas, then a shuffle
-    /// for intra-block ordering).
+    /// Append `n` body slots to `out`: non-branch classes matching the
+    /// profile mix *within the block* (largest-remainder quotas, then a
+    /// shuffle for intra-block ordering).
     ///
     /// Stratifying per block instead of drawing each slot independently
     /// keeps the *executed* stream on the profile targets no matter how
     /// unevenly the control flow weights blocks: loops replay the same
     /// few hot blocks thousands of times, so with independent draws the
     /// stream mix is whatever those particular blocks happened to get.
-    fn body_classes(rng: &mut Xoshiro256pp, profile: &BenchProfile, n: usize) -> Vec<InstrClass> {
+    fn push_body_classes(
+        rng: &mut Xoshiro256pp,
+        profile: &BenchProfile,
+        n: usize,
+        out: &mut Vec<InstrClass>,
+    ) {
         let m = &profile.mix;
         // Weights normalised over the non-branch classes; IntAlu takes
         // whatever the profile leaves unassigned.
@@ -256,17 +271,17 @@ impl BasicBlockDict {
             rem[pick] = 0.0;
         }
 
-        let mut classes = Vec::with_capacity(n + 1);
+        let start = out.len();
         for (i, &(class, _)) in weights.iter().enumerate() {
-            classes.extend(std::iter::repeat_n(class, quotas[i]));
+            out.extend(std::iter::repeat_n(class, quotas[i]));
         }
-        debug_assert_eq!(classes.len(), n);
+        let body = &mut out[start..];
+        debug_assert_eq!(body.len(), n);
         // Fisher–Yates for the intra-block ordering.
-        for i in (1..classes.len()).rev() {
+        for i in (1..body.len()).rev() {
             let j = rng.gen_range(0..=i);
-            classes.swap(i, j);
+            body.swap(i, j);
         }
-        classes
     }
 
     /// Choose a taken-bias such that a learning predictor's expected
@@ -326,6 +341,20 @@ impl BasicBlockDict {
         &self.blocks[idx as usize]
     }
 
+    /// Per-slot instruction classes of block `idx`; the last slot is
+    /// always its branch.
+    #[inline]
+    pub fn classes(&self, idx: u32) -> &[InstrClass] {
+        let b = self.block(idx);
+        &self.classes[b.start as usize..(b.start + b.len) as usize]
+    }
+
+    /// Class of the instruction in `slot` of `block`.
+    #[inline]
+    pub(crate) fn class_at(&self, block: &BasicBlock, slot: usize) -> InstrClass {
+        self.classes[block.start as usize + slot]
+    }
+
     /// Entry point of the program.
     pub fn entry_pc(&self) -> u64 {
         self.base
@@ -372,7 +401,7 @@ impl BasicBlockDict {
         let mut slot =
             (((pc.saturating_sub(block.base_pc)) / 4) as usize).min(block.len() - 1);
         while pushed < n {
-            let cls = block.classes[slot];
+            let cls = self.class_at(block, slot);
             let ipc = block.base_pc + 4 * slot as u64;
             let mut instr = DynInstr::nop(0, ipc);
             instr.class = cls;
@@ -425,7 +454,7 @@ mod tests {
         assert_eq!(a.num_blocks(), b.num_blocks());
         for i in 0..a.num_blocks() as u32 {
             assert_eq!(a.block(i).base_pc, b.block(i).base_pc);
-            assert_eq!(a.block(i).classes, b.block(i).classes);
+            assert_eq!(a.classes(i), b.classes(i));
             assert_eq!(a.block(i).taken_succ, b.block(i).taken_succ);
         }
     }
@@ -436,7 +465,7 @@ mod tests {
         let a = BasicBlockDict::generate(p, 1);
         let b = BasicBlockDict::generate(p, 2);
         let differs = (0..a.num_blocks().min(b.num_blocks()) as u32)
-            .any(|i| a.block(i).classes != b.block(i).classes);
+            .any(|i| a.classes(i) != b.classes(i));
         assert!(differs);
     }
 
@@ -448,8 +477,10 @@ mod tests {
             let b = d.block(i);
             assert_eq!(b.base_pc, pc, "block {i} not contiguous");
             assert!(b.len() >= 2);
-            assert!(b.classes.last().unwrap().is_branch());
-            for c in &b.classes[..b.len() - 1] {
+            let classes = d.classes(i);
+            assert_eq!(classes.len(), b.len());
+            assert!(classes.last().unwrap().is_branch());
+            for c in &classes[..b.len() - 1] {
                 assert!(!c.is_branch(), "body instruction is a branch");
             }
             pc = b.end_pc();
@@ -516,7 +547,7 @@ mod tests {
         for i in 0..d.num_blocks() as u32 {
             let b = d.block(i);
             assert!((0.0..=1.0).contains(&b.bias));
-            if *b.classes.last().unwrap() == InstrClass::BranchUncond {
+            if *d.classes(i).last().unwrap() == InstrClass::BranchUncond {
                 assert_eq!(b.bias, 1.0);
             }
         }

@@ -11,9 +11,10 @@ use crate::instr::{DynInstr, InstrClass, LogReg, UncondKind, NUM_LOG_REGS};
 use crate::memstream::MemStream;
 use crate::profile::BenchProfile;
 use crate::rng::Xoshiro256pp;
+use crate::spec::ALL_BENCHMARKS;
 use crate::stream::InstrStream;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How many recent destination registers are remembered for dependency
 /// selection.
@@ -36,6 +37,23 @@ fn code_seed(name: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// One code dictionary per built-in profile, generated on first use and
+/// then shared by every generator of that benchmark in the process.
+/// Bounded by the 26 entries of [`ALL_BENCHMARKS`].
+static CODE_DICTS: [OnceLock<Arc<BasicBlockDict>>; ALL_BENCHMARKS.len()] =
+    [const { OnceLock::new() }; ALL_BENCHMARKS.len()];
+
+/// The code dictionary of `profile`. A built-in profile (identified by
+/// address, since the dictionary reads more fields than the name) gets
+/// the process-wide shared copy; any other profile gets a fresh one.
+fn code_dict(profile: &'static BenchProfile) -> Arc<BasicBlockDict> {
+    let generate = || Arc::new(BasicBlockDict::generate(profile, code_seed(profile.name)));
+    match ALL_BENCHMARKS.iter().position(|b| std::ptr::eq(b, profile)) {
+        Some(i) => Arc::clone(CODE_DICTS[i].get_or_init(generate)),
+        None => generate(),
+    }
 }
 
 /// Deterministic generator of one thread's dynamic instruction stream.
@@ -69,23 +87,13 @@ const CALL_STACK_MAX: usize = 64;
 impl TraceGenerator {
     /// Build a generator for `profile` with behavioural seed `seed`.
     /// Code layout depends only on the benchmark, so multiple instances
-    /// share I-cache footprints; behaviour (outcomes, addresses,
+    /// share I-cache footprints (and, for built-in profiles, one
+    /// dictionary per process); behaviour (outcomes, addresses,
     /// dependencies) is seeded by `seed`.
     pub fn new(profile: &'static BenchProfile, seed: u64) -> Self {
-        let dict = Arc::new(BasicBlockDict::generate(profile, code_seed(profile.name)));
-        Self::with_dict(profile, dict, seed)
-    }
-
-    /// Build a generator reusing an existing dictionary (cheap way to
-    /// spawn several instances of the same benchmark).
-    pub fn with_dict(
-        profile: &'static BenchProfile,
-        dict: Arc<BasicBlockDict>,
-        seed: u64,
-    ) -> Self {
         TraceGenerator {
             profile,
-            dict,
+            dict: code_dict(profile),
             mem: MemStream::new(&profile.mem, seed, seed & 0xffff),
             rng: Xoshiro256pp::seed_from_u64(seed ^ 0x7ace_9e4e_0000_0001),
             block: 0,
@@ -167,9 +175,9 @@ impl InstrStream for TraceGenerator {
         let (cls, pc, len, bias, term, taken_succ, fallthrough_succ) = {
             let b = self.dict.block(self.block);
             (
-                b.classes[self.slot],
+                self.dict.class_at(b, self.slot),
                 b.base_pc + 4 * self.slot as u64,
-                b.classes.len(),
+                b.len(),
                 b.bias,
                 b.term,
                 b.taken_succ,
@@ -287,6 +295,56 @@ mod tests {
 
     fn generator(name: &str, seed: u64) -> TraceGenerator {
         TraceGenerator::new(spec::benchmark_by_name(name).unwrap(), seed)
+    }
+
+    #[test]
+    fn built_in_profiles_share_one_dictionary() {
+        let p = spec::benchmark_by_name("gcc").unwrap();
+        let a = TraceGenerator::new(p, 1).dict_arc();
+        let b = TraceGenerator::new(p, 2).dict_arc();
+        assert!(Arc::ptr_eq(&a, &b), "one dictionary per built-in profile");
+        let fresh = BasicBlockDict::generate(p, code_seed(p.name));
+        assert_eq!(a.num_blocks(), fresh.num_blocks());
+        for i in 0..fresh.num_blocks() as u32 {
+            assert_eq!(a.block(i), fresh.block(i), "block {i}");
+            assert_eq!(a.classes(i), fresh.classes(i), "block {i}");
+        }
+        assert_eq!(*a, fresh);
+    }
+
+    #[test]
+    fn copied_profile_gets_its_own_dictionary() {
+        let p = spec::benchmark_by_name("gzip").unwrap();
+        let copy: &'static BenchProfile = Box::leak(Box::new(*p));
+        let shared = TraceGenerator::new(p, 1).dict_arc();
+        let own = TraceGenerator::new(copy, 1).dict_arc();
+        assert!(!Arc::ptr_eq(&shared, &own), "a copy is not the built-in profile");
+        assert!(!Arc::ptr_eq(&own, &TraceGenerator::new(copy, 1).dict_arc()));
+        assert_eq!(*shared, *own, "same fields, same code");
+    }
+
+    #[test]
+    fn racing_builds_end_with_one_dictionary() {
+        // Serve workers build simulators concurrently; whichever thread
+        // initialises a profile's slot, every thread must get that copy.
+        let p = spec::benchmark_by_name("vortex").unwrap();
+        let start = std::sync::Barrier::new(4);
+        let dicts: Vec<Arc<BasicBlockDict>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|seed| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        TraceGenerator::new(p, seed).dict_arc()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for d in &dicts[1..] {
+            assert!(Arc::ptr_eq(&dicts[0], d));
+        }
+        assert!(Arc::ptr_eq(&dicts[0], &TraceGenerator::new(p, 9).dict_arc()));
     }
 
     #[test]

@@ -66,7 +66,10 @@ echo "== fidelity equivalence (detailed == pre-refactor bytes) =="
 # Gate 6: the pluggable-fidelity refactor's invariant (DESIGN.md §13).
 # Also part of the workspace test gate; named here because byte-drift
 # in the default fidelity silently invalidates every golden figure.
+# The range prewarm must leave every tag array and TLB exactly as the
+# line-by-line warm did, or every warmed run drifts from its golden.
 cargo test -q --offline -p smtsim-core --test fidelity
+cargo test -q --offline -p smtsim-mem --test properties prewarm_equivalence
 
 echo "== serve (fault tolerance, cache replay, kill -9 restart) =="
 # Gate 7: the serving layer's robustness suite (DESIGN.md §15). Also
