@@ -60,14 +60,17 @@ const fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// the stamp, so persisted sweep journals and serve caches written by
 /// the old model stop matching and are re-simulated; nobody has to
 /// remember to bump a version. The stamp only sees model changes that
-/// move a fidelity golden: a change that leaves all four goldens
-/// byte-identical keeps the stamp, and old entries still replay.
+/// move a fidelity golden: a change that leaves all five goldens
+/// byte-identical keeps the stamp, and old entries still replay. The
+/// all-policies golden makes that a change no policy's first 30k
+/// cycles on a shared-L2 CMP can show.
 pub const MODEL_STAMP: u64 = {
-    let goldens: [&[u8]; 4] = [
+    let goldens: [&[u8]; 5] = [
         include_bytes!("../tests/fixtures/fidelity/run_2W1_mflush_c10000_s7.golden.json"),
         include_bytes!("../tests/fixtures/fidelity/run_4W3_flush-s30_c6000.golden.json"),
         include_bytes!("../tests/fixtures/fidelity/run_8W2_icount_c4000.golden.json"),
         include_bytes!("../tests/fixtures/fidelity/sweep_2W2_c3000.golden.json"),
+        include_bytes!("../tests/fixtures/fidelity/policies_4W3_c30000.golden.json"),
     ];
     let mut h = fnv64(&[]);
     let mut i = 0;

@@ -46,24 +46,6 @@ pub fn speedup_table(columns: &[&str], rows: &[(&str, Vec<&SimResult>)]) -> Stri
     s
 }
 
-/// Wasted-energy table (Fig. 11): energy units + ratio per policy.
-pub fn energy_table(columns: &[&str], rows: &[(&str, Vec<&SimResult>)]) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "{:<18}", "workload");
-    for c in columns {
-        let _ = write!(s, "{:>16}", format!("{c} (eu)"));
-    }
-    let _ = writeln!(s);
-    for (label, results) in rows {
-        let _ = write!(s, "{label:<18}");
-        for r in results {
-            let _ = write!(s, "{:>16.1}", r.wasted_energy());
-        }
-        let _ = writeln!(s);
-    }
-    s
-}
-
 /// CSV export of a result grid (one row per workload×policy) for
 /// external plotting: columns are
 /// `workload,policy,cycles,committed,ipc,flushes,wasted_energy,waste_ratio,l2_hit_mean`.

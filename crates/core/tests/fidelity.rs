@@ -17,6 +17,7 @@ use smtsim_core::json::{write_escaped, JsonObject};
 use smtsim_core::{
     run_sweep_journaled, Fidelity, SimConfig, SimError, Simulator, SweepJob, ToJson, Workload,
 };
+use smtsim_policy::mflush::McRegReducer;
 use smtsim_policy::PolicyKind;
 
 fn golden(name: &str) -> String {
@@ -102,26 +103,48 @@ fn overflowing_completions_reproduce_pre_wheel_bytes() {
     );
 }
 
-/// The exact job list `smtsim sweep` builds, for one workload.
-fn sweep_jobs(workload: &str, cycles: u64) -> Vec<SweepJob> {
+/// The policy list `smtsim sweep` runs.
+const SWEEP_POLICIES: [PolicyKind; 7] = [
+    PolicyKind::Icount,
+    PolicyKind::FlushSpec(30),
+    PolicyKind::FlushSpec(100),
+    PolicyKind::FlushNonSpec,
+    PolicyKind::StallSpec(30),
+    PolicyKind::Mflush,
+    PolicyKind::Dcra,
+];
+
+/// Every `PolicyKind` variant once, plus an MFLUSH ablation variant.
+const EVERY_POLICY: [PolicyKind; 14] = [
+    PolicyKind::Icount,
+    PolicyKind::FlushSpec(30),
+    PolicyKind::FlushNonSpec,
+    PolicyKind::StallSpec(30),
+    PolicyKind::StallNonSpec,
+    PolicyKind::Mflush,
+    PolicyKind::MflushCustom {
+        mcreg_history: 4,
+        mcreg_reducer: McRegReducer::Max,
+        preventive: false,
+        mt_enabled: true,
+    },
+    PolicyKind::Brcount,
+    PolicyKind::L1dMissCount,
+    PolicyKind::Adts,
+    PolicyKind::RoundRobin,
+    PolicyKind::Dcra,
+    PolicyKind::FlushAdaptive,
+    PolicyKind::FlushMissPredict,
+];
+
+/// The sweep job list for one workload: one job per policy, the way
+/// `smtsim sweep` builds them.
+fn sweep_jobs(workload: &str, policies: &[PolicyKind], cycles: u64) -> Vec<SweepJob> {
     let w = Workload::by_name(workload).unwrap();
-    [
-        PolicyKind::Icount,
-        PolicyKind::FlushSpec(30),
-        PolicyKind::FlushSpec(100),
-        PolicyKind::FlushNonSpec,
-        PolicyKind::StallSpec(30),
-        PolicyKind::Mflush,
-        PolicyKind::Dcra,
-    ]
-    .iter()
-    .map(|p| {
-        SweepJob::new(
-            p.label(),
-            SimConfig::for_workload(w, *p).with_cycles(cycles),
-        )
-    })
-    .collect()
+    policies
+        .iter()
+        .map(|p| SweepJob::new(p.label(), SimConfig::for_workload(w, *p).with_cycles(cycles)))
+        .collect()
 }
 
 /// The `a+b` workload label `smtsim sweep` prints, recovered from the
@@ -160,8 +183,29 @@ fn sweep_stdout(out: &[(String, Result<smtsim_core::SimResult, SimError>)]) -> S
 
 #[test]
 fn detailed_sweep_reproduces_pre_refactor_golden() {
-    let out = run_sweep_journaled(&sweep_jobs("2W2", 3_000), 0, None);
+    let out = run_sweep_journaled(&sweep_jobs("2W2", &SWEEP_POLICIES, 3_000), 0, None);
     assert_eq!(sweep_stdout(&out), golden("sweep_2W2_c3000.golden.json"));
+}
+
+/// Every policy on a shared-L2 CMP, long enough to cross FLUSH-ADAPT's
+/// 8192-cycle and ADTS's 4096-cycle epochs. The fixture was captured
+/// before the detect-and-respond and priority policies replaced the
+/// per-policy implementations.
+#[test]
+fn every_policy_reproduces_its_golden() {
+    let out = run_sweep_journaled(&sweep_jobs("4W3", &EVERY_POLICY, 30_000), 0, None);
+    for (label, r) in &out {
+        if label.starts_with("FLUSH-") || label.starts_with("STALL-") {
+            let r = r.as_ref().unwrap();
+            let responses: u64 = r
+                .cores
+                .iter()
+                .map(|c| c.flushes_executed + c.stalls_executed)
+                .sum();
+            assert!(responses > 0, "{label} never responded: the golden pins nothing");
+        }
+    }
+    assert_eq!(sweep_stdout(&out), golden("policies_4W3_c30000.golden.json"));
 }
 
 #[test]
@@ -175,8 +219,9 @@ fn journal_replay_reproduces_pre_refactor_golden() {
     let journal = dir.join("sweep.jsonl");
     let _ = std::fs::remove_file(&journal);
 
-    let fresh = run_sweep_journaled(&sweep_jobs("2W2", 3_000), 0, Some(&journal));
-    let replayed = run_sweep_journaled(&sweep_jobs("2W2", 3_000), 0, Some(&journal));
+    let jobs = sweep_jobs("2W2", &SWEEP_POLICIES, 3_000);
+    let fresh = run_sweep_journaled(&jobs, 0, Some(&journal));
+    let replayed = run_sweep_journaled(&jobs, 0, Some(&journal));
     let expected = golden("sweep_2W2_c3000.golden.json");
     assert_eq!(sweep_stdout(&fresh), expected, "journaled run diverged");
     assert_eq!(sweep_stdout(&replayed), expected, "journal replay diverged");

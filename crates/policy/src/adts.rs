@@ -12,70 +12,40 @@
 //! misses per thread-cycle); at each epoch boundary pick the heuristic
 //! targeting the dominant pressure.
 
-use crate::count_variants::{BrcountPolicy, L1dMissCountPolicy};
-use crate::icount::IcountPolicy;
+use crate::priority::{Order, PriorityPolicy};
 use crate::types::{FetchPolicy, LoadToken, PolicyAction, ThreadSnapshot};
 
-/// Which heuristic is currently active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActiveHeuristic {
-    Icount,
-    Brcount,
-    L1dMissCount,
-}
-
 /// The adaptive meta-policy.
-pub struct AdtsPolicy {
+pub(crate) struct AdtsPolicy {
     epoch_cycles: u64,
     /// Pressure thresholds (per thread, time-averaged) that switch away
     /// from ICOUNT.
     branch_threshold: f64,
     miss_threshold: f64,
-    active: ActiveHeuristic,
-    icount: IcountPolicy,
-    brcount: BrcountPolicy,
-    misscount: L1dMissCountPolicy,
+    /// The active heuristic (ICOUNT, BRCOUNT or L1DMISSCOUNT). It counts
+    /// L1D misses whichever is active.
+    priority: PriorityPolicy,
     // Epoch accumulators.
     epoch_start: u64,
     samples: u64,
     branch_sum: u64,
     miss_sum: u64,
-    switches: u64,
 }
 
 impl AdtsPolicy {
-    /// ADTS with the default 4096-cycle epoch.
-    pub fn new() -> Self {
-        Self::with_epoch(4096)
-    }
-
-    /// ADTS with a custom epoch length.
-    pub fn with_epoch(epoch_cycles: u64) -> Self {
+    /// ADTS with an epoch of `epoch_cycles` (`build_policy` uses 4096).
+    pub(crate) fn new(epoch_cycles: u64) -> Self {
         assert!(epoch_cycles > 0);
         AdtsPolicy {
             epoch_cycles,
             branch_threshold: 3.0,
             miss_threshold: 1.5,
-            active: ActiveHeuristic::Icount,
-            icount: IcountPolicy::new(),
-            brcount: BrcountPolicy::new(),
-            misscount: L1dMissCountPolicy::new(),
+            priority: PriorityPolicy::new(Order::Icount).counting_misses(),
             epoch_start: 0,
             samples: 0,
             branch_sum: 0,
             miss_sum: 0,
-            switches: 0,
         }
-    }
-
-    /// Currently active heuristic.
-    pub fn active(&self) -> ActiveHeuristic {
-        self.active
-    }
-
-    /// Number of heuristic switches so far.
-    pub fn switches(&self) -> u64 {
-        self.switches
     }
 
     fn maybe_switch(&mut self, cycle: u64) {
@@ -85,29 +55,19 @@ impl AdtsPolicy {
         let per = self.samples as f64;
         let branch_pressure = self.branch_sum as f64 / per;
         let miss_pressure = self.miss_sum as f64 / per;
-        let next = if miss_pressure >= self.miss_threshold
+        self.priority.order = if miss_pressure >= self.miss_threshold
             && miss_pressure >= branch_pressure / 2.0
         {
-            ActiveHeuristic::L1dMissCount
+            Order::L1dMissCount
         } else if branch_pressure >= self.branch_threshold {
-            ActiveHeuristic::Brcount
+            Order::Brcount
         } else {
-            ActiveHeuristic::Icount
+            Order::Icount
         };
-        if next != self.active {
-            self.active = next;
-            self.switches += 1;
-        }
         self.epoch_start = cycle;
         self.samples = 0;
         self.branch_sum = 0;
         self.miss_sum = 0;
-    }
-}
-
-impl Default for AdtsPolicy {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -135,15 +95,11 @@ impl FetchPolicy for AdtsPolicy {
     }
 
     fn fetch_priority(&mut self, cycle: u64, snaps: &[ThreadSnapshot], out: &mut Vec<usize>) {
-        match self.active {
-            ActiveHeuristic::Icount => self.icount.fetch_priority(cycle, snaps, out),
-            ActiveHeuristic::Brcount => self.brcount.fetch_priority(cycle, snaps, out),
-            ActiveHeuristic::L1dMissCount => self.misscount.fetch_priority(cycle, snaps, out),
-        }
+        self.priority.fetch_priority(cycle, snaps, out);
     }
 
     fn on_l1d_miss(&mut self, tid: usize, token: LoadToken, bank: u32, cycle: u64) {
-        self.misscount.on_l1d_miss(tid, token, bank, cycle);
+        self.priority.on_l1d_miss(tid, token, bank, cycle);
     }
 
     fn on_load_complete(
@@ -155,12 +111,12 @@ impl FetchPolicy for AdtsPolicy {
         latency: u64,
         cycle: u64,
     ) {
-        self.misscount
+        self.priority
             .on_load_complete(tid, token, bank, l2_hit, latency, cycle);
     }
 
     fn on_load_squashed(&mut self, tid: usize, token: LoadToken) {
-        self.misscount.on_load_squashed(tid, token);
+        self.priority.on_load_squashed(tid, token);
     }
 }
 
@@ -175,64 +131,64 @@ mod tests {
         vec![a, ThreadSnapshot::idle(1)]
     }
 
+    /// Tick `p` over `cycles` with the same snapshots every cycle.
+    fn run(p: &mut AdtsPolicy, cycles: std::ops::RangeInclusive<u64>, s: &[ThreadSnapshot]) {
+        let mut actions = Vec::new();
+        for c in cycles {
+            p.tick(c, s, &mut actions);
+        }
+        assert!(actions.is_empty(), "ADTS never gates");
+    }
+
     #[test]
     fn starts_with_icount() {
-        assert_eq!(AdtsPolicy::new().active(), ActiveHeuristic::Icount);
+        assert_eq!(AdtsPolicy::new(4096).priority.order, Order::Icount);
     }
 
     #[test]
     fn switches_to_misscount_under_memory_pressure() {
-        let mut p = AdtsPolicy::with_epoch(100);
-        let mut actions = Vec::new();
-        for c in 0..=100 {
-            p.tick(c, &snaps(0, 8), &mut actions);
-        }
-        assert_eq!(p.active(), ActiveHeuristic::L1dMissCount);
-        assert_eq!(p.switches(), 1);
+        let mut p = AdtsPolicy::new(100);
+        run(&mut p, 0..=100, &snaps(0, 8));
+        assert_eq!(p.priority.order, Order::L1dMissCount);
     }
 
     #[test]
     fn switches_to_brcount_under_branch_pressure() {
-        let mut p = AdtsPolicy::with_epoch(100);
-        let mut actions = Vec::new();
-        for c in 0..=100 {
-            p.tick(c, &snaps(10, 0), &mut actions);
-        }
-        assert_eq!(p.active(), ActiveHeuristic::Brcount);
+        let mut p = AdtsPolicy::new(100);
+        run(&mut p, 0..=100, &snaps(10, 0));
+        assert_eq!(p.priority.order, Order::Brcount);
     }
 
     #[test]
     fn returns_to_icount_when_calm() {
-        let mut p = AdtsPolicy::with_epoch(100);
-        let mut actions = Vec::new();
-        for c in 0..=100 {
-            p.tick(c, &snaps(10, 0), &mut actions);
-        }
-        assert_eq!(p.active(), ActiveHeuristic::Brcount);
-        for c in 101..=201 {
-            p.tick(c, &snaps(0, 0), &mut actions);
-        }
-        assert_eq!(p.active(), ActiveHeuristic::Icount);
-        assert_eq!(p.switches(), 2);
+        let mut p = AdtsPolicy::new(100);
+        run(&mut p, 0..=100, &snaps(10, 0));
+        assert_eq!(p.priority.order, Order::Brcount);
+        run(&mut p, 101..=201, &snaps(0, 0));
+        assert_eq!(p.priority.order, Order::Icount);
     }
 
     #[test]
     fn no_switch_mid_epoch() {
-        let mut p = AdtsPolicy::with_epoch(1_000);
-        let mut actions = Vec::new();
-        for c in 0..500 {
-            p.tick(c, &snaps(10, 10), &mut actions);
-        }
-        assert_eq!(p.active(), ActiveHeuristic::Icount);
+        let mut p = AdtsPolicy::new(1_000);
+        run(&mut p, 0..=499, &snaps(10, 10));
+        assert_eq!(p.priority.order, Order::Icount);
     }
 
     #[test]
     fn emits_no_gating_actions() {
-        let mut p = AdtsPolicy::with_epoch(10);
-        let mut actions = Vec::new();
-        for c in 0..100 {
-            p.tick(c, &snaps(10, 10), &mut actions);
-        }
-        assert!(actions.is_empty());
+        let mut p = AdtsPolicy::new(10);
+        run(&mut p, 0..=99, &snaps(10, 10));
+    }
+
+    #[test]
+    fn misses_seen_under_icount_count_after_a_switch() {
+        let mut p = AdtsPolicy::new(100);
+        p.on_l1d_miss(0, 1, 0, 0);
+        run(&mut p, 0..=100, &snaps(0, 8));
+        assert_eq!(p.priority.order, Order::L1dMissCount);
+        let mut out = Vec::new();
+        p.fetch_priority(101, &snaps(0, 8), &mut out);
+        assert_eq!(out, [1, 0], "the miss seen under ICOUNT still counts");
     }
 }

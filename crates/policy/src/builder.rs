@@ -5,16 +5,11 @@
 //! machine-derived parameters ([`PolicyEnv`]) that MFLUSH's operational
 //! environment needs.
 
-use crate::adaptive_flush::AdaptiveFlushPolicy;
 use crate::adts::AdtsPolicy;
-use crate::count_variants::{BrcountPolicy, L1dMissCountPolicy};
 use crate::dcra::DcraPolicy;
-use crate::rr::RoundRobinPolicy;
-use crate::flush::FlushPolicy;
-use crate::icount::IcountPolicy;
 use crate::mflush::{McRegConfig, MflushConfig, MflushPolicy};
-use crate::miss_predictor::MissPredictFlushPolicy;
-use crate::stall::StallPolicy;
+use crate::priority::{Order, PriorityPolicy};
+use crate::trigger::{Detect, HillClimb, LoadMissPredictor, Respond, TriggerPolicy};
 use crate::types::FetchPolicy;
 
 /// Which fetch policy to run (one per SMT core).
@@ -80,58 +75,49 @@ impl PolicyKind {
         }
     }
 
-    /// Parse a CLI/request policy name (case-insensitive): `icount`,
-    /// `rr`/`roundrobin`, `brcount`, `l1dmisscount`/`misscount`,
-    /// `adts`, `dcra`, `flush-ns`, `stall-ns`, `mflush`,
-    /// `flush-adapt`/`adaptive`, `flush-sNN`, `stall-sNN`. Returns
-    /// `None` for anything else (callers render did-you-mean hints).
-    /// `MflushCustom` and `FlushMissPredict` are programmatic-only.
+    /// Parse a CLI/request policy name (case-insensitive): any of the
+    /// [`Self::SUGGESTED_NAMES`], or `flush-sNN` / `stall-sNN` for any
+    /// trigger. Returns `None` for anything else (callers render
+    /// did-you-mean hints). `MflushCustom` and `FlushMissPredict` are
+    /// programmatic-only.
     pub fn parse_name(s: &str) -> Option<PolicyKind> {
         let s = s.to_ascii_lowercase();
-        Some(match s.as_str() {
-            "icount" => PolicyKind::Icount,
-            "rr" | "roundrobin" => PolicyKind::RoundRobin,
-            "brcount" => PolicyKind::Brcount,
-            "l1dmisscount" | "misscount" => PolicyKind::L1dMissCount,
-            "adts" => PolicyKind::Adts,
-            "dcra" => PolicyKind::Dcra,
-            "flush-ns" => PolicyKind::FlushNonSpec,
-            "stall-ns" => PolicyKind::StallNonSpec,
-            "mflush" => PolicyKind::Mflush,
-            "flush-adapt" | "adaptive" => PolicyKind::FlushAdaptive,
-            _ => {
-                if let Some(x) = s.strip_prefix("flush-s") {
-                    PolicyKind::FlushSpec(x.parse().ok()?)
-                } else if let Some(x) = s.strip_prefix("stall-s") {
-                    PolicyKind::StallSpec(x.parse().ok()?)
-                } else {
-                    return None;
-                }
-            }
-        })
+        let listed = POLICY_NAMES.iter().find(|(_, names)| names.contains(&s.as_str()));
+        if let Some((kind, _)) = listed {
+            Some(*kind)
+        } else if let Some(x) = s.strip_prefix("flush-s") {
+            Some(PolicyKind::FlushSpec(x.parse().ok()?))
+        } else if let Some(x) = s.strip_prefix("stall-s") {
+            Some(PolicyKind::StallSpec(x.parse().ok()?))
+        } else {
+            None
+        }
     }
 
-    /// Spellable policy names for "did you mean" suggestions
-    /// (concrete thresholds stand in for the `-sNN` families). Shared
-    /// by the CLI and the serve layer's request validation.
-    pub const SUGGESTED_NAMES: [&'static str; 16] = [
-        "icount",
-        "rr",
-        "roundrobin",
-        "brcount",
-        "l1dmisscount",
-        "misscount",
-        "adts",
-        "dcra",
-        "stall-s30",
-        "stall-ns",
-        "flush-s30",
-        "flush-s100",
-        "flush-ns",
-        "flush-adapt",
-        "adaptive",
-        "mflush",
-    ];
+    /// Every spelling of every listed policy, aliases included, for
+    /// "did you mean" suggestions. Shared by the CLI and the serve
+    /// layer's request validation.
+    pub const SUGGESTED_NAMES: [&'static str; 16] = {
+        let mut out = [""; 16];
+        let (mut row, mut n) = (0, 0);
+        while row < POLICY_NAMES.len() {
+            let names = POLICY_NAMES[row].1;
+            let mut i = 0;
+            while i < names.len() {
+                out[n] = names[i];
+                n += 1;
+                i += 1;
+            }
+            row += 1;
+        }
+        assert!(n == out.len(), "SUGGESTED_NAMES must hold every spelling");
+        out
+    };
+
+    /// The policies `smtsim policies` lists, in order.
+    pub fn listed() -> impl Iterator<Item = PolicyKind> {
+        POLICY_NAMES.iter().map(|(kind, _)| *kind)
+    }
 
     /// The four policies of the paper's Fig. 8 evaluation.
     pub fn fig8_set() -> [PolicyKind; 4] {
@@ -143,6 +129,25 @@ impl PolicyKind {
         ]
     }
 }
+
+/// The spellable policies, in `smtsim policies` order, each with its
+/// accepted names (first the one its label lowercases to, then
+/// aliases). Concrete triggers stand in for the `-sNN` families.
+const POLICY_NAMES: [(PolicyKind, &[&str]); 13] = [
+    (PolicyKind::Icount, &["icount"]),
+    (PolicyKind::RoundRobin, &["rr", "roundrobin"]),
+    (PolicyKind::Brcount, &["brcount"]),
+    (PolicyKind::L1dMissCount, &["l1dmisscount", "misscount"]),
+    (PolicyKind::Adts, &["adts"]),
+    (PolicyKind::Dcra, &["dcra"]),
+    (PolicyKind::StallSpec(30), &["stall-s30"]),
+    (PolicyKind::StallNonSpec, &["stall-ns"]),
+    (PolicyKind::FlushSpec(30), &["flush-s30"]),
+    (PolicyKind::FlushSpec(100), &["flush-s100"]),
+    (PolicyKind::FlushNonSpec, &["flush-ns"]),
+    (PolicyKind::FlushAdaptive, &["flush-adapt", "adaptive"]),
+    (PolicyKind::Mflush, &["mflush"]),
+];
 
 /// Machine parameters a policy may need (from the memory configuration).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,12 +199,25 @@ impl PolicyEnv {
 
 /// Instantiate a policy for one core.
 pub fn build_policy(kind: PolicyKind, env: &PolicyEnv) -> Box<dyn FetchPolicy> {
+    let priority = |order| -> Box<dyn FetchPolicy> { Box::new(PriorityPolicy::new(order)) };
+    let trigger =
+        |detect, respond| -> Box<dyn FetchPolicy> { Box::new(TriggerPolicy::new(detect, respond)) };
     match kind {
-        PolicyKind::Icount => Box::new(IcountPolicy::new()),
-        PolicyKind::FlushSpec(x) => Box::new(FlushPolicy::speculative(x)),
-        PolicyKind::FlushNonSpec => Box::new(FlushPolicy::non_speculative()),
-        PolicyKind::StallSpec(x) => Box::new(StallPolicy::speculative(x)),
-        PolicyKind::StallNonSpec => Box::new(StallPolicy::non_speculative()),
+        PolicyKind::Icount => priority(Order::Icount),
+        PolicyKind::Brcount => priority(Order::Brcount),
+        PolicyKind::L1dMissCount => priority(Order::L1dMissCount),
+        PolicyKind::RoundRobin => priority(Order::RoundRobin),
+        PolicyKind::FlushSpec(x) => trigger(Detect::DelayAfterIssue(x), Respond::Flush),
+        PolicyKind::FlushNonSpec => trigger(Detect::OnL2Miss, Respond::Flush),
+        PolicyKind::StallSpec(x) => trigger(Detect::DelayAfterIssue(x), Respond::Stall),
+        PolicyKind::StallNonSpec => trigger(Detect::OnL2Miss, Respond::Stall),
+        PolicyKind::FlushAdaptive => trigger(
+            Detect::HillClimbed(HillClimb::new(60, 30, 150, 10, 8192)),
+            Respond::Flush,
+        ),
+        PolicyKind::FlushMissPredict => {
+            trigger(Detect::Predicted(LoadMissPredictor::new(1024)), Respond::Flush)
+        }
         PolicyKind::Mflush => Box::new(MflushPolicy::new(env.mflush_config())),
         PolicyKind::MflushCustom {
             mcreg_history,
@@ -216,13 +234,8 @@ pub fn build_policy(kind: PolicyKind, env: &PolicyEnv) -> Box<dyn FetchPolicy> {
             cfg.mt_enabled = mt_enabled;
             Box::new(MflushPolicy::new(cfg))
         }
-        PolicyKind::Brcount => Box::new(BrcountPolicy::new()),
-        PolicyKind::L1dMissCount => Box::new(L1dMissCountPolicy::new()),
-        PolicyKind::Adts => Box::new(AdtsPolicy::new()),
-        PolicyKind::RoundRobin => Box::new(RoundRobinPolicy::new()),
+        PolicyKind::Adts => Box::new(AdtsPolicy::new(4096)),
         PolicyKind::Dcra => Box::new(DcraPolicy::new(env.shared_queue_entries)),
-        PolicyKind::FlushAdaptive => Box::new(AdaptiveFlushPolicy::new()),
-        PolicyKind::FlushMissPredict => Box::new(MissPredictFlushPolicy::new()),
     }
 }
 
@@ -276,6 +289,21 @@ mod tests {
             &env,
         );
         assert_eq!(p.name(), "MFLUSH");
+    }
+
+    #[test]
+    fn every_listed_name_parses_back_to_its_kind() {
+        let listed: Vec<PolicyKind> = PolicyKind::listed().collect();
+        assert_eq!(listed.len(), 13);
+        for kind in listed {
+            assert_eq!(PolicyKind::parse_name(&kind.label()), Some(kind), "{kind:?}");
+        }
+        for (kind, names) in POLICY_NAMES {
+            assert_eq!(names[0], kind.label().to_ascii_lowercase());
+            for name in names {
+                assert_eq!(PolicyKind::parse_name(name), Some(kind), "{name}");
+            }
+        }
     }
 
     #[test]

@@ -17,13 +17,11 @@
 use crate::types::{icount_order, FetchPolicy, PolicyAction, ThreadSnapshot};
 
 /// The DCRA-style policy.
-pub struct DcraPolicy {
+pub(crate) struct DcraPolicy {
     /// Shared issue-queue entries per queue (the entitlement base).
     shared_entries: u32,
     /// Threads currently gated by us.
     gated: Vec<bool>,
-    /// Gate events (statistics).
-    gates: u64,
 }
 
 impl DcraPolicy {
@@ -34,7 +32,6 @@ impl DcraPolicy {
         DcraPolicy {
             shared_entries,
             gated: Vec::new(),
-            gates: 0,
         }
     }
 
@@ -74,11 +71,6 @@ impl DcraPolicy {
         }
         self.gated[tid] = v;
     }
-
-    /// Gate events so far.
-    pub fn gates(&self) -> u64 {
-        self.gates
-    }
 }
 
 impl FetchPolicy for DcraPolicy {
@@ -98,7 +90,6 @@ impl FetchPolicy for DcraPolicy {
             let usage = s.in_frontend + s.in_queues;
             if usage > cap && !self.is_gated(s.tid) {
                 self.set_gated(s.tid, true);
-                self.gates += 1;
                 actions.push(PolicyAction::Stall { tid: s.tid });
             } else if self.is_gated(s.tid) && usage * 4 <= cap * 3 {
                 // Hysteresis: release at 75 % of the entitlement.
@@ -155,7 +146,6 @@ mod tests {
         let mut actions = Vec::new();
         p.tick(0, &snaps, &mut actions);
         assert_eq!(actions, vec![PolicyAction::Stall { tid: 0 }]);
-        assert_eq!(p.gates(), 1);
     }
 
     #[test]

@@ -3,26 +3,36 @@
 //!
 //! The paper frames every long-latency-aware fetch policy as a
 //! *Detection Moment* (when do we decide a load will miss the L2?) plus
-//! a *Response Action* (what do we do to the offending thread?):
+//! a *Response Action* (what do we do to the offending thread?). The
+//! crate is laid out on those two axes: one detect-and-respond policy
+//! (`trigger.rs`) pairs any detection moment with FLUSH or STALL, and
+//! one priority policy (`priority.rs`) covers the policies that only
+//! order threads for fetch.
 //!
 //! | Policy | Detection moment | Response action |
 //! |--------|------------------|-----------------|
-//! | [`IcountPolicy`] | — | — (priority only) |
-//! | [`FlushPolicy`] FL-SX | delay-after-issue (X cycles) | squash + fetch-gate |
-//! | [`FlushPolicy`] FL-NS | actual L2 miss | squash + fetch-gate |
-//! | [`StallPolicy`] | either | fetch-gate only |
-//! | [`MflushPolicy`] | **dynamic per-bank prediction** (MCReg) with a *Preventive State* | gate early, squash only past the Barrier |
+//! | ICOUNT, BRCOUNT, L1DMISSCOUNT, RR | — | — (priority only) |
+//! | FLUSH-SX / STALL-SX | delay-after-issue (X cycles) | squash + fetch-gate / fetch-gate |
+//! | FLUSH-NS / STALL-NS | actual L2 miss | squash + fetch-gate / fetch-gate |
+//! | FLUSH-ADAPT | delay-after-issue, X hill-climbed per epoch | squash + fetch-gate |
+//! | FLUSH-LMP | per-PC load-miss predictor at the L1 miss | squash + fetch-gate |
+//! | MFLUSH | **dynamic per-bank prediction** (MCReg) with a *Preventive State* | gate early, squash only past the Barrier |
+//! | ADTS | — | — (switches ICOUNT/BRCOUNT/L1DMISSCOUNT per epoch) |
+//! | DCRA | — | fetch-gate threads over their resource entitlement |
+//!
+//! Every policy is built from a [`PolicyKind`] by [`build_policy`]; the
+//! concrete types are private. Only MFLUSH's configuration
+//! ([`mflush::MflushConfig`], [`mflush::McRegFile`] and its config
+//! types) is public, for figures and ablations.
 //!
 //! Policies are decoupled from the core model: the core feeds them
 //! per-cycle [`ThreadSnapshot`]s plus memory events, and executes the
 //! [`PolicyAction`]s they emit. This mirrors how a fetch policy is just
 //! a small front-end controller in real hardware.
 //!
-//! Extensions beyond the paper's evaluation: [`RoundRobinPolicy`],
-//! [`BrcountPolicy`], [`L1dMissCountPolicy`], the ADTS-style adaptive
-//! meta-policy [`AdtsPolicy`], the DCRA-style [`DcraPolicy`] (the
-//! paper's reference \[3\]), the hill-climbed [`AdaptiveFlushPolicy`] and
-//! the load-miss-predictor [`MissPredictFlushPolicy`].
+//! Extensions beyond the paper's evaluation: RR, BRCOUNT, L1DMISSCOUNT,
+//! the ADTS-style adaptive meta-policy, the DCRA-style policy (the
+//! paper's reference \[3\]), FLUSH-ADAPT and FLUSH-LMP.
 //!
 //! ```
 //! use smtsim_policy::{build_policy, PolicyEnv, PolicyKind, ThreadSnapshot};
@@ -44,30 +54,16 @@
 //! );
 //! ```
 
-pub mod adaptive_flush;
-pub mod adts;
-pub mod builder;
-pub mod count_variants;
-pub mod dcra;
-pub mod flush;
-pub mod icount;
+mod adts;
+mod builder;
+mod dcra;
 pub mod metrics;
 pub mod mflush;
-pub mod miss_predictor;
-pub mod rr;
-pub mod stall;
-pub mod types;
+mod priority;
+mod trigger;
+mod types;
 
-pub use adaptive_flush::{AdaptiveFlushConfig, AdaptiveFlushPolicy};
-pub use adts::AdtsPolicy;
 pub use builder::{build_policy, PolicyEnv, PolicyKind};
-pub use count_variants::{BrcountPolicy, L1dMissCountPolicy};
-pub use dcra::DcraPolicy;
-pub use flush::{FlushPolicy, FlushTrigger};
-pub use icount::IcountPolicy;
 pub use metrics::METRICS;
-pub use mflush::{McRegFile, McRegReducer, MflushConfig, MflushPolicy};
-pub use miss_predictor::{LoadMissPredictor, MissPredictFlushPolicy};
-pub use rr::RoundRobinPolicy;
-pub use stall::StallPolicy;
+pub use mflush::{McRegFile, McRegReducer, MflushConfig};
 pub use types::{FetchPolicy, LoadToken, PolicyAction, ThreadSnapshot};

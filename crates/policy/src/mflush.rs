@@ -58,8 +58,6 @@ pub struct McRegFile {
     regs: Vec<VecDeque<u8>>,
     /// Prediction returned before any observation.
     default_prediction: u8,
-    reads: u64,
-    writes: u64,
 }
 
 impl McRegFile {
@@ -71,15 +69,12 @@ impl McRegFile {
             cfg,
             regs: (0..num_banks).map(|_| VecDeque::new()).collect(),
             default_prediction,
-            reads: 0,
-            writes: 0,
         }
     }
 
     /// Record an observed L2-hit latency for `bank` (a write access to
     /// the 8-bit register: saturating).
     pub fn update(&mut self, bank: u32, latency: u64) {
-        self.writes += 1;
         let v = latency.min(u8::MAX as u64) as u8;
         let q = &mut self.regs[bank as usize];
         if q.len() == self.cfg.history {
@@ -89,8 +84,7 @@ impl McRegFile {
     }
 
     /// Predict the next L2-hit latency for `bank`.
-    pub fn predict(&mut self, bank: u32) -> u64 {
-        self.reads += 1;
+    pub fn predict(&self, bank: u32) -> u64 {
         let q = &self.regs[bank as usize];
         if q.is_empty() {
             return self.default_prediction as u64;
@@ -104,13 +98,6 @@ impl McRegFile {
             }
             McRegReducer::Max => q.iter().max().copied().unwrap_or(self.default_prediction) as u64,
         }
-    }
-
-    /// (register reads, register writes) — used by the energy argument
-    /// in §4.3 (MFLUSH's hardware cost is one 8-bit read per L1 miss,
-    /// one write per L2 hit).
-    pub fn access_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 }
 
@@ -199,27 +186,15 @@ struct MfThread {
     flushed: bool,
 }
 
-/// Counters exposed for evaluation and tests.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MflushStats {
-    pub preventive_entries: u64,
-    pub flushes: u64,
-    pub releases: u64,
-    /// Flushes whose load turned out to be an L2 hit — MFLUSH's false
-    /// misses.
-    pub false_flushes: u64,
-}
-
 /// Capacity of [`MflushPolicy::recent_issues`] (power of two).
 const RECENT_ISSUES: usize = 32;
 
 /// The MFLUSH fetch policy.
-pub struct MflushPolicy {
+pub(crate) struct MflushPolicy {
     cfg: MflushConfig,
     mcregs: McRegFile,
     loads: Vec<MfLoad>,
     threads: Vec<MfThread>,
-    stats: MflushStats,
     /// Preventive-state releases awaiting the next tick.
     pending_resumes: Vec<usize>,
     /// Earliest cycle at which the per-tick scan could produce an
@@ -249,28 +224,12 @@ impl MflushPolicy {
             cfg,
             loads: Vec::new(),
             threads: Vec::new(),
-            stats: MflushStats::default(),
             pending_resumes: Vec::new(),
             next_deadline: 0,
             recent_issues: [(LoadToken::MAX, 0); RECENT_ISSUES],
             stall_scratch: Vec::new(),
             flush_scratch: Vec::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MflushConfig {
-        &self.cfg
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> MflushStats {
-        self.stats
-    }
-
-    /// MCReg access counters (reads, writes).
-    pub fn mcreg_accesses(&self) -> (u64, u64) {
-        self.mcregs.access_counts()
     }
 
     fn thread_mut(&mut self, tid: usize) -> &mut MfThread {
@@ -369,12 +328,10 @@ impl FetchPolicy for MflushPolicy {
             if let Some(l) = self.loads.iter_mut().find(|l| l.token == token) {
                 l.flush_fired = true;
             }
-            self.stats.flushes += 1;
             actions.push(PolicyAction::Flush { tid, token });
         }
         for tid in to_stall.drain(..) {
             self.thread_mut(tid).stalled = true;
-            self.stats.preventive_entries += 1;
             actions.push(PolicyAction::Stall { tid });
         }
         self.stall_scratch = to_stall;
@@ -391,13 +348,6 @@ impl FetchPolicy for MflushPolicy {
         // starts at `on_l1d_miss`, so L1-hit loads (the vast majority)
         // never touch the load book-keeping.
         self.recent_issues[(token as usize) & (RECENT_ISSUES - 1)] = (token, cycle);
-    }
-
-    fn on_load_l1_hit(&mut self, _tid: usize, _token: LoadToken, _pc: u64, _cycle: u64) {
-        // Hit loads never enter the tracking vec, the MCReg only trains
-        // on L2 hits, and Preventive-State release can only be needed
-        // when a *tracked* (miss) load completes — so the default
-        // issue+complete round trip would find nothing to do.
     }
 
     fn on_l1d_miss(&mut self, tid: usize, token: LoadToken, bank: u32, cycle: u64) {
@@ -437,22 +387,16 @@ impl FetchPolicy for MflushPolicy {
             self.mcregs.update(bank, latency);
         }
         // Tokens are unique: one ordered pass finds and removes the load.
-        let mut was_flush_cause = false;
         // rposition: completing loads are usually the newest entries
         // (L1 hits complete the cycle they issue).
         if let Some(i) = self.loads.iter().rposition(|l| l.token == token) {
-            was_flush_cause = self.loads[i].flush_fired;
             self.loads.remove(i);
-        }
-        if was_flush_cause && l2_hit == Some(true) {
-            self.stats.false_flushes += 1;
         }
 
         // Leave the Preventive State when nothing suspicious remains.
         let th = self.thread(tid);
         if th.stalled && !th.flushed && !self.has_suspicious(tid, cycle) {
             self.thread_mut(tid).stalled = false;
-            self.stats.releases += 1;
             self.pending_resumes.push(tid);
         }
     }
@@ -464,7 +408,6 @@ impl FetchPolicy for MflushPolicy {
         let th = self.thread(tid);
         if th.stalled && !th.flushed && !self.has_suspicious(tid, u64::MAX) {
             self.thread_mut(tid).stalled = false;
-            self.stats.releases += 1;
             self.pending_resumes.push(tid);
         }
     }
@@ -582,7 +525,6 @@ mod tests {
         assert!(a.is_empty());
         p.tick(79, &snaps2(), &mut a);
         assert_eq!(a, vec![PolicyAction::Stall { tid: 0 }]);
-        assert_eq!(p.stats().preventive_entries, 1);
     }
 
     #[test]
@@ -597,7 +539,6 @@ mod tests {
         assert!(a.is_empty(), "before barrier");
         p.tick(90, &snaps2(), &mut a);
         assert_eq!(a, vec![PolicyAction::Flush { tid: 0, token: 1 }]);
-        assert_eq!(p.stats().flushes, 1);
     }
 
     #[test]
@@ -612,8 +553,6 @@ mod tests {
         a.clear();
         p.tick(86, &snaps2(), &mut a);
         assert_eq!(a, vec![PolicyAction::Resume { tid: 0 }]);
-        assert_eq!(p.stats().releases, 1);
-        assert_eq!(p.stats().flushes, 0);
     }
 
     #[test]
@@ -635,21 +574,6 @@ mod tests {
         );
         p.tick(200 + 188, &snaps2(), &mut a);
         assert!(a.iter().any(|x| matches!(x, PolicyAction::Flush { .. })));
-    }
-
-    #[test]
-    fn false_flush_detected_when_late_hit_completes() {
-        let mut p = MflushPolicy::new(cfg4());
-        p.on_load_issue(0, 1, 0, 0);
-        p.on_l1d_miss(0, 1, 0, 3);
-        let mut a = Vec::new();
-        for c in 0..=90 {
-            p.tick(c, &snaps2(), &mut a);
-        }
-        assert!(a.iter().any(|x| matches!(x, PolicyAction::Flush { .. })));
-        // The access finally resolves as a (very late) L2 hit.
-        p.on_load_complete(0, 1, 0, Some(true), 140, 140);
-        assert_eq!(p.stats().false_flushes, 1);
     }
 
     #[test]

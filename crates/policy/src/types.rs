@@ -94,14 +94,11 @@ pub trait FetchPolicy: Send {
     /// The load missed in the L1D and is now heading to L2 bank `bank`.
     fn on_l1d_miss(&mut self, _tid: usize, _token: LoadToken, _bank: u32, _cycle: u64) {}
 
-    /// A load issued and hit in the L1D, completing in the same cycle.
-    /// Reduced-fidelity cores call this instead of the
-    /// [`Self::on_load_issue`] + [`Self::on_load_complete`] pair; the
-    /// default forwards to both, so a policy that does not override it
-    /// observes the exact sequence the detailed core would deliver.
-    /// Policies on the simulator's hot path may override it with a
-    /// cheaper equivalent (this fires once per L1-hit load — the vast
-    /// majority of memory traffic).
+    /// A load issued and hit in the L1D. No core calls this: the core
+    /// reports an L1-hit load as [`Self::on_load_issue`] followed by
+    /// [`Self::on_load_complete`], and this default forwards to that
+    /// same pair. The method stays only because wrappers outside the
+    /// workspace forward it.
     fn on_load_l1_hit(&mut self, tid: usize, token: LoadToken, pc: u64, cycle: u64) {
         self.on_load_issue(tid, token, pc, cycle);
         self.on_load_complete(tid, token, 0, None, 3, cycle);
@@ -156,14 +153,24 @@ pub trait FetchPolicy: Send {
 }
 
 /// Sort thread ids by ICOUNT order: fewest pre-issue instructions first
-/// (stable tie-break by tid). Shared by every policy built on ICOUNT.
-pub fn icount_order(snaps: &[ThreadSnapshot], out: &mut Vec<usize>) {
+/// (tie-break by tid). Shared by every policy built on ICOUNT.
+pub(crate) fn icount_order(snaps: &[ThreadSnapshot], out: &mut Vec<usize>) {
+    order_by(snaps, out, |s| s.in_frontend + s.in_queues);
+}
+
+/// Sort thread ids by `key` of their snapshot, smallest first
+/// (tie-break by tid).
+pub(crate) fn order_by(
+    snaps: &[ThreadSnapshot],
+    out: &mut Vec<usize>,
+    key: impl Fn(&ThreadSnapshot) -> u32,
+) {
     out.clear();
     out.extend(snaps.iter().map(|s| s.tid));
     out.sort_by_key(|&tid| {
         // lint: allow(D3) -- out was populated from snaps two lines up, every tid resolves
         let s = snaps.iter().find(|s| s.tid == tid).expect("tid in snaps");
-        (s.in_frontend + s.in_queues, tid as u32)
+        (key(s), tid as u32)
     });
 }
 

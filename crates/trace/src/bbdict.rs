@@ -84,12 +84,6 @@ impl BasicBlock {
         self.len == 0
     }
 
-    /// PC of the terminating branch.
-    #[inline]
-    pub fn branch_pc(&self) -> u64 {
-        self.base_pc + 4 * (self.len as u64 - 1)
-    }
-
     /// PC one past the end of the block (the fall-through target).
     #[inline]
     pub fn end_pc(&self) -> u64 {

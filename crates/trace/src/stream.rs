@@ -112,11 +112,6 @@ impl<S: InstrStream> ReplayableStream<S> {
     pub fn inner(&self) -> &S {
         &self.inner
     }
-
-    /// Mutable access to the wrapped stream.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]

@@ -96,4 +96,9 @@ else
     echo "clippy not installed; skipping lint gate" >&2
 fi
 
+echo "== size (non-test Rust lines per crate, informational) =="
+# Nothing gates on this; it makes the line counts changes report
+# reproducible.
+scripts/loc.sh
+
 echo "== ci green =="

@@ -358,21 +358,7 @@ fn cmd_workloads() {
 }
 
 fn cmd_policies() {
-    for p in [
-        PolicyKind::Icount,
-        PolicyKind::RoundRobin,
-        PolicyKind::Brcount,
-        PolicyKind::L1dMissCount,
-        PolicyKind::Adts,
-        PolicyKind::Dcra,
-        PolicyKind::StallSpec(30),
-        PolicyKind::StallNonSpec,
-        PolicyKind::FlushSpec(30),
-        PolicyKind::FlushSpec(100),
-        PolicyKind::FlushNonSpec,
-        PolicyKind::FlushAdaptive,
-        PolicyKind::Mflush,
-    ] {
+    for p in PolicyKind::listed() {
         println!("{}", p.label());
     }
 }
