@@ -22,6 +22,8 @@ pub(crate) struct DcraPolicy {
     shared_entries: u32,
     /// Threads currently gated by us.
     gated: Vec<bool>,
+    /// Gate events (statistics, read by the unit tests).
+    gates: u64,
 }
 
 impl DcraPolicy {
@@ -32,6 +34,7 @@ impl DcraPolicy {
         DcraPolicy {
             shared_entries,
             gated: Vec::new(),
+            gates: 0,
         }
     }
 
@@ -90,6 +93,7 @@ impl FetchPolicy for DcraPolicy {
             let usage = s.in_frontend + s.in_queues;
             if usage > cap && !self.is_gated(s.tid) {
                 self.set_gated(s.tid, true);
+                self.gates += 1;
                 actions.push(PolicyAction::Stall { tid: s.tid });
             } else if self.is_gated(s.tid) && usage * 4 <= cap * 3 {
                 // Hysteresis: release at 75 % of the entitlement.
@@ -146,6 +150,7 @@ mod tests {
         let mut actions = Vec::new();
         p.tick(0, &snaps, &mut actions);
         assert_eq!(actions, vec![PolicyAction::Stall { tid: 0 }]);
+        assert_eq!(p.gates, 1);
     }
 
     #[test]

@@ -186,6 +186,17 @@ struct MfThread {
     flushed: bool,
 }
 
+/// Decision counters, read by the unit tests.
+#[derive(Debug, Clone, Copy, Default)]
+struct MflushStats {
+    preventive_entries: u64,
+    flushes: u64,
+    releases: u64,
+    /// Flushes whose load turned out to be an L2 hit — MFLUSH's false
+    /// misses.
+    false_flushes: u64,
+}
+
 /// Capacity of [`MflushPolicy::recent_issues`] (power of two).
 const RECENT_ISSUES: usize = 32;
 
@@ -195,6 +206,7 @@ pub(crate) struct MflushPolicy {
     mcregs: McRegFile,
     loads: Vec<MfLoad>,
     threads: Vec<MfThread>,
+    stats: MflushStats,
     /// Preventive-state releases awaiting the next tick.
     pending_resumes: Vec<usize>,
     /// Earliest cycle at which the per-tick scan could produce an
@@ -224,6 +236,7 @@ impl MflushPolicy {
             cfg,
             loads: Vec::new(),
             threads: Vec::new(),
+            stats: MflushStats::default(),
             pending_resumes: Vec::new(),
             next_deadline: 0,
             recent_issues: [(LoadToken::MAX, 0); RECENT_ISSUES],
@@ -328,10 +341,12 @@ impl FetchPolicy for MflushPolicy {
             if let Some(l) = self.loads.iter_mut().find(|l| l.token == token) {
                 l.flush_fired = true;
             }
+            self.stats.flushes += 1;
             actions.push(PolicyAction::Flush { tid, token });
         }
         for tid in to_stall.drain(..) {
             self.thread_mut(tid).stalled = true;
+            self.stats.preventive_entries += 1;
             actions.push(PolicyAction::Stall { tid });
         }
         self.stall_scratch = to_stall;
@@ -387,16 +402,22 @@ impl FetchPolicy for MflushPolicy {
             self.mcregs.update(bank, latency);
         }
         // Tokens are unique: one ordered pass finds and removes the load.
+        let mut was_flush_cause = false;
         // rposition: completing loads are usually the newest entries
         // (L1 hits complete the cycle they issue).
         if let Some(i) = self.loads.iter().rposition(|l| l.token == token) {
+            was_flush_cause = self.loads[i].flush_fired;
             self.loads.remove(i);
+        }
+        if was_flush_cause && l2_hit == Some(true) {
+            self.stats.false_flushes += 1;
         }
 
         // Leave the Preventive State when nothing suspicious remains.
         let th = self.thread(tid);
         if th.stalled && !th.flushed && !self.has_suspicious(tid, cycle) {
             self.thread_mut(tid).stalled = false;
+            self.stats.releases += 1;
             self.pending_resumes.push(tid);
         }
     }
@@ -408,6 +429,7 @@ impl FetchPolicy for MflushPolicy {
         let th = self.thread(tid);
         if th.stalled && !th.flushed && !self.has_suspicious(tid, u64::MAX) {
             self.thread_mut(tid).stalled = false;
+            self.stats.releases += 1;
             self.pending_resumes.push(tid);
         }
     }
@@ -525,6 +547,7 @@ mod tests {
         assert!(a.is_empty());
         p.tick(79, &snaps2(), &mut a);
         assert_eq!(a, vec![PolicyAction::Stall { tid: 0 }]);
+        assert_eq!(p.stats.preventive_entries, 1);
     }
 
     #[test]
@@ -539,6 +562,7 @@ mod tests {
         assert!(a.is_empty(), "before barrier");
         p.tick(90, &snaps2(), &mut a);
         assert_eq!(a, vec![PolicyAction::Flush { tid: 0, token: 1 }]);
+        assert_eq!(p.stats.flushes, 1);
     }
 
     #[test]
@@ -553,6 +577,8 @@ mod tests {
         a.clear();
         p.tick(86, &snaps2(), &mut a);
         assert_eq!(a, vec![PolicyAction::Resume { tid: 0 }]);
+        assert_eq!(p.stats.releases, 1);
+        assert_eq!(p.stats.flushes, 0);
     }
 
     #[test]
@@ -574,6 +600,21 @@ mod tests {
         );
         p.tick(200 + 188, &snaps2(), &mut a);
         assert!(a.iter().any(|x| matches!(x, PolicyAction::Flush { .. })));
+    }
+
+    #[test]
+    fn false_flush_detected_when_late_hit_completes() {
+        let mut p = MflushPolicy::new(cfg4());
+        p.on_load_issue(0, 1, 0, 0);
+        p.on_l1d_miss(0, 1, 0, 3);
+        let mut a = Vec::new();
+        for c in 0..=90 {
+            p.tick(c, &snaps2(), &mut a);
+        }
+        assert!(a.iter().any(|x| matches!(x, PolicyAction::Flush { .. })));
+        // The access finally resolves as a (very late) L2 hit.
+        p.on_load_complete(0, 1, 0, Some(true), 140, 140);
+        assert_eq!(p.stats.false_flushes, 1);
     }
 
     #[test]

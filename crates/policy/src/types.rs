@@ -97,8 +97,9 @@ pub trait FetchPolicy: Send {
     /// A load issued and hit in the L1D. No core calls this: the core
     /// reports an L1-hit load as [`Self::on_load_issue`] followed by
     /// [`Self::on_load_complete`], and this default forwards to that
-    /// same pair. The method stays only because wrappers outside the
-    /// workspace forward it.
+    /// same pair. The method stays only because the benchmark's
+    /// `TimedPolicy` (`crates/bench/src/bin/benchmark/traced.rs`)
+    /// forwards it; it goes when that forwarding does.
     fn on_load_l1_hit(&mut self, tid: usize, token: LoadToken, pc: u64, cycle: u64) {
         self.on_load_issue(tid, token, pc, cycle);
         self.on_load_complete(tid, token, 0, None, 3, cycle);
