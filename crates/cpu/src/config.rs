@@ -1,5 +1,8 @@
 //! Core configuration (paper Fig. 1, "Core Parameters").
 
+/// Most entries one issue queue can have: the scheduler keeps a queue's
+/// free and ready slots as one `u64` bit mask each.
+pub const MAX_QUEUE_ENTRIES: u32 = 64;
 
 /// Configuration of one SMT core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,6 +120,17 @@ impl CoreConfig {
         if !self.btb_entries.is_multiple_of(self.btb_ways) {
             return Err("btb entries must divide by ways".into());
         }
+        for (name, entries) in [
+            ("int_queue", self.int_queue),
+            ("fp_queue", self.fp_queue),
+            ("ls_queue", self.ls_queue),
+        ] {
+            if entries > MAX_QUEUE_ENTRIES {
+                return Err(format!(
+                    "{name} {entries} exceeds the {MAX_QUEUE_ENTRIES} entries an issue queue can hold"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -166,5 +180,20 @@ mod tests {
         let mut c = CoreConfig::paper();
         c.btb_ways = 3;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn issue_queues_above_one_mask_word_rejected() {
+        let mut c = CoreConfig::paper();
+        c.ls_queue = MAX_QUEUE_ENTRIES + 1;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("ls_queue 65"), "{err}");
+        let mut c = CoreConfig::paper();
+        c.int_queue = 128;
+        assert!(c.validate().unwrap_err().contains("int_queue"));
+        // An int-only machine may have no fp queue at all.
+        let mut c = CoreConfig::paper();
+        c.fp_queue = 0;
+        c.validate().unwrap();
     }
 }

@@ -8,9 +8,9 @@
 //! stores, and to its [`FetchPolicy`] through snapshots, events and
 //! actions.
 
-use crate::config::CoreConfig;
 use crate::bpred::PerceptronPredictor;
 use crate::btb::Btb;
+use crate::config::{CoreConfig, MAX_QUEUE_ENTRIES};
 use crate::regfile::{PhysReg, RegFile};
 use crate::rob::{InstrState, QueueKind, RobEntry};
 use crate::stats::{CoreStats, ThreadProbe, ThreadStats};
@@ -37,34 +37,58 @@ enum MemTarget {
     Store,
 }
 
-/// Compact record of one issue-queue resident, used by the wakeup
-/// scheduler: an entry waiting on operands is *parked* on one of its
-/// not-ready source registers (`reg_waiters`), and moves to the
-/// per-queue ready list (`iq_ready`) when its last source is marked
-/// ready. The issue stage and the skip-ahead horizon therefore scan
-/// only *ready* entries — O(issuable) instead of O(queue residents)
-/// per cycle. Each ready list is kept in token order (oldest first),
-/// so the issue stage arbitrates in one walk with no sort.
-///
-/// Squashes do not edit these lists: a squashed entry goes stale in
-/// place and is dropped lazily wherever it next surfaces, validated
-/// against the ROB (`(pos, token)` still resident and `InQueue`).
-/// Tokens are never reused, so a stale record can never be mistaken
-/// for a live one, even once a younger entry reuses its position. For
-/// *live* entries the scheme is exact because source readiness is
-/// monotone: a source register can be rolled back or released only
-/// after every InQueue reader of it has itself been squashed or
-/// committed.
-#[derive(Debug, Clone, Copy)]
-struct IqEntry {
+/// The dispatch record of one issue-queue resident.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
     token: u64,
     /// ROB position ([`crate::rob::Rob::push`]).
     pos: u64,
     tid: u32,
-    /// Queue index (`QueueKind::index`), so wakeups route to the right
-    /// ready list without a ROB lookup.
-    qi: u8,
-    srcs: [Option<PhysReg>; 2],
+    /// Distinct source registers not yet ready; the slot is ready at 0.
+    pending: u32,
+}
+
+/// One shared issue queue as [`MAX_QUEUE_ENTRIES`] fixed slots
+/// (DESIGN.md §16). `free` and `ready` are bit masks over the slots;
+/// each physical register's `SmtCore::reg_waiting` entry names the
+/// slots still waiting on it, so a wakeup touches only its waiters and
+/// the issue stage reads only `ready`. Slots leave at issue and,
+/// eagerly, at squash, so every occupied slot is a live `InQueue`
+/// instruction (its ROB entry records the slot in `iq_slot`).
+///
+/// Waiting is exact because source readiness is monotone: a source
+/// register can be rolled back or released only after every `InQueue`
+/// reader of it has itself been squashed or has issued.
+#[derive(Debug, Clone)]
+struct IssueQueue {
+    slots: [Slot; MAX_QUEUE_ENTRIES as usize],
+    /// Unoccupied slots below the queue's capacity.
+    free: u64,
+    /// Occupied slots with every source ready.
+    ready: u64,
+}
+
+/// Mask of the first `entries` slots (`entries == 0` shifts by 64: none).
+fn slot_mask(entries: u32) -> u64 {
+    u64::MAX
+        .checked_shr(MAX_QUEUE_ENTRIES - entries)
+        .unwrap_or(0)
+}
+
+impl IssueQueue {
+    fn new(entries: u32) -> Self {
+        IssueQueue {
+            slots: [Slot::default(); MAX_QUEUE_ENTRIES as usize],
+            free: slot_mask(entries),
+            ready: 0,
+        }
+    }
+
+    fn release(&mut self, slot: u8) {
+        let bit = 1u64 << slot;
+        self.free |= bit;
+        self.ready &= !bit;
+    }
 }
 
 /// One SMT core.
@@ -118,20 +142,10 @@ pub struct SmtCore {
     snaps_fresh: bool,
     prio: Vec<usize>,
     actions: Vec<PolicyAction>,
-    /// Ready issue-queue residents, one list per queue kind (see
-    /// [`IqEntry`]): every live entry whose sources are all ready, in
-    /// token order. Pre-sized to the queue capacities at construction
-    /// so the cycle loop does not grow them (D10); may also hold stale
-    /// (squashed) records, dropped lazily by the issue stage.
-    iq_ready: [Vec<IqEntry>; 3],
-    /// Wakeup lists: entries parked on a not-ready source register,
-    /// indexed by physical register. Drained by [`Self::wake_reg`]
-    /// when the register is marked ready.
-    reg_waiters: Vec<Vec<IqEntry>>,
-    /// Reusable drain buffer for [`Self::wake_reg`] (D10: capacity
-    /// rotates between this and the waiter slots, so steady-state
-    /// wakeups never allocate).
-    wake_scratch: Vec<IqEntry>,
+    /// The shared issue queues [int, fp, ls] (see [`IssueQueue`]).
+    iq: [IssueQueue; 3],
+    /// Per physical register, per queue: the slots waiting on it.
+    reg_waiting: Vec<[u64; 3]>,
     /// Squash-path scratch: drained front-end entries, removed ROB
     /// entries, and the two replay lists. Squashes are frequent enough
     /// (every mispredict, every FLUSH) to live inside the D10 contract.
@@ -200,13 +214,12 @@ impl SmtCore {
             snaps_fresh: false,
             prio: Vec::new(),
             actions: Vec::new(),
-            iq_ready: [
-                Vec::with_capacity(cfg.int_queue as usize),
-                Vec::with_capacity(cfg.fp_queue as usize),
-                Vec::with_capacity(cfg.ls_queue as usize),
+            iq: [
+                IssueQueue::new(cfg.int_queue),
+                IssueQueue::new(cfg.fp_queue),
+                IssueQueue::new(cfg.ls_queue),
             ],
-            reg_waiters: (0..cfg.phys_regs).map(|_| Vec::new()).collect(),
-            wake_scratch: Vec::new(),
+            reg_waiting: vec![[0; 3]; cfg.phys_regs as usize],
             squash_fes: Vec::new(),
             squash_rob: Vec::new(),
             replay_buf: Vec::new(),
@@ -283,10 +296,10 @@ impl SmtCore {
     /// * **commit** acts whenever a ROB head is `Done`;
     /// * **exec_complete** acts when the earliest scheduled completion
     ///   is due;
-    /// * **issue** re-arbitrates every cycle a ready-list entry is
-    ///   live (including MSHR-full retry loops, which touch the cache
-    ///   and count `mshr_retries`); parked entries only wake through
-    ///   completions the other horizon terms already cover;
+    /// * **issue** re-arbitrates every cycle some issue-queue slot is
+    ///   ready (including MSHR-full retry loops, which touch the cache
+    ///   and count `mshr_retries`); waiting slots only become ready
+    ///   through completions the other horizon terms already cover;
     /// * **dispatch** acts when the *front* front-end entry has cleared
     ///   the front-end pipe and the ROB, its issue queue, and the
     ///   rename free list all have room. A front entry that is blocked
@@ -335,20 +348,8 @@ impl SmtCore {
                 }
             }
         }
-        // The wakeup scan last, so busy cores bail out on the cheap
-        // checks above. The scheduler keeps the ready lists down to
-        // issuable entries, so a stalled core scans almost nothing;
-        // stale (squashed) records must be ignored, not trusted.
-        for list in &self.iq_ready {
-            for e in list {
-                let live = self.threads[e.tid as usize]
-                    .rob
-                    .at(e.pos, e.token)
-                    .is_some_and(|r| r.state == InstrState::InQueue);
-                if live {
-                    return from;
-                }
-            }
+        if self.iq.iter().any(|q| q.ready != 0) {
+            return from;
         }
         // Quiescent at `from`: gather the scheduled wake-ups.
         let mut at = self.policy.next_wake(from);
@@ -626,85 +627,55 @@ impl SmtCore {
     // ----------------------------------------------------------------
 
     fn issue(&mut self, now: u64, mem: &mut MemoryModel) {
-        // One walk per queue over its ready list, oldest (smallest
-        // token) first across both threads. The wakeup scheduler keeps
-        // `iq_ready` down to issuable entries, so this touches
-        // O(issuable) state — a stalled thread costs nothing here.
-        // Stale (squashed) records are dropped as they surface; live
-        // records are ready by construction (readiness is monotone, see
-        // [`IqEntry`]). Issued entries leave the list in the same pass;
-        // entries past the unit count stay, in order.
+        // Per queue, the ready slots oldest (smallest token) first
+        // across both threads: sorting `token << 6 | slot` keys orders
+        // by token, and tokens are unique. Entries that cannot issue
+        // (MSHR full) stay ready for the next cycle.
         let units = [self.cfg.int_units, self.cfg.fp_units, self.cfg.ls_units];
         for (qi, &width) in units.iter().enumerate() {
-            if self.iq_ready[qi].is_empty() {
+            let mut ready = self.iq[qi].ready;
+            if ready == 0 {
                 continue;
             }
-            let mut list = std::mem::take(&mut self.iq_ready[qi]);
-            let (mut read, mut kept, mut issued) = (0, 0, 0);
-            while read < list.len() && issued < width {
-                let e = list[read];
-                read += 1;
-                let tid = e.tid as usize;
-                let live = self.threads[tid]
-                    .rob
-                    .at(e.pos, e.token)
-                    .is_some_and(|r| r.state == InstrState::InQueue);
-                if !live {
-                    continue;
+            let mut keys = [0u64; MAX_QUEUE_ENTRIES as usize];
+            let mut n = 0;
+            while ready != 0 {
+                let slot = ready.trailing_zeros();
+                ready &= ready - 1;
+                keys[n] = self.iq[qi].slots[slot as usize].token << 6 | slot as u64;
+                n += 1;
+            }
+            let keys = &mut keys[..n];
+            keys.sort_unstable();
+            let mut issued = 0;
+            for &key in keys.iter() {
+                if issued == width {
+                    break;
                 }
-                debug_assert!(
-                    e.srcs.iter().flatten().all(|&p| self.regs.is_ready(p)),
-                    "iq_ready entry with a not-ready source"
-                );
-                if self.try_issue_one(tid, e.token, e.pos, now, mem) {
+                let slot = (key & 63) as u8;
+                let r = self.iq[qi].slots[slot as usize];
+                if self.try_issue_one(r.tid as usize, r.token, r.pos, now, mem) {
+                    self.iq[qi].release(slot);
                     issued += 1;
-                } else {
-                    list[kept] = e;
-                    kept += 1;
                 }
             }
-            if kept < read {
-                list.copy_within(read.., kept);
-                list.truncate(list.len() - (read - kept));
-            }
-            self.iq_ready[qi] = list;
         }
     }
 
-    /// `p` was just marked ready: re-examine every entry parked on it.
-    /// An entry whose other source is still not ready re-parks there;
-    /// otherwise it joins its queue's ready list. Stale (squashed)
-    /// records move along unvalidated — the issue stage drops them.
+    /// `p` was just marked ready: every slot waiting on it has one
+    /// source fewer to wait for, and those left with none become ready.
     fn wake_reg(&mut self, p: PhysReg) {
-        if self.reg_waiters[p as usize].is_empty() {
-            return;
-        }
-        let mut woken = std::mem::replace(
-            &mut self.reg_waiters[p as usize],
-            std::mem::take(&mut self.wake_scratch),
-        );
-        for e in woken.drain(..) {
-            self.park_or_ready(e);
-        }
-        self.wake_scratch = woken;
-    }
-
-    /// Insert `e` into the wakeup structures: parked on its first
-    /// not-ready source, or into its queue's ready list at its token
-    /// position. From dispatch that is usually, but not always, the
-    /// end: tokens are handed out at fetch across both threads, and
-    /// dispatch may take an older instruction of one thread after a
-    /// younger one of the other.
-    fn park_or_ready(&mut self, e: IqEntry) {
-        for &src in e.srcs.iter().flatten() {
-            if !self.regs.is_ready(src) {
-                self.reg_waiters[src as usize].push(e);
-                return;
+        let waiting = std::mem::take(&mut self.reg_waiting[p as usize]);
+        for (q, mut slots) in self.iq.iter_mut().zip(waiting) {
+            while slots != 0 {
+                let slot = slots.trailing_zeros() as usize;
+                slots &= slots - 1;
+                q.slots[slot].pending -= 1;
+                if q.slots[slot].pending == 0 {
+                    q.ready |= 1 << slot;
+                }
             }
         }
-        let list = &mut self.iq_ready[e.qi as usize];
-        let i = list.partition_point(|l| l.token < e.token);
-        list.insert(i, e);
     }
 
     /// Issue one instruction; returns false when it must stay queued
@@ -723,8 +694,12 @@ impl SmtCore {
             let e = self.threads[tid]
                 .rob
                 .at(pos, token)
-                // lint: allow(D3) -- the issue walk validated this entry resident and InQueue just before the call
+                // lint: allow(D3) -- occupied issue-queue slots are live InQueue entries: squash frees them eagerly
                 .expect("issue candidate resident in ROB");
+            debug_assert!(
+                e.srcs.iter().flatten().all(|&p| self.regs.is_ready(p)),
+                "ready issue-queue slot with a not-ready source"
+            );
             (
                 e.instr.class,
                 e.instr.mem_addr,
@@ -860,24 +835,42 @@ impl SmtCore {
                     None
                 };
                 self.threads[tid].frontend.pop_front();
+                let qi = queue.index();
+                let slot = self.iq[qi].free.trailing_zeros() as u8;
                 let pos = self.threads[tid].rob.push(RobEntry {
                     token: fe.token,
                     instr: fe.instr,
                     wrong_path: fe.wrong_path,
                     state: InstrState::InQueue,
                     queue,
+                    iq_slot: slot,
                     srcs,
                     dst,
                     mispredicted: fe.mispredicted,
                     load_tracked: false,
                 });
-                self.park_or_ready(IqEntry {
+                // Wait once per distinct not-ready source: both operands
+                // may name the same register, and it wakes the slot once.
+                let bit = 1u64 << slot;
+                let mut pending = 0;
+                for &src in srcs.iter().flatten() {
+                    let waiting = &mut self.reg_waiting[src as usize][qi];
+                    if !self.regs.is_ready(src) && *waiting & bit == 0 {
+                        *waiting |= bit;
+                        pending += 1;
+                    }
+                }
+                let q = &mut self.iq[qi];
+                q.slots[slot as usize] = Slot {
                     token: fe.token,
                     pos,
                     tid: tid as u32,
-                    qi: queue.index() as u8,
-                    srcs,
-                });
+                    pending,
+                };
+                q.free &= !bit;
+                if pending == 0 {
+                    q.ready |= bit;
+                }
                 if fe.instr.class == InstrClass::Store {
                     self.store_fwd[tid].push_back((fe.token, fe.instr.mem_addr & !7));
                 }
@@ -1058,9 +1051,12 @@ impl SmtCore {
             }
             match e.state {
                 InstrState::InQueue => {
-                    // The wakeup record (parked or ready) goes stale in
-                    // place; dropped lazily (see [`IqEntry`]).
-                    self.iq_used[e.queue.index()] -= 1;
+                    let qi = e.queue.index();
+                    for &src in e.srcs.iter().flatten() {
+                        self.reg_waiting[src as usize][qi] &= !(1u64 << e.iq_slot);
+                    }
+                    self.iq[qi].release(e.iq_slot);
+                    self.iq_used[qi] -= 1;
                     self.iq_per_thread[tid] = self.iq_per_thread[tid].saturating_sub(1);
                 }
                 InstrState::WaitingMem { req } => {
@@ -1402,6 +1398,94 @@ impl SmtCore {
             );
         }
         s
+    }
+
+    /// Check the issue-queue scheduler against the ROB and register
+    /// file (for tests): each queue's `ready` mask is exactly its
+    /// `InQueue` residents with every source ready, each resident waits
+    /// on exactly its distinct not-ready sources, occupied slots equal
+    /// `iq_used`, and no register's mask names a free slot.
+    #[doc(hidden)]
+    pub fn check_scheduler(&self) -> Result<(), String> {
+        let caps = [self.cfg.int_queue, self.cfg.fp_queue, self.cfg.ls_queue];
+        for (qi, q) in self.iq.iter().enumerate() {
+            let occupied = !q.free & slot_mask(caps[qi]);
+            if occupied.count_ones() != self.iq_used[qi] {
+                return Err(format!(
+                    "queue {qi}: {} occupied slots, iq_used {}",
+                    occupied.count_ones(),
+                    self.iq_used[qi]
+                ));
+            }
+            let in_queue = self
+                .threads
+                .iter()
+                .flat_map(|t| t.rob.iter())
+                .filter(|e| e.state == InstrState::InQueue && e.queue.index() == qi)
+                .count();
+            if in_queue != occupied.count_ones() as usize {
+                return Err(format!(
+                    "queue {qi}: {in_queue} InQueue ROB entries, {} occupied slots",
+                    occupied.count_ones()
+                ));
+            }
+            let (mut expect_ready, mut total_waits) = (0u64, 0u32);
+            for slot in 0..MAX_QUEUE_ENTRIES as usize {
+                let bit = 1u64 << slot;
+                if occupied & bit == 0 {
+                    continue;
+                }
+                let r = q.slots[slot];
+                let e = self.threads[r.tid as usize]
+                    .rob
+                    .at(r.pos, r.token)
+                    .filter(|e| e.state == InstrState::InQueue && e.iq_slot as usize == slot)
+                    .ok_or_else(|| format!("queue {qi} slot {slot}: no InQueue ROB entry"))?;
+                let mut waits = 0;
+                for (i, &src) in e.srcs.iter().enumerate() {
+                    let Some(src) = src else { continue };
+                    let listed = self.reg_waiting[src as usize][qi] & bit != 0;
+                    if listed == self.regs.is_ready(src) {
+                        return Err(format!(
+                            "queue {qi} slot {slot}: source {src} ready={} but listed={listed}",
+                            self.regs.is_ready(src)
+                        ));
+                    }
+                    waits += u32::from(listed && (i == 0 || e.srcs[0] != Some(src)));
+                }
+                if waits != r.pending {
+                    return Err(format!(
+                        "queue {qi} slot {slot}: pending {} for {waits} waiting sources",
+                        r.pending
+                    ));
+                }
+                total_waits += waits;
+                if waits == 0 {
+                    expect_ready |= bit;
+                }
+            }
+            if q.ready != expect_ready {
+                return Err(format!(
+                    "queue {qi}: ready {:#x}, expected {expect_ready:#x}",
+                    q.ready
+                ));
+            }
+            let mut mask_bits = 0;
+            for (p, waiting) in self.reg_waiting.iter().enumerate() {
+                if waiting[qi] & !occupied != 0 {
+                    return Err(format!("register {p} waits in free slots of queue {qi}"));
+                }
+                mask_bits += waiting[qi].count_ones();
+            }
+            // Every listed source is one bit, so equal totals leave no
+            // bit that names a slot not waiting on that register.
+            if mask_bits != total_waits {
+                return Err(format!(
+                    "queue {qi}: {mask_bits} register-mask bits for {total_waits} waiting sources"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Start recording `(tid, trace_seq)` for every commit.

@@ -60,6 +60,8 @@ pub struct RobEntry {
     pub wrong_path: bool,
     pub state: InstrState,
     pub queue: QueueKind,
+    /// Issue-queue slot held while `InQueue` (meaningless after issue).
+    pub iq_slot: u8,
     /// Source physical registers.
     pub srcs: [Option<PhysReg>; 2],
     /// `(allocated, previous)` physical destination mapping.
@@ -270,6 +272,7 @@ mod tests {
             wrong_path: false,
             state: InstrState::InQueue,
             queue: QueueKind::Int,
+            iq_slot: 0,
             srcs: [None, None],
             dst: None,
             mispredicted: false,

@@ -1,6 +1,7 @@
 //! Focused tests of individual core mechanisms: the fetch-queue bound,
 //! store-to-load forwarding, RAS-driven return prediction, the flush
-//! energy distribution, and wrong-path containment.
+//! energy distribution, wrong-path containment, and issue-queue wakeup
+//! of an instruction that reads one register twice.
 
 use smtsim_cpu::thread::ThreadProgram;
 use smtsim_cpu::{CoreConfig, SmtCore};
@@ -199,4 +200,67 @@ fn wrong_path_loads_do_not_touch_the_data_cache() {
         mem_loads, correct_path_loads,
         "every memory load must be a correct-path, non-forwarded load"
     );
+}
+
+#[test]
+fn duplicate_source_issues_once_its_register_is_ready() {
+    // Every other instruction reads the load before it through both
+    // operands, so both sources rename to one not-ready physical
+    // register. That register wakes its readers once: waiting per
+    // operand instead of per distinct register would wedge the reader,
+    // and with it the thread, forever.
+    use smtsim_trace::DynInstr;
+    struct DupSourceStream {
+        seq: u64,
+    }
+    impl InstrStream for DupSourceStream {
+        fn next_instr(&mut self) -> DynInstr {
+            let seq = self.seq;
+            self.seq += 1;
+            let mut i = DynInstr::nop(seq, 0x40_0000 + (seq % 16) * 4);
+            if seq.is_multiple_of(2) {
+                i.class = InstrClass::Load;
+                i.mem_addr = 0x0200_0000_0000 + (seq % 64) * 8;
+                i.dst = Some(1);
+            } else {
+                i.class = InstrClass::IntAlu;
+                i.srcs = [Some(1), Some(1)];
+                i.dst = Some(2);
+            }
+            i
+        }
+    }
+    let gen = TraceGenerator::new(spec::benchmark_by_name("gzip").unwrap(), 1);
+    let dict = gen.dict_arc();
+    let env = PolicyEnv::paper(1);
+    // lint: allow(D5) -- test setup boxes its stream once; the crate clippy.toml bans Box::new for the cycle loop
+    #[allow(clippy::disallowed_methods)]
+    let programs = vec![
+        ThreadProgram::from_stream(Box::new(DupSourceStream { seq: 0 }), dict.clone()),
+        ThreadProgram::from_stream(Box::new(DupSourceStream { seq: 0 }), dict),
+    ];
+    let mut core = SmtCore::new(
+        0,
+        CoreConfig::paper(),
+        build_policy(PolicyKind::Icount, &env),
+        programs,
+    );
+    core.enable_commit_log();
+    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    for now in 0..3_000 {
+        mem.tick(now);
+        core.tick(now, &mut mem);
+    }
+    let mut committed = [0u64; 2];
+    for &(tid, seq) in core.commit_log() {
+        assert_eq!(seq, committed[tid], "thread {tid} out of order");
+        committed[tid] += 1;
+    }
+    for (tid, &n) in committed.iter().enumerate() {
+        assert!(
+            n > 1_000,
+            "thread {tid} committed only {n}: {}",
+            core.debug_state()
+        );
+    }
 }

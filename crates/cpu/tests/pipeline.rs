@@ -9,6 +9,7 @@ use smtsim_cpu::thread::ThreadProgram;
 use smtsim_cpu::{CoreConfig, SmtCore};
 use smtsim_mem::{MemConfig, MemoryModel};
 use smtsim_policy::{build_policy, PolicyEnv, PolicyKind};
+use smtsim_trace::check::Cases;
 use smtsim_trace::{spec, TraceGenerator};
 
 fn make_core(policy: PolicyKind, benchmarks: &[&str], seed: u64) -> SmtCore {
@@ -221,4 +222,26 @@ fn resources_stay_balanced_over_long_runs() {
     run_from(&mut core, &mut mem, t, 30_000);
     // Progress continues in the second half (no wedge).
     assert!(core.total_committed() > committed_early + 100);
+}
+
+#[test]
+fn scheduler_invariants_hold_every_tick() {
+    // The issue-queue slots, their ready masks and the per-register
+    // waiting masks must agree with the ROB and register file after
+    // every cycle, across flushes, stalls and mispredict squashes.
+    Cases::new(8).run("scheduler_invariants_hold_every_tick", |g| {
+        let policy = *g.choose(&PolicyKind::fig8_set());
+        let a = g.choose(&spec::ALL_BENCHMARKS).name;
+        let b = g.choose(&spec::ALL_BENCHMARKS).name;
+        let mut core = make_core(policy, &[a, b], g.u64_in(0..1 << 32));
+        let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+        core.prewarm(&mut mem);
+        for now in 0..6_000 {
+            mem.tick(now);
+            core.tick(now, &mut mem);
+            if let Err(e) = core.check_scheduler() {
+                panic!("{policy:?} on {a}+{b}, cycle {now}: {e}");
+            }
+        }
+    });
 }

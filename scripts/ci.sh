@@ -68,7 +68,12 @@ echo "== fidelity equivalence (detailed == pre-refactor bytes) =="
 # in the default fidelity silently invalidates every golden figure.
 # The range prewarm must leave every tag array and TLB exactly as the
 # line-by-line warm did, or every warmed run drifts from its golden.
+# The issue-queue scheduler must agree with the ROB after every tick
+# and wake an instruction that reads one register twice, or runs wedge
+# or issue out of order.
 cargo test -q --offline -p smtsim-core --test fidelity
+cargo test -q --offline -p smtsim-cpu --test pipeline scheduler_invariants_hold_every_tick
+cargo test -q --offline -p smtsim-cpu --test mechanisms duplicate_source_issues_once_its_register_is_ready
 cargo test -q --offline -p smtsim-mem --test properties prewarm_equivalence
 
 echo "== serve (fault tolerance, cache replay, kill -9 restart) =="
