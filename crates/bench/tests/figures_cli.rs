@@ -1,8 +1,11 @@
 //! The `figures` binary's exit-code contract: `0` on success, `2` with
 //! a usage line for a bad flag value or an unknown figure name (the
 //! latter with a "did you mean" hint), matching the `smtsim` CLI; and
-//! its `--journal FILE` contract: a resumed run prints the same bytes.
+//! its `--journal FILE` contract: a resumed run prints the same bytes;
+//! and the bytes themselves: `figures all ablations extensions --cycles
+//! 3000` must print exactly `fixtures/figures_c3000.golden.txt`.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn figures(args: &[&str]) -> Output {
@@ -120,4 +123,36 @@ fn journaled_ablations_replay_every_variant_as_its_own_machine() {
         text(&plain),
         "a replayed report must be byte-identical"
     );
+}
+
+#[test]
+fn figures_at_3000_cycles_match_the_golden() {
+    // Every model change that is meant to be behaviour-preserving must
+    // leave this output byte-identical. Regenerate after an intended
+    // model change with
+    // `BLESS=1 cargo test -p smtsim-bench --test figures_cli figures_at_3000`.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/figures_c3000.golden.txt");
+    let out = figures(&["all", "ablations", "extensions", "--cycles", "3000"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    if std::env::var("BLESS").is_ok() {
+        std::fs::write(&path, &out.stdout).expect("write the figures golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("figures golden missing; create it with BLESS=1");
+    let have = String::from_utf8_lossy(&out.stdout);
+    if let Some((line, (h, w))) = have.lines().zip(want.lines()).enumerate().find(|(_, (h, w))| h != w) {
+        panic!("figures output drifted from the golden at line {}:\n have: {h}\n want: {w}", line + 1);
+    }
+    assert_eq!(
+        have.lines().count(),
+        want.lines().count(),
+        "figures output drifted from the golden in length; regenerate with BLESS=1 \
+         cargo test -p smtsim-bench --test figures_cli figures_at_3000 if the change is intended"
+    );
+    assert!(have == want, "figures output drifted from the golden in line endings");
 }

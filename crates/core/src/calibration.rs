@@ -7,6 +7,7 @@
 //! meaning.
 
 use crate::config::SimConfig;
+use crate::result::SimResult;
 use crate::sim::Simulator;
 use crate::sweep::{run_sweep_ok, SweepJob};
 use smtsim_policy::PolicyKind;
@@ -30,100 +31,57 @@ pub struct CalRow {
     pub dtlb_miss_rate: f64,
 }
 
+/// The self-paired ICOUNT run that calibrates benchmark `name`.
+fn calibration_config(name: &str, cycles: u64) -> SimConfig {
+    SimConfig::for_benchmarks(&[name, name], PolicyKind::Icount).with_cycles(cycles)
+}
+
+/// `num / den`, or 0 when nothing was counted.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+impl CalRow {
+    /// The calibration row of benchmark `name` from its run `r`.
+    fn from_result(name: String, r: &SimResult) -> Self {
+        let core = &r.cores[0];
+        let mem = &r.mem.cores[0];
+        let branches: u64 = core.threads.iter().map(|t| t.branches).sum();
+        let mispredicts: u64 = core.threads.iter().map(|t| t.mispredicts).sum();
+        CalRow {
+            name,
+            ipc_per_thread: r.throughput() / core.threads.len() as f64,
+            branch_accuracy: 1.0 - ratio(mispredicts, branches),
+            l1d_miss_rate: ratio(mem.load_l1_misses, mem.loads),
+            l2_hit_rate: ratio(mem.l2_hits, mem.l2_hits + mem.l2_misses),
+            dtlb_miss_rate: ratio(mem.dtlb_misses, mem.loads + mem.stores),
+        }
+    }
+}
+
 /// Run the calibration suite (26 single-core simulations, parallel).
 pub fn calibrate(cycles: u64, workers: usize) -> Vec<CalRow> {
     let jobs: Vec<SweepJob> = spec::ALL_BENCHMARKS
         .iter()
-        .map(|b| {
-            SweepJob::new(
-                b.name,
-                SimConfig::for_benchmarks(&[b.name, b.name], PolicyKind::Icount)
-                    .with_cycles(cycles),
-            )
-        })
+        .map(|b| SweepJob::new(b.name, calibration_config(b.name, cycles)))
         .collect();
     run_sweep_ok(&jobs, workers)
         .into_iter()
-        .map(|(name, r)| {
-            let core = &r.cores[0];
-            let mem = &r.mem.cores[0];
-            let branches: u64 = core.threads.iter().map(|t| t.branches).sum();
-            let mispredicts: u64 = core.threads.iter().map(|t| t.mispredicts).sum();
-            CalRow {
-                name,
-                ipc_per_thread: r.throughput() / core.threads.len() as f64,
-                branch_accuracy: if branches == 0 {
-                    1.0
-                } else {
-                    1.0 - mispredicts as f64 / branches as f64
-                },
-                l1d_miss_rate: if mem.loads == 0 {
-                    0.0
-                } else {
-                    mem.load_l1_misses as f64 / mem.loads as f64
-                },
-                l2_hit_rate: {
-                    let d = mem.l2_hits + mem.l2_misses;
-                    if d == 0 {
-                        0.0
-                    } else {
-                        mem.l2_hits as f64 / d as f64
-                    }
-                },
-                dtlb_miss_rate: {
-                    let d = mem.loads + mem.stores;
-                    if d == 0 {
-                        0.0
-                    } else {
-                        mem.dtlb_misses as f64 / d as f64
-                    }
-                },
-            }
-        })
+        .map(|(name, r)| CalRow::from_result(name, &r))
         .collect()
 }
 
 /// Run calibration for a single benchmark (cheaper for tests).
 pub fn calibrate_one(name: &str, cycles: u64) -> CalRow {
-    let cfg = SimConfig::for_benchmarks(&[name, name], PolicyKind::Icount).with_cycles(cycles);
-    let r = Simulator::build(&cfg)
+    let r = Simulator::build(&calibration_config(name, cycles))
         .expect("calibration config is valid")
         .run()
         .expect("calibration runs make forward progress");
-    let core = &r.cores[0];
-    let mem = &r.mem.cores[0];
-    let branches: u64 = core.threads.iter().map(|t| t.branches).sum();
-    let mispredicts: u64 = core.threads.iter().map(|t| t.mispredicts).sum();
-    CalRow {
-        name: name.to_string(),
-        ipc_per_thread: r.throughput() / core.threads.len() as f64,
-        branch_accuracy: if branches == 0 {
-            1.0
-        } else {
-            1.0 - mispredicts as f64 / branches as f64
-        },
-        l1d_miss_rate: if mem.loads == 0 {
-            0.0
-        } else {
-            mem.load_l1_misses as f64 / mem.loads as f64
-        },
-        l2_hit_rate: {
-            let d = mem.l2_hits + mem.l2_misses;
-            if d == 0 {
-                0.0
-            } else {
-                mem.l2_hits as f64 / d as f64
-            }
-        },
-        dtlb_miss_rate: {
-            let d = mem.loads + mem.stores;
-            if d == 0 {
-                0.0
-            } else {
-                mem.dtlb_misses as f64 / d as f64
-            }
-        },
-    }
+    CalRow::from_result(name.to_string(), &r)
 }
 
 /// Render the calibration rows as a JSON array (machine-readable twin
@@ -224,5 +182,13 @@ mod tests {
         let j = calibration_json(&rows);
         assert!(j.starts_with("[{\"name\":\"gzip\",\"ipc_per_thread\":"));
         assert!(j.contains("{\"name\":\"mcf\""));
+    }
+
+    #[test]
+    fn suite_and_single_runs_compute_the_same_row() {
+        use crate::json::ToJson;
+        let suite = calibrate(2_000, 0);
+        let mcf = suite.iter().find(|r| r.name == "mcf").expect("mcf is calibrated");
+        assert_eq!(mcf.to_json(), calibrate_one("mcf", 2_000).to_json());
     }
 }

@@ -1,6 +1,5 @@
 //! Plain-text rendering of results, matching the paper's figures.
 
-use crate::json::JsonObject;
 use crate::result::SimResult;
 use smtsim_mem::LatencyHistogram;
 use std::fmt::Write;
@@ -21,25 +20,6 @@ pub fn throughput_table(columns: &[&str], rows: &[(&str, Vec<&SimResult>)]) -> S
         let _ = write!(s, "{label:<18}");
         for r in results {
             let _ = write!(s, "{:>14.4}", r.throughput());
-        }
-        let _ = writeln!(s);
-    }
-    s
-}
-
-/// Speedup-over-baseline table (first column is the baseline).
-pub fn speedup_table(columns: &[&str], rows: &[(&str, Vec<&SimResult>)]) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "{:<18}", "workload");
-    for c in &columns[1..] {
-        let _ = write!(s, "{:>14}", format!("{c}/base"));
-    }
-    let _ = writeln!(s);
-    for (label, results) in rows {
-        let base = results[0];
-        let _ = write!(s, "{label:<18}");
-        for r in &results[1..] {
-            let _ = write!(s, "{:>14.3}", r.speedup_over(base));
         }
         let _ = writeln!(s);
     }
@@ -70,28 +50,6 @@ pub fn results_csv(rows: &[(&str, Vec<&SimResult>)]) -> String {
             );
         }
     }
-    s
-}
-
-/// JSON export of a result grid, mirroring [`results_csv`] row-for-row:
-/// a flat array of `{"label":...,"result":{...}}` objects, where
-/// `result` carries the full [`SimResult`] rendering (per-core stats,
-/// memory counters, the Fig. 4 histogram, the energy ledger).
-pub fn results_json(rows: &[(&str, Vec<&SimResult>)]) -> String {
-    let mut s = String::from("[");
-    let mut first = true;
-    for (label, results) in rows {
-        for r in results {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let mut o = JsonObject::begin(&mut s);
-            o.field("label", label).field("result", r);
-            o.end();
-        }
-    }
-    s.push(']');
     s
 }
 
@@ -173,14 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_table_uses_first_as_baseline() {
-        let a = fake(100, 100);
-        let b = fake(150, 100);
-        let t = speedup_table(&["ICOUNT", "FLUSH-S30"], &[("2W2", vec![&a, &b])]);
-        assert!(t.contains("1.500"));
-    }
-
-    #[test]
     fn bar_chart_scales_to_max() {
         let chart = bar_chart(&[("a", 2.0), ("bb", 1.0), ("c", 0.0)], 10);
         let lines: Vec<&str> = chart.lines().collect();
@@ -208,18 +158,6 @@ mod tests {
         assert!(lines[0].starts_with("workload,policy,"));
         assert!(lines[1].starts_with("2W1,X,100,100,1.000000,"));
         assert!(lines[2].contains(",250,2.500000,"));
-    }
-
-    #[test]
-    fn json_grid_is_flat_and_labelled() {
-        let a = fake(100, 100);
-        let b = fake(250, 100);
-        let j = results_json(&[("2W1", vec![&a, &b])]);
-        assert!(j.starts_with("[{\"label\":\"2W1\",\"result\":{\"policy\":\"X\""));
-        assert_eq!(j.matches("\"label\":\"2W1\"").count(), 2);
-        assert!(j.contains("\"throughput\":1.0"));
-        assert!(j.contains("\"throughput\":2.5"));
-        assert!(j.ends_with("}]"));
     }
 
     #[test]

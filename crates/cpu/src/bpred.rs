@@ -27,8 +27,6 @@ pub struct PerceptronPredictor {
     global: Vec<u32>,
     /// Training threshold (Jiménez–Lin: ⌊1.93·n + 14⌋).
     theta: i32,
-    lookups: u64,
-    mispredicts: u64,
 }
 
 impl PerceptronPredictor {
@@ -42,8 +40,6 @@ impl PerceptronPredictor {
             local: vec![0; local_entries as usize],
             global: vec![0; contexts as usize],
             theta: (1.93 * INPUTS as f64 + 14.0) as i32,
-            lookups: 0,
-            mispredicts: 0,
         }
     }
 
@@ -75,8 +71,7 @@ impl PerceptronPredictor {
 
     /// Predict the direction of the conditional branch at `pc` for
     /// hardware context `ctx`.
-    pub fn predict(&mut self, pc: u64, ctx: usize) -> bool {
-        self.lookups += 1;
+    pub fn predict(&self, pc: u64, ctx: usize) -> bool {
         self.output(pc, ctx) >= 0
     }
 
@@ -84,11 +79,7 @@ impl PerceptronPredictor {
     /// once per dynamic conditional branch, after `predict`.
     pub fn update(&mut self, pc: u64, ctx: usize, taken: bool) {
         let y = self.output(pc, ctx);
-        let predicted = y >= 0;
-        if predicted != taken {
-            self.mispredicts += 1;
-        }
-        if predicted != taken || y.abs() <= self.theta {
+        if (y >= 0) != taken || y.abs() <= self.theta {
             let lh = self.local[self.local_index(pc)];
             let gh = self.global[ctx];
             let t: i32 = if taken { 1 } else { -1 };
@@ -110,20 +101,6 @@ impl PerceptronPredictor {
         self.local[li] = ((self.local[li] << 1) | taken as u16) & ((1 << LOCAL_BITS) - 1);
         self.global[ctx] =
             ((self.global[ctx] << 1) | taken as u32) & ((1 << GLOBAL_BITS) - 1);
-    }
-
-    /// (lookups, mispredicts).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.lookups, self.mispredicts)
-    }
-
-    /// Observed accuracy so far (1.0 before any lookup).
-    pub fn accuracy(&self) -> f64 {
-        if self.lookups == 0 {
-            1.0
-        } else {
-            1.0 - self.mispredicts as f64 / self.lookups as f64
-        }
     }
 }
 
@@ -200,18 +177,5 @@ mod tests {
             p.update(0x5000, 0, t0);
         }
         assert!(correct > 900, "ctx-0 accuracy after interference {correct}/1000");
-    }
-
-    #[test]
-    fn stats_track_lookups() {
-        let mut p = PerceptronPredictor::new(16, 64, 1);
-        for i in 0..100u64 {
-            p.predict(i * 4, 0);
-            p.update(i * 4, 0, true);
-        }
-        let (lookups, _) = p.stats();
-        // update() also computes the output, but only predict() counts.
-        assert_eq!(lookups, 100);
-        assert!(p.accuracy() <= 1.0);
     }
 }

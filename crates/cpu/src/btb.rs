@@ -12,8 +12,6 @@ pub struct Btb {
     sets: Vec<Vec<(u64, u64, u64)>>,
     ways: usize,
     stamp: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Btb {
@@ -25,8 +23,6 @@ impl Btb {
             sets: vec![Vec::with_capacity(ways as usize); num_sets],
             ways: ways as usize,
             stamp: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -40,14 +36,9 @@ impl Btb {
         self.stamp += 1;
         let stamp = self.stamp;
         let set = self.set_of(pc);
-        if let Some(e) = self.sets[set].iter_mut().find(|e| e.0 == pc) {
-            e.2 = stamp;
-            self.hits += 1;
-            Some(e.1)
-        } else {
-            self.misses += 1;
-            None
-        }
+        let e = self.sets[set].iter_mut().find(|e| e.0 == pc)?;
+        e.2 = stamp;
+        Some(e.1)
     }
 
     /// Install/refresh the target for `pc` (done when a taken branch
@@ -76,11 +67,6 @@ impl Btb {
             .map(|(i, _)| i)
             .unwrap_or(0);
         set[lru] = (pc, target, stamp);
-    }
-
-    /// (hits, misses).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 

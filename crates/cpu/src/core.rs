@@ -250,11 +250,6 @@ impl SmtCore {
         self.policy.name()
     }
 
-    /// Access the policy (e.g. for MFLUSH statistics downcasts).
-    pub fn policy(&self) -> &dyn FetchPolicy {
-        self.policy.as_ref()
-    }
-
     /// Warm caches and TLBs to the trace-driven starting condition:
     /// each thread's code (L1I + L2 + I-TLB), its L1-resident working
     /// set (L1D + L2 + D-TLB) and its L2-resident working set (L2 +
@@ -1366,11 +1361,6 @@ impl SmtCore {
             stalls_executed: self.stalls_executed,
             store_forwards: self.store_forwards,
         }
-    }
-
-    /// Branch predictor accuracy so far.
-    pub fn branch_accuracy(&self) -> f64 {
-        self.bpred.accuracy()
     }
 
     /// One-line diagnostic snapshot of pipeline occupancy (for

@@ -1,11 +1,11 @@
 //! Return Address Stack — 100 entries per thread (Fig. 1, replicated).
 //!
-//! The synthetic traces mark calls/returns as unconditional branches, so
-//! in the default pipeline the RAS acts as a secondary target source for
-//! unconditional branches whose target pops correctly; its main purpose
-//! in this codebase is structural fidelity to Fig. 1 plus availability
-//! for trace formats that do distinguish calls (the unit tests and the
-//! public API treat it as a first-class predictor).
+//! The traces tag unconditional branches as calls, returns or plain
+//! jumps (`UncondKind`). At fetch a correct-path call pushes its
+//! fall-through address and a return pops its predicted target; an
+//! empty stack falls back to the BTB, which never learns return
+//! targets, so an underflowing return misfetches. Squashes do not
+//! repair the stack.
 
 /// Fixed-depth return-address stack with wrap-around overwrite (the
 /// standard hardware behaviour: pushing onto a full stack overwrites the
@@ -16,9 +16,6 @@ pub struct ReturnAddressStack {
     capacity: usize,
     top: usize,
     len: usize,
-    pushes: u64,
-    pops: u64,
-    underflows: u64,
 }
 
 impl ReturnAddressStack {
@@ -30,15 +27,11 @@ impl ReturnAddressStack {
             capacity,
             top: 0,
             len: 0,
-            pushes: 0,
-            pops: 0,
-            underflows: 0,
         }
     }
 
     /// Push a return address (call).
     pub fn push(&mut self, addr: u64) {
-        self.pushes += 1;
         self.entries[self.top] = addr;
         self.top = (self.top + 1) % self.capacity;
         self.len = (self.len + 1).min(self.capacity);
@@ -46,9 +39,7 @@ impl ReturnAddressStack {
 
     /// Pop the predicted return address (return); `None` on underflow.
     pub fn pop(&mut self) -> Option<u64> {
-        self.pops += 1;
         if self.len == 0 {
-            self.underflows += 1;
             return None;
         }
         self.top = (self.top + self.capacity - 1) % self.capacity;
@@ -68,11 +59,6 @@ impl ReturnAddressStack {
     /// Current depth.
     pub fn depth(&self) -> usize {
         self.len
-    }
-
-    /// (pushes, pops, underflows).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.pushes, self.pops, self.underflows)
     }
 }
 
@@ -114,11 +100,11 @@ mod tests {
     }
 
     #[test]
-    fn underflow_counted() {
+    fn underflow_mispredicts() {
         let mut r = ReturnAddressStack::new(4);
-        r.pop();
-        r.pop();
-        assert_eq!(r.stats(), (0, 2, 2));
+        assert_eq!(r.pop(), None);
+        assert_eq!(r.pop(), None);
+        assert_eq!(r.depth(), 0);
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct RegFile {
     free: Vec<PhysReg>,
     /// Per-context map: logical → physical.
     maps: Vec<[PhysReg; NUM_LOG_REGS as usize]>,
-    allocs: u64,
-    high_watermark: usize,
 }
 
 impl RegFile {
@@ -46,13 +44,7 @@ impl RegFile {
             *r = true;
         }
         let free: Vec<PhysReg> = (pinned as PhysReg..phys_regs as PhysReg).collect();
-        RegFile {
-            ready,
-            free,
-            maps,
-            allocs: 0,
-            high_watermark: 0,
-        }
+        RegFile { ready, free, maps }
     }
 
     /// Current mapping of a logical register.
@@ -66,12 +58,9 @@ impl RegFile {
     /// must stall).
     pub fn alloc(&mut self, ctx: usize, log: LogReg) -> Option<(PhysReg, PhysReg)> {
         let new = self.free.pop()?;
-        self.allocs += 1;
         let prev = self.maps[ctx][log as usize];
         self.maps[ctx][log as usize] = new;
         self.ready[new as usize] = false;
-        let in_use = self.ready.len() - self.free.len();
-        self.high_watermark = self.high_watermark.max(in_use);
         Some((new, prev))
     }
 
@@ -106,11 +95,6 @@ impl RegFile {
     /// Registers on the free list.
     pub fn free_count(&self) -> usize {
         self.free.len()
-    }
-
-    /// (total allocations, peak registers in use).
-    pub fn stats(&self) -> (u64, usize) {
-        (self.allocs, self.high_watermark)
     }
 }
 
@@ -186,17 +170,5 @@ mod tests {
             rf.release(prev);
         }
         assert_eq!(rf.free_count(), (12 - 1 + 1)); // 12: every alloc paired with release
-    }
-
-    #[test]
-    fn watermark_tracks_peak_usage() {
-        let mut rf = RegFile::new(320, 2);
-        let mut allocated = Vec::new();
-        for i in 0..50 {
-            allocated.push(rf.alloc(0, (i % 64) as LogReg).unwrap());
-        }
-        let (allocs, peak) = rf.stats();
-        assert_eq!(allocs, 50);
-        assert!(peak >= 128 + 50);
     }
 }

@@ -32,6 +32,19 @@ fn run(core: &mut SmtCore, mem: &mut MemoryModel, cycles: u64) {
     }
 }
 
+/// An ICOUNT core whose two threads run hand-built streams from
+/// `make`; wrong paths come from gzip's code dictionary.
+fn core_on_streams<S: InstrStream + Send + 'static>(cfg: CoreConfig, make: impl Fn() -> S) -> SmtCore {
+    let dict = TraceGenerator::new(spec::benchmark_by_name("gzip").unwrap(), 1).dict_arc();
+    let env = PolicyEnv::paper(1);
+    // lint: allow(D5) -- test setup boxes each stream once; the crate clippy.toml bans Box::new for the cycle loop
+    #[allow(clippy::disallowed_methods)]
+    let programs = (0..2)
+        .map(|_| ThreadProgram::from_stream(Box::new(make()), dict.clone()))
+        .collect();
+    SmtCore::new(0, cfg, build_policy(PolicyKind::Icount, &env), programs)
+}
+
 #[test]
 fn fetch_queue_bounds_runahead() {
     // The front-end buffer must never exceed its configured size even
@@ -94,21 +107,7 @@ fn store_forwarding_engages_on_read_after_write_streams() {
             i
         }
     }
-    let gen = TraceGenerator::new(spec::benchmark_by_name("gzip").unwrap(), 1);
-    let dict = gen.dict_arc();
-    let env = PolicyEnv::paper(1);
-    // lint: allow(D5) -- test setup boxes its stream once; the crate clippy.toml bans Box::new for the cycle loop
-    #[allow(clippy::disallowed_methods)]
-    let programs = vec![
-        ThreadProgram::from_stream(Box::new(RawStream { seq: 0 }), dict.clone()),
-        ThreadProgram::from_stream(Box::new(RawStream { seq: 0 }), dict),
-    ];
-    let mut core = SmtCore::new(
-        0,
-        CoreConfig::paper(),
-        build_policy(PolicyKind::Icount, &env),
-        programs,
-    );
+    let mut core = core_on_streams(CoreConfig::paper(), || RawStream { seq: 0 });
     let mut mem = MemoryModel::detailed(MemConfig::paper(1));
     for now in 0..5_000 {
         mem.tick(now);
@@ -122,23 +121,80 @@ fn store_forwarding_engages_on_read_after_write_streams() {
     );
 }
 
-#[test]
-fn returns_are_predicted_by_the_ras() {
-    // A call-heavy benchmark commits correctly and keeps branch
-    // accuracy high; with return targets varying per call site, the
-    // BTB alone could not do this.
-    let mut core = make_core(PolicyKind::Icount, &["gcc", "perlbmk"], 7);
+/// A loop whose body nests two calls: `main` calls `outer`, which
+/// calls `inner`; `inner` returns into `outer`, which returns into
+/// `main`, which jumps back to the top.
+struct NestedCallStream {
+    seq: u64,
+}
+
+impl InstrStream for NestedCallStream {
+    fn next_instr(&mut self) -> smtsim_trace::DynInstr {
+        use smtsim_trace::DynInstr;
+        // (pc, kind, target); `None` is a plain ALU op.
+        const BODY: [(u64, Option<UncondKind>, u64); 7] = [
+            (0x1000, Some(UncondKind::Call), 0x2000), // main → outer
+            (0x2000, None, 0),
+            (0x2004, Some(UncondKind::Call), 0x3000), // outer → inner
+            (0x3000, None, 0),
+            (0x3004, Some(UncondKind::Ret), 0x2008), // inner → outer
+            (0x2008, Some(UncondKind::Ret), 0x1004), // outer → main
+            (0x1004, Some(UncondKind::Jump), 0x1000),
+        ];
+        let seq = self.seq;
+        self.seq += 1;
+        let (pc, kind, target) = BODY[(seq % BODY.len() as u64) as usize];
+        let mut i = DynInstr::nop(seq, pc);
+        match kind {
+            Some(kind) => {
+                i.class = InstrClass::BranchUncond;
+                i.uncond_kind = kind;
+                i.taken = true;
+                i.target = target;
+            }
+            None => {
+                i.class = InstrClass::IntAlu;
+                i.dst = Some(1);
+            }
+        }
+        i
+    }
+}
+
+/// Fetched instructions that never committed (wrong path and still in
+/// flight) after running two nested-call threads with `ras_entries`.
+fn never_committed_with_ras(ras_entries: u32) -> u64 {
+    let mut cfg = CoreConfig::paper();
+    cfg.ras_entries = ras_entries;
+    let mut core = core_on_streams(cfg, || NestedCallStream { seq: 0 });
     core.enable_commit_log();
     let mut mem = MemoryModel::detailed(MemConfig::paper(1));
-    run(&mut core, &mut mem, 30_000);
-    let acc = core.branch_accuracy();
-    assert!(acc > 0.85, "call-heavy codes reached only {acc:.3}");
-    // Correctness untouched.
+    for now in 0..5_000 {
+        mem.tick(now);
+        core.tick(now, &mut mem);
+    }
     let mut next = [0u64; 2];
     for &(tid, seq) in core.commit_log() {
-        assert_eq!(seq, next[tid]);
+        assert_eq!(seq, next[tid], "thread {tid} out of order");
         next[tid] += 1;
     }
+    let s = core.stats();
+    assert!(s.threads.iter().all(|t| t.committed > 1_000), "{}", core.debug_state());
+    s.threads.iter().map(|t| t.fetched - t.committed).sum()
+}
+
+#[test]
+fn returns_are_predicted_by_the_ras() {
+    // A one-entry stack loses `main`'s return address when `outer`
+    // calls `inner`, so `outer`'s return underflows and misfetches (the
+    // BTB never learns return targets). The paper's 100 entries predict
+    // every return, so less work goes down the wrong path.
+    let paper = never_committed_with_ras(CoreConfig::paper().ras_entries);
+    let shallow = never_committed_with_ras(1);
+    assert!(
+        paper < shallow,
+        "a 100-entry RAS must waste less fetch than a 1-entry one: {paper} vs {shallow}"
+    );
 }
 
 #[test]
@@ -230,21 +286,7 @@ fn duplicate_source_issues_once_its_register_is_ready() {
             i
         }
     }
-    let gen = TraceGenerator::new(spec::benchmark_by_name("gzip").unwrap(), 1);
-    let dict = gen.dict_arc();
-    let env = PolicyEnv::paper(1);
-    // lint: allow(D5) -- test setup boxes its stream once; the crate clippy.toml bans Box::new for the cycle loop
-    #[allow(clippy::disallowed_methods)]
-    let programs = vec![
-        ThreadProgram::from_stream(Box::new(DupSourceStream { seq: 0 }), dict.clone()),
-        ThreadProgram::from_stream(Box::new(DupSourceStream { seq: 0 }), dict),
-    ];
-    let mut core = SmtCore::new(
-        0,
-        CoreConfig::paper(),
-        build_policy(PolicyKind::Icount, &env),
-        programs,
-    );
+    let mut core = core_on_streams(CoreConfig::paper(), || DupSourceStream { seq: 0 });
     core.enable_commit_log();
     let mut mem = MemoryModel::detailed(MemConfig::paper(1));
     for now in 0..3_000 {

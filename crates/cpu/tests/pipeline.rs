@@ -158,11 +158,14 @@ fn branch_predictor_learns_on_real_streams() {
     let mut core = make_core(PolicyKind::Icount, &["swim", "wupwise"], 9);
     let mut mem = MemoryModel::detailed(MemConfig::paper(1));
     run(&mut core, &mut mem, 20_000);
-    let acc = core.branch_accuracy();
-    assert!(
-        acc > 0.9,
-        "fp codes are highly predictable; predictor reached only {acc}"
-    );
+    for (tid, t) in core.stats().threads.iter().enumerate() {
+        let acc = t.branch_accuracy();
+        assert!(t.branches > 100, "thread {tid} committed only {} branches", t.branches);
+        assert!(
+            acc > 0.9,
+            "fp codes are highly predictable; thread {tid} reached only {acc}"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,5 @@
-//! Text renderings of the paper's energy tables (Figs. 9 and 10) and of
-//! measured ledgers (Fig. 11 rows).
+//! Text renderings of the paper's energy tables (Figs. 9 and 10).
 
-use crate::account::EnergyAccount;
 use crate::ecf::{accumulated_factor, local_factor, ALL_STAGES, RESOURCE_ENERGY};
 use std::fmt::Write;
 
@@ -33,23 +31,9 @@ pub fn resource_table() -> String {
     s
 }
 
-/// Render one Fig. 11 row: the wasted energy of a policy on a workload.
-pub fn wasted_energy_row(label: &str, account: &EnergyAccount) -> String {
-    format!(
-        "{:<16} committed={:>10} flushed={:>9} wasted={:>12.1} eu  waste/commit={:.4}",
-        label,
-        account.committed(),
-        account.flush_squashed_total(),
-        account.wasted_energy(),
-        account.waste_ratio(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::account::SquashCause;
-    use crate::ecf::PipelineStage;
 
     #[test]
     fn ecf_table_contains_all_stages_and_values() {
@@ -66,16 +50,5 @@ mod tests {
         let t = resource_table();
         assert!(t.contains("Issue queue"));
         assert!(t.contains("Rename table"));
-    }
-
-    #[test]
-    fn wasted_row_reports_numbers() {
-        let mut a = EnergyAccount::new();
-        a.commit_n(100);
-        a.squash(SquashCause::Flush, PipelineStage::Commit);
-        let row = wasted_energy_row("FLUSH-S30", &a);
-        assert!(row.contains("FLUSH-S30"));
-        assert!(row.contains("committed="));
-        assert!(row.contains("0.0100"));
     }
 }

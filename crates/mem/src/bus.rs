@@ -31,13 +31,6 @@ pub struct SharedBus<T> {
     grants_per_cycle: u32,
     /// Round-robin pointer.
     rr: usize,
-    /// Total messages granted.
-    granted: u64,
-    /// Sum of queueing delays (cycles spent waiting for a grant would
-    /// require per-message timestamps; we track queue length integral
-    /// instead, sampled at each tick).
-    queue_len_integral: u64,
-    ticks: u64,
 }
 
 impl<T> SharedBus<T> {
@@ -51,9 +44,6 @@ impl<T> SharedBus<T> {
             latency,
             grants_per_cycle,
             rr: 0,
-            granted: 0,
-            queue_len_integral: 0,
-            ticks: 0,
         }
     }
 
@@ -67,13 +57,9 @@ impl<T> SharedBus<T> {
     /// (into-style: the caller's buffer is reused every cycle — rule
     /// D10: the bus ticks inside the cycle loop and must not allocate).
     pub fn tick_into(&mut self, now: u64, out: &mut Vec<BusMsg<T>>) {
-        self.ticks += 1;
-        let queued: u64 = self.inputs.iter().map(|q| q.len() as u64).sum();
-        self.queue_len_integral += queued;
-
         // Quiet-bus fast path: with nothing queued the round-robin scan
         // is a no-op (no grant, no rr movement) — skip it.
-        if queued > 0 {
+        if self.inputs.iter().any(|q| !q.is_empty()) {
             // Round-robin grants.
             let n = self.inputs.len();
             let mut grants = 0;
@@ -82,7 +68,6 @@ impl<T> SharedBus<T> {
                 let idx = (self.rr + scanned) % n;
                 if let Some(msg) = self.inputs[idx].pop_front() {
                     self.in_flight.push_back((now + self.latency, msg));
-                    self.granted += 1;
                     grants += 1;
                     // Advance RR past the served core for fairness.
                     self.rr = (idx + 1) % n;
@@ -118,32 +103,6 @@ impl<T> SharedBus<T> {
         match self.in_flight.front() {
             Some(&(at, _)) => at.max(from),
             None => u64::MAX,
-        }
-    }
-
-    /// Account `cycles` ticks elided by skip-ahead. Only the
-    /// [`Self::mean_queue_len`] denominator needs repair: a window is
-    /// only skippable when every input queue is empty, so the queue
-    /// length integral gains exactly zero.
-    pub fn account_skip(&mut self, cycles: u64) {
-        debug_assert!(
-            self.inputs.iter().all(|q| q.is_empty()),
-            "skip-ahead over a bus with queued inputs"
-        );
-        self.ticks += cycles;
-    }
-
-    /// Messages granted so far.
-    pub fn total_granted(&self) -> u64 {
-        self.granted
-    }
-
-    /// Mean input-queue length over all ticks (contention indicator).
-    pub fn mean_queue_len(&self) -> f64 {
-        if self.ticks == 0 {
-            0.0
-        } else {
-            self.queue_len_integral as f64 / self.ticks as f64
         }
     }
 }
@@ -215,16 +174,15 @@ mod tests {
     }
 
     #[test]
-    fn queue_metrics_track_backlog() {
+    fn backlog_drains_in_order() {
         let mut bus: SharedBus<u32> = SharedBus::new(1, 0, 1);
         for i in 0..10 {
             bus.send(0, i);
         }
-        for now in 0..10 {
-            tick(&mut bus, now);
-        }
-        assert_eq!(bus.total_granted(), 10);
-        assert!(bus.mean_queue_len() > 0.0);
+        assert_eq!(bus.queued(), 10);
+        let delivered: Vec<u32> = (0..10).flat_map(|now| tick(&mut bus, now)).map(|m| m.payload).collect();
+        assert_eq!(delivered, (0..10).collect::<Vec<_>>());
         assert_eq!(bus.queued(), 0);
+        assert_eq!(bus.next_event_cycle(10), u64::MAX, "nothing left queued or in flight");
     }
 }

@@ -1,20 +1,11 @@
 //! Generic set-associative cache model.
 //!
-//! Tag-array-only (trace-driven simulators carry no data). Supports the
-//! geometries of Fig. 1 — including the L2's 12 ways, which forces a
-//! non-power-of-two set count (handled by modulo indexing).
+//! Tag-array-only (trace-driven simulators carry no data), with exact
+//! LRU replacement. Supports the geometries of Fig. 1 — including the
+//! L2's 12 ways, which forces a non-power-of-two set count (handled by
+//! modulo indexing).
 
 use crate::addr::{line_index, LINE_BYTES};
-
-/// Replacement policy for a set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplacementPolicy {
-    /// Evict the least-recently-used way (exact stamps).
-    Lru,
-    /// Evict a pseudo-random way (xorshift over an internal counter) —
-    /// deterministic across runs.
-    Random,
-}
 
 /// Size/shape of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,12 +94,10 @@ impl Line {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
-    policy: ReplacementPolicy,
     sets: u64,
     ways: usize,
     lines: Vec<Line>,
     stamp: u64,
-    rng_state: u64,
     hits: u64,
     misses: u64,
 }
@@ -116,18 +105,16 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Build an empty cache. Panics on invalid geometry (construction is
     /// configuration time, not simulation time).
-    pub fn new(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
+    pub fn new(geometry: CacheGeometry) -> Self {
         geometry.validate().expect("invalid cache geometry");
         let sets = geometry.sets();
         let ways = geometry.ways as usize;
         SetAssocCache {
             geometry,
-            policy,
             sets,
             ways,
             lines: vec![Line::default(); (sets as usize) * ways],
             stamp: 0,
-            rng_state: 0x9e37_79b9_7f4a_7c15,
             hits: 0,
             misses: 0,
         }
@@ -179,15 +166,6 @@ impl SetAssocCache {
         AccessOutcome::Miss
     }
 
-    fn xorshift(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        x
-    }
-
     /// Install the line for `addr`. Returns the evicted line's base
     /// address if a **dirty** line had to be written back.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<u64> {
@@ -234,21 +212,17 @@ impl SetAssocCache {
                 free = Some(i);
             }
         }
-        // Pick a victim: first invalid way, else by policy.
-        let victim_idx = match free {
-            Some(i) => i,
-            None => match self.policy {
-                // `unwrap_or(0)` never fires: a set has ≥ 1 way by
-                // geometry validation, and way 0 is a sound victim.
-                ReplacementPolicy::Lru => self.lines[slice_start..slice_start + self.ways]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.last_use())
-                    .map(|(i, _)| i)
-                    .unwrap_or(0),
-                ReplacementPolicy::Random => (self.xorshift() % self.ways as u64) as usize,
-            },
-        };
+        // Pick a victim: first invalid way, else the LRU way.
+        // `unwrap_or(0)` never fires: a set has ≥ 1 way by geometry
+        // validation, and way 0 is a sound victim.
+        let victim_idx = free.unwrap_or_else(|| {
+            self.lines[slice_start..slice_start + self.ways]
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.last_use())
+                .map(|(i, _)| i)
+                .unwrap_or(0)
+        });
         let victim = &mut self.lines[slice_start + victim_idx];
         let writeback = if victim.valid() && victim.dirty() {
             // Reconstruct the victim's base address from (tag, set).
@@ -297,14 +271,11 @@ mod tests {
     use super::*;
 
     fn small_cache(ways: u32) -> SetAssocCache {
-        SetAssocCache::new(
-            CacheGeometry {
-                bytes: 4 * ways as u64 * 64, // 4 sets
-                ways,
-                line_bytes: 64,
-            },
-            ReplacementPolicy::Lru,
-        )
+        SetAssocCache::new(CacheGeometry {
+            bytes: 4 * ways as u64 * 64, // 4 sets
+            ways,
+            line_bytes: 64,
+        })
     }
 
     #[test]
@@ -343,14 +314,11 @@ mod tests {
     fn dirty_victim_writeback_address_in_a_12_way_bank() {
         // Non-power-of-two set count: the victim address is rebuilt
         // from (tag, set), so a large tag must survive the packing.
-        let mut c = SetAssocCache::new(
-            CacheGeometry {
-                bytes: 1 << 20,
-                ways: 12,
-                line_bytes: 64,
-            },
-            ReplacementPolicy::Lru,
-        );
+        let mut c = SetAssocCache::new(CacheGeometry {
+            bytes: 1 << 20,
+            ways: 12,
+            line_bytes: 64,
+        });
         let span = c.geometry().sets() * 64; // same set, next tag
         let dirty = 0x7_1234_5000 + 17 * 64;
         c.fill(dirty, true);
@@ -443,40 +411,16 @@ mod tests {
     #[test]
     fn non_power_of_two_sets_cover_all_lines() {
         // 12-way 1 MB bank: exercise modulo indexing with many fills.
-        let mut c = SetAssocCache::new(
-            CacheGeometry {
-                bytes: 1 << 20,
-                ways: 12,
-                line_bytes: 64,
-            },
-            ReplacementPolicy::Lru,
-        );
+        let mut c = SetAssocCache::new(CacheGeometry {
+            bytes: 1 << 20,
+            ways: 12,
+            line_bytes: 64,
+        });
         for i in 0..50_000u64 {
             c.fill(i * 64 * 11, false); // 11 is coprime with the set count
         }
         assert!(c.valid_lines() <= c.capacity_lines());
         assert!(c.valid_lines() > c.capacity_lines() / 2);
-    }
-
-    #[test]
-    fn random_replacement_is_deterministic() {
-        let mk = || {
-            let mut c = SetAssocCache::new(
-                CacheGeometry {
-                    bytes: 2 * 64 * 4,
-                    ways: 2,
-                    line_bytes: 64,
-                },
-                ReplacementPolicy::Random,
-            );
-            let mut resident = Vec::new();
-            for i in 0..100u64 {
-                c.fill(i * 64, false);
-                resident.push(c.probe(0));
-            }
-            resident
-        };
-        assert_eq!(mk(), mk());
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   at most once, so there is no miss-merging bookkeeping;
 //! * there is no contention, so completions arrive exactly at
 //!   `issued_at + nominal latency` — deterministic by construction;
-//! * bank/bus occupancy statistics report empty
-//!   ([`FastMemory::bank_stats`] and friends return no rows).
+//! * no banks are modelled, so [`FastMemory::bank_cache_stats`]
+//!   returns no rows.
 
 use crate::addr::{bank_of, line_base};
-use crate::cache::{AccessOutcome, CacheGeometry, ReplacementPolicy, SetAssocCache};
+use crate::cache::{AccessOutcome, CacheGeometry, SetAssocCache};
 use crate::histogram::LatencyHistogram;
 use crate::system::{
     prewarm_private, warm_line_count, AccessKind, AccessResult, Completion, CoreMemStats,
@@ -107,8 +107,8 @@ impl FastMemory {
         FastMemory {
             cores: (0..cfg.num_cores)
                 .map(|_| FastPort {
-                    l1i: SetAssocCache::new(cfg.l1i, ReplacementPolicy::Lru),
-                    l1d: SetAssocCache::new(cfg.l1d, ReplacementPolicy::Lru),
+                    l1i: SetAssocCache::new(cfg.l1i),
+                    l1d: SetAssocCache::new(cfg.l1d),
                     itlb: Tlb::new(cfg.tlb_entries),
                     dtlb: Tlb::new(cfg.tlb_entries),
                     outbox: Vec::new(),
@@ -117,7 +117,7 @@ impl FastMemory {
                 })
                 .collect(),
             l2: (0..cfg.l2_clusters)
-                .map(|_| SetAssocCache::new(cluster_geom, ReplacementPolicy::Lru))
+                .map(|_| SetAssocCache::new(cluster_geom))
                 .collect(),
             pending: BinaryHeap::new(),
             seq: 0,
@@ -309,11 +309,6 @@ impl FastMemory {
     }
 
     /// No banks are modelled: always empty.
-    pub fn bank_stats(&self) -> Vec<(u64, u64, usize)> {
-        Vec::new()
-    }
-
-    /// No banks are modelled: always empty.
     pub fn bank_cache_stats(&self) -> Vec<(u64, u64)> {
         Vec::new()
     }
@@ -335,11 +330,6 @@ impl FastMemory {
         self.trace.as_ref()
     }
 
-    /// No bus is modelled: always 0.
-    pub fn bus_mean_queue(&self) -> f64 {
-        0.0
-    }
-
     /// Skip-ahead horizon: the fast model deliberately pins it to
     /// `from` (never skippable). Reduced fidelity is already ~5×
     /// faster and is not byte-pinned to the goldens, so it opts out of
@@ -347,10 +337,6 @@ impl FastMemory {
     pub fn next_event_cycle(&self, from: u64) -> u64 {
         from
     }
-
-    /// Companion of [`Self::next_event_cycle`]; unreachable while the
-    /// horizon pins to `from`, kept for facade symmetry.
-    pub fn account_skip(&mut self, _cycles: u64) {}
 
     /// Completions scheduled but not yet delivered.
     pub fn inflight_count(&self) -> usize {

@@ -8,7 +8,7 @@
 //! owns a FIFO of waiting requests and a busy timer; queueing here is
 //! what produces the L2-hit-latency variability of Fig. 4.
 
-use crate::cache::{AccessOutcome, CacheGeometry, ReplacementPolicy, SetAssocCache};
+use crate::cache::{AccessOutcome, CacheGeometry, SetAssocCache};
 use std::collections::VecDeque;
 
 /// What the bank did with a serviced request.
@@ -42,7 +42,6 @@ struct QueuedReq<T> {
     token: T,
     addr: u64,
     op: BankOp,
-    enqueued_at: u64,
 }
 
 /// A single-ported L2 bank: one access in service at a time, fixed
@@ -53,45 +52,32 @@ pub struct L2Bank<T> {
     access_cycles: u64,
     queue: VecDeque<QueuedReq<T>>,
     current: Option<(u64, QueuedReq<T>)>, // (done_at, req)
-    serviced: u64,
-    queue_delay_sum: u64,
-    queue_peak: usize,
 }
 
 impl<T: Copy> L2Bank<T> {
     /// Bank with its slice geometry and port service latency.
     pub fn new(geometry: CacheGeometry, access_cycles: u64) -> Self {
         L2Bank {
-            cache: SetAssocCache::new(geometry, ReplacementPolicy::Lru),
+            cache: SetAssocCache::new(geometry),
             access_cycles,
             queue: VecDeque::new(),
             current: None,
-            serviced: 0,
-            queue_delay_sum: 0,
-            queue_peak: 0,
         }
     }
 
     /// Enqueue work for this bank.
-    pub fn enqueue(&mut self, token: T, addr: u64, op: BankOp, now: u64) {
-        self.queue.push_back(QueuedReq {
-            token,
-            addr,
-            op,
-            enqueued_at: now,
-        });
-        self.queue_peak = self.queue_peak.max(self.queue.len());
+    pub fn enqueue(&mut self, token: T, addr: u64, op: BankOp) {
+        self.queue.push_back(QueuedReq { token, addr, op });
     }
 
-    /// Advance one cycle. Returns `(token, outcome, started_at)` for the
-    /// request whose service completed this cycle (at most one — the
-    /// port is single).
-    pub fn tick(&mut self, now: u64) -> Option<(T, BankOutcome, u64)> {
+    /// Advance one cycle. Returns `(token, outcome)` for the request
+    /// whose service completed this cycle (at most one — the port is
+    /// single).
+    pub fn tick(&mut self, now: u64) -> Option<(T, BankOutcome)> {
         let mut finished = None;
         if let Some((done_at, req)) = self.current {
             if done_at <= now {
                 self.current = None;
-                self.serviced += 1;
                 let outcome = match req.op {
                     BankOp::Demand { write } => match self.cache.access(req.addr, write) {
                         AccessOutcome::Hit => BankOutcome::Hit,
@@ -108,13 +94,12 @@ impl<T: Copy> L2Bank<T> {
                         }
                     }
                 };
-                finished = Some((req.token, outcome, req.enqueued_at));
+                finished = Some((req.token, outcome));
             }
         }
         // Start the next request if the port is free.
         if self.current.is_none() {
             if let Some(req) = self.queue.pop_front() {
-                self.queue_delay_sum += now.saturating_sub(req.enqueued_at);
                 self.current = Some((now + self.access_cycles, req));
             }
         }
@@ -140,19 +125,14 @@ impl<T: Copy> L2Bank<T> {
     /// Earliest cycle ≥ `from` at which a tick does observable work:
     /// the in-service completion (ticks before `done_at` neither finish
     /// nor start anything), `from` itself when a request is queued with
-    /// the port free (the next tick starts it and records its `now`-
-    /// dependent queue delay), `u64::MAX` when idle.
+    /// the port free (the next tick starts it, and its completion cycle
+    /// depends on that tick's `now`), `u64::MAX` when idle.
     pub fn next_event_cycle(&self, from: u64) -> u64 {
         match &self.current {
             Some((done_at, _)) => (*done_at).max(from),
             None if !self.queue.is_empty() => from,
             None => u64::MAX,
         }
-    }
-
-    /// (serviced, total queue delay, peak queue length).
-    pub fn stats(&self) -> (u64, u64, usize) {
-        (self.serviced, self.queue_delay_sum, self.queue_peak)
     }
 
     /// Install `count` lines directly in the tag array — the line of
@@ -193,7 +173,7 @@ mod tests {
     fn run(bank: &mut L2Bank<u32>, until: u64) -> Vec<(u64, u32, BankOutcome)> {
         let mut out = Vec::new();
         for now in 0..until {
-            if let Some((tok, o, _)) = bank.tick(now) {
+            if let Some((tok, o)) = bank.tick(now) {
                 out.push((now, tok, o));
             }
         }
@@ -203,7 +183,7 @@ mod tests {
     #[test]
     fn single_access_takes_service_latency() {
         let mut b = bank();
-        b.enqueue(1, 0x1000, BankOp::Demand { write: false }, 0);
+        b.enqueue(1, 0x1000, BankOp::Demand { write: false });
         let done = run(&mut b, 40);
         assert_eq!(done.len(), 1);
         // Enqueued at 0, started at tick(0), done at 15.
@@ -217,7 +197,7 @@ mod tests {
         // 4th completes 60 cycles after issue (15 service + 45 queueing).
         let mut b = bank();
         for i in 0..4 {
-            b.enqueue(i, 0x1000 + i as u64 * 0x400, BankOp::Demand { write: false }, 0);
+            b.enqueue(i, 0x1000 + i as u64 * 0x400, BankOp::Demand { write: false });
         }
         let done = run(&mut b, 100);
         let finish: Vec<u64> = done.iter().map(|d| d.0).collect();
@@ -227,8 +207,8 @@ mod tests {
     #[test]
     fn fill_then_demand_hits() {
         let mut b = bank();
-        b.enqueue(9, 0x2000, BankOp::Fill { dirty: false }, 0);
-        b.enqueue(10, 0x2000, BankOp::Demand { write: false }, 0);
+        b.enqueue(9, 0x2000, BankOp::Fill { dirty: false });
+        b.enqueue(10, 0x2000, BankOp::Demand { write: false });
         let done = run(&mut b, 60);
         assert_eq!(done[0].2, BankOutcome::FillDone(None));
         assert_eq!(done[1].2, BankOutcome::Hit);
@@ -237,26 +217,12 @@ mod tests {
     #[test]
     fn writeback_absorbed_when_present() {
         let mut b = bank();
-        b.enqueue(1, 0x3000, BankOp::Fill { dirty: false }, 0);
-        b.enqueue(2, 0x3000, BankOp::Writeback, 0);
-        b.enqueue(3, 0x9000, BankOp::Writeback, 0);
+        b.enqueue(1, 0x3000, BankOp::Fill { dirty: false });
+        b.enqueue(2, 0x3000, BankOp::Writeback);
+        b.enqueue(3, 0x9000, BankOp::Writeback);
         let done = run(&mut b, 80);
         assert_eq!(done[1].2, BankOutcome::WritebackAbsorbed(true));
         assert_eq!(done[2].2, BankOutcome::WritebackAbsorbed(false));
-    }
-
-    #[test]
-    fn queue_stats_accumulate() {
-        let mut b = bank();
-        for i in 0..3 {
-            b.enqueue(i, i as u64 * 64, BankOp::Demand { write: false }, 0);
-        }
-        run(&mut b, 60);
-        let (serviced, delay, peak) = b.stats();
-        assert_eq!(serviced, 3);
-        // 2nd waits 15, 3rd waits 30.
-        assert_eq!(delay, 45);
-        assert_eq!(peak, 3);
     }
 
     #[test]

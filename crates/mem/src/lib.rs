@@ -63,7 +63,7 @@ pub mod system;
 pub mod tlb;
 pub mod util;
 
-pub use cache::{AccessOutcome, CacheGeometry, ReplacementPolicy, SetAssocCache};
+pub use cache::{AccessOutcome, CacheGeometry, SetAssocCache};
 pub use fastmem::FastMemory;
 pub use fault::FaultPlan;
 pub use histogram::LatencyHistogram;

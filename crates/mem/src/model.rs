@@ -133,12 +133,6 @@ impl MemoryModel {
         dispatch!(self, next_event_cycle(from))
     }
 
-    /// Account `cycles` ticks elided by skip-ahead (per-cycle counters
-    /// only; event-timed state needs no repair).
-    pub fn account_skip(&mut self, cycles: u64) {
-        dispatch!(self, account_skip(cycles))
-    }
-
     /// Move all completions for `core` (delivered during the most
     /// recent ticks) to the end of `out`; neither buffer allocates
     /// when `out` is reused.
@@ -159,12 +153,6 @@ impl MemoryModel {
     /// Distribution of L2-hit service times for loads (Fig. 4).
     pub fn l2_hit_histogram(&self) -> &LatencyHistogram {
         dispatch!(self, l2_hit_histogram())
-    }
-
-    /// Per-bank (serviced, queue-delay-sum, peak-queue) tuples; empty
-    /// at fidelities that do not model banks.
-    pub fn bank_stats(&self) -> Vec<(u64, u64, usize)> {
-        dispatch!(self, bank_stats())
     }
 
     /// Per-bank L2 `(hits, misses)` tuples; empty at fidelities that do
@@ -188,11 +176,6 @@ impl MemoryModel {
     /// called).
     pub fn trace(&self) -> Option<&EventRing> {
         dispatch!(self, trace())
-    }
-
-    /// Mean bus input-queue length; 0 at fidelities without a bus.
-    pub fn bus_mean_queue(&self) -> f64 {
-        dispatch!(self, bus_mean_queue())
     }
 
     /// Requests still in flight.

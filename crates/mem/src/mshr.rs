@@ -36,9 +36,6 @@ pub struct MshrFile {
     /// Callers of [`Self::complete`] hand the vector back through
     /// [`Self::recycle`].
     spare_waiters: Vec<Vec<u64>>,
-    merges: u64,
-    full_rejects: u64,
-    peak_occupancy: usize,
 }
 
 impl MshrFile {
@@ -49,9 +46,6 @@ impl MshrFile {
             entries: Vec::with_capacity(capacity),
             capacity,
             spare_waiters: Vec::with_capacity(capacity),
-            merges: 0,
-            full_rejects: 0,
-            peak_occupancy: 0,
         }
     }
 
@@ -59,18 +53,15 @@ impl MshrFile {
     pub fn allocate(&mut self, line: u64, req: u64) -> MshrAlloc {
         if let Some(e) = self.entries.iter_mut().find(|e| e.line == line) {
             e.waiters.push(req);
-            self.merges += 1;
             return MshrAlloc::Merged;
         }
         if self.entries.len() == self.capacity {
-            self.full_rejects += 1;
             return MshrAlloc::Full;
         }
         let mut waiters = self.spare_waiters.pop().unwrap_or_default();
         waiters.clear();
         waiters.push(req);
         self.entries.push(MshrEntry { line, waiters });
-        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
         MshrAlloc::Primary
     }
 
@@ -114,11 +105,6 @@ impl MshrFile {
     pub fn is_full(&self) -> bool {
         self.entries.len() == self.capacity
     }
-
-    /// (merges, full-rejects, peak occupancy).
-    pub fn stats(&self) -> (u64, u64, usize) {
-        (self.merges, self.full_rejects, self.peak_occupancy)
-    }
 }
 
 #[cfg(test)]
@@ -144,8 +130,8 @@ mod tests {
         assert!(m.is_full());
         assert_eq!(m.allocate(0x80, 3), MshrAlloc::Full);
         assert_eq!(m.allocate(0x40, 4), MshrAlloc::Merged);
-        let (merges, rejects, peak) = m.stats();
-        assert_eq!((merges, rejects, peak), (1, 1, 2));
+        assert_eq!(m.occupancy(), 2, "neither the reject nor the merge took an entry");
+        assert_eq!(m.waiters(0x40), Some(&[2, 4][..]));
     }
 
     #[test]

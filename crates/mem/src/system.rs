@@ -13,7 +13,7 @@ use crate::fault::FaultPlan;
 /// Local alias keeping arithmetic sites terse.
 const LINE_BYTES_U64: u64 = LINE_BYTES;
 use crate::bus::{BusMsg, SharedBus};
-use crate::cache::{AccessOutcome, CacheGeometry, SetAssocCache, ReplacementPolicy};
+use crate::cache::{AccessOutcome, CacheGeometry, SetAssocCache};
 use crate::dram::Dram;
 use crate::histogram::LatencyHistogram;
 use crate::l2bank::{BankOp, BankOutcome, L2Bank};
@@ -444,8 +444,8 @@ impl MemorySystem {
         MemorySystem {
             cores: (0..cfg.num_cores)
                 .map(|_| CorePort {
-                    l1i: SetAssocCache::new(cfg.l1i, ReplacementPolicy::Lru),
-                    l1d: SetAssocCache::new(cfg.l1d, ReplacementPolicy::Lru),
+                    l1i: SetAssocCache::new(cfg.l1i),
+                    l1d: SetAssocCache::new(cfg.l1d),
                     itlb: Tlb::new(cfg.tlb_entries),
                     dtlb: Tlb::new(cfg.tlb_entries),
                     mshr: MshrFile::new(cfg.mshr_entries),
@@ -708,12 +708,7 @@ impl MemorySystem {
                 match msg.payload {
                     BusItem::Demand { req, addr, write } => {
                         let bank = self.bank_index(cluster as u32, addr);
-                        self.banks[bank].enqueue(
-                            BankToken::Demand(req),
-                            addr,
-                            BankOp::Demand { write },
-                            now,
-                        );
+                        self.banks[bank].enqueue(BankToken::Demand(req), addr, BankOp::Demand { write });
                         let depth = self.banks[bank].queued() as u32;
                         if let Some(ring) = &mut self.trace {
                             ring.emit(now, TraceEvent::L2BankEnqueue { bank: bank as u32, depth });
@@ -721,12 +716,7 @@ impl MemorySystem {
                     }
                     BusItem::Writeback { addr } => {
                         let bank = self.bank_index(cluster as u32, addr);
-                        self.banks[bank].enqueue(
-                            BankToken::Writeback,
-                            addr,
-                            BankOp::Writeback,
-                            now,
-                        );
+                        self.banks[bank].enqueue(BankToken::Writeback, addr, BankOp::Writeback);
                         let depth = self.banks[bank].queued() as u32;
                         if let Some(ring) = &mut self.trace {
                             ring.emit(now, TraceEvent::L2BankEnqueue { bank: bank as u32, depth });
@@ -747,7 +737,7 @@ impl MemorySystem {
                 continue;
             }
             let local_bank = (b % self.cfg.l2_banks as usize) as u32;
-            if let Some((token, outcome, _enq)) = self.banks[b].tick(now) {
+            if let Some((token, outcome)) = self.banks[b].tick(now) {
                 match (token, outcome) {
                     (BankToken::Demand(req), BankOutcome::Hit) => {
                         self.complete_line(req, local_bank, true, now);
@@ -835,12 +825,7 @@ impl MemorySystem {
                     // Install in L2 (occupies the bank port) and hand the
                     // data to the core right away (critical-word-first
                     // forwarding past the fill).
-                    self.banks[bank].enqueue(
-                        BankToken::Fill { core },
-                        line,
-                        BankOp::Fill { dirty: false },
-                        now,
-                    );
+                    self.banks[bank].enqueue(BankToken::Fill { core }, line, BankOp::Fill { dirty: false });
                     self.complete_line(req, (bank % self.cfg.l2_banks as usize) as u32, false, now);
                 }
             }
@@ -874,16 +859,6 @@ impl MemorySystem {
             at = at.min(bank.next_event_cycle(from));
         }
         at.min(self.dram.next_event_cycle(from))
-    }
-
-    /// Account `cycles` ticks elided by skip-ahead. The only per-cycle
-    /// bookkeeping in the hierarchy is each bus's queue-length
-    /// integral; the release heap, banks and DRAM are purely
-    /// event-timed, so nothing else needs repair.
-    pub fn account_skip(&mut self, cycles: u64) {
-        for bus in &mut self.buses {
-            bus.account_skip(cycles);
-        }
     }
 
     /// Finish the line of `req`: complete all MSHR waiters, refill L1.
@@ -997,11 +972,6 @@ impl MemorySystem {
         &self.l2_hit_hist
     }
 
-    /// Per-bank (serviced, queue-delay-sum, peak-queue) tuples.
-    pub fn bank_stats(&self) -> Vec<(u64, u64, usize)> {
-        self.banks.iter().map(|b| b.stats()).collect()
-    }
-
     /// Per-bank L2 `(hits, misses)` tuples (feeds the
     /// `mem.l2.bank_miss_rate` metric).
     pub fn bank_cache_stats(&self) -> Vec<(u64, u64)> {
@@ -1025,13 +995,6 @@ impl MemorySystem {
     /// [`Self::enable_trace`] was called).
     pub fn trace(&self) -> Option<&EventRing> {
         self.trace.as_ref()
-    }
-
-    /// Mean bus input-queue length (contention indicator), averaged
-    /// across clusters.
-    pub fn bus_mean_queue(&self) -> f64 {
-        let n = self.buses.len().max(1) as f64;
-        self.buses.iter().map(|b| b.mean_queue_len()).sum::<f64>() / n
     }
 
     /// Requests still in flight (diagnostics; should drain to ~0 at the
@@ -1446,7 +1409,7 @@ mod tests {
         // MT shrinks: only 2 cores share each L2.
         assert_eq!(cfg.multicore_traffic_delay(), 19);
         let m = MemorySystem::new(cfg);
-        assert_eq!(m.bank_stats().len(), 8, "2 clusters × 4 banks");
+        assert_eq!(m.bank_cache_stats().len(), 8, "2 clusters × 4 banks");
     }
 
     #[test]

@@ -3,8 +3,7 @@
 
 use smtsim_mem::util::Slab;
 use smtsim_mem::{
-    CacheGeometry, LatencyHistogram, MemConfig, MemorySystem, ReplacementPolicy, SetAssocCache,
-    Tlb, WarmRegion,
+    CacheGeometry, LatencyHistogram, MemConfig, MemorySystem, SetAssocCache, Tlb, WarmRegion,
 };
 use smtsim_trace::check::{Cases, Gen};
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,7 +46,7 @@ fn cache_matches_lru_model() {
             ways: 4,
             line_bytes: 64,
         }; // 8 sets
-        let mut cache = SetAssocCache::new(geom, ReplacementPolicy::Lru);
+        let mut cache = SetAssocCache::new(geom);
         // Model: per set, an LRU-ordered vec of tags.
         let sets = geom.sets();
         let mut model: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
@@ -123,7 +122,7 @@ fn cache_capacity_and_invalidate() {
             ways: 4,
             line_bytes: 64,
         };
-        let mut cache = SetAssocCache::new(geom, ReplacementPolicy::Lru);
+        let mut cache = SetAssocCache::new(geom);
         let mut filled: BTreeSet<u64> = BTreeSet::new();
         for &a in &addrs {
             cache.fill(a, false);
@@ -148,15 +147,14 @@ fn geometry(g: &mut Gen, max_sets: u32) -> CacheGeometry {
     }
 }
 
-/// `fill_lines` leaves a cache — tags, stamps, dirty bits, replacement
-/// RNG and stats — exactly as the same lines filled one by one, from a
-/// state that already holds clean, dirty and invalidated lines, under
-/// both replacement policies and with strides longer than a set cycle.
+/// `fill_lines` leaves a cache — tags, stamps, dirty bits and stats —
+/// exactly as the same lines filled one by one, from a state that
+/// already holds clean, dirty and invalidated lines, with strides
+/// longer than a set cycle.
 #[test]
 fn prewarm_equivalence_fill_lines() {
     Cases::new(64).run("prewarm_equivalence_fill_lines", |g| {
-        let policy = *g.choose(&[ReplacementPolicy::Lru, ReplacementPolicy::Random]);
-        let mut cache = SetAssocCache::new(geometry(g, 40), policy);
+        let mut cache = SetAssocCache::new(geometry(g, 40));
         for _ in 0..g.usize_in(0..200) {
             let a = g.u64_in(0..1 << 16);
             match g.u32_in(0..4) {

@@ -420,15 +420,6 @@ impl BasicBlockDict {
             }
         }
     }
-
-    /// Allocating convenience wrapper over
-    /// [`Self::synth_wrong_path_into`] (tests and tools; the cores use
-    /// the into-variant with a reusable buffer).
-    pub fn synth_wrong_path(&self, pc: u64, n: usize) -> Vec<DynInstr> {
-        let mut out = VecDeque::with_capacity(n);
-        self.synth_wrong_path_into(pc, n, &mut out);
-        out.into()
-    }
 }
 
 #[cfg(test)]
@@ -506,7 +497,8 @@ mod tests {
     #[test]
     fn wrong_path_stream_has_requested_length_and_valid_pcs() {
         let d = dict_for("mcf");
-        let wp = d.synth_wrong_path(d.entry_pc() + 8, 50);
+        let mut wp = VecDeque::new();
+        d.synth_wrong_path_into(d.entry_pc() + 8, 50, &mut wp);
         assert_eq!(wp.len(), 50);
         for i in &wp {
             let bi = d.block_index_at(i.pc);

@@ -54,8 +54,6 @@ pub struct MemStream {
     /// translations even though the *lines* it touches keep missing
     /// the L2.
     hot_pages: VecDeque<u64>,
-    /// Number of addresses generated (for stats / tests).
-    generated: u64,
 }
 
 /// Probability a random memory-region access lands on a recently used
@@ -89,7 +87,6 @@ impl MemStream {
             strides: [8, mem.stride_bytes, mem.stride_bytes],
             bursty: false,
             hot_pages: VecDeque::with_capacity(HOT_PAGES),
-            generated: 0,
         }
     }
 
@@ -127,7 +124,6 @@ impl MemStream {
     /// with a random (non-strided) offset — the address pattern of a
     /// linked-structure traversal.
     pub fn next_addr(&mut self, pointer_chase: bool) -> (u64, MemRegion) {
-        self.generated += 1;
         let region = if pointer_chase {
             MemRegion::Mem
         } else {
@@ -166,11 +162,6 @@ impl MemStream {
         }
         self.hot_pages.push_back(page);
         page + ((self.rng.gen::<u64>() % PAGE) & !7)
-    }
-
-    /// Number of addresses generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Base addresses of the thread's [L1, L2, Mem] working-set regions

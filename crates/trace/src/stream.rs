@@ -31,10 +31,6 @@ pub struct ReplayableStream<S> {
     /// Squashed instructions awaiting refetch, in program order
     /// (front = oldest = next to fetch).
     replay: VecDeque<DynInstr>,
-    /// Total instructions handed out (including replays).
-    fetched: u64,
-    /// Total instructions replayed after a squash.
-    replayed: u64,
 }
 
 impl<S: InstrStream> ReplayableStream<S> {
@@ -43,21 +39,13 @@ impl<S: InstrStream> ReplayableStream<S> {
         ReplayableStream {
             inner,
             replay: VecDeque::new(),
-            fetched: 0,
-            replayed: 0,
         }
     }
 
     /// Fetch the next instruction: a pending replay if any, otherwise a
     /// fresh instruction from the underlying stream.
     pub fn fetch(&mut self) -> DynInstr {
-        self.fetched += 1;
-        if let Some(i) = self.replay.pop_front() {
-            self.replayed += 1;
-            i
-        } else {
-            self.inner.next_instr()
-        }
+        self.replay.pop_front().unwrap_or_else(|| self.inner.next_instr())
     }
 
     /// Peek at the next instruction without consuming it.
@@ -98,16 +86,6 @@ impl<S: InstrStream> ReplayableStream<S> {
         self.replay.len()
     }
 
-    /// Total instructions fetched (including replays).
-    pub fn total_fetched(&self) -> u64 {
-        self.fetched
-    }
-
-    /// Total instructions that were fetched more than once.
-    pub fn total_replayed(&self) -> u64 {
-        self.replayed
-    }
-
     /// Access the wrapped stream.
     pub fn inner(&self) -> &S {
         &self.inner
@@ -134,9 +112,8 @@ mod tests {
         let mut s = ReplayableStream::new(Counter(0));
         for want in 0..100 {
             assert_eq!(s.fetch().seq, want);
+            assert_eq!(s.pending_replay(), 0);
         }
-        assert_eq!(s.total_replayed(), 0);
-        assert_eq!(s.total_fetched(), 100);
     }
 
     #[test]
@@ -149,9 +126,9 @@ mod tests {
         for want in 4..10 {
             assert_eq!(s.fetch().seq, want);
         }
+        assert_eq!(s.pending_replay(), 0, "every squashed instruction replayed");
         // After draining replays, we continue with fresh instructions.
         assert_eq!(s.fetch().seq, 10);
-        assert_eq!(s.total_replayed(), 6);
     }
 
     #[test]

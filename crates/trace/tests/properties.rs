@@ -101,7 +101,8 @@ fn wrong_path_stays_in_code() {
         let n = g.usize_in(1..64);
         let gen = TraceGenerator::new(p, 0);
         let dict = gen.dict_arc();
-        let wp = dict.synth_wrong_path(pc, n);
+        let mut wp = std::collections::VecDeque::new();
+        dict.synth_wrong_path_into(pc, n, &mut wp);
         assert_eq!(wp.len(), n);
         let lo = dict.entry_pc();
         let hi = lo + dict.code_bytes();

@@ -70,8 +70,11 @@ echo "== fidelity equivalence (detailed == pre-refactor bytes) =="
 # line-by-line warm did, or every warmed run drifts from its golden.
 # The issue-queue scheduler must agree with the ROB after every tick
 # and wake an instruction that reads one register twice, or runs wedge
-# or issue out of order.
+# or issue out of order. `figures all ablations extensions --cycles
+# 3000` must print its committed golden byte for byte (BLESS=1
+# regenerates it after an intended model change).
 cargo test -q --offline -p smtsim-core --test fidelity
+cargo test -q --offline -p smtsim-bench --test figures_cli figures_at_3000_cycles_match_the_golden
 cargo test -q --offline -p smtsim-cpu --test pipeline scheduler_invariants_hold_every_tick
 cargo test -q --offline -p smtsim-cpu --test mechanisms duplicate_source_issues_once_its_register_is_ready
 cargo test -q --offline -p smtsim-mem --test properties prewarm_equivalence
