@@ -154,8 +154,9 @@ impl ThreadCtx {
         self.gate != FetchGate::Open
     }
 
-    /// Instructions in pre-issue stages (ICOUNT metric): front-end plus
-    /// issue-queue residents.
+    /// Instructions fetched but not yet renamed (the front-end queue).
+    /// ICOUNT's metric adds the thread's issue-queue residents, which
+    /// the core counts (`ThreadSnapshot::in_queues`).
     pub fn in_frontend(&self) -> u32 {
         self.frontend.len() as u32
     }

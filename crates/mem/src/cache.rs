@@ -4,6 +4,11 @@
 //! LRU replacement. Supports the geometries of Fig. 1 — including the
 //! L2's 12 ways, which forces a non-power-of-two set count (handled by
 //! modulo indexing).
+//!
+//! Warm-up is lazy: [`SetAssocCache::fill_lines`] records its range, and
+//! each set installs its share of the recorded ranges the first time an
+//! access, fill or probe looks at it. A short run looks at a small part
+//! of an L2 bank, so most warm lines are never installed at all.
 
 use crate::addr::{line_index, LINE_BYTES};
 
@@ -90,7 +95,75 @@ impl Line {
     }
 }
 
+/// A range recorded by [`SetAssocCache::fill_lines`]: line
+/// `line0 + k·step` (`k < count`) fills with stamp `stamp0 + k + 1`, as
+/// the eager fill would have stamped it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WarmRange {
+    line0: u64,
+    count: u64,
+    step: u64,
+    stamp0: u64,
+    /// `gcd(step mod sets, sets)`: only sets `s` with
+    /// `s ≡ line0 (mod gcd)` take lines of this range.
+    gcd: u64,
+    /// `sets / gcd`: lines `k` and `k + period` share a set.
+    period: u64,
+    /// Inverse of `(step mod sets) / gcd` modulo `period`.
+    inv: u64,
+}
+
+impl WarmRange {
+    fn new(line0: u64, count: u64, step: u64, stamp0: u64, sets: u64) -> Self {
+        let gcd = gcd(step % sets, sets);
+        let period = sets / gcd;
+        let inv = mod_inverse(step % sets / gcd, period);
+        WarmRange {
+            line0,
+            count,
+            step,
+            stamp0,
+            gcd,
+            period,
+            inv,
+        }
+    }
+
+    /// The first `k` whose line falls in `set`, if any: the solution of
+    /// `line0 + k·step ≡ set (mod sets)` in `[0, period)`.
+    #[inline]
+    fn first_in(&self, set: u64, sets: u64) -> Option<u64> {
+        let d = (set + sets - self.line0 % sets) % sets;
+        // `sets` is far below 2^32 (the tag array is allocated), so the
+        // product of two residues below `period` fits in a u64.
+        d.is_multiple_of(self.gcd).then(|| d / self.gcd * self.inv % self.period)
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// `a⁻¹ mod m` for `gcd(a, m) == 1` (0 when `m == 1`).
+fn mod_inverse(a: u64, m: u64) -> u64 {
+    // Extended Euclid on (m, a), tracking a's coefficient only.
+    let (mut r0, mut r1) = (m as i128, a as i128);
+    let (mut t0, mut t1) = (0i128, 1i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (t0, t1) = (t1, t0 - q * t1);
+    }
+    t0.rem_euclid(m as i128) as u64
+}
+
 /// Tag-only set-associative cache.
+///
+/// Within a set the valid ways always form a prefix: lines are only
+/// ever replaced, never invalidated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
@@ -100,6 +173,13 @@ pub struct SetAssocCache {
     stamp: u64,
     hits: u64,
     misses: u64,
+    /// Recorded warm ranges, in `fill_lines` order; empty once every
+    /// set has installed them.
+    warm: Vec<WarmRange>,
+    /// One bit per set: its share of `warm` is installed.
+    installed: Vec<u64>,
+    /// Number of bits set in `installed`.
+    installed_sets: u64,
 }
 
 impl SetAssocCache {
@@ -117,6 +197,9 @@ impl SetAssocCache {
             stamp: 0,
             hits: 0,
             misses: 0,
+            warm: Vec::new(),
+            installed: vec![0; sets.div_ceil(64) as usize],
+            installed_sets: 0,
         }
     }
 
@@ -125,11 +208,60 @@ impl SetAssocCache {
         self.geometry
     }
 
-    /// `(set, tag)` of `addr`.
+    /// `(set, tag)` of `addr`, with the set's warm lines installed: every
+    /// access, fill and probe looks at a set through here.
     #[inline]
-    fn locate(&self, addr: u64) -> (usize, u64) {
+    fn locate(&mut self, addr: u64) -> (usize, u64) {
         let line = line_index(addr);
-        ((line % self.sets) as usize, line / self.sets)
+        let set = (line % self.sets) as usize;
+        if !self.warm.is_empty() {
+            self.install(set);
+        }
+        (set, line / self.sets)
+    }
+
+    /// Replay `set`'s lines of every recorded range through the fill
+    /// logic, range by range and in ascending line order with their
+    /// recorded stamps — the order and stamps of the eager fill, so the
+    /// set ends exactly as that fill would have left it. Dirty victims
+    /// are dropped without a writeback (warm-up runs before any line is
+    /// written).
+    fn install(&mut self, set: usize) {
+        let bit = 1u64 << (set % 64);
+        if self.installed[set / 64] & bit != 0 {
+            return;
+        }
+        self.installed[set / 64] |= bit;
+        self.installed_sets += 1;
+        for i in 0..self.warm.len() {
+            let r = self.warm[i];
+            let Some(mut k) = r.first_in(set as u64, self.sets) else {
+                continue;
+            };
+            while k < r.count {
+                let tag = (r.line0 + k * r.step) / self.sets;
+                let _ = self.fill_at(set, tag, false, r.stamp0 + k + 1);
+                k += r.period;
+            }
+        }
+        if self.installed_sets == self.sets {
+            self.warm.clear();
+            self.installed.fill(0);
+            self.installed_sets = 0;
+        }
+    }
+
+    /// Install every recorded warm line now, leaving the cache as the
+    /// eager fill would have: what [`SetAssocCache::fill_lines`] does
+    /// before recording on a cache whose sets have started installing,
+    /// and how tests compare a warmed cache with a line-by-line oracle.
+    pub fn install_warm(&mut self) {
+        for set in 0..self.sets as usize {
+            if self.warm.is_empty() {
+                return;
+            }
+            self.install(set);
+        }
     }
 
     #[inline]
@@ -140,21 +272,19 @@ impl SetAssocCache {
 
     /// Probe without updating replacement state or stats (used by tag
     /// checks that should not disturb LRU, e.g. MSHR merging checks).
-    pub fn probe(&self, addr: u64) -> bool {
+    /// Takes `&mut self` only to install the set's warm lines.
+    pub fn probe(&mut self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
-        let start = set * self.ways;
-        self.lines[start..start + self.ways]
-            .iter()
-            .any(|l| l.holds(tag))
+        self.set_slice(set).iter().any(|l| l.holds(tag))
     }
 
     /// Access `addr`; on a hit, update recency (and the dirty bit for
     /// writes). Misses do **not** allocate — call [`SetAssocCache::fill`]
     /// when the refill arrives, as a real cache would.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
+        let (set, tag) = self.locate(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let (set, tag) = self.locate(addr);
         for l in self.set_slice(set) {
             if l.holds(tag) {
                 l.touch(stamp, is_write);
@@ -170,46 +300,46 @@ impl SetAssocCache {
     /// address if a **dirty** line had to be written back.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<u64> {
         let (set, tag) = self.locate(addr);
-        self.fill_at(set, tag, dirty)
-    }
-
-    /// Install `count` clean lines: the line holding `first`, then every
-    /// `step`-th line after it, in ascending order — the same state as
-    /// that many [`SetAssocCache::fill`] calls, with the set and tag
-    /// carried forward instead of divided out per line. Dirty victims
-    /// are dropped without a writeback (cache warm-up runs before any
-    /// line is written).
-    pub fn fill_lines(&mut self, first: u64, count: u64, step: u64) {
-        let (mut set, mut tag) = self.locate(first);
-        let sets = self.sets as usize;
-        let (tag_step, set_step) = (step / self.sets, (step % self.sets) as usize);
-        for _ in 0..count {
-            let _ = self.fill_at(set, tag, false);
-            set += set_step;
-            tag += tag_step;
-            if set >= sets {
-                set -= sets;
-                tag += 1;
-            }
-        }
-    }
-
-    fn fill_at(&mut self, set: usize, tag: u64, dirty: bool) -> Option<u64> {
         self.stamp += 1;
-        let stamp = self.stamp;
+        self.fill_at(set, tag, dirty, self.stamp)
+    }
+
+    /// Warm `count` clean lines: the line holding `first`, then every
+    /// `step`-th line after it, in ascending order — the same state as
+    /// that many [`SetAssocCache::fill`] calls, except that dirty victims
+    /// are dropped without a writeback (cache warm-up runs before any
+    /// line is written). The range is only recorded here, and the stamp
+    /// advanced past it; each set installs its lines when it is first
+    /// looked at. A cache whose sets have started installing earlier
+    /// ranges installs all of them first.
+    pub fn fill_lines(&mut self, first: u64, count: u64, step: u64) {
+        if self.installed_sets > 0 {
+            self.install_warm();
+        }
+        if count == 0 {
+            return;
+        }
+        let range = WarmRange::new(line_index(first), count, step, self.stamp, self.sets);
+        self.warm.push(range);
+        self.stamp += count;
+    }
+
+    /// Install `tag` in `set` with use stamp `stamp`.
+    fn fill_at(&mut self, set: usize, tag: u64, dirty: bool, stamp: u64) -> Option<u64> {
         let slice_start = set * self.ways;
 
-        // One scan: an already-present line (e.g. racing fills after an
-        // MSHR merge) is just refreshed; otherwise note the first
-        // invalid way.
+        // One scan of the valid prefix: an already-present line (e.g.
+        // racing fills after an MSHR merge) is just refreshed; the first
+        // invalid way ends the prefix.
         let mut free = None;
         for (i, l) in self.set_slice(set).iter_mut().enumerate() {
-            if l.holds(tag) {
+            if !l.valid() {
+                free = Some(i);
+                break;
+            }
+            if l.tag == tag {
                 l.touch(stamp, dirty);
                 return None;
-            }
-            if free.is_none() && !l.valid() {
-                free = Some(i);
             }
         }
         // Pick a victim: first invalid way, else the LRU way.
@@ -237,26 +367,15 @@ impl SetAssocCache {
         writeback
     }
 
-    /// Invalidate the line holding `addr`, if present. Returns true when
-    /// a line was invalidated.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.locate(addr);
-        for l in self.set_slice(set) {
-            if l.holds(tag) {
-                l.meta &= !VALID;
-                return true;
-            }
-        }
-        false
-    }
-
     /// (hits, misses) recorded by [`SetAssocCache::access`].
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 
-    /// Number of valid lines (for tests / occupancy reporting).
-    pub fn valid_lines(&self) -> usize {
+    /// Number of valid lines, recorded warm lines installed first (for
+    /// tests / occupancy reporting).
+    pub fn valid_lines(&mut self) -> usize {
+        self.install_warm();
         self.lines.iter().filter(|l| l.valid()).count()
     }
 
@@ -290,24 +409,6 @@ mod tests {
         assert_eq!(c.fill(0, false), None, "refill of a resident line");
         assert_eq!(c.access(0, false), AccessOutcome::Hit, "read hit");
         assert_eq!(c.fill(4 * 64, false), Some(0), "still dirty after refreshes");
-    }
-
-    #[test]
-    fn invalidate_keeps_the_lru_order_of_other_ways() {
-        let mut c = small_cache(4); // 4 sets × 4 ways; set 0 = lines 0, 4, 8, ...
-        let line = |i: u64| i * 4 * 64;
-        for i in 0..4 {
-            c.fill(line(i), false);
-        }
-        c.access(line(0), false); // recency, oldest first: 1, 2, 3, 0
-        assert!(c.invalidate(line(2)));
-        c.fill(line(4), false); // takes the invalidated way
-        assert!(c.probe(line(1)) && c.probe(line(3)) && c.probe(line(0)));
-        c.fill(line(5), false); // evicts 1, the oldest survivor
-        assert!(!c.probe(line(1)));
-        c.fill(line(6), false); // then 3
-        assert!(!c.probe(line(3)));
-        assert!(c.probe(line(0)) && c.probe(line(4)));
     }
 
     #[test]
@@ -382,15 +483,6 @@ mod tests {
         assert_eq!(c.access(0, true), AccessOutcome::Hit);
         let wb = c.fill(4 * 64, false);
         assert_eq!(wb, Some(0), "written line must write back");
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = small_cache(2);
-        c.fill(0x40, false);
-        assert!(c.invalidate(0x40));
-        assert!(!c.probe(0x40));
-        assert!(!c.invalidate(0x40));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use smtsim_mem::{
     CacheGeometry, LatencyHistogram, MemConfig, MemorySystem, SetAssocCache, Tlb, WarmRegion,
 };
 use smtsim_trace::check::{Cases, Gen};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The slab behaves like a map: inserted values are retrievable until
 /// removed, never after; len always matches the model.
@@ -111,11 +111,10 @@ fn histogram_matches_naive_stats() {
     });
 }
 
-/// Cache fills never exceed capacity and invalidation removes exactly
-/// the requested lines.
+/// Cache fills never exceed capacity.
 #[test]
-fn cache_capacity_and_invalidate() {
-    Cases::new(48).run("cache_capacity_and_invalidate", |g| {
+fn cache_fills_never_exceed_capacity() {
+    Cases::new(48).run("cache_fills_never_exceed_capacity", |g| {
         let addrs = g.vec_of(1..400, |g| g.u64_in(0..(1 << 20)));
         let geom = CacheGeometry {
             bytes: 16 << 10,
@@ -123,17 +122,9 @@ fn cache_capacity_and_invalidate() {
             line_bytes: 64,
         };
         let mut cache = SetAssocCache::new(geom);
-        let mut filled: BTreeSet<u64> = BTreeSet::new();
         for &a in &addrs {
             cache.fill(a, false);
-            filled.insert(a & !63);
             assert!(cache.valid_lines() <= cache.capacity_lines());
-        }
-        for &line in filled.iter().take(20) {
-            if cache.probe(line) {
-                assert!(cache.invalidate(line));
-                assert!(!cache.probe(line));
-            }
         }
     });
 }
@@ -147,26 +138,27 @@ fn geometry(g: &mut Gen, max_sets: u32) -> CacheGeometry {
     }
 }
 
-/// `fill_lines` leaves a cache — tags, stamps, dirty bits and stats —
-/// exactly as the same lines filled one by one, from a state that
-/// already holds clean, dirty and invalidated lines, with strides
-/// longer than a set cycle.
+/// The eager oracle of [`SetAssocCache::fill_lines`]: one `fill` per line.
+fn fill_lines_eagerly(cache: &mut SetAssocCache, first: u64, count: u64, step: u64) {
+    for i in 0..count {
+        cache.fill((first & !63) + i * step * 64, false);
+    }
+}
+
+/// `fill_lines` leaves a cache — tags, stamps, dirty bits and stats,
+/// once installed — exactly as the same lines filled one by one, from a
+/// state that already holds clean and dirty lines, with strides longer
+/// than a set cycle.
 #[test]
 fn prewarm_equivalence_fill_lines() {
     Cases::new(64).run("prewarm_equivalence_fill_lines", |g| {
         let mut cache = SetAssocCache::new(geometry(g, 40));
         for _ in 0..g.usize_in(0..200) {
             let a = g.u64_in(0..1 << 16);
-            match g.u32_in(0..4) {
-                0 => {
-                    cache.access(a, g.bool());
-                }
-                1 => {
-                    cache.invalidate(a);
-                }
-                _ => {
-                    cache.fill(a, g.bool());
-                }
+            if g.bool() {
+                cache.access(a, g.bool());
+            } else {
+                cache.fill(a, g.bool());
             }
         }
         let mut oracle = cache.clone();
@@ -174,10 +166,68 @@ fn prewarm_equivalence_fill_lines() {
         let count = g.u64_in(0..400);
         let step = g.u64_in(1..100);
         cache.fill_lines(first, count, step);
-        for i in 0..count {
-            oracle.fill((first & !63) + i * step * 64, false);
-        }
+        cache.install_warm();
+        fill_lines_eagerly(&mut oracle, first, count, step);
         assert!(cache == oracle, "fill_lines({first:#x}, {count}, {step}) diverged");
+    });
+}
+
+/// Recorded warm ranges installed set by set on first look give every
+/// access, fill and probe the answer the eager per-line fill gives, and
+/// end in the same arrays, stamps and hit/miss counts. Set counts are
+/// often not powers of two (and 12-way); steps may share a factor with
+/// the set count or be a multiple of it, so some sets take no line of a
+/// range and others take several. A mid-run `fill_lines` on a cache
+/// whose sets have started installing is covered too.
+#[test]
+fn warm_ranges_install_lazily_as_eager_fills() {
+    Cases::new(96).run("warm_ranges_install_lazily_as_eager_fills", |g| {
+        let geom = geometry(g, 40);
+        let sets = geom.sets();
+        let step_of = |g: &mut Gen| match g.u32_in(0..4) {
+            0 => g.u64_in(1..100),
+            // Shares the factor `f` with the set count (all of it when
+            // `f == sets`).
+            1 => {
+                let f = (2..=sets).find(|&f| sets.is_multiple_of(f)).unwrap_or(1);
+                f * g.u64_in(1..6)
+            }
+            2 => sets * g.u64_in(1..4),
+            _ => 1,
+        };
+        let mut lazy = SetAssocCache::new(geom);
+        let mut eager = lazy.clone();
+        let warm = |g: &mut Gen, lazy: &mut SetAssocCache, eager: &mut SetAssocCache| {
+            let first = g.u64_in(0..1 << 16);
+            let count = g.u64_in(0..3 * sets * geom.ways as u64);
+            let step = step_of(g);
+            lazy.fill_lines(first, count, step);
+            fill_lines_eagerly(eager, first, count, step);
+            (first & !63, step * 64)
+        };
+        let mut anchors: Vec<(u64, u64)> = (0..g.usize_in(1..5))
+            .map(|_| warm(g, &mut lazy, &mut eager))
+            .collect();
+        for _ in 0..g.usize_in(0..300) {
+            // Addresses near a range's lines, so warm lines get hit.
+            let &(base, stride) = g.choose(&anchors);
+            let a = base + g.u64_in(0..64) * stride + g.u64_in(0..2) * 64;
+            match g.u32_in(0..20) {
+                0..=8 => {
+                    let w = g.bool();
+                    assert_eq!(lazy.access(a, w), eager.access(a, w), "access {a:#x}");
+                }
+                9..=15 => {
+                    let d = g.bool();
+                    assert_eq!(lazy.fill(a, d), eager.fill(a, d), "fill {a:#x}");
+                }
+                16..=18 => assert_eq!(lazy.probe(a), eager.probe(a), "probe {a:#x}"),
+                _ => anchors.push(warm(g, &mut lazy, &mut eager)),
+            }
+        }
+        assert_eq!(lazy.stats(), eager.stats());
+        lazy.install_warm();
+        assert!(lazy == eager, "installed arrays diverged");
     });
 }
 
@@ -246,15 +296,20 @@ fn prewarm_equivalence_system() {
             }
         }
 
+        let installed = |c: &SetAssocCache| {
+            let mut c = c.clone();
+            c.install_warm();
+            c
+        };
         for (c, (l1i, l1d, itlb, dtlb)) in private.iter().enumerate() {
             let got = m.debug_core_tags(c as u32);
-            assert!(got.0 == l1i, "core {c} L1I diverged");
-            assert!(got.1 == l1d, "core {c} L1D diverged");
+            assert!(installed(got.0) == *l1i, "core {c} L1I diverged");
+            assert!(installed(got.1) == *l1d, "core {c} L1D diverged");
             assert!(got.2 == itlb, "core {c} I-TLB diverged");
             assert!(got.3 == dtlb, "core {c} D-TLB diverged");
         }
         for (b, oracle) in l2.iter().enumerate() {
-            assert!(m.debug_bank_tags(b) == oracle, "L2 bank {b} diverged");
+            assert!(installed(m.debug_bank_tags(b)) == *oracle, "L2 bank {b} diverged");
         }
     });
 }

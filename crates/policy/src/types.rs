@@ -7,14 +7,15 @@ pub type LoadToken = u64;
 
 /// Per-thread state the core publishes every cycle.
 ///
-/// `in_frontend` is ICOUNT's metric — instructions in the pre-issue
-/// stages (fetched/decoded/renamed but not yet issued). The extra
-/// counters serve the BRCOUNT / L1DMISSCOUNT related-work policies.
+/// ICOUNT's metric is `in_frontend + in_queues` — instructions in the
+/// pre-issue stages: fetched but not yet renamed, plus renamed and
+/// waiting in an issue queue. The extra counters serve the BRCOUNT /
+/// L1DMISSCOUNT related-work policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadSnapshot {
     /// Context index within the core.
     pub tid: usize,
-    /// Instructions in pre-issue pipeline stages.
+    /// Instructions fetched but not yet renamed.
     pub in_frontend: u32,
     /// Instructions waiting in issue queues.
     pub in_queues: u32,

@@ -67,7 +67,9 @@ echo "== fidelity equivalence (detailed == pre-refactor bytes) =="
 # Also part of the workspace test gate; named here because byte-drift
 # in the default fidelity silently invalidates every golden figure.
 # The range prewarm must leave every tag array and TLB exactly as the
-# line-by-line warm did, or every warmed run drifts from its golden.
+# line-by-line warm did, or every warmed run drifts from its golden;
+# warm ranges installed set by set on first look must answer every
+# access, fill and probe as that warm would.
 # The issue-queue scheduler must agree with the ROB after every tick
 # and wake an instruction that reads one register twice, or runs wedge
 # or issue out of order. `figures all ablations extensions --cycles
@@ -78,6 +80,7 @@ cargo test -q --offline -p smtsim-bench --test figures_cli figures_at_3000_cycle
 cargo test -q --offline -p smtsim-cpu --test pipeline scheduler_invariants_hold_every_tick
 cargo test -q --offline -p smtsim-cpu --test mechanisms duplicate_source_issues_once_its_register_is_ready
 cargo test -q --offline -p smtsim-mem --test properties prewarm_equivalence
+cargo test -q --offline -p smtsim-mem --test properties warm_ranges_install_lazily_as_eager_fills
 
 echo "== serve (fault tolerance, cache replay, kill -9 restart) =="
 # Gate 7: the serving layer's robustness suite (DESIGN.md §15). Also
