@@ -7,37 +7,24 @@
 //! cargo run --release -p smtsim-bench --bin figures -- ablations --cycles 40000
 //! ```
 //!
-//! With `--journal FILE`, every figure's sweep records finished jobs in
-//! FILE, one result journal shared by all figures (the same format as
-//! `smtsim sweep --journal FILE`). Re-running after an interruption
-//! replays the recorded jobs and produces byte-identical figures; a
-//! config that recurs across figures is simulated once.
+//! The requested figures are planned first: their jobs are collected,
+//! deduplicated by config fingerprint and run as one sweep, so a config
+//! that recurs across figures is simulated once and workers stay busy
+//! across figure boundaries. Each figure then renders from its results.
+//!
+//! With `--journal FILE`, the sweep records finished jobs in FILE (the
+//! same format as `smtsim sweep --journal FILE`). Re-running after an
+//! interruption replays the recorded jobs and produces byte-identical
+//! figures.
 //!
 //! `extensions` and `ablations` go beyond the paper and are not part of
 //! `all`. A bad flag value or an unknown name exits 2 with a usage line.
 
-use smtsim_bench as figs;
+use smtsim_bench::{select, Plan, FIGURES};
+use smtsim_core::run_sweep_journaled;
 use smtsim_core::suggest::did_you_mean;
 use std::path::PathBuf;
 use std::str::FromStr;
-
-/// Every name `figures` accepts.
-const NAMES: &[&str] = &[
-    "all",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "extensions",
-    "ablations",
-];
 
 fn usage() -> ! {
     eprintln!(
@@ -56,6 +43,10 @@ fn value<T: FromStr>(flag: &str, v: Option<&String>) -> T {
 }
 
 fn main() {
+    // Every name `figures` accepts.
+    let names: Vec<&str> = std::iter::once("all")
+        .chain(FIGURES.iter().map(|f| f.name))
+        .collect();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<&str> = Vec::new();
     let mut cycles = 0u64;
@@ -67,9 +58,9 @@ fn main() {
             "--cycles" => cycles = value("--cycles", it.next()),
             "--workers" => workers = value("--workers", it.next()),
             "--journal" => journal = Some(value("--journal", it.next())),
-            name if NAMES.contains(&name) => which.push(name),
+            name if names.contains(&name) => which.push(name),
             other => {
-                match did_you_mean(other, NAMES) {
+                match did_you_mean(other, &names) {
                     Some(s) => eprintln!("unknown figure '{other}' (did you mean '{s}'?)"),
                     None => eprintln!("unknown figure '{other}'"),
                 }
@@ -81,51 +72,17 @@ fn main() {
         eprintln!("--journal takes a file, not a directory");
         usage();
     }
-    let journal = journal.as_deref();
     if which.is_empty() {
         which.push("all");
     }
-    let all = which.contains(&"all");
-    let want = |name: &str| all || which.contains(&name);
 
-    if want("fig1") {
-        println!("{}", figs::fig1());
-    }
-    if want("fig2") {
-        println!("{}", figs::fig2(cycles, workers, journal).text);
-    }
-    if want("fig3") {
-        println!("{}", figs::fig3(cycles, workers, journal).text);
-    }
-    if want("fig4") {
-        println!("{}", figs::fig4(cycles, workers, journal).text);
-    }
-    if want("fig5") {
-        println!("{}", figs::fig5(cycles, workers, journal).text);
-    }
-    if want("fig6") {
-        println!("{}", figs::fig6());
-    }
-    if want("fig7") {
-        println!("{}", figs::fig7());
-    }
-    if want("fig8") {
-        println!("{}", figs::fig8(cycles, workers, journal).text);
-    }
-    if want("fig9") {
-        println!("{}", figs::fig9());
-    }
-    if want("fig10") {
-        println!("{}", figs::fig10());
-    }
-    if want("fig11") {
-        println!("{}", figs::fig11(cycles, workers, journal).text);
-    }
-    // Beyond the paper: pass these explicitly (not part of `all`).
-    if which.contains(&"extensions") {
-        println!("{}", figs::extension_study(cycles, workers, journal).text);
-    }
-    if which.contains(&"ablations") {
-        println!("{}", figs::ablations(cycles, workers, journal).text);
+    let plan = Plan::new(&select(&which), cycles);
+    // A failed job is fatal: a partial figure is worse than none.
+    let results: Vec<_> = run_sweep_journaled(&plan.unique, workers, journal.as_deref())
+        .into_iter()
+        .map(|(label, r)| r.unwrap_or_else(|e| panic!("figure sweep job '{label}' failed: {e}")))
+        .collect();
+    for text in plan.render(&results) {
+        println!("{text}");
     }
 }

@@ -1,59 +1,142 @@
-//! One regeneration function per paper table/figure.
+//! One renderer per paper table/figure, and the plan that simulates
+//! what they need.
+//!
+//! A simulated figure is two things: its job list, in report order,
+//! and a pure renderer that turns those jobs' results into the
+//! figure's text. [`Plan`] gathers the jobs of every requested figure
+//! and keeps one per distinct machine, so the caller runs a single
+//! sweep and a config that recurs across figures is simulated once.
 
+use smtsim_core::cache::config_fingerprint;
 use smtsim_core::config::DEFAULT_CYCLES;
-use smtsim_core::{report, run_sweep_journaled, SimConfig, SimResult, SweepJob, Workload};
 use smtsim_core::workloads::{ALL_WORKLOADS, FIG5B_WORKLOAD};
+use smtsim_core::{report, SimConfig, SimResult, SweepJob, Workload};
 use smtsim_energy::report as energy_report;
 use smtsim_mem::{LatencyHistogram, MemConfig};
 use smtsim_policy::mflush::{McRegConfig, McRegFile, McRegReducer, MflushConfig};
 use smtsim_policy::PolicyKind;
+use std::collections::BTreeMap;
 use std::fmt::Write;
-use std::path::Path;
 
-/// Resolve a cycle budget (0 → default).
-fn budget(cycles: u64) -> u64 {
-    if cycles == 0 {
-        DEFAULT_CYCLES
-    } else {
-        cycles
+/// One name `figures` accepts: what it simulates and how it prints.
+pub struct Figure {
+    /// The name on the command line.
+    pub name: &'static str,
+    /// Part of `figures all`; the studies beyond the paper are not.
+    pub(crate) in_all: bool,
+    /// The jobs the figure needs at a cycle budget, in report order
+    /// (none for a table the model states).
+    pub(crate) jobs: fn(u64) -> Vec<SweepJob>,
+    /// The figure's text from its jobs and their results, in order.
+    pub(crate) render: fn(&[SweepJob], &[SimResult]) -> String,
+}
+
+/// Every figure, in print order.
+#[rustfmt::skip]
+pub static FIGURES: [Figure; 13] = [
+    Figure { name: "fig1", in_all: true, jobs: no_jobs, render: |_, _| fig1() },
+    Figure { name: "fig2", in_all: true, jobs: fig2_jobs, render: |_, r| fig2(r) },
+    Figure { name: "fig3", in_all: true, jobs: fig3_jobs, render: |_, r| fig3(r) },
+    Figure { name: "fig4", in_all: true, jobs: fig4_jobs, render: |_, r| fig4(r) },
+    Figure { name: "fig5", in_all: true, jobs: fig5_jobs, render: |_, r| fig5(r) },
+    Figure { name: "fig6", in_all: true, jobs: no_jobs, render: |_, _| fig6() },
+    Figure { name: "fig7", in_all: true, jobs: no_jobs, render: |_, _| fig7() },
+    Figure { name: "fig8", in_all: true, jobs: fig8_jobs, render: |_, r| fig8(r) },
+    Figure { name: "fig9", in_all: true, jobs: no_jobs, render: |_, _| fig9() },
+    Figure { name: "fig10", in_all: true, jobs: no_jobs, render: |_, _| fig10() },
+    Figure { name: "fig11", in_all: true, jobs: fig11_jobs, render: |_, r| fig11(r) },
+    Figure { name: "extensions", in_all: false, jobs: extension_jobs, render: |_, r| extension_study(r) },
+    Figure { name: "ablations", in_all: false, jobs: ablation_jobs, render: ablations },
+];
+
+/// The figures `names` ask for, in print order; `all` stands for every
+/// paper figure.
+pub fn select(names: &[&str]) -> Vec<&'static Figure> {
+    let all = names.contains(&"all");
+    FIGURES
+        .iter()
+        .filter(|f| names.contains(&f.name) || (all && f.in_all))
+        .collect()
+}
+
+/// The one sweep behind a set of figures.
+pub struct Plan {
+    /// Each figure with its jobs and, per job, its index in `unique`.
+    figures: Vec<(&'static Figure, Vec<SweepJob>, Vec<usize>)>,
+    /// One job per distinct config fingerprint, in first-planned order.
+    pub unique: Vec<SweepJob>,
+}
+
+impl Plan {
+    /// Plan `figures` at a cycle budget (0 → the default): every
+    /// figure's jobs, deduplicated by config fingerprint.
+    pub fn new(figures: &[&'static Figure], cycles: u64) -> Plan {
+        let cycles = if cycles == 0 { DEFAULT_CYCLES } else { cycles };
+        let mut index = BTreeMap::new();
+        let mut unique = Vec::new();
+        let figures = figures
+            .iter()
+            .map(|&figure| {
+                let jobs = (figure.jobs)(cycles);
+                let slots = jobs
+                    .iter()
+                    .map(|job| {
+                        *index
+                            .entry(config_fingerprint(&job.config))
+                            .or_insert_with(|| {
+                                unique.push(job.clone());
+                                unique.len() - 1
+                            })
+                    })
+                    .collect();
+                (figure, jobs, slots)
+            })
+            .collect();
+        Plan { figures, unique }
+    }
+
+    /// Every figure's text, in plan order, from the results of
+    /// [`Plan::unique`] in its order.
+    pub fn render(&self, results: &[SimResult]) -> Vec<String> {
+        self.figures
+            .iter()
+            .map(|(figure, jobs, slots)| {
+                let mine: Vec<SimResult> = slots.iter().map(|&i| results[i].clone()).collect();
+                (figure.render)(jobs, &mine)
+            })
+            .collect()
     }
 }
 
-fn sweep_workloads(
-    workloads: &[&Workload],
-    policies: &[PolicyKind],
-    cycles: u64,
-    workers: usize,
-    journal: Option<&Path>,
-) -> Vec<(String, Vec<SimResult>)> {
+fn no_jobs(_cycles: u64) -> Vec<SweepJob> {
+    Vec::new()
+}
+
+/// The workloads of the given thread counts, in the paper's order.
+fn workloads_of(sizes: &[usize]) -> Vec<&'static Workload> {
+    sizes.iter().flat_map(|&s| Workload::of_size(s)).collect()
+}
+
+/// One job per (workload, policy), workload-major: renderers read
+/// their results as one `policies.len()` chunk per workload.
+fn grid(workloads: &[&Workload], policies: &[PolicyKind], cycles: u64) -> Vec<SweepJob> {
     let mut jobs = Vec::new();
     for w in workloads {
         for p in policies {
             jobs.push(SweepJob::new(
                 format!("{}/{}", w.name, p.label()),
-                SimConfig::for_workload(w, *p).with_cycles(budget(cycles)),
+                SimConfig::for_workload(w, *p).with_cycles(cycles),
             ));
         }
     }
-    let flat = run_jobs(&jobs, workers, journal);
-    workloads
-        .iter()
-        .zip(flat.chunks(policies.len()))
-        .map(|(w, results)| (w.name.to_string(), results.to_vec()))
-        .collect()
+    jobs
 }
 
-/// Run `jobs` through the journaled sweep runner, in job order. A
-/// failed job is fatal: a partial figure is worse than none.
-fn run_jobs(jobs: &[SweepJob], workers: usize, journal: Option<&Path>) -> Vec<SimResult> {
-    run_sweep_journaled(jobs, workers, journal)
-        .into_iter()
-        .map(|(label, r)| match r {
-            Ok(r) => r,
-            Err(e) => panic!("figure sweep job '{label}' failed: {e}"),
-        })
-        .collect()
-}
+/// The machine sizes of Figs. 3 and 4: 2–8 threads on 1–4 cores.
+const SIZES: [usize; 4] = [2, 4, 6, 8];
+
+/// Figs. 2 and 3 compare ICOUNT with speculative FLUSH.
+const ICOUNT_VS_FLUSH: [PolicyKind; 2] = [PolicyKind::Icount, PolicyKind::FlushSpec(30)];
 
 // ----------------------------------------------------------------
 // Fig. 1 — simulation parameters and workloads
@@ -95,133 +178,92 @@ pub fn fig1() -> String {
 // Fig. 2 — single-core SMT: ICOUNT vs speculative FLUSH (FL-S30)
 // ----------------------------------------------------------------
 
-/// Fig. 2 data: per 2-thread workload, (ICOUNT IPC, FLUSH-S30 IPC).
-pub struct Fig2 {
-    pub rows: Vec<(String, f64, f64)>,
-    pub text: String,
+fn fig2_jobs(cycles: u64) -> Vec<SweepJob> {
+    grid(&Workload::of_size(2), &ICOUNT_VS_FLUSH, cycles)
 }
 
-impl Fig2 {
-    /// Speedups of FLUSH-S30 over ICOUNT per workload.
-    pub fn speedups(&self) -> Vec<f64> {
-        self.rows.iter().map(|(_, i, f)| f / i).collect()
-    }
-
-    /// Average speedup (paper: ≈ 1.22, max ≈ 1.93).
-    pub fn avg_speedup(&self) -> f64 {
-        let s = self.speedups();
-        s.iter().sum::<f64>() / s.len() as f64
-    }
-}
-
-/// Reproduce Fig. 2: all 2Wy workloads on a single-core SMT under
-/// ICOUNT and FLUSH-S30.
-pub fn fig2(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig2 {
-    let workloads = Workload::of_size(2);
-    let policies = [PolicyKind::Icount, PolicyKind::FlushSpec(30)];
-    let data = sweep_workloads(&workloads, &policies, cycles, workers, journal);
-    let mut rows = Vec::new();
+/// Render Fig. 2: all 2Wy workloads on a single-core SMT under ICOUNT
+/// and FLUSH-S30 (paper: average speedup ≈ 1.22, max ≈ 1.93).
+pub fn fig2(results: &[SimResult]) -> String {
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 2: Throughput in single-core SMT ==");
-    let _ = writeln!(text, "{:<8}{:>12}{:>12}{:>10}", "wl", "ICOUNT", "FLUSH-S30", "speedup");
-    for (name, results) in &data {
-        let ic = results[0].throughput();
-        let fl = results[1].throughput();
+    let _ = writeln!(
+        text,
+        "{:<8}{:>12}{:>12}{:>10}",
+        "wl", "ICOUNT", "FLUSH-S30", "speedup"
+    );
+    let mut speedups = Vec::new();
+    for (w, rs) in Workload::of_size(2).iter().zip(results.chunks(2)) {
+        let name = w.name;
+        let ic = rs[0].throughput();
+        let fl = rs[1].throughput();
         let _ = writeln!(text, "{name:<8}{ic:>12.4}{fl:>12.4}{:>10.3}", fl / ic);
-        rows.push((name.clone(), ic, fl));
+        speedups.push(fl / ic);
     }
-    let fig = Fig2 { rows, text };
-    fig_with_avg(fig)
-}
-
-fn fig_with_avg(mut fig: Fig2) -> Fig2 {
-    let avg = fig.avg_speedup();
-    let max = fig
-        .speedups()
-        .into_iter()
-        .fold(f64::NEG_INFINITY, f64::max);
-    let _ = writeln!(fig.text, "average speedup {avg:.3}   max speedup {max:.3}");
-    fig
+    let avg = speedups.iter().sum::<f64>() / speedups.len() as f64;
+    let max = speedups.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let _ = writeln!(text, "average speedup {avg:.3}   max speedup {max:.3}");
+    text
 }
 
 // ----------------------------------------------------------------
 // Fig. 3 — multicore CMP+SMT average throughput
 // ----------------------------------------------------------------
 
-/// Fig. 3 data: per workload size, average ICOUNT and FLUSH-S30 IPC.
-pub struct Fig3 {
-    /// (threads, avg ICOUNT IPC, avg FLUSH-S30 IPC).
-    pub rows: Vec<(usize, f64, f64)>,
-    pub text: String,
+fn fig3_jobs(cycles: u64) -> Vec<SweepJob> {
+    grid(&workloads_of(&SIZES), &ICOUNT_VS_FLUSH, cycles)
 }
 
-impl Fig3 {
-    /// FLUSH-S30 / ICOUNT ratio per workload size.
-    pub fn ratios(&self) -> Vec<(usize, f64)> {
-        self.rows.iter().map(|&(n, i, f)| (n, f / i)).collect()
-    }
-}
-
-/// Reproduce Fig. 3: average throughput per workload size (2, 4, 6, 8
+/// Render Fig. 3: average throughput per workload size (2, 4, 6, 8
 /// threads → 1–4 cores) under ICOUNT and FLUSH-S30. The paper's
 /// finding: the single-core FLUSH advantage shrinks with core count and
 /// inverts at 4 cores.
-pub fn fig3(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig3 {
-    let policies = [PolicyKind::Icount, PolicyKind::FlushSpec(30)];
-    let mut rows = Vec::new();
+pub fn fig3(results: &[SimResult]) -> String {
+    let rows: Vec<_> = workloads_of(&SIZES)
+        .into_iter()
+        .zip(results.chunks(2))
+        .collect();
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 3: Average throughput, multicore CMP+SMT ==");
-    let _ = writeln!(text, "{:<9}{:>12}{:>12}{:>10}", "threads", "ICOUNT", "FLUSH-S30", "ratio");
-    for size in [2usize, 4, 6, 8] {
-        let data = sweep_workloads(&Workload::of_size(size), &policies, cycles, workers, journal);
-        let avg = |k: usize| {
-            data.iter().map(|(_, r)| r[k].throughput()).sum::<f64>() / data.len() as f64
-        };
+    let _ = writeln!(
+        text,
+        "{:<9}{:>12}{:>12}{:>10}",
+        "threads", "ICOUNT", "FLUSH-S30", "ratio"
+    );
+    for size in SIZES {
+        let data: Vec<&[SimResult]> = rows
+            .iter()
+            .filter(|(w, _)| w.threads() == size)
+            .map(|&(_, r)| r)
+            .collect();
+        let avg =
+            |k: usize| data.iter().map(|r| r[k].throughput()).sum::<f64>() / data.len() as f64;
         let (ic, fl) = (avg(0), avg(1));
         let _ = writeln!(text, "{size:<9}{ic:>12.4}{fl:>12.4}{:>10.3}", fl / ic);
-        rows.push((size, ic, fl));
     }
-    Fig3 { rows, text }
+    text
 }
 
 // ----------------------------------------------------------------
 // Fig. 4 — average L2 cache hit time vs number of cores
 // ----------------------------------------------------------------
 
-/// Fig. 4 data: merged L2-hit-time histogram per workload size (under
-/// ICOUNT, which "does not alter the L2 cache access pattern").
-pub struct Fig4 {
-    pub rows: Vec<(usize, LatencyHistogram)>,
-    pub text: String,
+/// Fig. 4 runs ICOUNT, which "does not alter the L2 cache access
+/// pattern".
+fn fig4_jobs(cycles: u64) -> Vec<SweepJob> {
+    grid(&workloads_of(&SIZES), &[PolicyKind::Icount], cycles)
 }
 
-impl Fig4 {
-    /// (threads, mean, std-dev) series.
-    pub fn summary(&self) -> Vec<(usize, f64, f64)> {
-        self.rows
-            .iter()
-            .map(|(n, h)| (*n, h.mean(), h.std_dev()))
-            .collect()
-    }
-}
-
-/// Reproduce Fig. 4: distribution of cycles from LSQ issue to service
-/// for loads that hit the shared L2, per machine size.
-pub fn fig4(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig4 {
-    let mut rows = Vec::new();
+/// Render Fig. 4: distribution of cycles from LSQ issue to service for
+/// loads that hit the shared L2, merged per machine size.
+pub fn fig4(results: &[SimResult]) -> String {
+    let rows: Vec<_> = workloads_of(&SIZES).into_iter().zip(results).collect();
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 4: Average L2 cache hit time ==");
-    for size in [2usize, 4, 6, 8] {
-        let data = sweep_workloads(
-            &Workload::of_size(size),
-            &[PolicyKind::Icount],
-            cycles,
-            workers,
-            journal,
-        );
+    for size in SIZES {
         let mut merged = LatencyHistogram::for_l2_hit_time();
-        for (_, rs) in &data {
-            merged.merge(&rs[0].l2_hit_hist);
+        for (_, r) in rows.iter().filter(|(w, _)| w.threads() == size) {
+            merged.merge(&r.l2_hit_hist);
         }
         let _ = writeln!(
             text,
@@ -229,67 +271,60 @@ pub fn fig4(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig4 {
             size / 2,
             report::histogram_table(&merged)
         );
-        rows.push((size, merged));
     }
-    Fig4 { rows, text }
+    text
 }
 
 // ----------------------------------------------------------------
 // Fig. 5 — detection-moment analysis (trigger sweep)
 // ----------------------------------------------------------------
 
-/// Fig. 5 data: throughput per FLUSH trigger on the two study
-/// workloads.
-pub struct Fig5 {
-    /// (trigger label, 8W3 IPC, bzip2x4+twolfx4 IPC).
-    pub rows: Vec<(String, f64, f64)>,
-    pub text: String,
-}
-
-impl Fig5 {
-    /// Best trigger label per workload `(8W3, fig5b)`.
-    pub fn best(&self) -> (String, String) {
-        let best = |idx: usize| {
-            self.rows
-                .iter()
-                .max_by(|a, b| {
-                    let va = if idx == 0 { a.1 } else { a.2 };
-                    let vb = if idx == 0 { b.1 } else { b.2 };
-                    va.total_cmp(&vb)
-                })
-                .map(|r| r.0.clone())
-                .unwrap()
-        };
-        (best(0), best(1))
-    }
-}
-
-/// Reproduce Fig. 5: sweep the speculative trigger from 30 to 150
-/// cycles (plus FL-NS) on (a) 8W3 and (b) the bzip2/twolf workload.
-pub fn fig5(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig5 {
-    let triggers: Vec<PolicyKind> = (30..=150)
+/// The speculative triggers from 30 to 150 cycles, then FL-NS.
+fn fig5_triggers() -> Vec<PolicyKind> {
+    (30..=150)
         .step_by(20)
         .map(PolicyKind::FlushSpec)
         .chain([PolicyKind::FlushNonSpec])
-        .collect();
-    let w_a = Workload::by_name("8W3").unwrap();
-    let w_b = &FIG5B_WORKLOAD;
-    let data = sweep_workloads(&[w_a, w_b], &triggers, cycles, workers, journal);
-    let mut rows = Vec::new();
+        .collect()
+}
+
+/// (a) 8W3 and (b) the bzip2/twolf workload.
+fn fig5_jobs(cycles: u64) -> Vec<SweepJob> {
+    let w_a = Workload::by_name("8W3").expect("8W3 is a Fig. 1 workload");
+    grid(&[w_a, &FIG5B_WORKLOAD], &fig5_triggers(), cycles)
+}
+
+/// Render Fig. 5: throughput per FLUSH trigger on the two study
+/// workloads, and the best trigger of each.
+pub fn fig5(results: &[SimResult]) -> String {
+    let triggers = fig5_triggers();
+    let (a, b) = results.split_at(triggers.len());
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 5: Detection Moment analysis ==");
-    let _ = writeln!(text, "{:<12}{:>12}{:>20}", "trigger", "8W3", "bzip2x4+twolfx4");
-    for (i, p) in triggers.iter().enumerate() {
-        let a = data[0].1[i].throughput();
-        let b = data[1].1[i].throughput();
+    let _ = writeln!(
+        text,
+        "{:<12}{:>12}{:>20}",
+        "trigger", "8W3", "bzip2x4+twolfx4"
+    );
+    for (p, (ra, rb)) in triggers.iter().zip(a.iter().zip(b)) {
+        let (a, b) = (ra.throughput(), rb.throughput());
         let _ = writeln!(text, "{:<12}{a:>12.4}{b:>20.4}", p.label());
-        rows.push((p.label(), a, b));
     }
-    let fig = Fig5 { rows, text };
-    let (ba, bb) = fig.best();
-    let mut fig = fig;
-    let _ = writeln!(fig.text, "best trigger: 8W3 → {ba}, bzip2/twolf → {bb}");
-    fig
+    let best = |rs: &[SimResult]| {
+        triggers
+            .iter()
+            .zip(rs)
+            .max_by(|x, y| x.1.throughput().total_cmp(&y.1.throughput()))
+            .map(|(p, _)| p.label())
+            .unwrap_or_default()
+    };
+    let _ = writeln!(
+        text,
+        "best trigger: 8W3 → {}, bzip2/twolf → {}",
+        best(a),
+        best(b)
+    );
+    text
 }
 
 // ----------------------------------------------------------------
@@ -349,47 +384,19 @@ pub fn fig7() -> String {
 // Fig. 8 — throughput of ICOUNT / FLUSH-S30 / FLUSH-S100 / MFLUSH
 // ----------------------------------------------------------------
 
-/// Fig. 8 data.
-pub struct Fig8 {
-    /// (workload, [ICOUNT, FLUSH-S30, FLUSH-S100, MFLUSH] IPC).
-    pub rows: Vec<(String, [f64; 4])>,
-    /// The same runs, full results (for Fig. 11 reuse).
-    pub results: Vec<(String, Vec<SimResult>)>,
-    pub text: String,
+/// The 4-, 6- and 8-thread workloads of Figs. 8 and 11.
+const FIG8_SIZES: [usize; 3] = [4, 6, 8];
+
+fn fig8_jobs(cycles: u64) -> Vec<SweepJob> {
+    grid(&workloads_of(&FIG8_SIZES), &PolicyKind::fig8_set(), cycles)
 }
 
-impl Fig8 {
-    /// Column averages.
-    pub fn averages(&self) -> [f64; 4] {
-        let mut avg = [0.0; 4];
-        for (_, r) in &self.rows {
-            for k in 0..4 {
-                avg[k] += r[k];
-            }
-        }
-        for a in &mut avg {
-            *a /= self.rows.len() as f64;
-        }
-        avg
-    }
-
-    /// MFLUSH throughput relative to FLUSH-S100 (paper: ≈ 0.98).
-    pub fn mflush_vs_s100(&self) -> f64 {
-        let a = self.averages();
-        a[3] / a[2]
-    }
-}
-
-/// Reproduce Fig. 8: the four evaluated policies on every 4-, 6- and
-/// 8-thread workload.
-pub fn fig8(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig8 {
+/// Render Fig. 8: the four evaluated policies on every 4-, 6- and
+/// 8-thread workload, with column averages (paper: MFLUSH/FLUSH-S100
+/// ≈ 0.98).
+pub fn fig8(results: &[SimResult]) -> String {
     let policies = PolicyKind::fig8_set();
-    let workloads: Vec<&Workload> = [4usize, 6, 8]
-        .iter()
-        .flat_map(|&s| Workload::of_size(s))
-        .collect();
-    let results = sweep_workloads(&workloads, &policies, cycles, workers, journal);
-    let mut rows = Vec::new();
+    let workloads = workloads_of(&FIG8_SIZES);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 8: Throughput results ==");
     let _ = write!(text, "{:<8}", "wl");
@@ -397,93 +404,82 @@ pub fn fig8(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig8 {
         let _ = write!(text, "{:>12}", p.label());
     }
     let _ = writeln!(text);
-    for (name, rs) in &results {
-        let mut row = [0.0; 4];
-        let _ = write!(text, "{name:<8}");
+    let mut avg = [0.0; 4];
+    for (w, rs) in workloads.iter().zip(results.chunks(policies.len())) {
+        let _ = write!(text, "{:<8}", w.name);
         for (k, r) in rs.iter().enumerate() {
-            row[k] = r.throughput();
-            let _ = write!(text, "{:>12.4}", row[k]);
+            let ipc = r.throughput();
+            avg[k] += ipc;
+            let _ = write!(text, "{ipc:>12.4}");
         }
         let _ = writeln!(text);
-        rows.push((name.clone(), row));
     }
-    let fig = Fig8 {
-        rows,
-        results,
-        text,
-    };
-    let avg = fig.averages();
-    let mut fig = fig;
+    for a in &mut avg {
+        *a /= workloads.len() as f64;
+    }
     let _ = writeln!(
-        fig.text,
+        text,
         "{:<8}{:>12.4}{:>12.4}{:>12.4}{:>12.4}   (MFLUSH/FLUSH-S100 = {:.3})",
-        "avg", avg[0], avg[1], avg[2], avg[3],
-        fig.mflush_vs_s100()
+        "avg",
+        avg[0],
+        avg[1],
+        avg[2],
+        avg[3],
+        avg[3] / avg[2]
     );
-    fig
+    text
 }
 
 // ----------------------------------------------------------------
 // Extension study — beyond the paper's four policies
 // ----------------------------------------------------------------
 
-/// Extension-policy comparison data (not a paper figure).
-pub struct ExtStudy {
-    /// (policy label, avg IPC over the 8-thread workloads,
-    /// avg wasted energy).
-    pub rows: Vec<(String, f64, f64)>,
-    pub text: String,
+const EXTENSION_POLICIES: [PolicyKind; 12] = [
+    PolicyKind::RoundRobin,
+    PolicyKind::Icount,
+    PolicyKind::Brcount,
+    PolicyKind::Adts,
+    PolicyKind::Dcra,
+    PolicyKind::StallSpec(30),
+    PolicyKind::FlushSpec(30),
+    PolicyKind::FlushSpec(100),
+    PolicyKind::FlushNonSpec,
+    PolicyKind::FlushAdaptive,
+    PolicyKind::FlushMissPredict,
+    PolicyKind::Mflush,
+];
+
+fn extension_jobs(cycles: u64) -> Vec<SweepJob> {
+    grid(&Workload::of_size(8), &EXTENSION_POLICIES, cycles)
 }
 
-/// Compare the paper's four policies against the extension set (RR,
-/// DCRA, ADTS, STALL-S30, FLUSH-ADAPT, FLUSH-LMP) on the 8-thread
-/// workloads: adaptivity-in-priority vs adaptivity-in-threshold vs
-/// adaptivity-in-prediction.
-pub fn extension_study(cycles: u64, workers: usize, journal: Option<&Path>) -> ExtStudy {
-    let policies = [
-        PolicyKind::RoundRobin,
-        PolicyKind::Icount,
-        PolicyKind::Brcount,
-        PolicyKind::Adts,
-        PolicyKind::Dcra,
-        PolicyKind::StallSpec(30),
-        PolicyKind::FlushSpec(30),
-        PolicyKind::FlushSpec(100),
-        PolicyKind::FlushNonSpec,
-        PolicyKind::FlushAdaptive,
-        PolicyKind::FlushMissPredict,
-        PolicyKind::Mflush,
-    ];
-    let workloads = Workload::of_size(8);
-    let data = sweep_workloads(&workloads, &policies, cycles, workers, journal);
-    let mut rows = Vec::new();
+/// Render the comparison of the paper's four policies against the
+/// extension set (RR, DCRA, ADTS, STALL-S30, FLUSH-ADAPT, FLUSH-LMP) on
+/// the 8-thread workloads: adaptivity-in-priority vs
+/// adaptivity-in-threshold vs adaptivity-in-prediction.
+pub fn extension_study(results: &[SimResult]) -> String {
+    let data: Vec<&[SimResult]> = results.chunks(EXTENSION_POLICIES.len()).collect();
     let mut text = String::new();
     let _ = writeln!(
         text,
         "== Extension study: all policies, 8-thread workloads =="
     );
-    let _ = writeln!(text, "{:<14}{:>12}{:>16}", "policy", "avg IPC", "avg wasted eu");
-    for (k, p) in policies.iter().enumerate() {
-        let ipc = data.iter().map(|(_, r)| r[k].throughput()).sum::<f64>()
-            / data.len() as f64;
-        let eu = data.iter().map(|(_, r)| r[k].wasted_energy()).sum::<f64>()
-            / data.len() as f64;
+    let _ = writeln!(
+        text,
+        "{:<14}{:>12}{:>16}",
+        "policy", "avg IPC", "avg wasted eu"
+    );
+    for (k, p) in EXTENSION_POLICIES.iter().enumerate() {
+        let ipc = data.iter().map(|r| r[k].throughput()).sum::<f64>() / data.len() as f64;
+        let eu = data.iter().map(|r| r[k].wasted_energy()).sum::<f64>() / data.len() as f64;
         let _ = writeln!(text, "{:<14}{ipc:>12.4}{eu:>16.1}", p.label());
-        rows.push((p.label(), ipc, eu));
     }
-    ExtStudy { rows, text }
+    text
 }
 
 // ----------------------------------------------------------------
 // Ablations — the design choices DESIGN.md §6 calls out
 // ----------------------------------------------------------------
-
-/// Ablation report data (not a paper figure).
-pub struct Ablations {
-    /// (variant label, 8W3 IPC), in report order.
-    pub rows: Vec<(String, f64)>,
-    pub text: String,
-}
 
 fn mflush_variant(history: usize, reducer: McRegReducer, preventive: bool, mt: bool) -> PolicyKind {
     PolicyKind::MflushCustom {
@@ -494,29 +490,24 @@ fn mflush_variant(history: usize, reducer: McRegReducer, preventive: bool, mt: b
     }
 }
 
-/// Run the DESIGN.md §6 ablations on 8W3, one job per variant: MCReg
+/// Render the DESIGN.md §6 ablations on 8W3, one row per job: MCReg
 /// history and reducer, the Preventive State, the MT term, STALL vs
 /// FLUSH, L2 bank and cluster counts, the related-work policies and
-/// next-line prefetching. Variants that restate the paper default
-/// (MCReg 1/Last, 4 L2 banks, 1 cluster, no prefetch) are run again
-/// under their own label, so they must agree exactly.
-pub fn ablations(cycles: u64, workers: usize, journal: Option<&Path>) -> Ablations {
-    let cycles = budget(cycles);
-    let jobs = ablation_jobs(cycles);
-    let results = run_jobs(&jobs, workers, journal);
+/// next-line prefetching.
+pub fn ablations(jobs: &[SweepJob], results: &[SimResult]) -> String {
+    let cycles = jobs.first().map_or(0, |j| j.config.cycles);
     let mut text = String::new();
     let _ = writeln!(text, "== Ablation report ({cycles}-cycle runs on 8W3) ==");
-    let mut rows = Vec::new();
-    for (job, r) in jobs.iter().zip(&results) {
+    for (job, r) in jobs.iter().zip(results) {
         let label = format!("{}:", job.label);
-        let ipc = r.throughput();
-        let _ = writeln!(text, "{label:<30}{ipc:.4}");
-        rows.push((job.label.clone(), ipc));
+        let _ = writeln!(text, "{label:<30}{:.4}", r.throughput());
     }
-    Ablations { rows, text }
+    text
 }
 
-/// The [`ablations`] jobs, one per variant, in report order.
+/// The [`ablations`] jobs, one per variant, in report order. Variants
+/// that restate the paper default (MCReg 1/Last, 4 L2 banks, 1 cluster,
+/// no prefetch) keep their own row, so each pair must agree exactly.
 fn ablation_jobs(cycles: u64) -> Vec<SweepJob> {
     let w = Workload::by_name("8W3").unwrap();
     let cfg = |p: PolicyKind| SimConfig::for_workload(w, p).with_cycles(cycles);
@@ -596,47 +587,20 @@ pub fn fig10() -> String {
 // Fig. 11 — FLUSH wasted energy
 // ----------------------------------------------------------------
 
-/// Fig. 11 data.
-pub struct Fig11 {
-    /// (workload, [FLUSH-S30, FLUSH-S100, MFLUSH] wasted energy units).
-    pub rows: Vec<(String, [f64; 3])>,
-    pub text: String,
+const FIG11_POLICIES: [PolicyKind; 3] = [
+    PolicyKind::FlushSpec(30),
+    PolicyKind::FlushSpec(100),
+    PolicyKind::Mflush,
+];
+
+fn fig11_jobs(cycles: u64) -> Vec<SweepJob> {
+    grid(&workloads_of(&FIG8_SIZES), &FIG11_POLICIES, cycles)
 }
 
-impl Fig11 {
-    /// Total wasted energy per policy.
-    pub fn totals(&self) -> [f64; 3] {
-        let mut t = [0.0; 3];
-        for (_, r) in &self.rows {
-            for k in 0..3 {
-                t[k] += r[k];
-            }
-        }
-        t
-    }
-
-    /// MFLUSH waste relative to FLUSH-S100 (paper: ≈ 0.8, a 20 %
-    /// saving).
-    pub fn mflush_vs_s100(&self) -> f64 {
-        let t = self.totals();
-        t[2] / t[1]
-    }
-}
-
-/// Reproduce Fig. 11: the wasted (refetch) energy of each flushing
-/// policy on the Fig. 8 workloads.
-pub fn fig11(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig11 {
-    let policies = [
-        PolicyKind::FlushSpec(30),
-        PolicyKind::FlushSpec(100),
-        PolicyKind::Mflush,
-    ];
-    let workloads: Vec<&Workload> = [4usize, 6, 8]
-        .iter()
-        .flat_map(|&s| Workload::of_size(s))
-        .collect();
-    let results = sweep_workloads(&workloads, &policies, cycles, workers, journal);
-    let mut rows = Vec::new();
+/// Render Fig. 11: the wasted (refetch) energy of each flushing policy
+/// on the Fig. 8 workloads, with totals (paper: MFLUSH/FLUSH-S100 ≈
+/// 0.8, a 20 % saving).
+pub fn fig11(results: &[SimResult]) -> String {
     let mut text = String::new();
     let _ = writeln!(text, "== Fig. 11: FLUSH wasted energy (energy units) ==");
     let _ = writeln!(
@@ -644,7 +608,8 @@ pub fn fig11(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig11 {
         "{:<8}{:>14}{:>14}{:>14}",
         "wl", "FLUSH-S30", "FLUSH-S100", "MFLUSH"
     );
-    for (name, rs) in &results {
+    let mut t = [0.0; 3];
+    for (w, rs) in workloads_of(&FIG8_SIZES).iter().zip(results.chunks(3)) {
         let row = [
             rs[0].wasted_energy(),
             rs[1].wasted_energy(),
@@ -652,32 +617,52 @@ pub fn fig11(cycles: u64, workers: usize, journal: Option<&Path>) -> Fig11 {
         ];
         let _ = writeln!(
             text,
-            "{name:<8}{:>14.1}{:>14.1}{:>14.1}",
-            row[0], row[1], row[2]
+            "{:<8}{:>14.1}{:>14.1}{:>14.1}",
+            w.name, row[0], row[1], row[2]
         );
-        rows.push((name.clone(), row));
+        for k in 0..3 {
+            t[k] += row[k];
+        }
     }
-    let fig = Fig11 { rows, text };
-    let t = fig.totals();
-    let mut fig = fig;
     let _ = writeln!(
-        fig.text,
+        text,
         "{:<8}{:>14.1}{:>14.1}{:>14.1}   (MFLUSH/FLUSH-S100 = {:.3})",
-        "total", t[0], t[1], t[2],
-        fig.mflush_vs_s100()
+        "total",
+        t[0],
+        t[1],
+        t[2],
+        t[2] / t[1]
     );
-    fig
+    text
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smtsim_core::cache::config_fingerprint;
+    use smtsim_core::run_sweep;
+
+    #[test]
+    fn figures_all_simulates_each_distinct_machine_once() {
+        // Figs. 2, 3, 4, 5, 8, 11: 10 + 40 + 20 + 16 + 60 + 45 jobs, of
+        // which Figs. 2, 3, 5 and 8 bring 10 + 30 + 15 + 30 new configs.
+        let plan = Plan::new(&select(&["all"]), 3_000);
+        let planned: usize = plan.figures.iter().map(|(_, jobs, _)| jobs.len()).sum();
+        assert_eq!(planned, 191);
+        assert_eq!(plan.unique.len(), 85);
+        let distinct: std::collections::BTreeSet<String> = plan
+            .unique
+            .iter()
+            .map(|j| config_fingerprint(&j.config))
+            .collect();
+        assert_eq!(distinct.len(), 85, "one job per fingerprint");
+    }
 
     #[test]
     fn ablation_fingerprints_tell_every_distinct_machine_apart() {
-        // A journal keys each job by its config fingerprint, so two
-        // variants that share one replay each other's answers.
+        // A plan and a journal both key each job by its config
+        // fingerprint, so two variants that share one are simulated
+        // once and print the same answer: deduplicating the plan is
+        // sound only because every distinct machine has its own.
         let jobs = ablation_jobs(3_000);
         let print = |label: &str| match jobs.iter().find(|j| j.label == label) {
             Some(j) => config_fingerprint(&j.config),
@@ -703,11 +688,30 @@ mod tests {
 
     #[test]
     fn ablation_rows_that_restate_the_paper_default_agree() {
-        let a = ablations(3_000, 0, None);
-        let ipc = |label: &str| match a.rows.iter().find(|(l, _)| l == label) {
-            Some(&(_, ipc)) => ipc,
-            None => panic!("no row '{label}'"),
-        };
+        // Each row runs on its own through `run_sweep`: the plan would
+        // simulate two rows with one fingerprint once, and make the
+        // equalities below true by construction.
+        let labels = [
+            "ICOUNT with 4 L2 bank(s)",
+            "ICOUNT without prefetch",
+            "MFLUSH with 1 L2 cluster(s)",
+            "MCReg history 1/Last (paper)",
+            "ICOUNT with 1 L2 bank(s)",
+            "MFLUSH with 4 L2 cluster(s)",
+        ];
+        let jobs: Vec<SweepJob> = ablation_jobs(3_000)
+            .into_iter()
+            .filter(|j| labels.contains(&j.label.as_str()))
+            .collect();
+        assert_eq!(jobs.len(), labels.len());
+        let ipc: BTreeMap<String, f64> = run_sweep(&jobs, 0)
+            .into_iter()
+            .map(|(label, r)| match r {
+                Ok(r) => (label, r.throughput()),
+                Err(e) => panic!("ablation '{label}' failed: {e}"),
+            })
+            .collect();
+        let ipc = |label: &str| ipc[label];
         // MemConfig's defaults are 4 L2 banks and 1 L2 cluster.
         assert_eq!(
             ipc("ICOUNT with 4 L2 bank(s)"),

@@ -1,12 +1,12 @@
 #![forbid(unsafe_code)]
 //! # smtsim-bench — figure and table regeneration for the MFLUSH paper
 //!
-//! One function per table/figure of the paper's evaluation. Each
-//! returns structured data *and* renders the same rows/series the paper
-//! reports, so the `figures` binary and the integration tests share a
-//! single implementation.
+//! One renderer per table/figure of the paper's evaluation. A table the model states renders from nothing; a
+//! simulated figure is its job list plus a pure renderer of those
+//! jobs' results. [`figures::FIGURES`] names them all, and
+//! [`figures::Plan`] turns a selection into one deduplicated sweep.
 //!
-//! | Paper artefact | Function |
+//! | Paper artefact | Renderer |
 //! |----------------|----------|
 //! | Fig. 1 (parameters + workloads) | [`figures::fig1`] |
 //! | Fig. 2 (single-core ICOUNT vs FLUSH) | [`figures::fig2`] |

@@ -1,7 +1,8 @@
 //! The `figures` binary's exit-code contract: `0` on success, `2` with
 //! a usage line for a bad flag value or an unknown figure name (the
 //! latter with a "did you mean" hint), matching the `smtsim` CLI; and
-//! its `--journal FILE` contract: a resumed run prints the same bytes;
+//! its `--journal FILE` contract: a resumed run prints the same bytes
+//! and a fresh one records each distinct machine once;
 //! and the bytes themselves: `figures all ablations extensions --cycles
 //! 3000` must print exactly `fixtures/figures_c3000.golden.txt`.
 
@@ -86,6 +87,46 @@ fn resumed_journal_gives_identical_figures() {
     assert!(!recorded.is_empty());
     assert_eq!(first.stdout, plain.stdout, "journaling must not change the figure");
     assert_eq!(second.stdout, plain.stdout, "a resumed figure must be byte-identical");
+    assert_eq!(replayed, recorded, "a full replay appends nothing");
+}
+
+#[test]
+fn journaled_figures_all_records_each_distinct_machine_once() {
+    // `figures all` plans 191 jobs over 85 distinct configs; one sweep
+    // runs each config once, so a fresh journal ends with 85 entries.
+    let path = std::env::temp_dir().join(format!(
+        "smtsim-figures-cli-{}-all.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let journal = path.to_str().unwrap();
+    let plain = figures(&["all", "--cycles", "2000"]);
+    let first = figures(&["all", "--cycles", "2000", "--journal", journal]);
+    let recorded = std::fs::read(&path).expect("the first run writes the journal");
+    let second = figures(&["all", "--cycles", "2000", "--journal", journal]);
+    let replayed = std::fs::read(&path).expect("the journal survives");
+    let _ = std::fs::remove_file(&path);
+    for out in [&plain, &first, &second] {
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let entries = recorded
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .count();
+    assert_eq!(entries, 85, "one journal entry per distinct config");
+    assert_eq!(
+        first.stdout, plain.stdout,
+        "journaling must not change the figures"
+    );
+    assert_eq!(
+        second.stdout, plain.stdout,
+        "replayed figures must be byte-identical"
+    );
     assert_eq!(replayed, recorded, "a full replay appends nothing");
 }
 

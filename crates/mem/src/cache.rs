@@ -371,16 +371,18 @@ impl SetAssocCache {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+}
 
-    /// Number of valid lines, recorded warm lines installed first (for
-    /// tests / occupancy reporting).
-    pub fn valid_lines(&mut self) -> usize {
+#[cfg(test)]
+impl SetAssocCache {
+    /// Number of valid lines, recorded warm lines installed first.
+    fn valid_lines(&mut self) -> usize {
         self.install_warm();
         self.lines.iter().filter(|l| l.valid()).count()
     }
 
     /// Total line slots.
-    pub fn capacity_lines(&self) -> usize {
+    fn capacity_lines(&self) -> usize {
         self.lines.len()
     }
 }
@@ -388,6 +390,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smtsim_trace::check::Cases;
 
     fn small_cache(ways: u32) -> SetAssocCache {
         SetAssocCache::new(CacheGeometry {
@@ -513,6 +516,22 @@ mod tests {
         }
         assert!(c.valid_lines() <= c.capacity_lines());
         assert!(c.valid_lines() > c.capacity_lines() / 2);
+    }
+
+    #[test]
+    fn cache_fills_never_exceed_capacity() {
+        Cases::new(48).run("cache_fills_never_exceed_capacity", |g| {
+            let addrs = g.vec_of(1..400, |g| g.u64_in(0..(1 << 20)));
+            let mut cache = SetAssocCache::new(CacheGeometry {
+                bytes: 16 << 10,
+                ways: 4,
+                line_bytes: 64,
+            });
+            for &a in &addrs {
+                cache.fill(a, false);
+                assert!(cache.valid_lines() <= cache.capacity_lines());
+            }
+        });
     }
 
     #[test]

@@ -111,24 +111,6 @@ fn histogram_matches_naive_stats() {
     });
 }
 
-/// Cache fills never exceed capacity.
-#[test]
-fn cache_fills_never_exceed_capacity() {
-    Cases::new(48).run("cache_fills_never_exceed_capacity", |g| {
-        let addrs = g.vec_of(1..400, |g| g.u64_in(0..(1 << 20)));
-        let geom = CacheGeometry {
-            bytes: 16 << 10,
-            ways: 4,
-            line_bytes: 64,
-        };
-        let mut cache = SetAssocCache::new(geom);
-        for &a in &addrs {
-            cache.fill(a, false);
-            assert!(cache.valid_lines() <= cache.capacity_lines());
-        }
-    });
-}
-
 fn geometry(g: &mut Gen, max_sets: u32) -> CacheGeometry {
     let ways = *g.choose(&[1u32, 2, 3, 4, 12]);
     CacheGeometry {
