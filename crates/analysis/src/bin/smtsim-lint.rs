@@ -44,7 +44,12 @@ fn main() -> ExitCode {
                     eprintln!("smtsim-lint: unknown rule `{id}` (try --list-rules)");
                     return ExitCode::from(2);
                 };
-                println!("{} ({} scope) — {}", rule.id(), scope_kind(rule), rule.describe());
+                println!(
+                    "{} ({} scope) — {}",
+                    rule.id(),
+                    scope_kind(rule),
+                    rule.describe()
+                );
                 println!();
                 println!("{}", rule.explain());
                 return ExitCode::SUCCESS;

@@ -67,7 +67,14 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// methods (`Waivers::collect`!) — they are detection *leaves*, not
 /// edges. Explicit `Type::collect(…)` qualification still resolves.
 const STD_METHOD_STOPLIST: &[&str] = &[
-    "clone", "collect", "to_string", "to_vec", "to_owned", "unwrap", "expect", "parse",
+    "clone",
+    "collect",
+    "to_string",
+    "to_vec",
+    "to_owned",
+    "unwrap",
+    "expect",
+    "parse",
 ];
 
 /// The workspace call graph.
@@ -109,7 +116,10 @@ impl Graph {
                         .entry((o.clone(), d.name.clone()))
                         .or_default()
                         .push(id);
-                    g.methods_by_name.entry(d.name.clone()).or_default().push(id);
+                    g.methods_by_name
+                        .entry(d.name.clone())
+                        .or_default()
+                        .push(id);
                     g.owners.insert(o.clone(), ());
                 }
                 None => {
@@ -150,7 +160,10 @@ impl Graph {
                     return Vec::new();
                 }
                 // Module-qualified free function (`util::helper()`).
-                self.free_by_name.get(&call.name).cloned().unwrap_or_default()
+                self.free_by_name
+                    .get(&call.name)
+                    .cloned()
+                    .unwrap_or_default()
             }
             CallKind::Method { on_self } => {
                 if *on_self {
@@ -163,7 +176,10 @@ impl Graph {
                 if STD_METHOD_STOPLIST.contains(&call.name.as_str()) {
                     return Vec::new();
                 }
-                self.methods_by_name.get(&call.name).cloned().unwrap_or_default()
+                self.methods_by_name
+                    .get(&call.name)
+                    .cloned()
+                    .unwrap_or_default()
             }
             CallKind::Plain => {
                 let file = self.nodes[caller].file.clone();
@@ -175,7 +191,10 @@ impl Graph {
                 }
                 // Macro-forwarded method calls (`dispatch!(…, tick(…))`)
                 // surface as Plain; fall back to methods by name.
-                self.methods_by_name.get(&call.name).cloned().unwrap_or_default()
+                self.methods_by_name
+                    .get(&call.name)
+                    .cloned()
+                    .unwrap_or_default()
             }
         }
     }
@@ -201,7 +220,10 @@ impl Graph {
     fn method_roots(&self, set: &[(&str, &str)]) -> Vec<usize> {
         let mut ids = Vec::new();
         for (owner, name) in set {
-            if let Some(found) = self.by_owner_name.get(&(owner.to_string(), name.to_string())) {
+            if let Some(found) = self
+                .by_owner_name
+                .get(&(owner.to_string(), name.to_string()))
+            {
                 ids.extend(found.iter().copied());
             }
         }
@@ -295,11 +317,7 @@ fn panic_symbol(call: &CallSite, hot_file: bool) -> Option<String> {
 /// * D10: allocation sites reachable from a cycle root.
 /// * D11: panic sites reachable from a run root.
 /// * D12: nondeterminism sources D1/D2 exempt, reachable from either.
-pub fn check_graph(
-    graph: &Graph,
-    waivers: &BTreeMap<&str, Waivers>,
-    out: &mut Vec<Finding>,
-) {
+pub fn check_graph(graph: &Graph, waivers: &BTreeMap<&str, Waivers>, out: &mut Vec<Finding>) {
     let fn_waived = |rule: Rule| {
         move |id: usize| {
             let d = &graph.nodes()[id];
@@ -524,7 +542,11 @@ mod tests {
         assert_eq!(d10[0].symbol, "Vec::new");
         assert_eq!(
             d10[0].chain,
-            ["Simulator::step", "Simulator::issue_stage", "Simulator::grow_buf"]
+            [
+                "Simulator::step",
+                "Simulator::issue_stage",
+                "Simulator::grow_buf"
+            ]
         );
     }
 
@@ -626,7 +648,8 @@ mod tests {
         ]);
         let d10: Vec<_> = f.iter().filter(|f| f.rule == Rule::D10).collect();
         assert!(
-            d10.iter().any(|f| f.path.ends_with("system.rs") && f.symbol == "clone"),
+            d10.iter()
+                .any(|f| f.path.ends_with("system.rs") && f.symbol == "clone"),
             "{f:?}"
         );
     }

@@ -103,7 +103,13 @@ impl Coverage {
         }
     }
 
-    fn scan_structs(&mut self, rel: &str, toks: &[Tok<'_>], regions: &[(usize, usize)], sig: &[usize]) {
+    fn scan_structs(
+        &mut self,
+        rel: &str,
+        toks: &[Tok<'_>],
+        regions: &[(usize, usize)],
+        sig: &[usize],
+    ) {
         let mut si = 0;
         while si < sig.len() {
             let i = sig[si];
@@ -111,7 +117,9 @@ impl Coverage {
                 si += 1;
                 continue;
             }
-            let Some(&name_i) = sig.get(si + 1) else { break };
+            let Some(&name_i) = sig.get(si + 1) else {
+                break;
+            };
             if toks[name_i].kind != TokKind::Ident {
                 si += 1;
                 continue;
@@ -157,10 +165,7 @@ impl Coverage {
         let mut si = 0;
         while si < sig.len() {
             let t = &toks[sig[si]];
-            let next_is_for = sig
-                .get(si + 1)
-                .map(|&n| toks[n].is_ident("for"))
-                == Some(true);
+            let next_is_for = sig.get(si + 1).map(|&n| toks[n].is_ident("for")) == Some(true);
             if !(t.is_ident("ToJson") && next_is_for) {
                 si += 1;
                 continue;
@@ -365,7 +370,8 @@ mod tests {
         out
     }
 
-    const STATS: &str = "pub struct S { pub a: u64, pub b: Vec<(u8, u64)>, internal: u64, pub dropped: u64 }";
+    const STATS: &str =
+        "pub struct S { pub a: u64, pub b: Vec<(u8, u64)>, internal: u64, pub dropped: u64 }";
 
     #[test]
     fn dropped_field_is_flagged() {
@@ -390,7 +396,10 @@ mod tests {
     fn self_access_counts_as_coverage() {
         // `cores` is folded into a computed key, not emitted verbatim.
         let f = run(&[
-            ("crates/mem/src/system.rs", "pub struct M { pub cores: Vec<u64> }"),
+            (
+                "crates/mem/src/system.rs",
+                "pub struct M { pub cores: Vec<u64> }",
+            ),
             (
                 "crates/core/src/json.rs",
                 r#"impl ToJson for M { fn write_json(&self, out: &mut String) {
@@ -422,7 +431,10 @@ mod tests {
     #[test]
     fn private_fields_are_exempt() {
         let f = run(&[
-            ("crates/energy/src/account.rs", "pub struct E { hidden: u64, pub shown: u64 }"),
+            (
+                "crates/energy/src/account.rs",
+                "pub struct E { hidden: u64, pub shown: u64 }",
+            ),
             (
                 "crates/core/src/json.rs",
                 r#"impl ToJson for E { fn write_json(&self, out: &mut String) {

@@ -169,7 +169,10 @@ mod tests {
 
     #[test]
     fn baseline_suppresses_by_fingerprint() {
-        let files = owned(&[("crates/mem/src/cache.rs", "use std::collections::HashMap;\n")]);
+        let files = owned(&[(
+            "crates/mem/src/cache.rs",
+            "use std::collections::HashMap;\n",
+        )]);
         let clean = lint_files(&files, &Baseline::default());
         assert_eq!(clean.unwaived_count(), 1);
         let b = Baseline::parse("D1 crates/mem/src/cache.rs HashMap\n");
@@ -182,7 +185,10 @@ mod tests {
     fn reports_are_deterministic() {
         let files = owned(&[
             ("crates/mem/src/b.rs", "use std::collections::HashSet;\n"),
-            ("crates/mem/src/a.rs", "fn f() { let t = Instant::now(); }\n"),
+            (
+                "crates/mem/src/a.rs",
+                "fn f() { let t = Instant::now(); }\n",
+            ),
         ]);
         use smtsim_core::json::ToJson;
         let a = lint_files(&files, &Baseline::default()).to_json();

@@ -212,7 +212,11 @@ impl Finding {
         let via = if self.chain.is_empty() {
             String::new()
         } else {
-            format!(" (via {} \u{2192} {})", self.chain.join(" \u{2192} "), self.symbol)
+            format!(
+                " (via {} \u{2192} {})",
+                self.chain.join(" \u{2192} "),
+                self.symbol
+            )
         };
         format!(
             "{}:{}: {}: {}{} [{}]",
@@ -252,8 +256,9 @@ pub struct LintReport {
 impl LintReport {
     /// Sort findings into the pinned report order.
     pub fn normalize(&mut self) {
-        self.findings
-            .sort_by(|a, b| (&a.path, a.line, a.rule, &a.symbol).cmp(&(&b.path, b.line, b.rule, &b.symbol)));
+        self.findings.sort_by(|a, b| {
+            (&a.path, a.line, a.rule, &a.symbol).cmp(&(&b.path, b.line, b.rule, &b.symbol))
+        });
     }
 
     /// Findings not suppressed by a waiver or baseline entry.
@@ -308,7 +313,11 @@ mod tests {
         };
         let mut r = LintReport {
             files_scanned: 2,
-            findings: vec![f("b.rs", 3, Rule::D1), f("a.rs", 9, Rule::D2), f("a.rs", 1, Rule::D5)],
+            findings: vec![
+                f("b.rs", 3, Rule::D1),
+                f("a.rs", 9, Rule::D2),
+                f("a.rs", 1, Rule::D5),
+            ],
         };
         r.normalize();
         let j1 = r.to_json();

@@ -125,7 +125,11 @@ impl<'a> Cursor<'a> {
 
 /// Lex `src` into tokens (whitespace dropped, comments kept).
 pub fn lex(src: &str) -> Vec<Tok<'_>> {
-    let mut cur = Cursor { src, pos: 0, line: 1 };
+    let mut cur = Cursor {
+        src,
+        pos: 0,
+        line: 1,
+    };
     let mut toks = Vec::new();
     while let Some(c) = cur.peek() {
         let start = cur.pos;
@@ -265,7 +269,7 @@ fn try_lex_raw_string(cur: &mut Cursor, prefix_len: usize) -> Option<TokKind> {
         return None;
     }
     cur.bump(); // "
-    // Scan to `"` followed by `hashes` `#`s.
+                // Scan to `"` followed by `hashes` `#`s.
     'outer: while let Some(c) = cur.bump() {
         if c == '"' {
             let rest = &cur.src[cur.pos..];
@@ -361,9 +365,7 @@ fn lex_char_or_lifetime(cur: &mut Cursor) -> TokKind {
 
 fn lex_number(cur: &mut Cursor) -> TokKind {
     let mut is_float = false;
-    if cur.peek() == Some('0')
-        && matches!(cur.peek2(), Some('x' | 'X' | 'o' | 'O' | 'b' | 'B'))
-    {
+    if cur.peek() == Some('0') && matches!(cur.peek2(), Some('x' | 'X' | 'o' | 'O' | 'b' | 'B')) {
         cur.bump();
         cur.bump();
         cur.eat_while(|c| c.is_ascii_hexdigit() || c == '_');
@@ -386,8 +388,7 @@ fn lex_number(cur: &mut Cursor) -> TokKind {
         if matches!(cur.peek(), Some('e' | 'E')) {
             let (p2, p3) = (cur.peek2(), cur.peek3());
             let exp_digits = matches!(p2, Some(c) if c.is_ascii_digit())
-                || (matches!(p2, Some('+' | '-'))
-                    && matches!(p3, Some(c) if c.is_ascii_digit()));
+                || (matches!(p2, Some('+' | '-')) && matches!(p3, Some(c) if c.is_ascii_digit()));
             if exp_digits {
                 is_float = true;
                 cur.bump(); // e
@@ -446,8 +447,12 @@ mod tests {
     #[test]
     fn strings_hide_identifiers() {
         let toks = kinds(r#"let s = "HashMap inside";"#);
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::StrLit && t.contains("HashMap")));
-        assert!(!toks.iter().any(|(k, t)| *k == TokKind::Ident && *t == "HashMap"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::StrLit && t.contains("HashMap")));
+        assert!(!toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Ident && *t == "HashMap"));
     }
 
     #[test]

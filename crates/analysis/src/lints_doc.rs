@@ -39,7 +39,12 @@ points and report the full call chain from the root (DESIGN.md §14).\n\n\
 |------|-------|-----------|\n",
     );
     for r in ALL_RULES {
-        out.push_str(&format!("| {} | {} | {} |\n", r.id(), scope_kind(r), r.describe()));
+        out.push_str(&format!(
+            "| {} | {} | {} |\n",
+            r.id(),
+            scope_kind(r),
+            r.describe()
+        ));
     }
     out.push_str(
         "\n## Waivers\n\n\
@@ -60,7 +65,12 @@ Findings are suppressed with a stated reason, never silently:\n\n\
 ## Rules\n\n",
     );
     for r in ALL_RULES {
-        out.push_str(&format!("### {} — {}\n\n{}\n\n", r.id(), r.describe(), r.explain()));
+        out.push_str(&format!(
+            "### {} — {}\n\n{}\n\n",
+            r.id(),
+            r.describe(),
+            r.explain()
+        ));
     }
     out
 }

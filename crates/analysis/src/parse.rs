@@ -138,7 +138,10 @@ fn scan_items(
         if t.is_ident("trait") {
             // `trait Name … {` — default method bodies belong to the
             // trait name.
-            let name = st.get(i + 1).filter(|n| n.kind == TokKind::Ident).map(|n| n.text);
+            let name = st
+                .get(i + 1)
+                .filter(|n| n.kind == TokKind::Ident)
+                .map(|n| n.text);
             let mut j = i + 1;
             while j < hi && !st[j].is_punct('{') && !st[j].is_punct(';') {
                 j += 1;
@@ -414,9 +417,12 @@ mod tests {
     }
 
     fn find<'a>(defs: &'a [FnDef], label: &str) -> &'a FnDef {
-        defs.iter()
-            .find(|d| d.label() == label)
-            .unwrap_or_else(|| panic!("no fn {label} in {:?}", defs.iter().map(|d| d.label()).collect::<Vec<_>>()))
+        defs.iter().find(|d| d.label() == label).unwrap_or_else(|| {
+            panic!(
+                "no fn {label} in {:?}",
+                defs.iter().map(|d| d.label()).collect::<Vec<_>>()
+            )
+        })
     }
 
     fn call_names(d: &FnDef) -> Vec<&str> {
@@ -425,9 +431,8 @@ mod tests {
 
     #[test]
     fn free_and_method_fns() {
-        let defs = parse(
-            "fn free() { helper(); }\nimpl Core { fn tick(&mut self) { self.fetch(); } }\n",
-        );
+        let defs =
+            parse("fn free() { helper(); }\nimpl Core { fn tick(&mut self) { self.fetch(); } }\n");
         assert_eq!(call_names(find(&defs, "free")), ["helper"]);
         let tick = find(&defs, "Core::tick");
         assert_eq!(tick.calls[0].kind, CallKind::Method { on_self: true });
@@ -436,7 +441,10 @@ mod tests {
     #[test]
     fn impl_trait_for_type_owner_is_the_type() {
         let defs = parse("impl ToJson for Finding { fn write_json(&self) { go(); } }\n");
-        assert_eq!(find(&defs, "Finding::write_json").owner.as_deref(), Some("Finding"));
+        assert_eq!(
+            find(&defs, "Finding::write_json").owner.as_deref(),
+            Some("Finding")
+        );
     }
 
     #[test]
@@ -450,8 +458,13 @@ mod tests {
 
     #[test]
     fn trait_default_methods_belong_to_the_trait() {
-        let defs = parse("trait Policy {\n fn name(&self) -> &str;\n fn reset(&mut self) { self.clear(); }\n}\n");
-        assert_eq!(find(&defs, "Policy::reset").owner.as_deref(), Some("Policy"));
+        let defs = parse(
+            "trait Policy {\n fn name(&self) -> &str;\n fn reset(&mut self) { self.clear(); }\n}\n",
+        );
+        assert_eq!(
+            find(&defs, "Policy::reset").owner.as_deref(),
+            Some("Policy")
+        );
         // The bodyless `name` declares nothing callable.
         assert!(defs.iter().all(|d| d.name != "name"));
     }
@@ -490,7 +503,13 @@ mod tests {
         let news: Vec<_> = f.calls.iter().filter(|c| c.name == "new").collect();
         assert_eq!(news.len(), 2);
         for n in news {
-            assert_eq!(n.kind, CallKind::Qualified { qualifier: "Vec".into() }, "{n:?}");
+            assert_eq!(
+                n.kind,
+                CallKind::Qualified {
+                    qualifier: "Vec".into()
+                },
+                "{n:?}"
+            );
         }
     }
 
@@ -498,22 +517,27 @@ mod tests {
     fn path_reference_without_call_is_a_weak_edge() {
         let defs = parse("fn f(xs: &[u64]) { xs.iter().map(Self::helper); }\n");
         let f = find(&defs, "f");
-        assert!(f
-            .calls
-            .iter()
-            .any(|c| c.name == "helper" && c.kind == CallKind::Qualified { qualifier: "Self".into() }));
+        assert!(f.calls.iter().any(|c| c.name == "helper"
+            && c.kind
+                == CallKind::Qualified {
+                    qualifier: "Self".into()
+                }));
     }
 
     #[test]
     fn keywords_and_fn_pointer_types_are_not_calls() {
-        let defs = parse("fn f(g: fn(u64) -> u64) { if cond() { while check() {} } match x { _ => {} } }\n");
+        let defs = parse(
+            "fn f(g: fn(u64) -> u64) { if cond() { while check() {} } match x { _ => {} } }\n",
+        );
         let names = call_names(find(&defs, "f"));
         assert_eq!(names, ["cond", "check"]);
     }
 
     #[test]
     fn test_regions_are_marked() {
-        let defs = parse("fn prod() {}\n#[cfg(test)]\nmod tests {\n fn helper() {}\n #[test]\n fn t() {}\n}\n");
+        let defs = parse(
+            "fn prod() {}\n#[cfg(test)]\nmod tests {\n fn helper() {}\n #[test]\n fn t() {}\n}\n",
+        );
         assert!(!find(&defs, "prod").in_test);
         assert!(find(&defs, "helper").in_test);
         assert!(find(&defs, "t").in_test);
@@ -521,7 +545,8 @@ mod tests {
 
     #[test]
     fn same_name_methods_on_different_types_stay_distinct() {
-        let defs = parse("impl A { fn tick(&self) { one(); } }\nimpl B { fn tick(&self) { two(); } }\n");
+        let defs =
+            parse("impl A { fn tick(&self) { one(); } }\nimpl B { fn tick(&self) { two(); } }\n");
         assert_eq!(call_names(find(&defs, "A::tick")), ["one"]);
         assert_eq!(call_names(find(&defs, "B::tick")), ["two"]);
     }

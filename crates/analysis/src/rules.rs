@@ -68,10 +68,7 @@ const GOLDEN_FIGURE_FILES: &[&str] = &[
 /// Identifiers that select a reduced-fidelity model. `with_fidelity`
 /// is included because even `Fidelity::detailed()` passed explicitly
 /// in a figure driver deserves a stated reason.
-const REDUCED_FIDELITY_IDENTS: &[&str] = &[
-    "FastMemory",
-    "with_fidelity",
-];
+const REDUCED_FIDELITY_IDENTS: &[&str] = &["FastMemory", "with_fidelity"];
 
 /// Crates whose `src/` trees count as simulator code for D1/D6.
 const SIM_CRATES: &[&str] = &["cpu", "mem", "policy", "trace", "core", "energy", "obs"];
@@ -89,8 +86,8 @@ impl FileClass {
                 || SIM_CRATES
                     .iter()
                     .any(|c| rel.starts_with(&format!("crates/{c}/src/"))));
-        let hot_path = HOT_PATH_FILES.contains(&rel)
-            || (rel.starts_with("crates/policy/src/") && !test_file);
+        let hot_path =
+            HOT_PATH_FILES.contains(&rel) || (rel.starts_with("crates/policy/src/") && !test_file);
         let golden_figure = GOLDEN_FIGURE_FILES.contains(&rel);
         FileClass {
             simulator,
@@ -214,9 +211,21 @@ fn is_counter_name(name: &str) -> bool {
         || name == "committed"
         || name == "fetched"
         || [
-            "_cycles", "_count", "_counts", "_stalls", "_misses", "_hits", "_retries",
-            "_flushes", "_merges", "_writebacks", "_prefetches", "_forwards", "_issued",
-            "_executed", "_squashed",
+            "_cycles",
+            "_count",
+            "_counts",
+            "_stalls",
+            "_misses",
+            "_hits",
+            "_retries",
+            "_flushes",
+            "_merges",
+            "_writebacks",
+            "_prefetches",
+            "_forwards",
+            "_issued",
+            "_executed",
+            "_squashed",
         ]
         .iter()
         .any(|s| name.ends_with(s))
@@ -302,10 +311,14 @@ pub fn check_file(rel: &str, toks: &[Tok<'_>], out: &mut Vec<Finding>) {
             }
             if t.text == "Instant" {
                 // Flag the `Instant::now` call, not a mere type mention.
-                let colons = sig.get(si + 1).map(|&n| &toks[n]).map(|t| t.is_punct(':')) == Some(true)
+                let colons = sig.get(si + 1).map(|&n| &toks[n]).map(|t| t.is_punct(':'))
+                    == Some(true)
                     && sig.get(si + 2).map(|&n| &toks[n]).map(|t| t.is_punct(':')) == Some(true);
-                let then_now =
-                    sig.get(si + 3).map(|&n| &toks[n]).map(|t| t.is_ident("now")) == Some(true);
+                let then_now = sig
+                    .get(si + 3)
+                    .map(|&n| &toks[n])
+                    .map(|t| t.is_ident("now"))
+                    == Some(true);
                 if colons && then_now {
                     push(
                         out,
@@ -339,9 +352,7 @@ pub fn check_file(rel: &str, toks: &[Tok<'_>], out: &mut Vec<Finding>) {
         }
 
         // D5: #[allow(clippy::...)] / #![allow(clippy::...)] anywhere.
-        if t.is_punct('#')
-            && next.map(|n| n.is_punct('[') || n.is_punct('!')) == Some(true)
-        {
+        if t.is_punct('#') && next.map(|n| n.is_punct('[') || n.is_punct('!')) == Some(true) {
             let end = skip_attr(toks, i);
             let inner = &toks[i..end];
             let is_allow = inner.iter().any(|t| t.is_ident("allow"));
@@ -385,10 +396,7 @@ pub fn check_file(rel: &str, toks: &[Tok<'_>], out: &mut Vec<Finding>) {
         // D7: catch_unwind anywhere but the sweep's isolation boundary.
         // Deliberately NOT test-exempt: a test that swallows panics can
         // mask nondeterminism; assert with #[should_panic] instead.
-        if rel != PANIC_BOUNDARY_FILE
-            && t.kind == TokKind::Ident
-            && t.text == "catch_unwind"
-        {
+        if rel != PANIC_BOUNDARY_FILE && t.kind == TokKind::Ident && t.text == "catch_unwind" {
             push(
                 out,
                 Rule::D7,
@@ -450,10 +458,7 @@ pub fn check_file(rel: &str, toks: &[Tok<'_>], out: &mut Vec<Finding>) {
                 if rt.is_punct(';') {
                     break;
                 }
-                if rt.kind == TokKind::FloatLit
-                    || rt.is_ident("f64")
-                    || rt.is_ident("f32")
-                {
+                if rt.kind == TokKind::FloatLit || rt.is_ident("f64") || rt.is_ident("f32") {
                     float_rhs = true;
                     break;
                 }
@@ -518,7 +523,9 @@ fn check_float_counter_fields(
             } else if depth == 1
                 && t.kind == TokKind::Ident
                 && is_counter_name(t.text)
-                && toks.get(sig.get(m + 1).copied().unwrap_or(usize::MAX)).map(|n| n.is_punct(':'))
+                && toks
+                    .get(sig.get(m + 1).copied().unwrap_or(usize::MAX))
+                    .map(|n| n.is_punct(':'))
                     == Some(true)
             {
                 if let Some(&ty_i) = sig.get(m + 2) {
@@ -586,7 +593,11 @@ mod tests {
     fn d1_ignores_strings_comments_and_test_files() {
         let src = "// HashMap in a comment\nlet s = \"HashMap\";\n";
         assert!(findings("crates/mem/src/cache.rs", src).is_empty());
-        assert!(findings("crates/mem/tests/stress.rs", "use std::collections::HashMap;").is_empty());
+        assert!(findings(
+            "crates/mem/tests/stress.rs",
+            "use std::collections::HashMap;"
+        )
+        .is_empty());
     }
 
     #[test]
@@ -613,11 +624,18 @@ mod tests {
 
     #[test]
     fn d5_flags_clippy_allows() {
-        let f = findings("crates/trace/src/spec.rs", "#[allow(clippy::too_many_arguments)]\nfn f() {}\n");
+        let f = findings(
+            "crates/trace/src/spec.rs",
+            "#[allow(clippy::too_many_arguments)]\nfn f() {}\n",
+        );
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].symbol, "too_many_arguments");
         // Non-clippy allows are rustc business, not ours.
-        assert!(findings("crates/trace/src/spec.rs", "#[allow(dead_code)]\nfn f() {}\n").is_empty());
+        assert!(findings(
+            "crates/trace/src/spec.rs",
+            "#[allow(dead_code)]\nfn f() {}\n"
+        )
+        .is_empty());
     }
 
     #[test]
@@ -659,9 +677,16 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].symbol, "busy_cycles");
 
-        let f = findings("crates/cpu/src/core.rs", "fn f(&mut self) { self.total_cycles += dt as f64; }");
+        let f = findings(
+            "crates/cpu/src/core.rs",
+            "fn f(&mut self) { self.total_cycles += dt as f64; }",
+        );
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::D6);
-        assert!(findings("crates/cpu/src/core.rs", "fn f(&mut self) { self.total_cycles += 1; }").is_empty());
+        assert!(findings(
+            "crates/cpu/src/core.rs",
+            "fn f(&mut self) { self.total_cycles += 1; }"
+        )
+        .is_empty());
     }
 }

@@ -59,7 +59,10 @@ fn char_literal_vs_lifetime() {
         .iter()
         .filter(|(k, _)| *k == TokKind::Lifetime)
         .collect();
-    let chars: Vec<_> = toks.iter().filter(|(k, _)| *k == TokKind::CharLit).collect();
+    let chars: Vec<_> = toks
+        .iter()
+        .filter(|(k, _)| *k == TokKind::CharLit)
+        .collect();
     assert_eq!(lifetimes.len(), 2, "{toks:?}");
     assert!(lifetimes.iter().all(|(_, t)| t == "'a"));
     assert_eq!(chars.len(), 1);

@@ -85,7 +85,9 @@ fn seeded_d4_mutation_is_caught() {
     let root = workspace_root();
     let mut files = collect_files(&root);
     assert!(
-        files.iter().any(|(rel, _)| rel == "crates/core/src/json.rs"),
+        files
+            .iter()
+            .any(|(rel, _)| rel == "crates/core/src/json.rs"),
         "workspace walk must reach crates/core/src/json.rs"
     );
 
@@ -159,12 +161,19 @@ fn seeded_d10_mutation_is_caught_with_its_chain() {
             f.rule == Rule::D10 && f.path == "crates/cpu/src/core.rs" && f.symbol == "Vec::new"
         })
         .collect();
-    assert_eq!(planted.len(), 1, "expected the planted D10, got {planted:?}");
+    assert_eq!(
+        planted.len(),
+        1,
+        "expected the planted D10, got {planted:?}"
+    );
     let f = planted[0];
     assert!(!f.waived);
     // The chain must walk from a cycle root down to the planted site's
     // function through its one real caller.
-    assert_eq!(f.chain.last().map(String::as_str), Some("SmtCore::try_issue_one"));
+    assert_eq!(
+        f.chain.last().map(String::as_str),
+        Some("SmtCore::try_issue_one")
+    );
     assert!(
         f.chain.contains(&"SmtCore::issue".to_string()),
         "chain must pass through the only caller: {:?}",

@@ -27,8 +27,9 @@ fn lints_md_matches_the_rule_metadata() {
         std::fs::write(&path, &want).expect("write LINTS.md");
         return;
     }
-    let have = std::fs::read_to_string(&path)
-        .expect("LINTS.md missing; create it with BLESS=1 cargo test -p smtsim-analysis --test lints_doc");
+    let have = std::fs::read_to_string(&path).expect(
+        "LINTS.md missing; create it with BLESS=1 cargo test -p smtsim-analysis --test lints_doc",
+    );
     assert_eq!(
         have, want,
         "LINTS.md drifted from the Rule metadata; \

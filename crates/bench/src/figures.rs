@@ -149,20 +149,67 @@ pub fn fig1() -> String {
     let mem = MemConfig::paper(4);
     let mut s = String::new();
     let _ = writeln!(s, "== Fig. 1: Simulation parameters ==");
-    let _ = writeln!(s, "Pipeline depth        11 stages (front-end {} + back-end)", core.frontend_latency);
-    let _ = writeln!(s, "Queue entries         {} int, {} fp, {} ld/st", core.int_queue, core.fp_queue, core.ls_queue);
-    let _ = writeln!(s, "Execution units       {} int, {} fp, {} ld/st", core.int_units, core.fp_units, core.ls_units);
+    let _ = writeln!(
+        s,
+        "Pipeline depth        11 stages (front-end {} + back-end)",
+        core.frontend_latency
+    );
+    let _ = writeln!(
+        s,
+        "Queue entries         {} int, {} fp, {} ld/st",
+        core.int_queue, core.fp_queue, core.ls_queue
+    );
+    let _ = writeln!(
+        s,
+        "Execution units       {} int, {} fp, {} ld/st",
+        core.int_units, core.fp_units, core.ls_units
+    );
     let _ = writeln!(s, "Physical registers    {}", core.phys_regs);
     let _ = writeln!(s, "ROB size*             {} entries", core.rob_per_thread);
-    let _ = writeln!(s, "Branch predictor      perceptron ({} local, {} perceps.)", core.local_history_entries, core.perceptrons);
-    let _ = writeln!(s, "BTB                   {} entries, {}-way", core.btb_entries, core.btb_ways);
+    let _ = writeln!(
+        s,
+        "Branch predictor      perceptron ({} local, {} perceps.)",
+        core.local_history_entries, core.perceptrons
+    );
+    let _ = writeln!(
+        s,
+        "BTB                   {} entries, {}-way",
+        core.btb_entries, core.btb_ways
+    );
     let _ = writeln!(s, "RAS*                  {} entries", core.ras_entries);
-    let _ = writeln!(s, "L1 icache             {} KB, {}-way, {} banks", mem.l1i.bytes >> 10, mem.l1i.ways, mem.l1_banks);
-    let _ = writeln!(s, "L1 dcache             {} KB, {}-way, {} banks", mem.l1d.bytes >> 10, mem.l1d.ways, mem.l1_banks);
-    let _ = writeln!(s, "L1 lat./miss          {}/{} cycles", mem.l1_hit_cycles, mem.l1_miss_nominal());
-    let _ = writeln!(s, "I-TLB, D-TLB          {} entries, fully associative", mem.tlb_entries);
+    let _ = writeln!(
+        s,
+        "L1 icache             {} KB, {}-way, {} banks",
+        mem.l1i.bytes >> 10,
+        mem.l1i.ways,
+        mem.l1_banks
+    );
+    let _ = writeln!(
+        s,
+        "L1 dcache             {} KB, {}-way, {} banks",
+        mem.l1d.bytes >> 10,
+        mem.l1d.ways,
+        mem.l1_banks
+    );
+    let _ = writeln!(
+        s,
+        "L1 lat./miss          {}/{} cycles",
+        mem.l1_hit_cycles,
+        mem.l1_miss_nominal()
+    );
+    let _ = writeln!(
+        s,
+        "I-TLB, D-TLB          {} entries, fully associative",
+        mem.tlb_entries
+    );
     let _ = writeln!(s, "TLB miss              {} cycles", mem.tlb_miss_cycles);
-    let _ = writeln!(s, "L2 cache              {} MB, {}-way, {} banks", mem.l2_bytes >> 20, mem.l2_ways, mem.l2_banks);
+    let _ = writeln!(
+        s,
+        "L2 cache              {} MB, {}-way, {} banks",
+        mem.l2_bytes >> 20,
+        mem.l2_ways,
+        mem.l2_banks
+    );
     let _ = writeln!(s, "L2 latency            {} cycles", mem.l2_bank_cycles);
     let _ = writeln!(s, "Main memory latency   {} cycles", mem.dram_cycles);
     let _ = writeln!(s, "(* replicated per thread)");

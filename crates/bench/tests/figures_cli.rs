@@ -85,8 +85,14 @@ fn resumed_journal_gives_identical_figures() {
         );
     }
     assert!(!recorded.is_empty());
-    assert_eq!(first.stdout, plain.stdout, "journaling must not change the figure");
-    assert_eq!(second.stdout, plain.stdout, "a resumed figure must be byte-identical");
+    assert_eq!(
+        first.stdout, plain.stdout,
+        "journaling must not change the figure"
+    );
+    assert_eq!(
+        second.stdout, plain.stdout,
+        "a resumed figure must be byte-identical"
+    );
     assert_eq!(replayed, recorded, "a full replay appends nothing");
 }
 
@@ -172,7 +178,8 @@ fn figures_at_3000_cycles_match_the_golden() {
     // leave this output byte-identical. Regenerate after an intended
     // model change with
     // `BLESS=1 cargo test -p smtsim-bench --test figures_cli figures_at_3000`.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/figures_c3000.golden.txt");
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/figures_c3000.golden.txt");
     let out = figures(&["all", "ablations", "extensions", "--cycles", "3000"]);
     assert_eq!(
         out.status.code(),
@@ -184,10 +191,19 @@ fn figures_at_3000_cycles_match_the_golden() {
         std::fs::write(&path, &out.stdout).expect("write the figures golden");
         return;
     }
-    let want = std::fs::read_to_string(&path).expect("figures golden missing; create it with BLESS=1");
+    let want =
+        std::fs::read_to_string(&path).expect("figures golden missing; create it with BLESS=1");
     let have = String::from_utf8_lossy(&out.stdout);
-    if let Some((line, (h, w))) = have.lines().zip(want.lines()).enumerate().find(|(_, (h, w))| h != w) {
-        panic!("figures output drifted from the golden at line {}:\n have: {h}\n want: {w}", line + 1);
+    if let Some((line, (h, w))) = have
+        .lines()
+        .zip(want.lines())
+        .enumerate()
+        .find(|(_, (h, w))| h != w)
+    {
+        panic!(
+            "figures output drifted from the golden at line {}:\n have: {h}\n want: {w}",
+            line + 1
+        );
     }
     assert_eq!(
         have.lines().count(),
@@ -195,5 +211,8 @@ fn figures_at_3000_cycles_match_the_golden() {
         "figures output drifted from the golden in length; regenerate with BLESS=1 \
          cargo test -p smtsim-bench --test figures_cli figures_at_3000 if the change is intended"
     );
-    assert!(have == want, "figures output drifted from the golden in line endings");
+    assert!(
+        have == want,
+        "figures output drifted from the golden in line endings"
+    );
 }

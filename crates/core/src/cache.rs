@@ -180,8 +180,7 @@ impl ResultCache {
         // at open time so appends always start on a fresh line.
         if let Ok(mut f) = OpenOptions::new().read(true).append(true).open(path) {
             let mut last = [0u8; 1];
-            let read_tail =
-                f.seek(SeekFrom::End(-1)).is_ok() && f.read_exact(&mut last).is_ok();
+            let read_tail = f.seek(SeekFrom::End(-1)).is_ok() && f.read_exact(&mut last).is_ok();
             if read_tail && last[0] != b'\n' {
                 let _ = f.write_all(b"\n");
             }
@@ -265,12 +264,7 @@ impl ResultCache {
 
 /// Render one cache line (with trailing newline). Public so tests and
 /// the corruption fuzzer build lines the exact way the cache does.
-pub fn format_cache_line(
-    seq: u64,
-    label: &str,
-    fingerprint: &str,
-    outcome: &JobOutcome,
-) -> String {
+pub fn format_cache_line(seq: u64, label: &str, fingerprint: &str, outcome: &JobOutcome) -> String {
     let mut body = String::new();
     {
         let mut o = JsonObject::begin(&mut body);
@@ -369,7 +363,10 @@ mod tests {
         if b.is_ascii_digit() {
             let nb = if b == b'9' { b'0' } else { b + 1 };
             flipped.replace_range(pos..pos + 1, std::str::from_utf8(&[nb]).unwrap());
-            assert!(parse_cache_line(&flipped).is_none(), "checksum must catch a flipped digit");
+            assert!(
+                parse_cache_line(&flipped).is_none(),
+                "checksum must catch a flipped digit"
+            );
         }
     }
 
@@ -424,8 +421,14 @@ mod tests {
         let mut c = ResultCache::load_from(&path);
         c.store_outcome("panicked", "lbl", &panicked);
         c.store_outcome("invalid", "lbl", &invalid);
-        assert!(c.cached("panicked").is_none(), "transient: retry, never replay");
-        assert!(c.cached("invalid").is_some(), "deterministic errors are permanent");
+        assert!(
+            c.cached("panicked").is_none(),
+            "transient: retry, never replay"
+        );
+        assert!(
+            c.cached("invalid").is_some(),
+            "deterministic errors are permanent"
+        );
         let reloaded = ResultCache::load_from(&path);
         assert_eq!(reloaded.entry_count(), 1);
         assert!(reloaded.cached("panicked").is_none());

@@ -172,10 +172,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let rows = vec![
-            calibrate_one("gzip", 5_000),
-            calibrate_one("mcf", 5_000),
-        ];
+        let rows = vec![calibrate_one("gzip", 5_000), calibrate_one("mcf", 5_000)];
         let t = calibration_table(&rows);
         assert!(t.contains("gzip"));
         assert!(t.contains("mcf"));
@@ -188,7 +185,10 @@ mod tests {
     fn suite_and_single_runs_compute_the_same_row() {
         use crate::json::ToJson;
         let suite = calibrate(2_000, 0);
-        let mcf = suite.iter().find(|r| r.name == "mcf").expect("mcf is calibrated");
+        let mcf = suite
+            .iter()
+            .find(|r| r.name == "mcf")
+            .expect("mcf is calibrated");
         assert_eq!(mcf.to_json(), calibrate_one("mcf", 2_000).to_json());
     }
 }

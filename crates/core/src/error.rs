@@ -223,9 +223,7 @@ impl SimError {
                 cycle: v.req_u64("cycle")?,
                 core: v.req_u64("core")? as u32,
                 last_commit_cycle: v.req_u64("last_commit_cycle")?,
-                diagnostic: diag_from_json(
-                    v.get("diagnostic").ok_or("missing diagnostic")?,
-                )?,
+                diagnostic: diag_from_json(v.get("diagnostic").ok_or("missing diagnostic")?)?,
             }),
             "job_panicked" => Ok(SimError::JobPanicked {
                 label: v.req_str("label")?.to_string(),

@@ -63,9 +63,9 @@ impl Fidelity {
             if part.is_empty() {
                 continue;
             }
-            let (component, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad fidelity assignment '{part}' (want component=value, e.g. mem=fast)"))?;
+            let (component, value) = part.split_once('=').ok_or_else(|| {
+                format!("bad fidelity assignment '{part}' (want component=value, e.g. mem=fast)")
+            })?;
             match component {
                 "mem" => {
                     out.mem = MemFidelity::parse(value).ok_or_else(|| {
@@ -125,11 +125,18 @@ mod tests {
     #[test]
     fn fidelity_parse_accepts_partial_and_rejects_unknown() {
         assert_eq!(Fidelity::parse("mem=fast").unwrap().mem, MemFidelity::Fast);
-        assert_eq!(Fidelity::parse("mem=detailed").unwrap(), Fidelity::detailed());
+        assert_eq!(
+            Fidelity::parse("mem=detailed").unwrap(),
+            Fidelity::detailed()
+        );
         assert_eq!(Fidelity::parse("").unwrap(), Fidelity::detailed());
 
-        assert!(Fidelity::parse("mem=warp9").unwrap_err().contains("mem fidelity"));
-        assert!(Fidelity::parse("gpu=fast").unwrap_err().contains("component"));
+        assert!(Fidelity::parse("mem=warp9")
+            .unwrap_err()
+            .contains("mem fidelity"));
+        assert!(Fidelity::parse("gpu=fast")
+            .unwrap_err()
+            .contains("component"));
         // The core has one model; its old reduced spelling is rejected,
         // alone or next to a valid mem assignment.
         for retired in ["core=approx", "core=detailed", "mem=fast,core=approx"] {
@@ -139,7 +146,9 @@ mod tests {
                 "{retired}: {err}"
             );
         }
-        assert!(Fidelity::parse("fast").unwrap_err().contains("component=value"));
+        assert!(Fidelity::parse("fast")
+            .unwrap_err()
+            .contains("component=value"));
     }
 
     #[test]
@@ -147,11 +156,17 @@ mod tests {
         let to_args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
 
         let mut args = to_args(&["4W3", "--fidelity", "mem=fast", "50000"]);
-        assert_eq!(Fidelity::extract_from_args(&mut args).unwrap(), Fidelity::fast());
+        assert_eq!(
+            Fidelity::extract_from_args(&mut args).unwrap(),
+            Fidelity::fast()
+        );
         assert_eq!(args, to_args(&["4W3", "50000"]));
 
         let mut args = to_args(&["--fidelity=mem=fast", "2W1"]);
-        assert_eq!(Fidelity::extract_from_args(&mut args).unwrap(), Fidelity::fast());
+        assert_eq!(
+            Fidelity::extract_from_args(&mut args).unwrap(),
+            Fidelity::fast()
+        );
         assert_eq!(args, to_args(&["2W1"]));
 
         let mut args = to_args(&["4W3"]);
@@ -162,7 +177,9 @@ mod tests {
         assert_eq!(args, to_args(&["4W3"]));
 
         let mut args = to_args(&["--fidelity"]);
-        assert!(Fidelity::extract_from_args(&mut args).unwrap_err().contains("needs a value"));
+        assert!(Fidelity::extract_from_args(&mut args)
+            .unwrap_err()
+            .contains("needs a value"));
         let mut args = to_args(&["--fidelity", "mem=warp9"]);
         assert!(Fidelity::extract_from_args(&mut args).is_err());
         let mut args = to_args(&["--fidelity", "core=approx"]);

@@ -218,9 +218,7 @@ impl JsonValue {
     /// Look up a field of an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(fields) => {
-                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -341,7 +339,10 @@ fn expect_byte(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
             "expected {:?} at byte {}, found {:?}",
             want as char, *pos, b as char
         )),
-        None => Err(format!("expected {:?} at byte {}, found end", want as char, *pos)),
+        None => Err(format!(
+            "expected {:?} at byte {}, found end",
+            want as char, *pos
+        )),
     }
 }
 
@@ -464,8 +465,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             code
                         };
                         s.push(
-                            char::from_u32(c)
-                                .ok_or_else(|| format!("invalid codepoint {c:#x}"))?,
+                            char::from_u32(c).ok_or_else(|| format!("invalid codepoint {c:#x}"))?,
                         );
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
@@ -486,9 +486,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
 }
 
 fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
-    let chunk = bytes
-        .get(at..at + 4)
-        .ok_or("truncated \\u escape")?;
+    let chunk = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
     let text = std::str::from_utf8(chunk).map_err(|e| e.to_string())?;
     u32::from_str_radix(text, 16).map_err(|e| e.to_string())
 }
@@ -713,10 +711,7 @@ mod tests {
         assert_eq!(parse_json("-7").unwrap(), JsonValue::Int(-7));
         assert_eq!(parse_json("1.5").unwrap(), JsonValue::Float(1.5));
         assert_eq!(parse_json("2.0").unwrap(), JsonValue::Float(2.0));
-        assert_eq!(
-            parse_json("\"hi\"").unwrap(),
-            JsonValue::Str("hi".into())
-        );
+        assert_eq!(parse_json("\"hi\"").unwrap(), JsonValue::Str("hi".into()));
     }
 
     #[test]
@@ -742,8 +737,19 @@ mod tests {
     #[test]
     fn parser_rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "1 2", "\"unterminated",
-            "{\"a\":1,}", "nul", "[1 2]", "\"\\q\"", "\"\\u12\"",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "{\"a\":1,}",
+            "nul",
+            "[1 2]",
+            "\"\\q\"",
+            "\"\\u12\"",
         ] {
             assert!(parse_json(bad).is_err(), "accepted malformed {bad:?}");
         }
@@ -753,7 +759,8 @@ mod tests {
     fn parser_roundtrips_emitter_output() {
         // A shape mirroring real result JSON: nested objects, arrays,
         // nulls, floats, escapes.
-        let src = r#"{"policy":"FLUSH-S100","cycles":150000,"ipc":[1.5,0.25],"min":null,"note":"a\nb"}"#;
+        let src =
+            r#"{"policy":"FLUSH-S100","cycles":150000,"ipc":[1.5,0.25],"min":null,"note":"a\nb"}"#;
         let v = parse_json(src).unwrap();
         assert_eq!(v.req_str("policy").unwrap(), "FLUSH-S100");
         assert_eq!(v.req_u64("cycles").unwrap(), 150000);

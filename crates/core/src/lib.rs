@@ -47,11 +47,11 @@ pub mod workloads;
 
 pub use cache::{config_fingerprint, CacheEntry, ResultCache};
 pub use calibration::{calibrate, calibrate_one, CalRow};
+pub use config::SimConfig;
 pub use error::{CoreDiagnostic, ProgressDiagnostic, SimError};
+pub use fidelity::{Fidelity, MemFidelity};
 pub use json::ToJson;
 pub use obs::{MetricsRecorder, TraceRow};
-pub use config::SimConfig;
-pub use fidelity::{Fidelity, MemFidelity};
 pub use resolve::RunParams;
 pub use result::SimResult;
 pub use sim::Simulator;

@@ -101,9 +101,15 @@ pub struct TraceRow {
 fn event_payload(o: &mut JsonObject<'_>, ev: &TraceEvent) {
     match *ev {
         TraceEvent::FetchSlots { core, tid, slots } => {
-            o.field("core", &core).field("tid", &tid).field("slots", &slots);
+            o.field("core", &core)
+                .field("tid", &tid)
+                .field("slots", &slots);
         }
-        TraceEvent::Flush { core, tid, squashed } => {
+        TraceEvent::Flush {
+            core,
+            tid,
+            squashed,
+        } => {
             o.field("core", &core)
                 .field("tid", &tid)
                 .field("squashed", &squashed);
@@ -111,7 +117,11 @@ fn event_payload(o: &mut JsonObject<'_>, ev: &TraceEvent) {
         TraceEvent::Stall { core, tid } => {
             o.field("core", &core).field("tid", &tid);
         }
-        TraceEvent::RobHighWater { core, tid, occupancy } => {
+        TraceEvent::RobHighWater {
+            core,
+            tid,
+            occupancy,
+        } => {
             o.field("core", &core)
                 .field("tid", &tid)
                 .field("occupancy", &occupancy);
@@ -119,7 +129,11 @@ fn event_payload(o: &mut JsonObject<'_>, ev: &TraceEvent) {
         TraceEvent::IqHighWater { core, occupancy } => {
             o.field("core", &core).field("occupancy", &occupancy);
         }
-        TraceEvent::MshrAlloc { core, merged, occupancy } => {
+        TraceEvent::MshrAlloc {
+            core,
+            merged,
+            occupancy,
+        } => {
             o.field("core", &core)
                 .field("merged", &merged)
                 .field("occupancy", &occupancy);
@@ -408,7 +422,12 @@ impl MetricsRecorder {
 
         // cpu.thread.ipc — per global thread.
         for (i, (&c, &p)) in committed.iter().zip(&prev.committed).enumerate() {
-            self.push(now, smtsim_cpu::metrics::METRIC_THREAD_IPC.name, i as u32, (c - p) as f64 / dt);
+            self.push(
+                now,
+                smtsim_cpu::metrics::METRIC_THREAD_IPC.name,
+                i as u32,
+                (c - p) as f64 / dt,
+            );
         }
         // cpu.thread.fetch_share — per global thread, normalized within
         // each core (fetch slots are a per-core resource).
@@ -420,7 +439,11 @@ impl MetricsRecorder {
                 .collect();
             let total: u64 = deltas.iter().sum();
             for (k, &df) in deltas.iter().enumerate() {
-                let share = if total == 0 { 0.0 } else { df as f64 / total as f64 };
+                let share = if total == 0 {
+                    0.0
+                } else {
+                    df as f64 / total as f64
+                };
                 self.push(
                     now,
                     smtsim_cpu::metrics::METRIC_THREAD_FETCH_SHARE.name,
@@ -432,22 +455,46 @@ impl MetricsRecorder {
         }
         // cpu.core.flushes / cpu.core.stalls — cumulative counters.
         for (i, &f) in flushes.iter().enumerate() {
-            self.push(now, smtsim_cpu::metrics::METRIC_CORE_FLUSHES.name, i as u32, f as f64);
+            self.push(
+                now,
+                smtsim_cpu::metrics::METRIC_CORE_FLUSHES.name,
+                i as u32,
+                f as f64,
+            );
         }
         for (i, &st) in stalls.iter().enumerate() {
-            self.push(now, smtsim_cpu::metrics::METRIC_CORE_STALLS.name, i as u32, st as f64);
+            self.push(
+                now,
+                smtsim_cpu::metrics::METRIC_CORE_STALLS.name,
+                i as u32,
+                st as f64,
+            );
         }
         // mem.l2.bank_miss_rate — per bank, over the interval.
         for (b, (&(h, m), &(ph, pm))) in banks.iter().zip(&prev.banks).enumerate() {
             let accesses = (h + m) - (ph + pm);
             let misses = m - pm;
-            let rate = if accesses == 0 { 0.0 } else { misses as f64 / accesses as f64 };
-            self.push(now, smtsim_mem::metrics::METRIC_L2_BANK_MISS_RATE.name, b as u32, rate);
+            let rate = if accesses == 0 {
+                0.0
+            } else {
+                misses as f64 / accesses as f64
+            };
+            self.push(
+                now,
+                smtsim_mem::metrics::METRIC_L2_BANK_MISS_RATE.name,
+                b as u32,
+                rate,
+            );
         }
         // mem.mshr.occupancy — per core, at the sample instant.
         for i in 0..cores.len() {
             let (occ, _) = mem.debug_mshr(i as u32);
-            self.push(now, smtsim_mem::metrics::METRIC_MSHR_OCCUPANCY.name, i as u32, occ as f64);
+            self.push(
+                now,
+                smtsim_mem::metrics::METRIC_MSHR_OCCUPANCY.name,
+                i as u32,
+                occ as f64,
+            );
         }
         // mem.dram.round_trips — machine-wide cumulative counter.
         self.push(
@@ -522,7 +569,11 @@ pub fn metrics_markdown() -> String {
     s.push_str("| Name | Kind | Unit | Crate | Paper figure | Description |\n");
     s.push_str("|------|------|------|-------|--------------|-------------|\n");
     for m in all_metrics() {
-        let figure = if m.figure.is_empty() { "\u{2014}" } else { m.figure };
+        let figure = if m.figure.is_empty() {
+            "\u{2014}"
+        } else {
+            m.figure
+        };
         s.push_str(&format!(
             "| `{}` | {} | {} | {} | {} | {} |\n",
             m.name,
@@ -551,7 +602,10 @@ mod tests {
         for n in names {
             assert!(
                 n.contains('.')
-                    && n.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_'),
+                    && n.chars().all(|c| c.is_ascii_lowercase()
+                        || c.is_ascii_digit()
+                        || c == '.'
+                        || c == '_'),
                 "metric name {n:?} is not dotted lowercase"
             );
         }
@@ -669,10 +723,7 @@ mod tests {
     #[test]
     fn markdown_has_one_row_per_metric() {
         let doc = metrics_markdown();
-        let rows = doc
-            .lines()
-            .filter(|l| l.starts_with("| `"))
-            .count();
+        let rows = doc.lines().filter(|l| l.starts_with("| `")).count();
         assert_eq!(rows, all_metrics().len());
     }
 }

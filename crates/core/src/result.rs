@@ -140,9 +140,7 @@ impl SimResult {
                 .map(core_stats_from_json)
                 .collect::<Result<_, _>>()?,
             mem: mem_stats_from_json(v.get("mem").ok_or("missing mem")?)?,
-            l2_hit_hist: histogram_from_json(
-                v.get("l2_hit_hist").ok_or("missing l2_hit_hist")?,
-            )?,
+            l2_hit_hist: histogram_from_json(v.get("l2_hit_hist").ok_or("missing l2_hit_hist")?)?,
         })
     }
 }

@@ -20,10 +20,10 @@ use crate::config::SimConfig;
 use crate::error::{CoreDiagnostic, ProgressDiagnostic, SimError};
 use crate::obs::{self, MetricsRecorder, TraceRow};
 use crate::result::SimResult;
-use smtsim_obs::MetricSample;
 use smtsim_cpu::thread::ThreadProgram;
 use smtsim_cpu::SmtCore;
 use smtsim_mem::MemoryModel;
+use smtsim_obs::MetricSample;
 
 use smtsim_policy::build_policy;
 use smtsim_trace::{spec, TraceGenerator};
@@ -71,10 +71,17 @@ impl Simulator {
                 let profile = spec::benchmark_by_name(&cfg.benchmarks[global]).ok_or_else(
                     // Unreachable after validate(), but kept as an error
                     // rather than a panic: build is fallible now.
-                    || SimError::InvalidConfig(format!("unknown benchmark {}", cfg.benchmarks[global])),
+                    || {
+                        SimError::InvalidConfig(format!(
+                            "unknown benchmark {}",
+                            cfg.benchmarks[global]
+                        ))
+                    },
                 )?;
                 let seed = cfg.seed + global as u64 * 7919;
-                programs.push(ThreadProgram::from_generator(TraceGenerator::new(profile, seed)));
+                programs.push(ThreadProgram::from_generator(TraceGenerator::new(
+                    profile, seed,
+                )));
             }
             cores.push(SmtCore::new(
                 core_id,
@@ -189,7 +196,10 @@ impl Simulator {
     fn apply_skip(&mut self, target: u64) {
         let from = self.now;
         let skipped = target - from;
-        debug_assert!(self.mem.next_event_cycle(from) > from, "skip over pending memory work");
+        debug_assert!(
+            self.mem.next_event_cycle(from) > from,
+            "skip over pending memory work"
+        );
         for c in &mut self.cores {
             c.notify_skip(from, skipped);
         }
@@ -446,7 +456,13 @@ mod tests {
         .collect();
         let serial: Vec<String> = jobs
             .iter()
-            .map(|j| Simulator::build(&j.config).unwrap().run().unwrap().to_json())
+            .map(|j| {
+                Simulator::build(&j.config)
+                    .unwrap()
+                    .run()
+                    .unwrap()
+                    .to_json()
+            })
             .collect();
         for workers in [1, 2, 3] {
             let swept: Vec<String> = run_sweep(&jobs, workers)

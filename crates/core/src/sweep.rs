@@ -244,11 +244,11 @@ mod tests {
     fn invalid_job_fails_alone() {
         let mut bad = job("bad", "2W2", PolicyKind::Icount);
         bad.config.cycles = 0;
-        let jobs = vec![job("good1", "2W1", PolicyKind::Icount), bad, job(
-            "good2",
-            "2W3",
-            PolicyKind::Icount,
-        )];
+        let jobs = vec![
+            job("good1", "2W1", PolicyKind::Icount),
+            bad,
+            job("good2", "2W3", PolicyKind::Icount),
+        ];
         let out = run_sweep(&jobs, 2);
         assert!(out[0].1.is_ok());
         assert!(matches!(out[1].1, Err(SimError::InvalidConfig(_))));
@@ -324,7 +324,12 @@ mod tests {
             let mut lines: Vec<&str> = text.lines().collect();
             assert_eq!(lines.len(), 3);
             lines.remove(0); // job "a" was never journaled
-            let torn = format!("{}\n{}\n{}", lines[0], lines[1], &lines[1][..lines[1].len() / 2]);
+            let torn = format!(
+                "{}\n{}\n{}",
+                lines[0],
+                lines[1],
+                &lines[1][..lines[1].len() / 2]
+            );
             std::fs::write(&path, torn).unwrap();
         }
         let resumed: Vec<String> = run_sweep_journaled(&jobs, 2, Some(&path))

@@ -18,26 +18,86 @@ pub struct Workload {
 
 /// The 20 workloads of Fig. 1, in the paper's order.
 pub static ALL_WORKLOADS: [Workload; 20] = [
-    Workload { name: "2W1", keys: "bj" },
-    Workload { name: "2W2", keys: "ne" },
-    Workload { name: "2W3", keys: "da" },
-    Workload { name: "2W4", keys: "gf" },
-    Workload { name: "2W5", keys: "rp" },
-    Workload { name: "4W1", keys: "bqtj" },
-    Workload { name: "4W2", keys: "lnpe" },
-    Workload { name: "4W3", keys: "dsra" },
-    Workload { name: "4W4", keys: "gbmf" },
-    Workload { name: "4W5", keys: "rjfp" },
-    Workload { name: "6W1", keys: "lbqftj" },
-    Workload { name: "6W2", keys: "glnpea" },
-    Workload { name: "6W3", keys: "dlswra" },
-    Workload { name: "6W4", keys: "rgbmhf" },
-    Workload { name: "6W5", keys: "hlermd" },
-    Workload { name: "8W1", keys: "dlbgijcf" },
-    Workload { name: "8W2", keys: "bgmnahop" },
-    Workload { name: "8W3", keys: "mnrqijeh" },
-    Workload { name: "8W4", keys: "lbgmnrfs" },
-    Workload { name: "8W5", keys: "qbckeaot" },
+    Workload {
+        name: "2W1",
+        keys: "bj",
+    },
+    Workload {
+        name: "2W2",
+        keys: "ne",
+    },
+    Workload {
+        name: "2W3",
+        keys: "da",
+    },
+    Workload {
+        name: "2W4",
+        keys: "gf",
+    },
+    Workload {
+        name: "2W5",
+        keys: "rp",
+    },
+    Workload {
+        name: "4W1",
+        keys: "bqtj",
+    },
+    Workload {
+        name: "4W2",
+        keys: "lnpe",
+    },
+    Workload {
+        name: "4W3",
+        keys: "dsra",
+    },
+    Workload {
+        name: "4W4",
+        keys: "gbmf",
+    },
+    Workload {
+        name: "4W5",
+        keys: "rjfp",
+    },
+    Workload {
+        name: "6W1",
+        keys: "lbqftj",
+    },
+    Workload {
+        name: "6W2",
+        keys: "glnpea",
+    },
+    Workload {
+        name: "6W3",
+        keys: "dlswra",
+    },
+    Workload {
+        name: "6W4",
+        keys: "rgbmhf",
+    },
+    Workload {
+        name: "6W5",
+        keys: "hlermd",
+    },
+    Workload {
+        name: "8W1",
+        keys: "dlbgijcf",
+    },
+    Workload {
+        name: "8W2",
+        keys: "bgmnahop",
+    },
+    Workload {
+        name: "8W3",
+        keys: "mnrqijeh",
+    },
+    Workload {
+        name: "8W4",
+        keys: "lbgmnrfs",
+    },
+    Workload {
+        name: "8W5",
+        keys: "qbckeaot",
+    },
 ];
 
 /// The Fig. 5(b) workload: four instances each of bzip2 (`k`) and twolf

@@ -143,7 +143,12 @@ fn sweep_jobs(workload: &str, policies: &[PolicyKind], cycles: u64) -> Vec<Sweep
     let w = Workload::by_name(workload).unwrap();
     policies
         .iter()
-        .map(|p| SweepJob::new(p.label(), SimConfig::for_workload(w, *p).with_cycles(cycles)))
+        .map(|p| {
+            SweepJob::new(
+                p.label(),
+                SimConfig::for_workload(w, *p).with_cycles(cycles),
+            )
+        })
         .collect()
 }
 
@@ -202,10 +207,16 @@ fn every_policy_reproduces_its_golden() {
                 .iter()
                 .map(|c| c.flushes_executed + c.stalls_executed)
                 .sum();
-            assert!(responses > 0, "{label} never responded: the golden pins nothing");
+            assert!(
+                responses > 0,
+                "{label} never responded: the golden pins nothing"
+            );
         }
     }
-    assert_eq!(sweep_stdout(&out), golden("policies_4W3_c30000.golden.json"));
+    assert_eq!(
+        sweep_stdout(&out),
+        golden("policies_4W3_c30000.golden.json")
+    );
 }
 
 #[test]

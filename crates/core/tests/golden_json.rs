@@ -87,7 +87,10 @@ fn emitter_matches_checked_in_fixture() {
     // still compares against the compiled-in copy; re-run to go green).
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(
-            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/emitter.golden.json"),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/fixtures/emitter.golden.json"
+            ),
             v.to_json() + "\n",
         )
         .expect("write fixture");

@@ -30,8 +30,9 @@ fn metrics_md_matches_the_registry() {
         std::fs::write(&path, &want).expect("write METRICS.md");
         return;
     }
-    let have = std::fs::read_to_string(&path)
-        .expect("METRICS.md missing; create it with BLESS=1 cargo test -p smtsim-core --test metrics_doc");
+    let have = std::fs::read_to_string(&path).expect(
+        "METRICS.md missing; create it with BLESS=1 cargo test -p smtsim-core --test metrics_doc",
+    );
     assert_eq!(
         have, want,
         "METRICS.md drifted from the MetricSpec registrations; \
@@ -62,7 +63,12 @@ fn every_documented_name_is_backticked_exactly_once_per_table() {
             .lines()
             .filter(|l| l.contains(&format!("`{}`", m.name)))
             .collect();
-        assert_eq!(rows.len(), 1, "{} should have exactly one table row", m.name);
+        assert_eq!(
+            rows.len(),
+            1,
+            "{} should have exactly one table row",
+            m.name
+        );
         assert!(rows[0].contains(m.unit), "{} row lists its unit", m.name);
     }
 }

@@ -13,7 +13,7 @@
 //!    tail shows *why*: a `FaultPlan`-pinned L2 bank is visible as a
 //!    growing bank queue before the watchdog fires.
 
-use smtsim_core::config::{DEFAULT_TRACE_CAPACITY, SimConfig};
+use smtsim_core::config::{SimConfig, DEFAULT_TRACE_CAPACITY};
 use smtsim_core::json::ToJson;
 use smtsim_core::obs::{chrome_trace, observability_jsonl};
 use smtsim_core::{SimError, Simulator, Workload};
@@ -47,7 +47,10 @@ fn same_seed_traced_runs_are_byte_identical() {
     let (jsonl_b, chrome_b, result_b) = run_traced(&cfg);
     assert!(!jsonl_a.is_empty() && jsonl_a.lines().count() > 100);
     assert_eq!(jsonl_a, jsonl_b, "JSONL trace must replay byte-for-byte");
-    assert_eq!(chrome_a, chrome_b, "Chrome export must replay byte-for-byte");
+    assert_eq!(
+        chrome_a, chrome_b,
+        "Chrome export must replay byte-for-byte"
+    );
     assert_eq!(result_a, result_b);
 
     // A different seed must actually change the trace — otherwise the

@@ -244,7 +244,10 @@ fn flipped_digit_in_a_journaled_result_is_resimulated_not_replayed() {
     std::fs::write(&path, text).unwrap();
 
     let resumed = render_json(&run_sweep_journaled(&jobs, 2, Some(&path)));
-    assert_eq!(resumed, fresh, "a flipped digit must never replay as a wrong result");
+    assert_eq!(
+        resumed, fresh,
+        "a flipped digit must never replay as a wrong result"
+    );
     let _ = std::fs::remove_file(&path);
 }
 

@@ -20,8 +20,8 @@
 //!    would slip through silently; this proves the equality gate has
 //!    the resolution the invariant claims.
 
-use smtsim_core::json::ToJson;
 use smtsim_core::fidelity::MemFidelity;
+use smtsim_core::json::ToJson;
 use smtsim_core::{Fidelity, SimConfig, Simulator, Workload};
 use smtsim_mem::FaultPlan;
 use smtsim_policy::PolicyKind;
@@ -173,7 +173,10 @@ fn overshooting_the_horizon_by_one_cycle_is_caught() {
     // Control: the engine's own targets, applied externally, are
     // byte-identical — the harness itself introduces no drift.
     let (exact_json, exact_skips) = drive_with_overshoot(&cfg, 0);
-    assert!(exact_skips > 0, "control run never skipped; test is vacuous");
+    assert!(
+        exact_skips > 0,
+        "control run never skipped; test is vacuous"
+    );
     assert_eq!(exact_json, reference, "exact horizons must be invisible");
 
     // Mutation: every skip lands one cycle past the computed horizon —
@@ -181,7 +184,10 @@ fn overshooting_the_horizon_by_one_cycle_is_caught() {
     // If this were not caught, `next_event_cycle` could be off by one
     // everywhere and the goldens would still pass.
     let (mutant_json, mutant_skips) = drive_with_overshoot(&cfg, 1);
-    assert!(mutant_skips > 0, "mutant run never skipped; test is vacuous");
+    assert!(
+        mutant_skips > 0,
+        "mutant run never skipped; test is vacuous"
+    );
     assert_ne!(
         mutant_json, reference,
         "an off-by-one past every horizon went unnoticed by the byte-identity gate"

@@ -99,8 +99,7 @@ impl PerceptronPredictor {
         // History updates happen on every branch.
         let li = self.local_index(pc);
         self.local[li] = ((self.local[li] << 1) | taken as u16) & ((1 << LOCAL_BITS) - 1);
-        self.global[ctx] =
-            ((self.global[ctx] << 1) | taken as u32) & ((1 << GLOBAL_BITS) - 1);
+        self.global[ctx] = ((self.global[ctx] << 1) | taken as u32) & ((1 << GLOBAL_BITS) - 1);
     }
 }
 
@@ -176,6 +175,9 @@ mod tests {
             }
             p.update(0x5000, 0, t0);
         }
-        assert!(correct > 900, "ctx-0 accuracy after interference {correct}/1000");
+        assert!(
+            correct > 900,
+            "ctx-0 accuracy after interference {correct}/1000"
+        );
     }
 }

@@ -17,7 +17,10 @@ pub struct Btb {
 impl Btb {
     /// BTB with `entries` total entries and `ways` associativity.
     pub fn new(entries: u32, ways: u32) -> Self {
-        assert!(ways > 0 && entries.is_multiple_of(ways), "entries must divide by ways");
+        assert!(
+            ways > 0 && entries.is_multiple_of(ways),
+            "entries must divide by ways"
+        );
         let num_sets = (entries / ways) as usize;
         Btb {
             sets: vec![Vec::with_capacity(ways as usize); num_sets],
@@ -93,8 +96,8 @@ mod tests {
     #[test]
     fn lru_within_a_set() {
         let mut b = Btb::new(8, 2); // 4 sets × 2 ways
-        // Three branches mapping to the same set: pcs differing by
-        // 4*num_sets increments.
+                                    // Three branches mapping to the same set: pcs differing by
+                                    // 4*num_sets increments.
         let (p1, p2, p3) = (0x1000, 0x1000 + 16, 0x1000 + 32);
         b.update(p1, 0xa);
         b.update(p2, 0xb);

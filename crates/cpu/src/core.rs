@@ -18,9 +18,7 @@ use crate::thread::{FetchGate, FrontendEntry, ThreadCtx, ThreadProgram, WrongPat
 use crate::wheel::{CompletionWheel, Due};
 use smtsim_energy::{PipelineStage, SquashCause};
 use smtsim_mem::addr::{bank_of, line_base};
-use smtsim_mem::{
-    AccessKind, AccessResult, Completion, MemEvent, MemoryModel, ReqId, WarmRegion,
-};
+use smtsim_mem::{AccessKind, AccessResult, Completion, MemEvent, MemoryModel, ReqId, WarmRegion};
 
 use smtsim_obs::{EventRing, TraceEvent};
 use smtsim_policy::{FetchPolicy, PolicyAction, ThreadSnapshot};
@@ -259,7 +257,12 @@ impl SmtCore {
         let core = self.core_id;
         for t in &self.threads {
             let [(l1b, l1s), (l2b, l2s)] = t.warm_regions;
-            mem.prewarm_range(core, WarmRegion::Code, t.dict.entry_pc(), t.dict.code_bytes());
+            mem.prewarm_range(
+                core,
+                WarmRegion::Code,
+                t.dict.entry_pc(),
+                t.dict.code_bytes(),
+            );
             mem.prewarm_range(core, WarmRegion::L1Data, l1b, l1s);
             mem.prewarm_range(core, WarmRegion::L2Data, l2b, l2s);
         }
@@ -358,9 +361,7 @@ impl SmtCore {
                     at = at.min(matures);
                 }
             }
-            if t.gate == FetchGate::Open
-                && t.icache_wait.is_none()
-                && t.frontend.len() < fetch_cap
+            if t.gate == FetchGate::Open && t.icache_wait.is_none() && t.frontend.len() < fetch_cap
             {
                 // redirect_at > from here, else the loop above returned.
                 at = at.min(t.redirect_at);
@@ -371,8 +372,7 @@ impl SmtCore {
 
     /// Does `queue` have a free slot for one more dispatch?
     fn iq_has_room(&self, queue: QueueKind) -> bool {
-        let cap =
-            [self.cfg.int_queue, self.cfg.fp_queue, self.cfg.ls_queue][queue.index()];
+        let cap = [self.cfg.int_queue, self.cfg.fp_queue, self.cfg.ls_queue][queue.index()];
         self.iq_used[queue.index()] < cap
     }
 
@@ -391,7 +391,9 @@ impl SmtCore {
     pub fn notify_skip(&mut self, from: u64, cycles: u64) {
         let (mut rob_s, mut iq_s, mut reg_s) = (0u64, 0u64, 0u64);
         for t in &self.threads {
-            let Some(fe) = t.frontend.front() else { continue };
+            let Some(fe) = t.frontend.front() else {
+                continue;
+            };
             if fe.fetched_at + self.cfg.frontend_latency > from {
                 continue; // still in the front-end pipe: no stall charged
             }
@@ -502,16 +504,17 @@ impl SmtCore {
     fn exec_complete(&mut self, now: u64) {
         let mut due = std::mem::take(&mut self.exec_due);
         self.wheel.drain_due(now, &mut due);
-        for &Due { tid, token, pos, .. } in &due {
+        for &Due {
+            tid, token, pos, ..
+        } in &due
+        {
             let (resolve_mispredict, load_complete, is_cond_branch, dst) =
                 match self.threads[tid].rob.at_mut(pos, token) {
                     Some(e) if matches!(e.state, InstrState::Executing { .. }) => {
                         e.state = InstrState::Done;
                         (
                             e.mispredicted && !e.wrong_path,
-                            e.instr.class == InstrClass::Load
-                                && e.load_tracked
-                                && !e.wrong_path,
+                            e.instr.class == InstrClass::Load && e.load_tracked && !e.wrong_path,
                             e.instr.class == InstrClass::BranchCond && !e.wrong_path,
                             e.dst,
                         )
@@ -609,7 +612,10 @@ impl SmtCore {
                 }
                 AccessResult::Miss { req, .. } => {
                     self.store_queue.pop_front();
-                    debug_assert!(!self.req_map.iter().any(|(r, _)| *r == req), "duplicate req id {req} in req_map (store)");
+                    debug_assert!(
+                        !self.req_map.iter().any(|(r, _)| *r == req),
+                        "duplicate req id {req} in req_map (store)"
+                    );
                     self.req_map.push((req, MemTarget::Store));
                 }
                 AccessResult::MshrFull => break,
@@ -759,7 +765,12 @@ impl SmtCore {
             e.load_tracked = load_tracked;
         }
         if let InstrState::Executing { done_at } = state {
-            self.wheel.push(Due { done_at, tid, token, pos });
+            self.wheel.push(Due {
+                done_at,
+                tid,
+                token,
+                pos,
+            });
         }
         // The instruction left its issue queue.
         self.iq_used[queue.index()] -= 1;
@@ -802,8 +813,7 @@ impl SmtCore {
                     break;
                 }
                 let queue = QueueKind::of(fe.instr.class);
-                let cap = [self.cfg.int_queue, self.cfg.fp_queue, self.cfg.ls_queue]
-                    [queue.index()];
+                let cap = [self.cfg.int_queue, self.cfg.fp_queue, self.cfg.ls_queue][queue.index()];
                 if self.iq_used[queue.index()] >= cap {
                     self.iq_full_stalls += 1;
                     break;
@@ -1029,7 +1039,9 @@ impl SmtCore {
         }
         let mut removed = std::mem::take(&mut self.squash_rob);
         removed.clear();
-        self.threads[tid].rob.squash_younger_into(keep_token, &mut removed);
+        self.threads[tid]
+            .rob
+            .squash_younger_into(keep_token, &mut removed);
         while self.store_fwd[tid]
             .back()
             .is_some_and(|&(t, _)| t > keep_token)
@@ -1058,16 +1070,14 @@ impl SmtCore {
                     if let Some(pos) = self.req_map.iter().position(|(r, _)| *r == req) {
                         self.req_map.swap_remove(pos);
                     }
-                    self.threads[tid].l1d_misses_in_flight = self.threads[tid]
-                        .l1d_misses_in_flight
-                        .saturating_sub(1);
+                    self.threads[tid].l1d_misses_in_flight =
+                        self.threads[tid].l1d_misses_in_flight.saturating_sub(1);
                 }
                 _ => {}
             }
             if e.instr.class == InstrClass::BranchCond && !e.wrong_path {
-                self.threads[tid].branches_in_flight = self.threads[tid]
-                    .branches_in_flight
-                    .saturating_sub(1);
+                self.threads[tid].branches_in_flight =
+                    self.threads[tid].branches_in_flight.saturating_sub(1);
             }
             if e.load_tracked && !e.wrong_path {
                 self.policy.on_load_squashed(tid, e.token);
@@ -1187,7 +1197,10 @@ impl SmtCore {
                     }
                     AccessResult::Miss { req, .. } => {
                         self.threads[tid].icache_wait = Some(req);
-                        debug_assert!(!self.req_map.iter().any(|(r, _)| *r == req), "duplicate req id {req} in req_map (ifetch)");
+                        debug_assert!(
+                            !self.req_map.iter().any(|(r, _)| *r == req),
+                            "duplicate req id {req} in req_map (ifetch)"
+                        );
                         self.req_map.push((req, MemTarget::IFetch { tid }));
                         break;
                     }
@@ -1308,8 +1321,10 @@ impl SmtCore {
         if self.wp_buffers[tid].is_empty() {
             self.refill_wp(tid);
         }
-        // lint: allow(D3) -- refill_wp synthesises a non-empty run before this pop
-        let i = self.wp_buffers[tid].pop_front().expect("refilled wp buffer");
+        let i = self.wp_buffers[tid]
+            .pop_front()
+            // lint: allow(D3) -- refill_wp synthesises a non-empty run before this pop
+            .expect("refilled wp buffer");
         if let Some(wp) = &mut self.threads[tid].wrong_path {
             // Treat junk conditional branches as not-taken.
             wp.cursor = if i.class == InstrClass::BranchUncond {

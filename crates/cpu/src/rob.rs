@@ -81,9 +81,7 @@ impl RobEntry {
     pub fn deepest_stage(&self) -> PipelineStage {
         match self.state {
             InstrState::InQueue => PipelineStage::Queue,
-            InstrState::Executing { .. } | InstrState::WaitingMem { .. } => {
-                PipelineStage::Execute
-            }
+            InstrState::Executing { .. } | InstrState::WaitingMem { .. } => PipelineStage::Execute,
             InstrState::Done => PipelineStage::RegWrite,
         }
     }

@@ -30,10 +30,7 @@ impl ThreadProgram {
         let mem = gen.profile().mem;
         ThreadProgram {
             dict,
-            warm_regions: [
-                (bases[0], mem.l1_ws_bytes),
-                (bases[1], mem.l2_ws_bytes),
-            ],
+            warm_regions: [(bases[0], mem.l1_ws_bytes), (bases[1], mem.l2_ws_bytes)],
             stream: Box::new(gen),
         }
     }
@@ -202,5 +199,3 @@ mod tests {
         assert_eq!(t.stream.fetch(), b);
     }
 }
-
-

@@ -34,7 +34,10 @@ fn run(core: &mut SmtCore, mem: &mut MemoryModel, cycles: u64) {
 
 /// An ICOUNT core whose two threads run hand-built streams from
 /// `make`; wrong paths come from gzip's code dictionary.
-fn core_on_streams<S: InstrStream + Send + 'static>(cfg: CoreConfig, make: impl Fn() -> S) -> SmtCore {
+fn core_on_streams<S: InstrStream + Send + 'static>(
+    cfg: CoreConfig,
+    make: impl Fn() -> S,
+) -> SmtCore {
     let dict = TraceGenerator::new(spec::benchmark_by_name("gzip").unwrap(), 1).dict_arc();
     let env = PolicyEnv::paper(1);
     // lint: allow(D5) -- test setup boxes each stream once; the crate clippy.toml bans Box::new for the cycle loop
@@ -179,7 +182,11 @@ fn never_committed_with_ras(ras_entries: u32) -> u64 {
         next[tid] += 1;
     }
     let s = core.stats();
-    assert!(s.threads.iter().all(|t| t.committed > 1_000), "{}", core.debug_state());
+    assert!(
+        s.threads.iter().all(|t| t.committed > 1_000),
+        "{}",
+        core.debug_state()
+    );
     s.threads.iter().map(|t| t.fetched - t.committed).sum()
 }
 

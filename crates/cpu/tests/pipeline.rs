@@ -160,7 +160,11 @@ fn branch_predictor_learns_on_real_streams() {
     run(&mut core, &mut mem, 20_000);
     for (tid, t) in core.stats().threads.iter().enumerate() {
         let acc = t.branch_accuracy();
-        assert!(t.branches > 100, "thread {tid} committed only {} branches", t.branches);
+        assert!(
+            t.branches > 100,
+            "thread {tid} committed only {} branches",
+            t.branches
+        );
         assert!(
             acc > 0.9,
             "fp codes are highly predictable; thread {tid} reached only {acc}"
@@ -177,7 +181,10 @@ fn mispredicts_happen_and_are_recovered() {
     run(&mut core, &mut mem, 20_000);
     let stats = core.stats();
     let mispredicts: u64 = stats.threads.iter().map(|t| t.mispredicts).sum();
-    assert!(mispredicts > 10, "expected real mispredicts, got {mispredicts}");
+    assert!(
+        mispredicts > 10,
+        "expected real mispredicts, got {mispredicts}"
+    );
     // Wrong-path work shows up as mispredict squash energy…
     assert!(stats.energy().branch_squashed_total() > 0);
     // …but correctness is untouched.

@@ -1,7 +1,6 @@
 //! The Energy Consumption Factor table (paper Fig. 10) and the
 //! per-resource energy distribution it is derived from (paper Fig. 9).
 
-
 /// The eight accounted pipeline stages of the paper's 11-stage core
 /// (Fig. 9b/Fig. 10 granularity; the remaining physical stages are
 /// sub-stages of these).
@@ -97,16 +96,56 @@ pub struct ResourceEnergy {
 /// Folegnani & González (ISCA'01); the values below are chosen so the
 /// per-stage sums reproduce Fig. 10's local factors exactly.
 pub const RESOURCE_ENERGY: [ResourceEnergy; 10] = [
-    ResourceEnergy { resource: "I-cache", percent: 8.0, stage: PipelineStage::Fetch },
-    ResourceEnergy { resource: "Branch predictor", percent: 5.0, stage: PipelineStage::Fetch },
-    ResourceEnergy { resource: "Decode logic", percent: 3.0, stage: PipelineStage::Decode },
-    ResourceEnergy { resource: "Rename table", percent: 22.0, stage: PipelineStage::Rename },
-    ResourceEnergy { resource: "Issue queue (wakeup+select)", percent: 26.0, stage: PipelineStage::Queue },
-    ResourceEnergy { resource: "Register file (read)", percent: 5.0, stage: PipelineStage::RegRead },
-    ResourceEnergy { resource: "Functional units", percent: 7.0, stage: PipelineStage::Execute },
-    ResourceEnergy { resource: "D-cache", percent: 6.0, stage: PipelineStage::Execute },
-    ResourceEnergy { resource: "Register file (write)", percent: 5.0, stage: PipelineStage::RegWrite },
-    ResourceEnergy { resource: "ROB / commit", percent: 13.0, stage: PipelineStage::Commit },
+    ResourceEnergy {
+        resource: "I-cache",
+        percent: 8.0,
+        stage: PipelineStage::Fetch,
+    },
+    ResourceEnergy {
+        resource: "Branch predictor",
+        percent: 5.0,
+        stage: PipelineStage::Fetch,
+    },
+    ResourceEnergy {
+        resource: "Decode logic",
+        percent: 3.0,
+        stage: PipelineStage::Decode,
+    },
+    ResourceEnergy {
+        resource: "Rename table",
+        percent: 22.0,
+        stage: PipelineStage::Rename,
+    },
+    ResourceEnergy {
+        resource: "Issue queue (wakeup+select)",
+        percent: 26.0,
+        stage: PipelineStage::Queue,
+    },
+    ResourceEnergy {
+        resource: "Register file (read)",
+        percent: 5.0,
+        stage: PipelineStage::RegRead,
+    },
+    ResourceEnergy {
+        resource: "Functional units",
+        percent: 7.0,
+        stage: PipelineStage::Execute,
+    },
+    ResourceEnergy {
+        resource: "D-cache",
+        percent: 6.0,
+        stage: PipelineStage::Execute,
+    },
+    ResourceEnergy {
+        resource: "Register file (write)",
+        percent: 5.0,
+        stage: PipelineStage::RegWrite,
+    },
+    ResourceEnergy {
+        resource: "ROB / commit",
+        percent: 13.0,
+        stage: PipelineStage::Commit,
+    },
 ];
 
 #[cfg(test)]

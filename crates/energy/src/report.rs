@@ -26,7 +26,13 @@ pub fn resource_table() -> String {
     let _ = writeln!(s, "Energy distribution per hardware resource");
     let _ = writeln!(s, "{:<30} {:>6}  Charged stage", "Resource", "%");
     for r in RESOURCE_ENERGY {
-        let _ = writeln!(s, "{:<30} {:>6.1}  {}", r.resource, r.percent, r.stage.name());
+        let _ = writeln!(
+            s,
+            "{:<30} {:>6.1}  {}",
+            r.resource,
+            r.percent,
+            r.stage.name()
+        );
     }
     s
 }

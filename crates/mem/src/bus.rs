@@ -180,9 +180,16 @@ mod tests {
             bus.send(0, i);
         }
         assert_eq!(bus.queued(), 10);
-        let delivered: Vec<u32> = (0..10).flat_map(|now| tick(&mut bus, now)).map(|m| m.payload).collect();
+        let delivered: Vec<u32> = (0..10)
+            .flat_map(|now| tick(&mut bus, now))
+            .map(|m| m.payload)
+            .collect();
         assert_eq!(delivered, (0..10).collect::<Vec<_>>());
         assert_eq!(bus.queued(), 0);
-        assert_eq!(bus.next_event_cycle(10), u64::MAX, "nothing left queued or in flight");
+        assert_eq!(
+            bus.next_event_cycle(10),
+            u64::MAX,
+            "nothing left queued or in flight"
+        );
     }
 }

@@ -136,7 +136,8 @@ impl WarmRange {
         let d = (set + sets - self.line0 % sets) % sets;
         // `sets` is far below 2^32 (the tag array is allocated), so the
         // product of two residues below `period` fits in a u64.
-        d.is_multiple_of(self.gcd).then(|| d / self.gcd * self.inv % self.period)
+        d.is_multiple_of(self.gcd)
+            .then(|| d / self.gcd * self.inv % self.period)
     }
 }
 
@@ -411,7 +412,11 @@ mod tests {
         c.fill(0, true);
         assert_eq!(c.fill(0, false), None, "refill of a resident line");
         assert_eq!(c.access(0, false), AccessOutcome::Hit, "read hit");
-        assert_eq!(c.fill(4 * 64, false), Some(0), "still dirty after refreshes");
+        assert_eq!(
+            c.fill(4 * 64, false),
+            Some(0),
+            "still dirty after refreshes"
+        );
     }
 
     #[test]
@@ -456,7 +461,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = small_cache(2); // 4 sets × 2 ways
-        // Three lines mapping to set 0: line indices 0, 4, 8.
+                                    // Three lines mapping to set 0: line indices 0, 4, 8.
         let (a, b, x) = (0u64, 4 * 64, 8 * 64);
         c.fill(a, false);
         c.fill(b, false);
@@ -537,7 +542,7 @@ mod tests {
     #[test]
     fn working_set_larger_than_cache_misses() {
         let mut c = small_cache(4); // 4 sets × 4 ways = 16 lines
-        // 64-line working set, round-robin: second pass must still miss.
+                                    // 64-line working set, round-robin: second pass must still miss.
         for i in 0..64u64 {
             assert_eq!(c.access(i * 64, false), AccessOutcome::Miss);
             c.fill(i * 64, false);

@@ -175,7 +175,11 @@ impl FastMemory {
                 (tlb_miss, false, port.l1d.access(addr, true))
             }
         };
-        let tlb_penalty = if tlb_miss { self.cfg.tlb_miss_cycles } else { 0 };
+        let tlb_penalty = if tlb_miss {
+            self.cfg.tlb_miss_cycles
+        } else {
+            0
+        };
         if outcome == AccessOutcome::Hit {
             return AccessResult::L1Hit {
                 ready_at: now + self.cfg.l1_hit_cycles + tlb_penalty,
@@ -402,7 +406,13 @@ mod tests {
         FastMemory::new(MemConfig::paper(cores))
     }
 
-    fn complete_one(m: &mut FastMemory, core: u32, req: ReqId, from: u64, until: u64) -> Completion {
+    fn complete_one(
+        m: &mut FastMemory,
+        core: u32,
+        req: ReqId,
+        from: u64,
+        until: u64,
+    ) -> Completion {
         for now in from..until {
             m.tick(now);
             if let Some(c) = drained(m, core).into_iter().find(|c| c.req == req) {

@@ -5,7 +5,6 @@
 //! queue until it is finally served". We collect that distribution in
 //! fixed-width bins with an overflow bucket.
 
-
 /// Fixed-width latency histogram with overflow.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {

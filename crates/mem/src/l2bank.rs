@@ -83,7 +83,9 @@ impl<T: Copy> L2Bank<T> {
                         AccessOutcome::Hit => BankOutcome::Hit,
                         AccessOutcome::Miss => BankOutcome::Miss,
                     },
-                    BankOp::Fill { dirty } => BankOutcome::FillDone(self.cache.fill(req.addr, dirty)),
+                    BankOp::Fill { dirty } => {
+                        BankOutcome::FillDone(self.cache.fill(req.addr, dirty))
+                    }
                     BankOp::Writeback => {
                         // Present: mark dirty. Absent: forward downstream.
                         if self.cache.probe(req.addr) {
@@ -197,7 +199,11 @@ mod tests {
         // 4th completes 60 cycles after issue (15 service + 45 queueing).
         let mut b = bank();
         for i in 0..4 {
-            b.enqueue(i, 0x1000 + i as u64 * 0x400, BankOp::Demand { write: false });
+            b.enqueue(
+                i,
+                0x1000 + i as u64 * 0x400,
+                BankOp::Demand { write: false },
+            );
         }
         let done = run(&mut b, 100);
         let finish: Vec<u64> = done.iter().map(|d| d.0).collect();

@@ -130,7 +130,11 @@ mod tests {
         assert!(m.is_full());
         assert_eq!(m.allocate(0x80, 3), MshrAlloc::Full);
         assert_eq!(m.allocate(0x40, 4), MshrAlloc::Merged);
-        assert_eq!(m.occupancy(), 2, "neither the reject nor the merge took an entry");
+        assert_eq!(
+            m.occupancy(),
+            2,
+            "neither the reject nor the merge took an entry"
+        );
         assert_eq!(m.waiters(0x40), Some(&[2, 4][..]));
     }
 

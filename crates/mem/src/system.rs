@@ -258,7 +258,9 @@ impl MemConfig {
         }
         if self.l2_clusters == 0
             || !self.num_cores.is_multiple_of(self.l2_clusters)
-            || !self.l2_bytes.is_multiple_of(self.l2_clusters as u64 * self.l2_banks as u64)
+            || !self
+                .l2_bytes
+                .is_multiple_of(self.l2_clusters as u64 * self.l2_banks as u64)
         {
             return Err(format!(
                 "{} cores / {} bytes do not partition into {} L2 clusters",
@@ -572,7 +574,11 @@ impl MemorySystem {
                 AccessKind::Load | AccessKind::Store => (!port.dtlb.access(addr), false),
             }
         };
-        let tlb_penalty = if tlb_miss { self.cfg.tlb_miss_cycles } else { 0 };
+        let tlb_penalty = if tlb_miss {
+            self.cfg.tlb_miss_cycles
+        } else {
+            0
+        };
         {
             let s = &mut self.cores[cidx].stats;
             match kind {
@@ -662,7 +668,14 @@ impl MemorySystem {
                 }
                 let occupancy = self.cores[cidx].mshr.occupancy() as u32;
                 if let Some(ring) = &mut self.trace {
-                    ring.emit(now, TraceEvent::MshrAlloc { core, merged: false, occupancy });
+                    ring.emit(
+                        now,
+                        TraceEvent::MshrAlloc {
+                            core,
+                            merged: false,
+                            occupancy,
+                        },
+                    );
                 }
                 AccessResult::Miss { req, tlb_miss }
             }
@@ -670,7 +683,14 @@ impl MemorySystem {
                 self.cores[cidx].stats.mshr_merges += 1;
                 let occupancy = self.cores[cidx].mshr.occupancy() as u32;
                 if let Some(ring) = &mut self.trace {
-                    ring.emit(now, TraceEvent::MshrAlloc { core, merged: true, occupancy });
+                    ring.emit(
+                        now,
+                        TraceEvent::MshrAlloc {
+                            core,
+                            merged: true,
+                            occupancy,
+                        },
+                    );
                 }
                 AccessResult::Miss { req, tlb_miss }
             }
@@ -708,10 +728,20 @@ impl MemorySystem {
                 match msg.payload {
                     BusItem::Demand { req, addr, write } => {
                         let bank = self.bank_index(cluster as u32, addr);
-                        self.banks[bank].enqueue(BankToken::Demand(req), addr, BankOp::Demand { write });
+                        self.banks[bank].enqueue(
+                            BankToken::Demand(req),
+                            addr,
+                            BankOp::Demand { write },
+                        );
                         let depth = self.banks[bank].queued() as u32;
                         if let Some(ring) = &mut self.trace {
-                            ring.emit(now, TraceEvent::L2BankEnqueue { bank: bank as u32, depth });
+                            ring.emit(
+                                now,
+                                TraceEvent::L2BankEnqueue {
+                                    bank: bank as u32,
+                                    depth,
+                                },
+                            );
                         }
                     }
                     BusItem::Writeback { addr } => {
@@ -719,7 +749,13 @@ impl MemorySystem {
                         self.banks[bank].enqueue(BankToken::Writeback, addr, BankOp::Writeback);
                         let depth = self.banks[bank].queued() as u32;
                         if let Some(ring) = &mut self.trace {
-                            ring.emit(now, TraceEvent::L2BankEnqueue { bank: bank as u32, depth });
+                            ring.emit(
+                                now,
+                                TraceEvent::L2BankEnqueue {
+                                    bank: bank as u32,
+                                    depth,
+                                },
+                            );
                         }
                     }
                 }
@@ -825,7 +861,11 @@ impl MemorySystem {
                     // Install in L2 (occupies the bank port) and hand the
                     // data to the core right away (critical-word-first
                     // forwarding past the fill).
-                    self.banks[bank].enqueue(BankToken::Fill { core }, line, BankOp::Fill { dirty: false });
+                    self.banks[bank].enqueue(
+                        BankToken::Fill { core },
+                        line,
+                        BankOp::Fill { dirty: false },
+                    );
                     self.complete_line(req, (bank % self.cfg.l2_banks as usize) as u32, false, now);
                 }
             }
@@ -883,7 +923,13 @@ impl MemorySystem {
         };
         let occupancy = self.cores[cidx].mshr.occupancy() as u32;
         if let Some(ring) = &mut self.trace {
-            ring.emit(now, TraceEvent::MshrRetire { core: fl.core, occupancy });
+            ring.emit(
+                now,
+                TraceEvent::MshrRetire {
+                    core: fl.core,
+                    occupancy,
+                },
+            );
         }
 
         // Refill the right L1 once; stores install dirty lines.
@@ -1092,7 +1138,12 @@ mod tests {
     }
 
     /// Run until the given request completes; returns the completion.
-    fn run_until_complete(m: &mut MemorySystem, core: u32, req: ReqId, mut now: u64) -> (Completion, u64) {
+    fn run_until_complete(
+        m: &mut MemorySystem,
+        core: u32,
+        req: ReqId,
+        mut now: u64,
+    ) -> (Completion, u64) {
         for _ in 0..100_000 {
             now += 1;
             m.tick(now);
@@ -1204,7 +1255,9 @@ mod tests {
         // q2 completed in the same drain as q1 — re-check outbox history:
         // run_until_complete drained it, so issue a fresh check: the line
         // is now in L1.
-        if let AccessResult::L1Hit { .. } = m.access(0, AccessKind::Load, 0x9008, t + 1) { found = true }
+        if let AccessResult::L1Hit { .. } = m.access(0, AccessKind::Load, 0x9008, t + 1) {
+            found = true
+        }
         assert!(found, "merged waiter's line must be resident");
         assert_eq!(m.stats().cores[0].mshr_merges, 1);
         let _ = q2;
@@ -1251,9 +1304,7 @@ mod tests {
             for i in 1..=4u64 {
                 now += 1;
                 let a = line_of(core as u64) + i * 8192 * 4; // same L1 set, bank 0
-                if let AccessResult::Miss { req, .. } =
-                    m.access(core, AccessKind::Load, a, now)
-                {
+                if let AccessResult::Miss { req, .. } = m.access(core, AccessKind::Load, a, now) {
                     let (_, t) = run_until_complete(&mut m, core, req, now);
                     now = t;
                 }
@@ -1454,7 +1505,12 @@ mod tests {
         let mut m = sys(2);
         for core in 0..2u32 {
             for i in 0..5u64 {
-                m.access(core, AccessKind::Load, 0x7000 + core as u64 * 0x10_0000 + i * 64, 0);
+                m.access(
+                    core,
+                    AccessKind::Load,
+                    0x7000 + core as u64 * 0x10_0000 + i * 64,
+                    0,
+                );
             }
         }
         for now in 1..5_000 {

@@ -150,7 +150,10 @@ fn prewarm_equivalence_fill_lines() {
         cache.fill_lines(first, count, step);
         cache.install_warm();
         fill_lines_eagerly(&mut oracle, first, count, step);
-        assert!(cache == oracle, "fill_lines({first:#x}, {count}, {step}) diverged");
+        assert!(
+            cache == oracle,
+            "fill_lines({first:#x}, {count}, {step}) diverged"
+        );
     });
 }
 
@@ -234,8 +237,7 @@ fn prewarm_equivalence_system() {
         let mut m = MemorySystem::new(cfg);
 
         let banks = (cfg.l2_clusters * cfg.l2_banks) as usize;
-        let mut l2: Vec<SetAssocCache> =
-            (0..banks).map(|b| m.debug_bank_tags(b).clone()).collect();
+        let mut l2: Vec<SetAssocCache> = (0..banks).map(|b| m.debug_bank_tags(b).clone()).collect();
         let mut private: Vec<(SetAssocCache, SetAssocCache, Tlb, Tlb)> = (0..cfg.num_cores)
             .map(|c| {
                 let (l1i, l1d, itlb, dtlb) = m.debug_core_tags(c);
@@ -270,7 +272,11 @@ fn prewarm_equivalence_system() {
                 l2[cluster * banks as usize + (line / 64 % banks) as usize].fill(line, false);
                 a += 64;
             }
-            let tlb = if region == WarmRegion::Code { itlb } else { dtlb };
+            let tlb = if region == WarmRegion::Code {
+                itlb
+            } else {
+                dtlb
+            };
             let mut p = base & !8191;
             while p < base + bytes {
                 tlb.access(p);
@@ -291,7 +297,10 @@ fn prewarm_equivalence_system() {
             assert!(got.3 == dtlb, "core {c} D-TLB diverged");
         }
         for (b, oracle) in l2.iter().enumerate() {
-            assert!(installed(m.debug_bank_tags(b)) == *oracle, "L2 bank {b} diverged");
+            assert!(
+                installed(m.debug_bank_tags(b)) == *oracle,
+                "L2 bank {b} diverged"
+            );
         }
     });
 }

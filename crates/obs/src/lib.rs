@@ -381,7 +381,13 @@ mod tests {
     #[test]
     fn zero_capacity_counts_but_keeps_nothing() {
         let mut r = EventRing::new(0);
-        r.emit(1, TraceEvent::IqHighWater { core: 0, occupancy: 8 });
+        r.emit(
+            1,
+            TraceEvent::IqHighWater {
+                core: 0,
+                occupancy: 8,
+            },
+        );
         assert!(r.is_empty());
         assert_eq!(r.total(), 1);
         assert_eq!(r.dropped(), 1);
@@ -391,7 +397,10 @@ mod tests {
     fn kinds_are_stable_snake_case() {
         let ev = TraceEvent::L2BankEnqueue { bank: 2, depth: 3 };
         assert_eq!(ev.kind(), "l2_bank_enqueue");
-        let ev = TraceEvent::DramRoundTrip { core: 1, latency: 200 };
+        let ev = TraceEvent::DramRoundTrip {
+            core: 1,
+            latency: 200,
+        };
         assert_eq!(ev.kind(), "dram_round_trip");
     }
 }

@@ -55,15 +55,14 @@ impl AdtsPolicy {
         let per = self.samples as f64;
         let branch_pressure = self.branch_sum as f64 / per;
         let miss_pressure = self.miss_sum as f64 / per;
-        self.priority.order = if miss_pressure >= self.miss_threshold
-            && miss_pressure >= branch_pressure / 2.0
-        {
-            Order::L1dMissCount
-        } else if branch_pressure >= self.branch_threshold {
-            Order::Brcount
-        } else {
-            Order::Icount
-        };
+        self.priority.order =
+            if miss_pressure >= self.miss_threshold && miss_pressure >= branch_pressure / 2.0 {
+                Order::L1dMissCount
+            } else if branch_pressure >= self.branch_threshold {
+                Order::Brcount
+            } else {
+                Order::Icount
+            };
         self.epoch_start = cycle;
         self.samples = 0;
         self.branch_sum = 0;

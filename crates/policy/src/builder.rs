@@ -82,7 +82,9 @@ impl PolicyKind {
     /// programmatic-only.
     pub fn parse_name(s: &str) -> Option<PolicyKind> {
         let s = s.to_ascii_lowercase();
-        let listed = POLICY_NAMES.iter().find(|(_, names)| names.contains(&s.as_str()));
+        let listed = POLICY_NAMES
+            .iter()
+            .find(|(_, names)| names.contains(&s.as_str()));
         if let Some((kind, _)) = listed {
             Some(*kind)
         } else if let Some(x) = s.strip_prefix("flush-s") {
@@ -215,9 +217,10 @@ pub fn build_policy(kind: PolicyKind, env: &PolicyEnv) -> Box<dyn FetchPolicy> {
             Detect::HillClimbed(HillClimb::new(60, 30, 150, 10, 8192)),
             Respond::Flush,
         ),
-        PolicyKind::FlushMissPredict => {
-            trigger(Detect::Predicted(LoadMissPredictor::new(1024)), Respond::Flush)
-        }
+        PolicyKind::FlushMissPredict => trigger(
+            Detect::Predicted(LoadMissPredictor::new(1024)),
+            Respond::Flush,
+        ),
         PolicyKind::Mflush => Box::new(MflushPolicy::new(env.mflush_config())),
         PolicyKind::MflushCustom {
             mcreg_history,
@@ -296,7 +299,11 @@ mod tests {
         let listed: Vec<PolicyKind> = PolicyKind::listed().collect();
         assert_eq!(listed.len(), 13);
         for kind in listed {
-            assert_eq!(PolicyKind::parse_name(&kind.label()), Some(kind), "{kind:?}");
+            assert_eq!(
+                PolicyKind::parse_name(&kind.label()),
+                Some(kind),
+                "{kind:?}"
+            );
         }
         for (kind, names) in POLICY_NAMES {
             assert_eq!(names[0], kind.label().to_ascii_lowercase());

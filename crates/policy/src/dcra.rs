@@ -82,10 +82,7 @@ impl FetchPolicy for DcraPolicy {
     }
 
     fn tick(&mut self, _cycle: u64, snaps: &[ThreadSnapshot], actions: &mut Vec<PolicyAction>) {
-        let slow_count = snaps
-            .iter()
-            .filter(|s| s.l1d_misses_in_flight > 0)
-            .count() as u32;
+        let slow_count = snaps.iter().filter(|s| s.l1d_misses_in_flight > 0).count() as u32;
         let fast_count = snaps.len() as u32 - slow_count;
         for s in snaps {
             let is_slow = s.l1d_misses_in_flight > 0;

@@ -93,9 +93,7 @@ impl McRegFile {
         // the default prediction above.
         match self.cfg.reducer {
             McRegReducer::Last => q.back().copied().unwrap_or(self.default_prediction) as u64,
-            McRegReducer::Mean => {
-                q.iter().map(|&v| v as u64).sum::<u64>() / q.len() as u64
-            }
+            McRegReducer::Mean => q.iter().map(|&v| v as u64).sum::<u64>() / q.len() as u64,
             McRegReducer::Max => q.iter().max().copied().unwrap_or(self.default_prediction) as u64,
         }
     }
@@ -288,9 +286,7 @@ impl MflushPolicy {
     /// Any in-flight suspicious access for `tid` at `cycle`?
     fn has_suspicious(&self, tid: usize, cycle: u64) -> bool {
         self.loads.iter().any(|l| {
-            l.tid == tid
-                && l.bank.is_some()
-                && l.preventive_at.map(|p| cycle >= p).unwrap_or(false)
+            l.tid == tid && l.bank.is_some() && l.preventive_at.map(|p| cycle >= p).unwrap_or(false)
         })
     }
 }
@@ -328,11 +324,14 @@ impl FetchPolicy for MflushPolicy {
             }
             if self.cfg.preventive {
                 if let Some(p) = l.preventive_at {
-                    if cycle >= p && !th.stalled && !th.flushed
-                        && !to_stall.contains(&l.tid) && !to_flush.iter().any(|f| f.0 == l.tid)
-                        {
-                            to_stall.push(l.tid);
-                        }
+                    if cycle >= p
+                        && !th.stalled
+                        && !th.flushed
+                        && !to_stall.contains(&l.tid)
+                        && !to_flush.iter().any(|f| f.0 == l.tid)
+                    {
+                        to_stall.push(l.tid);
+                    }
                 }
             }
         }
@@ -480,7 +479,7 @@ mod tests {
     #[test]
     fn barrier_equation_and_clamping() {
         let c = cfg4(); // min 22, max 272, mt 57
-        // BARRIER = pred + MIN/2 + MT
+                        // BARRIER = pred + MIN/2 + MT
         assert_eq!(c.barrier(55), 55 + 11 + 57);
         // Clamped below to MIN+MT…
         assert_eq!(c.barrier(0), 22 + 57);
@@ -572,7 +571,7 @@ mod tests {
         p.on_l1d_miss(0, 1, 0, 3);
         let mut a = Vec::new();
         p.tick(79, &snaps2(), &mut a); // stalled
-        // L2 hit completes at 85, before the 90-cycle barrier.
+                                       // L2 hit completes at 85, before the 90-cycle barrier.
         p.on_load_complete(0, 1, 0, Some(true), 85, 85);
         a.clear();
         p.tick(86, &snaps2(), &mut a);
@@ -594,8 +593,7 @@ mod tests {
         let mut a = Vec::new();
         p.tick(200 + 187, &snaps2(), &mut a);
         assert!(
-            !a.iter()
-                .any(|x| matches!(x, PolicyAction::Flush { .. })),
+            !a.iter().any(|x| matches!(x, PolicyAction::Flush { .. })),
             "no flush before the raised barrier: {a:?}"
         );
         p.tick(200 + 188, &snaps2(), &mut a);

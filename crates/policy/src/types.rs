@@ -1,6 +1,5 @@
 //! The policy ↔ core interface.
 
-
 /// Core-assigned identifier of one dynamic load instruction. Unique per
 /// (core, in-flight window); the policy treats it as opaque.
 pub type LoadToken = u64;

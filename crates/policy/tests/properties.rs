@@ -66,7 +66,12 @@ fn mcreg_prediction_bounded_by_observations() {
         for &o in &obs {
             f.update(0, o);
         }
-        let window: Vec<u64> = obs.iter().rev().take(history).map(|&o| o.min(255)).collect();
+        let window: Vec<u64> = obs
+            .iter()
+            .rev()
+            .take(history)
+            .map(|&o| o.min(255))
+            .collect();
         let p = f.predict(0);
         assert!(p >= *window.iter().min().unwrap());
         assert!(p <= *window.iter().max().unwrap());

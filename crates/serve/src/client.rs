@@ -52,8 +52,7 @@ fn round_trip(
     body: &str,
     timeout_ms: u64,
 ) -> Result<ClientResponse, String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let timeout = (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms));
     stream
         .set_read_timeout(timeout)
@@ -104,9 +103,7 @@ fn round_trip(
     }
     let body_bytes = &raw[header_end + 4..];
     if let Some((_, v)) = headers.iter().find(|(n, _)| n == "content-length") {
-        let want: usize = v
-            .parse()
-            .map_err(|_| format!("bad Content-Length {v:?}"))?;
+        let want: usize = v.parse().map_err(|_| format!("bad Content-Length {v:?}"))?;
         if body_bytes.len() < want {
             return Err(format!(
                 "truncated response body: got {} of {want} bytes",

@@ -170,7 +170,9 @@ pub fn respond_http_truncated(
 ) {
     let bytes = render_http_response(status, reason, extra_headers, body);
     let cut = bytes.len() / 2;
-    let _ = stream.write_all(&bytes[..cut]).and_then(|()| stream.flush());
+    let _ = stream
+        .write_all(&bytes[..cut])
+        .and_then(|()| stream.flush());
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 

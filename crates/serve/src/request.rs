@@ -139,7 +139,10 @@ mod tests {
             "{\"workload\":\"2W2\",\"fidelity\":\"core=approx\"}",
             "{\"workload\":2}",
         ] {
-            assert!(parse_sim_request(bad).is_err(), "{bad:?} should be rejected");
+            assert!(
+                parse_sim_request(bad).is_err(),
+                "{bad:?} should be rejected"
+            );
         }
     }
 }

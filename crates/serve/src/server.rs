@@ -284,8 +284,8 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// Serve one connection end to end.
 fn handle_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
     let ordinal = shared.served.fetch_add(1, Ordering::SeqCst) + 1;
-    let timeout =
-        (shared.cfg.request_timeout_ms > 0).then(|| Duration::from_millis(shared.cfg.request_timeout_ms));
+    let timeout = (shared.cfg.request_timeout_ms > 0)
+        .then(|| Duration::from_millis(shared.cfg.request_timeout_ms));
     let _ = stream.set_read_timeout(timeout);
     let _ = stream.set_write_timeout(timeout);
 

@@ -54,7 +54,12 @@ fn build_cache_file(g: &mut Gen, path: &PathBuf) -> (Vec<(String, String)>, Vec<
         // Index-prefixed so fingerprints never collide within a file.
         let fp = format!("{i:02x}{:014x}", g.any_u64() >> 8);
         let outcome = pick_outcome(g);
-        text.push_str(&format_cache_line(i as u64, &format!("job{i}"), &fp, &outcome));
+        text.push_str(&format_cache_line(
+            i as u64,
+            &format!("job{i}"),
+            &fp,
+            &outcome,
+        ));
         originals.push((fp, outcome_json(&outcome)));
     }
     std::fs::write(path, &text).expect("write cache file");

@@ -65,7 +65,10 @@ fn cached_answers_are_byte_identical_to_fresh_runs() {
     let first = http_post(&addr, "/run", &body, 10_000).expect("first run");
     assert_eq!(first.status, 200);
     assert_eq!(first.header("x-cache"), Some("miss"));
-    assert_eq!(first.body, want, "served answer must match `smtsim run --json`");
+    assert_eq!(
+        first.body, want,
+        "served answer must match `smtsim run --json`"
+    );
 
     let second = http_post(&addr, "/run", &body, 10_000).expect("cached run");
     assert_eq!(second.status, 200);
@@ -74,7 +77,11 @@ fn cached_answers_are_byte_identical_to_fresh_runs() {
 
     let health = http_get(&addr, "/healthz", 2_000).expect("healthz");
     assert_eq!(health.status, 200);
-    assert!(health.body.contains("\"serve.cache_hits\":1"), "{}", health.body);
+    assert!(
+        health.body.contains("\"serve.cache_hits\":1"),
+        "{}",
+        health.body
+    );
     assert!(health.body.contains("\"status\":\"ok\""));
 
     shutdown_and_join(handle);
@@ -249,7 +256,11 @@ fn deterministic_failures_are_answered_once_and_not_retried() {
         "{\"workload\":\"2W1\",\"policy\":\"icount\",\"cycles\":2000,\"seed\":109,\"watchdog_cycles\":1}";
     let failed = http_post(&addr, "/run", body, 30_000).expect("responds");
     assert_eq!(failed.status, 500);
-    assert!(failed.body.contains("no_forward_progress"), "{}", failed.body);
+    assert!(
+        failed.body.contains("no_forward_progress"),
+        "{}",
+        failed.body
+    );
     let c = handle.service_counters();
     assert_eq!(c.jobs_simulated.load(Ordering::Relaxed), 1);
 
@@ -378,7 +389,11 @@ fn torn_cache_write_recovers_on_restart_byte_identically() {
     let addr = handle.bound_addr();
     let r = http_post(&addr, "/run", &body, 10_000).expect("second server run");
     assert_eq!(r.status, 200);
-    assert_eq!(r.header("x-cache"), Some("miss"), "torn line must not serve");
+    assert_eq!(
+        r.header("x-cache"),
+        Some("miss"),
+        "torn line must not serve"
+    );
     assert_eq!(r.body, first_answer, "recovery must be byte-identical");
 
     // And now it IS persisted: a third query hits the cache.

@@ -251,4 +251,3 @@ mod tests {
         assert_eq!(s.mean_dep_distance(), 0.0);
     }
 }
-

@@ -231,7 +231,12 @@ impl BasicBlockDict {
         let non_branch = (1.0 - m.branch_cond - m.branch_uncond).max(1e-9);
         let int_alu = (non_branch - named.iter().map(|(_, w)| w).sum::<f64>()).max(0.0);
         let weights = [
-            named[0], named[1], named[2], named[3], named[4], named[5],
+            named[0],
+            named[1],
+            named[2],
+            named[3],
+            named[4],
+            named[5],
             (InstrClass::IntAlu, int_alu),
         ];
 
@@ -360,10 +365,7 @@ impl BasicBlockDict {
         let off = pc.saturating_sub(self.base) % self.code_bytes.max(4);
         // Binary search over base offsets.
         let target = self.base + (off & !3);
-        match self
-            .blocks
-            .binary_search_by(|b| b.base_pc.cmp(&target))
-        {
+        match self.blocks.binary_search_by(|b| b.base_pc.cmp(&target)) {
             Ok(i) => i as u32,
             Err(0) => 0,
             Err(i) => {
@@ -392,8 +394,7 @@ impl BasicBlockDict {
         let mut bi = self.block_index_at(pc);
         let mut block = self.block(bi);
         // Offset within the block.
-        let mut slot =
-            (((pc.saturating_sub(block.base_pc)) / 4) as usize).min(block.len() - 1);
+        let mut slot = (((pc.saturating_sub(block.base_pc)) / 4) as usize).min(block.len() - 1);
         while pushed < n {
             let cls = self.class_at(block, slot);
             let ipc = block.base_pc + 4 * slot as u64;
@@ -449,8 +450,8 @@ mod tests {
         let p = spec::benchmark_by_name("gzip").unwrap();
         let a = BasicBlockDict::generate(p, 1);
         let b = BasicBlockDict::generate(p, 2);
-        let differs = (0..a.num_blocks().min(b.num_blocks()) as u32)
-            .any(|i| a.classes(i) != b.classes(i));
+        let differs =
+            (0..a.num_blocks().min(b.num_blocks()) as u32).any(|i| a.classes(i) != b.classes(i));
         assert!(differs);
     }
 

@@ -141,8 +141,8 @@ impl Cases {
         for case in 0..self.cases {
             // Mix the case index through SplitMix64 so case seeds are
             // decorrelated even though indices are sequential.
-            let seed = crate::rng::SplitMix64::new(self.base_seed.wrapping_add(case as u64))
-                .next_u64();
+            let seed =
+                crate::rng::SplitMix64::new(self.base_seed.wrapping_add(case as u64)).next_u64();
             let mut g = Gen::from_seed(seed);
             // lint: allow(D7) -- failure is re-raised below with the case seed; the panic is annotated, not swallowed
             let outcome = catch_unwind(AssertUnwindSafe(|| prop(&mut g)));

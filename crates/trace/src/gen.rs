@@ -318,7 +318,10 @@ mod tests {
         let copy: &'static BenchProfile = Box::leak(Box::new(*p));
         let shared = TraceGenerator::new(p, 1).dict_arc();
         let own = TraceGenerator::new(copy, 1).dict_arc();
-        assert!(!Arc::ptr_eq(&shared, &own), "a copy is not the built-in profile");
+        assert!(
+            !Arc::ptr_eq(&shared, &own),
+            "a copy is not the built-in profile"
+        );
         assert!(!Arc::ptr_eq(&own, &TraceGenerator::new(copy, 1).dict_arc()));
         assert_eq!(*shared, *own, "same fields, same code");
     }
@@ -344,7 +347,10 @@ mod tests {
         for d in &dicts[1..] {
             assert!(Arc::ptr_eq(&dicts[0], d));
         }
-        assert!(Arc::ptr_eq(&dicts[0], &TraceGenerator::new(p, 9).dict_arc()));
+        assert!(Arc::ptr_eq(
+            &dicts[0],
+            &TraceGenerator::new(p, 9).dict_arc()
+        ));
     }
 
     #[test]
@@ -390,12 +396,7 @@ mod tests {
         let mut prev = g.next_instr();
         for _ in 0..10_000 {
             let cur = g.next_instr();
-            assert_eq!(
-                cur.pc,
-                prev.next_pc(),
-                "discontinuity after {:?}",
-                prev
-            );
+            assert_eq!(cur.pc, prev.next_pc(), "discontinuity after {:?}", prev);
             prev = cur;
         }
     }
@@ -487,9 +488,7 @@ mod tests {
             for _ in 0..30_000 {
                 let i = g.next_instr();
                 if let Some(s) = i.srcs[0] {
-                    if let Some(&(_, wseq)) =
-                        writers.iter().rev().find(|&&(r, _)| r == s)
-                    {
+                    if let Some(&(_, wseq)) = writers.iter().rev().find(|&&(r, _)| r == s) {
                         total += i.seq - wseq;
                         count += 1;
                     }

@@ -6,7 +6,6 @@
 //! address or branch outcome. This mirrors what SMTsim extracts from Alpha
 //! traces.
 
-
 /// Number of architectural (logical) registers the synthetic ISA exposes.
 ///
 /// The Alpha has 32 integer + 32 floating-point registers; we model a flat
@@ -80,7 +79,10 @@ impl InstrClass {
     /// True for instructions dispatched to the floating-point queue.
     #[inline]
     pub fn is_fp(self) -> bool {
-        matches!(self, InstrClass::FpAlu | InstrClass::FpMul | InstrClass::FpDiv)
+        matches!(
+            self,
+            InstrClass::FpAlu | InstrClass::FpMul | InstrClass::FpDiv
+        )
     }
 
     /// True for instructions dispatched to the load/store queue.

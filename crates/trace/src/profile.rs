@@ -5,7 +5,6 @@
 //! with the fetch policy and the shared memory hierarchy. The concrete
 //! per-benchmark values live in [`crate::spec`].
 
-
 /// Integer vs floating-point suite (SPECint2000 vs SPECfp2000).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Suite {
@@ -144,7 +143,10 @@ impl MemProfile {
             return Err(format!("burst_boost {} < 1", self.burst_boost));
         }
         if self.stride_bytes == 0 || !self.stride_bytes.is_multiple_of(8) {
-            return Err(format!("stride_bytes {} must be a multiple of 8", self.stride_bytes));
+            return Err(format!(
+                "stride_bytes {} must be a multiple of 8",
+                self.stride_bytes
+            ));
         }
         if self.l1_ws_bytes == 0 || self.l2_ws_bytes == 0 || self.mem_ws_bytes == 0 {
             return Err("working sets must be non-empty".into());

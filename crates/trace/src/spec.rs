@@ -93,7 +93,9 @@ const fn mem(
     toggle: f64,
     boost: f64,
 ) -> MemProfile {
-    mem_strided(l1, l2, memf, l1_ws, l2_ws, mem_ws, stride, chase, toggle, boost, 64)
+    mem_strided(
+        l1, l2, memf, l1_ws, l2_ws, mem_ws, stride, chase, toggle, boost, 64,
+    )
 }
 
 /// Like [`mem`] but with an explicit stride width: FP array codes with
@@ -133,164 +135,589 @@ const fn mem_strided(
 pub static ALL_BENCHMARKS: [BenchProfile; 26] = [
     // -------- SPECint2000 --------
     prof(
-        "gzip", 'a', Suite::Int,
+        "gzip",
+        'a',
+        Suite::Int,
         int_mix(0.21, 0.08, 0.13, 0.03),
-        5.5, 0.91, 300, 7.0,
-        mem(0.9830, 0.0135, 0.0035, 12 * KB, 192 * KB, 32 * MB, 0.70, 0.00, 0.0005, 1.5),
+        5.5,
+        0.91,
+        300,
+        7.0,
+        mem(
+            0.9830,
+            0.0135,
+            0.0035,
+            12 * KB,
+            192 * KB,
+            32 * MB,
+            0.70,
+            0.00,
+            0.0005,
+            1.5,
+        ),
     ),
     prof(
-        "vpr", 'b', Suite::Int,
+        "vpr",
+        'b',
+        Suite::Int,
         int_mix(0.27, 0.10, 0.12, 0.03),
-        3.8, 0.89, 900, 5.5,
-        mem(0.9635, 0.0225, 0.0140, 14 * KB, 384 * KB, 48 * MB, 0.35, 0.06, 0.0010, 2.0),
+        3.8,
+        0.89,
+        900,
+        5.5,
+        mem(
+            0.9635,
+            0.0225,
+            0.0140,
+            14 * KB,
+            384 * KB,
+            48 * MB,
+            0.35,
+            0.06,
+            0.0010,
+            2.0,
+        ),
     ),
     prof(
-        "gcc", 'c', Suite::Int,
+        "gcc",
+        'c',
+        Suite::Int,
         int_mix(0.25, 0.13, 0.15, 0.05),
-        4.2, 0.90, 4000, 5.0,
-        mem(0.9728, 0.0203, 0.0070, 16 * KB, 512 * KB, 48 * MB, 0.40, 0.02, 0.0010, 1.8),
+        4.2,
+        0.90,
+        4000,
+        5.0,
+        mem(
+            0.9728,
+            0.0203,
+            0.0070,
+            16 * KB,
+            512 * KB,
+            48 * MB,
+            0.40,
+            0.02,
+            0.0010,
+            1.8,
+        ),
     ),
     prof(
         // mcf: the canonical SMT-killer — pointer chasing over a huge
         // working set, low ILP, frequent clustered L2 misses.
-        "mcf", 'd', Suite::Int,
+        "mcf",
+        'd',
+        Suite::Int,
         int_mix(0.31, 0.09, 0.19, 0.02),
-        3.0, 0.88, 400, 4.5,
-        mem(0.8575, 0.0585, 0.0840, 12 * KB, 768 * KB, 192 * MB, 0.10, 0.30, 0.0020, 2.5),
+        3.0,
+        0.88,
+        400,
+        4.5,
+        mem(
+            0.8575,
+            0.0585,
+            0.0840,
+            12 * KB,
+            768 * KB,
+            192 * MB,
+            0.10,
+            0.30,
+            0.0020,
+            2.5,
+        ),
     ),
     prof(
-        "crafty", 'e', Suite::Int,
+        "crafty",
+        'e',
+        Suite::Int,
         int_mix(0.28, 0.08, 0.11, 0.04),
-        5.0, 0.92, 1200, 6.5,
-        mem(0.9880, 0.0099, 0.0021, 14 * KB, 256 * KB, 24 * MB, 0.45, 0.00, 0.0005, 1.5),
+        5.0,
+        0.92,
+        1200,
+        6.5,
+        mem(
+            0.9880,
+            0.0099,
+            0.0021,
+            14 * KB,
+            256 * KB,
+            24 * MB,
+            0.45,
+            0.00,
+            0.0005,
+            1.5,
+        ),
     ),
     prof(
-        "perlbmk", 'f', Suite::Int,
+        "perlbmk",
+        'f',
+        Suite::Int,
         int_mix(0.26, 0.12, 0.13, 0.06),
-        4.5, 0.93, 2500, 5.5,
-        mem(0.9800, 0.0144, 0.0056, 14 * KB, 384 * KB, 32 * MB, 0.40, 0.02, 0.0008, 1.6),
+        4.5,
+        0.93,
+        2500,
+        5.5,
+        mem(
+            0.9800,
+            0.0144,
+            0.0056,
+            14 * KB,
+            384 * KB,
+            32 * MB,
+            0.40,
+            0.02,
+            0.0008,
+            1.6,
+        ),
     ),
     prof(
-        "parser", 'g', Suite::Int,
+        "parser",
+        'g',
+        Suite::Int,
         int_mix(0.24, 0.09, 0.14, 0.04),
-        3.5, 0.90, 1500, 5.0,
-        mem(0.9585, 0.0261, 0.0154, 14 * KB, 448 * KB, 64 * MB, 0.25, 0.10, 0.0012, 2.0),
+        3.5,
+        0.90,
+        1500,
+        5.0,
+        mem(
+            0.9585,
+            0.0261,
+            0.0154,
+            14 * KB,
+            448 * KB,
+            64 * MB,
+            0.25,
+            0.10,
+            0.0012,
+            2.0,
+        ),
     ),
     prof(
-        "eon", 'h', Suite::Int,
+        "eon",
+        'h',
+        Suite::Int,
         int_mix(0.26, 0.14, 0.09, 0.04),
-        6.0, 0.96, 1000, 8.0,
-        mem(0.9928, 0.0059, 0.0014, 12 * KB, 192 * KB, 16 * MB, 0.55, 0.00, 0.0004, 1.4),
+        6.0,
+        0.96,
+        1000,
+        8.0,
+        mem(
+            0.9928,
+            0.0059,
+            0.0014,
+            12 * KB,
+            192 * KB,
+            16 * MB,
+            0.55,
+            0.00,
+            0.0004,
+            1.4,
+        ),
     ),
     prof(
-        "gap", 'i', Suite::Int,
+        "gap",
+        'i',
+        Suite::Int,
         int_mix(0.23, 0.11, 0.12, 0.04),
-        4.8, 0.94, 1800, 6.0,
-        mem(0.9693, 0.0203, 0.0105, 14 * KB, 512 * KB, 48 * MB, 0.50, 0.04, 0.0010, 1.8),
+        4.8,
+        0.94,
+        1800,
+        6.0,
+        mem(
+            0.9693,
+            0.0203,
+            0.0105,
+            14 * KB,
+            512 * KB,
+            48 * MB,
+            0.50,
+            0.04,
+            0.0010,
+            1.8,
+        ),
     ),
     prof(
-        "vortex", 'j', Suite::Int,
+        "vortex",
+        'j',
+        Suite::Int,
         int_mix(0.27, 0.15, 0.11, 0.06),
-        4.6, 0.95, 5000, 5.5,
-        mem(0.9764, 0.0180, 0.0056, 16 * KB, 640 * KB, 40 * MB, 0.45, 0.02, 0.0008, 1.6),
+        4.6,
+        0.95,
+        5000,
+        5.5,
+        mem(
+            0.9764,
+            0.0180,
+            0.0056,
+            16 * KB,
+            640 * KB,
+            40 * MB,
+            0.45,
+            0.02,
+            0.0008,
+            1.6,
+        ),
     ),
     prof(
-        "bzip2", 'k', Suite::Int,
+        "bzip2",
+        'k',
+        Suite::Int,
         int_mix(0.24, 0.09, 0.12, 0.02),
-        5.2, 0.91, 350, 7.0,
-        mem(0.9750, 0.0180, 0.0070, 14 * KB, 512 * KB, 64 * MB, 0.65, 0.00, 0.0008, 1.8),
+        5.2,
+        0.91,
+        350,
+        7.0,
+        mem(
+            0.9750,
+            0.0180,
+            0.0070,
+            14 * KB,
+            512 * KB,
+            64 * MB,
+            0.65,
+            0.00,
+            0.0008,
+            1.8,
+        ),
     ),
     prof(
-        "twolf", 'l', Suite::Int,
+        "twolf",
+        'l',
+        Suite::Int,
         int_mix(0.26, 0.08, 0.13, 0.03),
-        3.6, 0.87, 1100, 5.0,
-        mem(0.9505, 0.0369, 0.0126, 16 * KB, 640 * KB, 48 * MB, 0.20, 0.08, 0.0012, 2.0),
+        3.6,
+        0.87,
+        1100,
+        5.0,
+        mem(
+            0.9505,
+            0.0369,
+            0.0126,
+            16 * KB,
+            640 * KB,
+            48 * MB,
+            0.20,
+            0.08,
+            0.0012,
+            2.0,
+        ),
     ),
     // -------- SPECfp2000 --------
     prof(
         // art: streaming neural-net simulation, terrible L2 behaviour.
-        "art", 'm', Suite::Fp,
+        "art",
+        'm',
+        Suite::Fp,
         fp_mix(0.29, 0.07, 0.09, 0.22, 0.14, 0.00),
-        3.0, 0.95, 250, 8.0,
-        mem_strided(0.8595, 0.0495, 0.0910, 12 * KB, 768 * KB, 128 * MB, 0.55, 0.10, 0.0015, 2.2, 128),
+        3.0,
+        0.95,
+        250,
+        8.0,
+        mem_strided(
+            0.8595,
+            0.0495,
+            0.0910,
+            12 * KB,
+            768 * KB,
+            128 * MB,
+            0.55,
+            0.10,
+            0.0015,
+            2.2,
+            128,
+        ),
     ),
     prof(
-        "swim", 'n', Suite::Fp,
+        "swim",
+        'n',
+        Suite::Fp,
         fp_mix(0.27, 0.09, 0.04, 0.24, 0.16, 0.01),
-        6.5, 0.985, 150, 14.0,
-        mem_strided(0.8838, 0.0428, 0.0735, 14 * KB, 896 * KB, 160 * MB, 0.85, 0.00, 0.0010, 2.0, 256),
+        6.5,
+        0.985,
+        150,
+        14.0,
+        mem_strided(
+            0.8838,
+            0.0428,
+            0.0735,
+            14 * KB,
+            896 * KB,
+            160 * MB,
+            0.85,
+            0.00,
+            0.0010,
+            2.0,
+            256,
+        ),
     ),
     prof(
-        "apsi", 'o', Suite::Fp,
+        "apsi",
+        'o',
+        Suite::Fp,
         fp_mix(0.25, 0.10, 0.06, 0.22, 0.15, 0.01),
-        5.5, 0.97, 600, 10.0,
-        mem(0.9525, 0.0279, 0.0196, 14 * KB, 640 * KB, 96 * MB, 0.70, 0.00, 0.0010, 1.8),
+        5.5,
+        0.97,
+        600,
+        10.0,
+        mem(
+            0.9525,
+            0.0279,
+            0.0196,
+            14 * KB,
+            640 * KB,
+            96 * MB,
+            0.70,
+            0.00,
+            0.0010,
+            1.8,
+        ),
     ),
     prof(
-        "wupwise", 'p', Suite::Fp,
+        "wupwise",
+        'p',
+        Suite::Fp,
         fp_mix(0.23, 0.09, 0.05, 0.23, 0.18, 0.01),
-        7.0, 0.98, 300, 12.0,
-        mem_strided(0.9772, 0.0158, 0.0070, 12 * KB, 512 * KB, 64 * MB, 0.75, 0.00, 0.0006, 1.6, 256),
+        7.0,
+        0.98,
+        300,
+        12.0,
+        mem_strided(
+            0.9772,
+            0.0158,
+            0.0070,
+            12 * KB,
+            512 * KB,
+            64 * MB,
+            0.75,
+            0.00,
+            0.0006,
+            1.6,
+            256,
+        ),
     ),
     prof(
-        "equake", 'q', Suite::Fp,
+        "equake",
+        'q',
+        Suite::Fp,
         fp_mix(0.30, 0.08, 0.07, 0.23, 0.13, 0.01),
-        4.0, 0.96, 400, 9.0,
-        mem_strided(0.9163, 0.0383, 0.0455, 14 * KB, 768 * KB, 96 * MB, 0.45, 0.12, 0.0015, 2.2, 128),
+        4.0,
+        0.96,
+        400,
+        9.0,
+        mem_strided(
+            0.9163,
+            0.0383,
+            0.0455,
+            14 * KB,
+            768 * KB,
+            96 * MB,
+            0.45,
+            0.12,
+            0.0015,
+            2.2,
+            128,
+        ),
     ),
     prof(
-        "galgel", 'x', Suite::Fp,
+        "galgel",
+        'x',
+        Suite::Fp,
         fp_mix(0.26, 0.08, 0.06, 0.26, 0.17, 0.01),
-        5.8, 0.975, 450, 11.0,
-        mem_strided(0.9497, 0.0293, 0.0210, 14 * KB, 640 * KB, 80 * MB, 0.70, 0.00, 0.0010, 1.8, 256),
+        5.8,
+        0.975,
+        450,
+        11.0,
+        mem_strided(
+            0.9497,
+            0.0293,
+            0.0210,
+            14 * KB,
+            640 * KB,
+            80 * MB,
+            0.70,
+            0.00,
+            0.0010,
+            1.8,
+            256,
+        ),
     ),
     prof(
-        "lucas", 'r', Suite::Fp,
+        "lucas",
+        'r',
+        Suite::Fp,
         fp_mix(0.24, 0.10, 0.03, 0.26, 0.19, 0.01),
-        6.0, 0.985, 200, 15.0,
-        mem_strided(0.8895, 0.0405, 0.0700, 14 * KB, 896 * KB, 144 * MB, 0.80, 0.00, 0.0010, 2.0, 512),
+        6.0,
+        0.985,
+        200,
+        15.0,
+        mem_strided(
+            0.8895,
+            0.0405,
+            0.0700,
+            14 * KB,
+            896 * KB,
+            144 * MB,
+            0.80,
+            0.00,
+            0.0010,
+            2.0,
+            512,
+        ),
     ),
     prof(
-        "mesa", 's', Suite::Fp,
+        "mesa",
+        's',
+        Suite::Fp,
         fp_mix(0.25, 0.11, 0.08, 0.20, 0.13, 0.01),
-        5.5, 0.97, 900, 8.0,
-        mem(0.9878, 0.0095, 0.0028, 12 * KB, 256 * KB, 32 * MB, 0.60, 0.00, 0.0005, 1.5),
+        5.5,
+        0.97,
+        900,
+        8.0,
+        mem(
+            0.9878,
+            0.0095,
+            0.0028,
+            12 * KB,
+            256 * KB,
+            32 * MB,
+            0.60,
+            0.00,
+            0.0005,
+            1.5,
+        ),
     ),
     prof(
-        "fma3d", 't', Suite::Fp,
+        "fma3d",
+        't',
+        Suite::Fp,
         fp_mix(0.26, 0.12, 0.07, 0.22, 0.14, 0.01),
-        5.0, 0.965, 1500, 9.0,
-        mem(0.9693, 0.0203, 0.0105, 14 * KB, 640 * KB, 96 * MB, 0.55, 0.02, 0.0010, 1.8),
+        5.0,
+        0.965,
+        1500,
+        9.0,
+        mem(
+            0.9693,
+            0.0203,
+            0.0105,
+            14 * KB,
+            640 * KB,
+            96 * MB,
+            0.55,
+            0.02,
+            0.0010,
+            1.8,
+        ),
     ),
     prof(
-        "sixtrack", 'u', Suite::Fp,
+        "sixtrack",
+        'u',
+        Suite::Fp,
         fp_mix(0.22, 0.09, 0.06, 0.25, 0.18, 0.02),
-        6.5, 0.975, 800, 10.0,
-        mem(0.9902, 0.0077, 0.0021, 12 * KB, 256 * KB, 24 * MB, 0.65, 0.00, 0.0004, 1.4),
+        6.5,
+        0.975,
+        800,
+        10.0,
+        mem(
+            0.9902,
+            0.0077,
+            0.0021,
+            12 * KB,
+            256 * KB,
+            24 * MB,
+            0.65,
+            0.00,
+            0.0004,
+            1.4,
+        ),
     ),
     prof(
-        "facerec", 'v', Suite::Fp,
+        "facerec",
+        'v',
+        Suite::Fp,
         fp_mix(0.25, 0.08, 0.06, 0.24, 0.16, 0.01),
-        5.5, 0.97, 500, 10.0,
-        mem_strided(0.9470, 0.0306, 0.0224, 14 * KB, 704 * KB, 96 * MB, 0.65, 0.00, 0.0010, 1.8, 512),
+        5.5,
+        0.97,
+        500,
+        10.0,
+        mem_strided(
+            0.9470,
+            0.0306,
+            0.0224,
+            14 * KB,
+            704 * KB,
+            96 * MB,
+            0.65,
+            0.00,
+            0.0010,
+            1.8,
+            512,
+        ),
     ),
     prof(
-        "applu", 'w', Suite::Fp,
+        "applu",
+        'w',
+        Suite::Fp,
         fp_mix(0.26, 0.10, 0.04, 0.25, 0.17, 0.01),
-        6.0, 0.98, 350, 13.0,
-        mem_strided(0.9285, 0.0351, 0.0364, 14 * KB, 832 * KB, 128 * MB, 0.80, 0.00, 0.0010, 1.9, 256),
+        6.0,
+        0.98,
+        350,
+        13.0,
+        mem_strided(
+            0.9285,
+            0.0351,
+            0.0364,
+            14 * KB,
+            832 * KB,
+            128 * MB,
+            0.80,
+            0.00,
+            0.0010,
+            1.9,
+            256,
+        ),
     ),
     prof(
-        "ammp", 'y', Suite::Fp,
+        "ammp",
+        'y',
+        Suite::Fp,
         fp_mix(0.28, 0.09, 0.07, 0.22, 0.14, 0.01),
-        3.8, 0.96, 600, 8.0,
-        mem(0.9048, 0.0428, 0.0525, 14 * KB, 832 * KB, 112 * MB, 0.30, 0.15, 0.0015, 2.2),
+        3.8,
+        0.96,
+        600,
+        8.0,
+        mem(
+            0.9048,
+            0.0428,
+            0.0525,
+            14 * KB,
+            832 * KB,
+            112 * MB,
+            0.30,
+            0.15,
+            0.0015,
+            2.2,
+        ),
     ),
     prof(
-        "mgrid", 'z', Suite::Fp,
+        "mgrid",
+        'z',
+        Suite::Fp,
         fp_mix(0.29, 0.07, 0.03, 0.26, 0.17, 0.01),
-        6.5, 0.985, 250, 14.0,
-        mem_strided(0.9440, 0.0315, 0.0245, 14 * KB, 768 * KB, 112 * MB, 0.85, 0.00, 0.0008, 1.8, 256),
+        6.5,
+        0.985,
+        250,
+        14.0,
+        mem_strided(
+            0.9440,
+            0.0315,
+            0.0245,
+            14 * KB,
+            768 * KB,
+            112 * MB,
+            0.85,
+            0.00,
+            0.0008,
+            1.8,
+            256,
+        ),
     ),
 ];
 

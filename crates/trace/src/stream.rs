@@ -45,7 +45,9 @@ impl<S: InstrStream> ReplayableStream<S> {
     /// Fetch the next instruction: a pending replay if any, otherwise a
     /// fresh instruction from the underlying stream.
     pub fn fetch(&mut self) -> DynInstr {
-        self.replay.pop_front().unwrap_or_else(|| self.inner.next_instr())
+        self.replay
+            .pop_front()
+            .unwrap_or_else(|| self.inner.next_instr())
     }
 
     /// Peek at the next instruction without consuming it.

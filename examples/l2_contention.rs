@@ -16,10 +16,7 @@ fn main() {
         eprintln!("bad value for --fidelity: {e}");
         std::process::exit(2);
     });
-    let cycles: u64 = args
-        .first()
-        .and_then(|c| c.parse().ok())
-        .unwrap_or(80_000);
+    let cycles: u64 = args.first().and_then(|c| c.parse().ok()).unwrap_or(80_000);
 
     for size in [2usize, 4, 6, 8] {
         let workloads = Workload::of_size(size);

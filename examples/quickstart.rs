@@ -21,10 +21,7 @@ fn main() {
         std::process::exit(2);
     });
     let workload = args.first().map(String::as_str).unwrap_or("4W3");
-    let cycles: u64 = args
-        .get(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or(100_000);
+    let cycles: u64 = args.get(1).and_then(|c| c.parse().ok()).unwrap_or(100_000);
     let trace_file = args.get(2);
 
     let w = Workload::by_name(workload).unwrap_or_else(|| {
@@ -65,7 +62,10 @@ fn main() {
 
     println!("policy            {}", result.policy);
     println!("system throughput {:.4} IPC", result.throughput());
-    println!("committed         {} instructions", result.total_committed());
+    println!(
+        "committed         {} instructions",
+        result.total_committed()
+    );
     for (i, (name, ipc)) in w
         .benchmark_names()
         .iter()

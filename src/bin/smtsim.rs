@@ -108,11 +108,7 @@ impl Args {
                     eprintln!("--{name} given twice");
                     usage();
                 }
-                let value = if it
-                    .peek()
-                    .map(|v| !v.starts_with("--"))
-                    .unwrap_or(false)
-                {
+                let value = if it.peek().map(|v| !v.starts_with("--")).unwrap_or(false) {
                     it.next().unwrap().clone()
                 } else {
                     String::from("true")
@@ -228,7 +224,11 @@ fn cmd_run(args: &Args) {
     println!("workload   {workload}");
     println!("policy     {}", r.policy);
     println!("cycles     {}", r.cycles);
-    println!("throughput {:.4} IPC ({} committed)", r.throughput(), r.total_committed());
+    println!(
+        "throughput {:.4} IPC ({} committed)",
+        r.throughput(),
+        r.total_committed()
+    );
     for (i, ipc) in r.per_thread_ipc().iter().enumerate() {
         println!("  thread {i} ({}) IPC {ipc:.4}", cfg.benchmarks[i]);
     }

@@ -27,19 +27,19 @@
 //! assert!(result.total_committed() > 0);
 //! ```
 
+pub use smtsim_core as sim;
 pub use smtsim_cpu as cpu;
 pub use smtsim_energy as energy;
 pub use smtsim_mem as mem;
 pub use smtsim_obs as obs;
 pub use smtsim_policy as policy;
-pub use smtsim_core as sim;
 pub use smtsim_trace as trace;
 
 /// Most-used items in one import.
 pub mod prelude {
     pub use smtsim_core::config::SimConfig;
-    pub use smtsim_core::sim::Simulator;
     pub use smtsim_core::fidelity::Fidelity;
+    pub use smtsim_core::sim::Simulator;
     pub use smtsim_core::workloads::Workload;
     pub use smtsim_policy::PolicyKind;
     pub use smtsim_trace::spec;

@@ -62,12 +62,11 @@ fn golden_commit_order_holds_through_the_full_stack() {
 fn simulation_is_deterministic_end_to_end() {
     let run = || {
         let w = Workload::by_name("6W5").unwrap();
-        let r = Simulator::build(
-            &SimConfig::for_workload(w, PolicyKind::Mflush).with_cycles(10_000),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let r =
+            Simulator::build(&SimConfig::for_workload(w, PolicyKind::Mflush).with_cycles(10_000))
+                .unwrap()
+                .run()
+                .unwrap();
         (
             r.total_committed(),
             r.total_flushes(),
@@ -109,8 +108,14 @@ fn config_clones_validate_and_rebuild_identically() {
     let cfg = SimConfig::for_workload(w, PolicyKind::FlushSpec(70));
     cfg.validate().unwrap();
     let again = cfg.clone();
-    let a = Simulator::build(&cfg.with_cycles(2_000)).unwrap().run().unwrap();
-    let b = Simulator::build(&again.with_cycles(2_000)).unwrap().run().unwrap();
+    let a = Simulator::build(&cfg.with_cycles(2_000))
+        .unwrap()
+        .run()
+        .unwrap();
+    let b = Simulator::build(&again.with_cycles(2_000))
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(a.total_committed(), b.total_committed());
 }
 

@@ -5,9 +5,9 @@
 //! numbers live in EXPERIMENTS.md and are regenerated by
 //! `cargo run --release -p smtsim-bench --bin figures`.
 
+use mflush::policy::mflush::MflushConfig;
 use mflush::prelude::*;
 use mflush::sim::{run_sweep_ok, SweepJob};
-use mflush::policy::mflush::MflushConfig;
 
 const CYCLES: u64 = 40_000;
 
