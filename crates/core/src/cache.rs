@@ -17,12 +17,16 @@
 //! {"job":N,"label":"...","cfg":"<fnv64 hex>","ok":true,"result":{...},"sum":"<fnv64 hex>"}
 //! ```
 //!
-//! `sum` is the FNV-1a hash of the line *without* the `sum` field. A
-//! torn tail (kill -9 mid-append), a truncated line, or a flipped bit
-//! anywhere either breaks the JSON parse, breaks the checksum, or
-//! flips the checksum itself — all three read as "skip and
+//! `sum` is the FNV-1a hash of the line *without* the `sum` field.
+//! Loading checks it before it parses anything: it hashes the line up
+//! to the last `,"sum":"` plus a closing `}`, in place, and compares
+//! the result byte for byte with the 16 lowercase hex digits written
+//! there. A torn tail (kill -9 mid-append), a truncated line, or a
+//! flipped bit anywhere fails that check — or, for the few damaged
+//! lines that pass it, the JSON parse — and reads as "skip and
 //! re-simulate", never as a wrong cached answer and never as a panic
-//! (`crates/serve/tests/corruption.rs` fuzzes exactly this).
+//! (`crates/serve/tests/corruption.rs` fuzzes exactly this). Only an
+//! intact line is parsed into a result.
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -279,22 +283,29 @@ pub fn format_cache_line(seq: u64, label: &str, fingerprint: &str, outcome: &Job
     }
     let sum = fnv64(body.as_bytes());
     body.pop(); // reopen the object to splice in the checksum
-    body.push_str(&format!(",\"sum\":\"{sum:016x}\"}}\n"));
+    let _ = writeln!(body, ",\"sum\":\"{sum:016x}\"}}");
     body
 }
 
 /// Parse and verify one cache line. Returns `None` — never panics —
 /// for anything torn, truncated, bit-flipped or otherwise not written
 /// by [`format_cache_line`].
+///
+/// The checksum is checked first, straight on `line`, so a corrupt line
+/// costs one hash and no parse.
 pub fn parse_cache_line(line: &str) -> Option<(String, CacheEntry)> {
-    let v = parse_json(line).ok()?;
-    let sum = v.req_str("sum").ok()?;
     // Re-derive the checksum over the line as it looked before the
-    // `sum` field was spliced in.
-    let idx = line.rfind(",\"sum\":\"")?;
-    let mut prefix = line[..idx].to_string();
-    prefix.push('}');
-    if format!("{:016x}", fnv64(prefix.as_bytes())) != sum {
+    // `sum` field was spliced in: everything before it, then `}`.
+    const SUM_KEY: &str = ",\"sum\":\"";
+    let idx = line.rfind(SUM_KEY)?;
+    let bytes = line.as_bytes();
+    let sum = hex16(fnv64_extend(fnv64(&bytes[..idx]), b"}"));
+    if !bytes[idx + SUM_KEY.len()..].starts_with(&sum) {
+        return None;
+    }
+    let v = parse_json(line).ok()?;
+    // ...and the field holds those 16 digits and nothing more.
+    if v.req_str("sum").ok()?.as_bytes() != sum {
         return None;
     }
     let fingerprint = v.req_str("cfg").ok()?.to_string();
@@ -305,6 +316,15 @@ pub fn parse_cache_line(line: &str) -> Option<(String, CacheEntry)> {
         Err(SimError::from_json(v.get("error")?).ok()?)
     };
     Some((fingerprint, CacheEntry { label, outcome }))
+}
+
+/// `h` as 16 lowercase hex digits, the way `{:016x}` writes it.
+fn hex16(h: u64) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (i, digit) in out.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(h >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out
 }
 
 #[cfg(test)]

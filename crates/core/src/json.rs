@@ -21,6 +21,7 @@ use crate::result::SimResult;
 use smtsim_cpu::{CoreStats, ThreadStats};
 use smtsim_energy::EnergyAccount;
 use smtsim_mem::{CoreMemStats, LatencyHistogram, MemStats};
+use std::fmt::Write as _;
 
 /// Types that can render themselves as a JSON value.
 pub trait ToJson {
@@ -35,24 +36,35 @@ pub trait ToJson {
     }
 }
 
-/// Escape and quote a string into `out`.
+/// Escape and quote a string into `out`. Runs of bytes that need no
+/// escape are copied with one `push_str` each, so a string without
+/// specials costs one copy.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `run..i` falls on char
+        // boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            // Writing to a String cannot fail.
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -91,7 +103,9 @@ macro_rules! int_to_json {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn write_json(&self, out: &mut String) {
-                out.push_str(itoa_buf(*self as i128).as_str());
+                // `Display` formats into `out` directly; writing to a
+                // String cannot fail.
+                let _ = write!(out, "{self}");
             }
         }
     )*};
@@ -99,24 +113,17 @@ macro_rules! int_to_json {
 
 int_to_json!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-/// Integer formatting without a heap allocation per call.
-fn itoa_buf(v: i128) -> String {
-    // Plain `to_string` is already allocation-minimal; kept behind one
-    // function so a faster path could slot in without touching callers.
-    v.to_string()
-}
-
 impl ToJson for f64 {
     fn write_json(&self, out: &mut String) {
         if self.is_finite() {
             // Shortest-roundtrip decimal; always re-reads as this bit
             // pattern. JSON has no NaN/Infinity, those become null.
-            let s = format!("{self}");
-            out.push_str(&s);
+            let start = out.len();
+            let _ = write!(out, "{self}");
             // `Display` prints integral floats without a dot ("2"); that
             // is valid JSON but would re-parse as an integer. Keep the
             // type explicit.
-            if !s.contains(['.', 'e', 'E']) {
+            if !out[start..].contains(['.', 'e', 'E']) {
                 out.push_str(".0");
             }
         } else {
@@ -308,12 +315,14 @@ impl JsonValue {
 
 /// Parse one complete JSON document. Trailing non-whitespace is an
 /// error.
+///
+/// Linear in the document's length: a string is copied run by run, and
+/// numbers are read as slices of `src`.
 pub fn parse_json(src: &str) -> Result<JsonValue, String> {
-    let bytes = src.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(src, &mut pos)?;
+    skip_ws(src.as_bytes(), &mut pos);
+    if pos != src.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -346,16 +355,17 @@ fn expect_byte(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(src: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = src.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(src, pos),
+        Some(b'[') => parse_array(src, pos),
+        Some(b'"') => Ok(JsonValue::Str(parse_string(src, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", JsonValue::Null),
-        Some(b) if *b == b'-' || b.is_ascii_digit() => parse_number(bytes, pos),
+        Some(b) if *b == b'-' || b.is_ascii_digit() => parse_number(src, pos),
         Some(b) => Err(format!("unexpected {:?} at byte {}", *b as char, *pos)),
         None => Err("unexpected end of input".into()),
     }
@@ -375,7 +385,8 @@ fn parse_keyword(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(src: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = src.as_bytes();
     expect_byte(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -385,10 +396,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(src, pos)?;
         skip_ws(bytes, pos);
         expect_byte(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(src, pos)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -402,7 +413,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(src: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = src.as_bytes();
     expect_byte(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -411,7 +423,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(src, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -424,74 +436,73 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = src.as_bytes();
     expect_byte(bytes, pos, b'"')?;
     let mut s = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(s);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'u') => {
-                        let code = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        // Our emitter never writes surrogates (it only
-                        // escapes control bytes), but decode pairs
-                        // anyway so hand-edited journals still parse.
-                        let c = if (0xd800..0xdc00).contains(&code) {
-                            if bytes.get(*pos + 1..*pos + 3) != Some(b"\\u") {
-                                return Err("lone high surrogate".into());
-                            }
-                            let low = parse_hex4(bytes, *pos + 3)?;
-                            *pos += 6;
-                            if !(0xdc00..0xe000).contains(&low) {
-                                return Err("invalid low surrogate".into());
-                            }
-                            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
-                        } else {
-                            code
-                        };
-                        s.push(
-                            char::from_u32(c).ok_or_else(|| format!("invalid codepoint {c:#x}"))?,
-                        );
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one whole UTF-8 character (input is &str, so
-                // boundaries are valid).
-                let rest = &bytes[*pos..];
-                let tail = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let c = tail.chars().next().ok_or("unterminated string")?;
-                s.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash in one step.
+        // It starts after an ASCII byte and ends on one, so it is a
+        // whole number of UTF-8 characters of `src`.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        s.push_str(&src[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(s);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => s.push('"'),
+            Some(b'\\') => s.push('\\'),
+            Some(b'/') => s.push('/'),
+            Some(b'n') => s.push('\n'),
+            Some(b'r') => s.push('\r'),
+            Some(b't') => s.push('\t'),
+            Some(b'b') => s.push('\u{8}'),
+            Some(b'f') => s.push('\u{c}'),
+            Some(b'u') => {
+                let code = parse_hex4(src, *pos + 1)?;
+                *pos += 4;
+                // Our emitter never writes surrogates (it only escapes
+                // control bytes), but decode pairs anyway so
+                // hand-edited journals still parse.
+                let c = if (0xd800..0xdc00).contains(&code) {
+                    if bytes.get(*pos + 1..*pos + 3) != Some(b"\\u") {
+                        return Err("lone high surrogate".into());
+                    }
+                    let low = parse_hex4(src, *pos + 3)?;
+                    *pos += 6;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        return Err("invalid low surrogate".into());
+                    }
+                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                } else {
+                    code
+                };
+                s.push(char::from_u32(c).ok_or_else(|| format!("invalid codepoint {c:#x}"))?);
+            }
+            _ => return Err(format!("bad escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
 }
 
-fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
-    let chunk = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
-    let text = std::str::from_utf8(chunk).map_err(|e| e.to_string())?;
+fn parse_hex4(src: &str, at: usize) -> Result<u32, String> {
+    // `get` also refuses a range that would split a character.
+    let text = src.get(at..at + 4).ok_or("truncated \\u escape")?;
+    // `from_str_radix` alone would also take a sign ("+12f").
+    if !text.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(format!("bad \\u escape {text:?}"));
+    }
     u32::from_str_radix(text, 16).map_err(|e| e.to_string())
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_number(src: &str, pos: &mut usize) -> Result<JsonValue, String> {
+    let bytes = src.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -502,7 +513,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    // Every byte taken is ASCII, so this slice needs no re-validation.
+    let text = &src[start..*pos];
     let integral = !text.contains(['.', 'e', 'E']);
     if integral {
         if let Some(digits) = text.strip_prefix('-') {
@@ -653,14 +665,32 @@ mod tests {
 
     #[test]
     fn scalars_render() {
+        // The extremes were captured from the emitter as it stood
+        // before numbers were formatted straight into the output.
         assert_eq!(42u64.to_json(), "42");
         assert_eq!((-7i64).to_json(), "-7");
+        assert_eq!((-1i64).to_json(), "-1");
+        assert_eq!(0u64.to_json(), "0");
+        assert_eq!(u64::MAX.to_json(), "18446744073709551615");
+        assert_eq!(i64::MIN.to_json(), "-9223372036854775808");
+        assert_eq!(usize::MAX.to_json(), usize::MAX.to_string());
         assert_eq!(true.to_json(), "true");
         assert_eq!(1.5f64.to_json(), "1.5");
         assert_eq!(2.0f64.to_json(), "2.0");
+        assert_eq!(0.0f64.to_json(), "0.0");
+        assert_eq!((-0.0f64).to_json(), "-0.0");
+        assert_eq!(0.1f64.to_json(), "0.1");
+        assert_eq!(1e-7f64.to_json(), "0.0000001");
+        assert_eq!(1e300f64.to_json(), format!("1{}.0", "0".repeat(300)));
         assert_eq!(f64::NAN.to_json(), "null");
         assert_eq!(f64::INFINITY.to_json(), "null");
         assert_eq!("hi".to_json(), "\"hi\"");
+        // Appending keeps what the buffer already holds.
+        let mut out = String::from("[");
+        2.0f64.write_json(&mut out);
+        out.push(',');
+        (-1i64).write_json(&mut out);
+        assert_eq!(out, "[2.0,-1");
     }
 
     #[test]
@@ -750,6 +780,20 @@ mod tests {
             "[1 2]",
             "\"\\q\"",
             "\"\\u12\"",
+            // Broken strings and escapes, also around multi-byte text.
+            r#""\u12"#,
+            r#""\u"#,
+            "\"\\u00é\"",
+            "\"\\u😀\"",
+            r#""\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ude""#,
+            r#""\ude00""#,
+            r#""\u+12f""#,
+            "\"\\",
+            "\"é\\",
+            "\"漢",
+            &format!("{{\"a\":[{}\"tail", "1,".repeat(50_000)),
         ] {
             assert!(parse_json(bad).is_err(), "accepted malformed {bad:?}");
         }
@@ -766,5 +810,55 @@ mod tests {
         assert_eq!(v.req_u64("cycles").unwrap(), 150000);
         assert_eq!(v.req_opt_u64("min").unwrap(), None);
         assert_eq!(v.req_str("note").unwrap(), "a\nb");
+    }
+
+    #[test]
+    fn strings_roundtrip_through_emitter_and_parser() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        for text in [
+            "",
+            "plain",
+            "é",
+            "漢",
+            "😀",
+            "naïve 漢字 😀 mixed",
+            "\"\\\n\r\t\u{8}\u{c}",
+            "é\"漢\\😀\n",
+            controls.as_str(),
+            "\u{7f}\u{1}x\u{1f}😀\u{0}",
+        ] {
+            let json = text.to_json();
+            assert_eq!(
+                parse_json(&json).unwrap(),
+                JsonValue::Str(text.into()),
+                "{json}"
+            );
+        }
+        assert_eq!("é漢😀".to_json(), "\"é漢😀\"");
+        assert_eq!(
+            "\u{0}\u{1f}".to_json(),
+            "\"\\u0000\\u001f\"",
+            "bare control bytes use the \\u form"
+        );
+        // Surrogate pairs and other `\u` escapes decode.
+        assert_eq!(
+            parse_json(r#""\ud83d\ude00 \u00e9\u6f22""#).unwrap(),
+            JsonValue::Str("😀 é漢".into())
+        );
+        // Raw control bytes inside a string are taken as they are.
+        assert_eq!(
+            parse_json("\"a\u{1}\tb\"").unwrap(),
+            JsonValue::Str("a\u{1}\tb".into())
+        );
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses() {
+        let text: String = "ab漢\"😀\n".repeat(1 << 17);
+        assert!(text.len() >= 1 << 20);
+        let mut doc = String::from("{\"s\":");
+        text.write_json(&mut doc);
+        doc.push('}');
+        assert_eq!(parse_json(&doc).unwrap().req_str("s").unwrap(), text);
     }
 }

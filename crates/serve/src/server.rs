@@ -372,10 +372,14 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
     };
     let fingerprint = config_fingerprint(&cfg);
 
-    if let Some(entry) = lock_clean(&shared.cache).cached(&fingerprint) {
-        let outcome = entry.outcome.clone();
+    // A hit renders its body from the cached entry under the lock; the
+    // lock is released before the answer is written.
+    let hit = lock_clean(&shared.cache)
+        .cached(&fingerprint)
+        .map(|entry| render_outcome(&entry.outcome));
+    if let Some(answer) = hit {
         ServeCounters::bump_tally(&shared.counters.cache_hits);
-        respond_outcome(shared, stream, ordinal, &outcome, "hit");
+        respond_outcome(shared, stream, ordinal, answer, "hit");
         return;
     }
 
@@ -395,11 +399,11 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
     ServeCounters::bump_tally(&shared.counters.cache_misses);
 
     if !leader {
-        let outcome = {
+        let answer = {
             let mut done = lock_clean(&slot.done);
             loop {
                 if let Some(outcome) = done.as_ref() {
-                    break outcome.clone();
+                    break render_outcome(outcome);
                 }
                 done = slot
                     .cv
@@ -408,7 +412,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
                     .0;
             }
         };
-        respond_outcome(shared, stream, ordinal, &outcome, "coalesced");
+        respond_outcome(shared, stream, ordinal, answer, "coalesced");
         return;
     }
 
@@ -420,7 +424,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
         slot.cv.notify_all();
     }
     lock_clean(&shared.inflight).remove(&fingerprint);
-    respond_outcome(shared, stream, ordinal, &outcome, "miss");
+    respond_outcome(shared, stream, ordinal, render_outcome(&outcome), "miss");
 }
 
 /// Run the job once. A panic comes back as `SimError::JobPanicked`
@@ -473,20 +477,34 @@ fn persist_outcome(
     cache.store_outcome(fingerprint, label, outcome);
 }
 
-/// Answer with the outcome: 200 + `SimResult` JSON (byte-identical to
-/// `smtsim run --json`) or 500 + `SimError` JSON. `X-Cache` says how
-/// the answer was produced (`hit`/`miss`/`coalesced`).
+/// The status, reason and body that answer `outcome`: 200 +
+/// `SimResult` JSON (byte-identical to `smtsim run --json`) or 500 +
+/// `SimError` JSON.
+fn render_outcome(outcome: &JobOutcome) -> (u16, &'static str, String) {
+    let mut body = String::new();
+    let (status, reason) = match outcome {
+        Ok(result) => {
+            result.write_json(&mut body);
+            (200, "OK")
+        }
+        Err(err) => {
+            err.write_json(&mut body);
+            (500, "Internal Server Error")
+        }
+    };
+    body.push('\n');
+    (status, reason, body)
+}
+
+/// Write a rendered answer. `X-Cache` says how it was produced
+/// (`hit`/`miss`/`coalesced`).
 fn respond_outcome(
     shared: &Arc<Shared>,
     stream: &mut TcpStream,
     ordinal: u64,
-    outcome: &JobOutcome,
+    (status, reason, body): (u16, &str, String),
     cache_state: &str,
 ) {
-    let (status, reason, body) = match outcome {
-        Ok(result) => (200, "OK", format!("{}\n", result.to_json())),
-        Err(err) => (500, "Internal Server Error", format!("{}\n", err.to_json())),
-    };
     let headers = [("X-Cache", cache_state)];
     if shared.cfg.fault.wants_response_drop(ordinal) {
         respond_http_truncated(stream, status, reason, &headers, &body);

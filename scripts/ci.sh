@@ -9,6 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== format (cargo fmt --check) =="
+# Gate 0: the workspace stays in default rustfmt style. The benchmark
+# package is not a workspace member, so this does not reach it.
+cargo fmt --all -- --check
+
 echo "== build (release, offline) =="
 # Gate 1.
 cargo build --release --offline --workspace
