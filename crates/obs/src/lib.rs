@@ -351,12 +351,34 @@ pub const METRIC_SERVE_SHED_TOTAL: MetricSpec = MetricSpec {
     figure: "",
 };
 
+/// Connections accepted, whatever became of them.
+pub const METRIC_SERVE_CONNECTIONS_TOTAL: MetricSpec = MetricSpec {
+    name: "serve.connections_total",
+    unit: "connections",
+    kind: MetricKind::Counter,
+    krate: "serve",
+    doc: "Connections accepted, shed ones included; a kept-alive connection carries many requests, so this stays far below serve.requests_total under a reusing client.",
+    figure: "",
+};
+
+/// Requests read whole, on any connection.
+pub const METRIC_SERVE_REQUESTS_TOTAL: MetricSpec = MetricSpec {
+    name: "serve.requests_total",
+    unit: "requests",
+    kind: MetricKind::Counter,
+    krate: "serve",
+    doc: "Requests read whole by a worker, on new and kept-alive connections alike (requests shed by the accept thread are not read).",
+    figure: "",
+};
+
 /// Every serve-layer metric, in documentation order.
 pub const SERVE_METRICS: &[MetricSpec] = &[
     METRIC_SERVE_QUEUE_DEPTH,
     METRIC_SERVE_CACHE_HITS,
     METRIC_SERVE_CACHE_MISSES,
     METRIC_SERVE_SHED_TOTAL,
+    METRIC_SERVE_CONNECTIONS_TOTAL,
+    METRIC_SERVE_REQUESTS_TOTAL,
 ];
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Tests-only fault injection for the serving layer, mirroring the
 //! memory-system `FaultPlan` idiom: the plan is plain data, `Default`
 //! injects nothing, and production code paths consult it at a handful
-//! of well-named seams. Requests are identified by their **ordinal**
-//! (1-based accept order), so a test can aim a fault at exactly one
-//! request in a scripted sequence.
+//! of well-named seams. Requests are identified by their **ordinal**:
+//! 1-based, in the order workers read requests, counting every request
+//! on a kept-alive connection (not connections). A test can aim a fault
+//! at exactly one request in a scripted sequence, the second request on
+//! one connection included.
 
 /// What to break, and for which request. `Default` breaks nothing.
 #[derive(Debug, Clone, Copy, Default)]

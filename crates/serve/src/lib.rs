@@ -1,8 +1,9 @@
 //! `smtsim-serve` — the fault-tolerant sweep service (DESIGN.md §15).
 //!
 //! A std-only HTTP/1.1 server (`std::net::TcpListener` + a
-//! `std::thread` worker pool) that accepts simulation config JSON on
-//! `POST /run`, validates it through the existing
+//! `std::thread` worker pool, persistent connections) that accepts
+//! simulation config JSON on `POST /run`, validates it through the
+//! existing
 //! [`SimConfig::validate`](smtsim_core::SimConfig::validate) path
 //! (400s with did-you-mean hints), and answers repeat queries
 //! **byte-identically** from a persistent fingerprint-keyed result

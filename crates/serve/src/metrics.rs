@@ -19,6 +19,13 @@ pub struct ServeCounters {
     /// `serve.shed_total` — requests refused 429/503 under load or
     /// drain.
     pub shed_total: AtomicU64,
+    /// `serve.connections_total` — connections accepted, shed ones
+    /// included.
+    pub connections_total: AtomicU64,
+    /// `serve.requests_total` — requests read whole, on any
+    /// connection. Its running value is each request's fault-plan
+    /// ordinal.
+    pub requests_total: AtomicU64,
     /// Jobs actually simulated (not a registered metric; the dedup
     /// test pins it to prove coalescing never re-simulates).
     pub jobs_simulated: AtomicU64,
@@ -30,12 +37,14 @@ impl ServeCounters {
     pub fn healthz_json(&self, draining: bool) -> String {
         let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
         format!(
-            "{{\"status\":\"{}\",\"serve.queue_depth\":{},\"serve.cache_hits\":{},\"serve.cache_misses\":{},\"serve.shed_total\":{},\"jobs_simulated\":{}}}\n",
+            "{{\"status\":\"{}\",\"serve.queue_depth\":{},\"serve.cache_hits\":{},\"serve.cache_misses\":{},\"serve.shed_total\":{},\"serve.connections_total\":{},\"serve.requests_total\":{},\"jobs_simulated\":{}}}\n",
             if draining { "draining" } else { "ok" },
             g(&self.queue_depth),
             g(&self.cache_hits),
             g(&self.cache_misses),
             g(&self.shed_total),
+            g(&self.connections_total),
+            g(&self.requests_total),
             g(&self.jobs_simulated),
         )
     }
@@ -54,6 +63,10 @@ mod tests {
     fn healthz_lists_every_registered_serve_metric() {
         let c = ServeCounters::default();
         ServeCounters::bump_tally(&c.cache_hits);
+        ServeCounters::bump_tally(&c.connections_total);
+        for _ in 0..3 {
+            ServeCounters::bump_tally(&c.requests_total);
+        }
         let body = c.healthz_json(false);
         for spec in smtsim_obs::SERVE_METRICS {
             assert!(
@@ -64,6 +77,8 @@ mod tests {
         }
         assert!(body.contains("\"status\":\"ok\""));
         assert!(body.contains("\"serve.cache_hits\":1"));
+        assert!(body.contains("\"serve.connections_total\":1"));
+        assert!(body.contains("\"serve.requests_total\":3"));
         assert!(c.healthz_json(true).contains("\"status\":\"draining\""));
     }
 }

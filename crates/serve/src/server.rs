@@ -4,8 +4,10 @@
 //! Threading model: one accept thread pushes connections into a
 //! bounded queue (shedding 429 when full, 503 while draining); N
 //! worker threads pop connections and run the whole request lifecycle
-//! inline. No async, no clocks — all waits are `Condvar` timeouts or
-//! socket timeouts, so the crate stays D2-clean.
+//! inline. A worker keeps a connection for the client's next request
+//! while nothing waits in the queue (see [`KEEP_ALIVE_IDLE`]). No
+//! async, no clocks — all waits are `Condvar` timeouts or socket
+//! timeouts, so the crate stays D2-clean.
 //!
 //! Panic-freedom is a design rule here, not an aspiration: every
 //! mutex lock recovers from poisoning, every socket error maps to a
@@ -28,8 +30,17 @@ use smtsim_core::sweep::JobOutcome;
 use smtsim_core::{run_sweep, SimConfig, SimError, SweepJob, ToJson};
 
 use crate::fault::ServeFaultPlan;
-use crate::http::{read_http_request, respond_http, respond_http_truncated, HttpError};
+use crate::http::{
+    read_http_request, respond_http, respond_http_truncated, HttpError, HttpRequest,
+};
 use crate::metrics::ServeCounters;
+
+/// How long a kept connection may sit idle before the first byte of
+/// its next request; after that the worker closes it and goes back to
+/// the queue. It equals the workers' queue-poll interval, so a kept
+/// connection delays a newly queued one by no more than an idle worker
+/// would. Once the first byte is in, `request_timeout_ms` applies.
+pub const KEEP_ALIVE_IDLE: Duration = Duration::from_millis(50);
 
 /// Everything a server instance needs to know at launch.
 #[derive(Debug, Clone)]
@@ -79,7 +90,6 @@ struct Shared {
     queue_cv: Condvar,
     draining: AtomicBool,
     accept_stop: AtomicBool,
-    served: std::sync::atomic::AtomicU64,
 }
 
 /// Lock a mutex, recovering the data if a holder panicked. The server
@@ -114,7 +124,6 @@ impl Server {
             queue_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             accept_stop: AtomicBool::new(false),
-            served: std::sync::atomic::AtomicU64::new(0),
         });
         let mut workers = Vec::with_capacity(worker_count);
         for i in 0..worker_count {
@@ -197,15 +206,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             Ok(s) => s,
             Err(_) => continue,
         };
+        ServeCounters::bump_tally(&shared.counters.connections_total);
+        let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(Duration::from_millis(1_000)));
         if shared.draining.load(Ordering::SeqCst) {
-            ServeCounters::bump_tally(&shared.counters.shed_total);
-            shed(
-                &mut stream,
-                503,
-                "Service Unavailable",
-                "{\"error\":\"server is draining; no new work accepted\"}\n",
-            );
+            shed_draining(shared, &mut stream);
             continue;
         }
         let mut q = lock_clean(&shared.queue);
@@ -230,6 +235,17 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
+/// Refuse work with 503 because the server is draining.
+fn shed_draining(shared: &Shared, stream: &mut TcpStream) {
+    ServeCounters::bump_tally(&shared.counters.shed_total);
+    shed(
+        stream,
+        503,
+        "Service Unavailable",
+        "{\"error\":\"server is draining; no new work accepted\"}\n",
+    );
+}
+
 /// Refuse a connection from the accept thread. Its request was never
 /// read, and closing a socket with unread input makes the kernel send
 /// a reset, which can destroy the response before the client reads
@@ -237,7 +253,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 /// the stream drops; the drain is bounded in reads and by a short read
 /// timeout, so a slow client cannot stall the accept loop for long.
 fn shed(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
-    respond_http(stream, status, reason, &[("Retry-After", "1")], body);
+    respond_http(stream, status, reason, &[("Retry-After", "1")], body, false);
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut sink = [0u8; 4096];
@@ -281,15 +297,40 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Serve one connection end to end.
+/// Serve one connection: its first request, then every later request
+/// the client sends on it while each answer leaves it open.
 fn handle_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
-    let ordinal = shared.served.fetch_add(1, Ordering::SeqCst) + 1;
     let timeout = (shared.cfg.request_timeout_ms > 0)
         .then(|| Duration::from_millis(shared.cfg.request_timeout_ms));
-    let _ = stream.set_read_timeout(timeout);
     let _ = stream.set_write_timeout(timeout);
+    let mut pending = Vec::new();
+    loop {
+        let _ = stream.set_read_timeout(timeout);
+        if !serve_request(shared, stream, &mut pending) {
+            return;
+        }
+        // Wait for the next request's first byte, unless it is already
+        // in. A peer that hangs up or stays quiet is let go.
+        if pending.is_empty() {
+            let _ = stream.set_read_timeout(Some(KEEP_ALIVE_IDLE));
+            if !matches!(stream.peek(&mut [0u8]), Ok(n) if n > 0) {
+                return;
+            }
+        }
+        if shared.draining.load(Ordering::SeqCst) {
+            shed_draining(shared, stream);
+            return;
+        }
+    }
+}
 
-    let req = match read_http_request(stream) {
+/// Read one request and answer it. True when the answer left the
+/// connection open for another request: the client did not ask to
+/// close, the answer went out whole and was not a 400, the server is
+/// not draining and no connection waits in the queue. Read errors
+/// (408, 413, a malformed request's 400) always close.
+fn serve_request(shared: &Arc<Shared>, stream: &mut TcpStream, pending: &mut Vec<u8>) -> bool {
+    let req = match read_http_request(stream, pending) {
         Ok(r) => r,
         Err(HttpError::TimedOut) => {
             respond_http(
@@ -298,8 +339,9 @@ fn handle_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
                 "Request Timeout",
                 &[],
                 "{\"error\":\"request read timed out\"}\n",
+                false,
             );
-            return;
+            return false;
         }
         Err(HttpError::TooLarge) => {
             respond_http(
@@ -308,42 +350,86 @@ fn handle_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
                 "Payload Too Large",
                 &[],
                 "{\"error\":\"request exceeds size limits\"}\n",
+                false,
             );
-            return;
+            return false;
         }
         Err(HttpError::Malformed(m)) => {
-            respond_http(stream, 400, "Bad Request", &[], &error_body(&m));
-            return;
+            respond_http(stream, 400, "Bad Request", &[], &error_body(&m), false);
+            return false;
         }
         // The peer hung up; there is nobody to answer.
-        Err(HttpError::Closed) => return,
+        Err(HttpError::Closed) => return false,
     };
+    let ordinal = shared
+        .counters
+        .requests_total
+        .fetch_add(1, Ordering::SeqCst)
+        + 1;
+    let reply = route(shared, &req, ordinal);
+    let cache_header = reply.cache.map(|state| ("X-Cache", state));
+    let headers = cache_header.as_slice();
+    if shared.cfg.fault.wants_response_drop(ordinal) {
+        respond_http_truncated(stream, reply.status, reply.reason, headers, &reply.body);
+        return false;
+    }
+    let keep = !req.wants_close()
+        && reply.status != 400
+        && !shared.draining.load(Ordering::SeqCst)
+        && lock_clean(&shared.queue).is_empty();
+    respond_http(
+        stream,
+        reply.status,
+        reply.reason,
+        headers,
+        &reply.body,
+        keep,
+    );
+    keep
+}
 
+/// One answer, before it is framed.
+struct Reply {
+    status: u16,
+    reason: &'static str,
+    /// `X-Cache` value for `/run` answers: how the body was produced
+    /// (`hit`/`miss`/`coalesced`).
+    cache: Option<&'static str>,
+    body: String,
+}
+
+impl Reply {
+    fn plain(status: u16, reason: &'static str, body: String) -> Reply {
+        Reply {
+            status,
+            reason,
+            cache: None,
+            body,
+        }
+    }
+}
+
+/// Dispatch a request to its endpoint.
+fn route(shared: &Arc<Shared>, req: &HttpRequest, ordinal: u64) -> Reply {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             let draining = shared.draining.load(Ordering::SeqCst);
-            respond_http(
-                stream,
-                200,
-                "OK",
-                &[],
-                &shared.counters.healthz_json(draining),
-            );
+            Reply::plain(200, "OK", shared.counters.healthz_json(draining))
         }
         ("POST", "/shutdown") => {
-            respond_http(stream, 200, "OK", &[], "{\"status\":\"draining\"}\n");
             shared.draining.store(true, Ordering::SeqCst);
             shared.queue_cv.notify_all();
+            Reply::plain(200, "OK", String::from("{\"status\":\"draining\"}\n"))
         }
         ("POST", "/run") => {
-            let body = String::from_utf8_lossy(&req.body).into_owned();
-            handle_run(shared, stream, ordinal, &body);
+            let body = String::from_utf8_lossy(&req.body);
+            handle_run(shared, ordinal, &body)
         }
         (_, path) => {
             let mut msg = String::from("no such endpoint ");
             msg.push_str(path);
             msg.push_str("; try POST /run, GET /healthz, POST /shutdown");
-            respond_http(stream, 404, "Not Found", &[], &error_body(&msg));
+            Reply::plain(404, "Not Found", error_body(&msg))
         }
     }
 }
@@ -359,16 +445,13 @@ fn error_body(message: &str) -> String {
 
 /// The `POST /run` lifecycle: validate, fingerprint, consult cache,
 /// dedup in-flight, simulate, persist, answer.
-fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: &str) {
+fn handle_run(shared: &Arc<Shared>, ordinal: u64, body: &str) -> Reply {
     if let Some(ms) = shared.cfg.fault.wants_response_stall(ordinal) {
         thread::sleep(Duration::from_millis(ms));
     }
     let (cfg, label) = match crate::request::parse_sim_request(body) {
         Ok(parsed) => parsed,
-        Err(msg) => {
-            respond_http(stream, 400, "Bad Request", &[], &error_body(&msg));
-            return;
-        }
+        Err(msg) => return Reply::plain(400, "Bad Request", error_body(&msg)),
     };
     let fingerprint = config_fingerprint(&cfg);
 
@@ -376,11 +459,10 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
     // lock is released before the answer is written.
     let hit = lock_clean(&shared.cache)
         .cached(&fingerprint)
-        .map(|entry| render_outcome(&entry.outcome));
+        .map(|entry| render_outcome(&entry.outcome, "hit"));
     if let Some(answer) = hit {
         ServeCounters::bump_tally(&shared.counters.cache_hits);
-        respond_outcome(shared, stream, ordinal, answer, "hit");
-        return;
+        return answer;
     }
 
     // Leader simulates; followers with the same fingerprint wait on
@@ -403,7 +485,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
             let mut done = lock_clean(&slot.done);
             loop {
                 if let Some(outcome) = done.as_ref() {
-                    break render_outcome(outcome);
+                    break render_outcome(outcome, "coalesced");
                 }
                 done = slot
                     .cv
@@ -412,8 +494,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
                     .0;
             }
         };
-        respond_outcome(shared, stream, ordinal, answer, "coalesced");
-        return;
+        return answer;
     }
 
     let outcome = execute(shared, &cfg, &label, ordinal);
@@ -424,7 +505,7 @@ fn handle_run(shared: &Arc<Shared>, stream: &mut TcpStream, ordinal: u64, body: 
         slot.cv.notify_all();
     }
     lock_clean(&shared.inflight).remove(&fingerprint);
-    respond_outcome(shared, stream, ordinal, render_outcome(&outcome), "miss");
+    render_outcome(&outcome, "miss")
 }
 
 /// Run the job once. A panic comes back as `SimError::JobPanicked`
@@ -477,10 +558,10 @@ fn persist_outcome(
     cache.store_outcome(fingerprint, label, outcome);
 }
 
-/// The status, reason and body that answer `outcome`: 200 +
-/// `SimResult` JSON (byte-identical to `smtsim run --json`) or 500 +
-/// `SimError` JSON.
-fn render_outcome(outcome: &JobOutcome) -> (u16, &'static str, String) {
+/// The answer to `outcome`: 200 + `SimResult` JSON (byte-identical
+/// to `smtsim run --json`) or 500 + `SimError` JSON, tagged with how
+/// it was produced (`X-Cache`: `hit`/`miss`/`coalesced`).
+fn render_outcome(outcome: &JobOutcome, cache_state: &'static str) -> Reply {
     let mut body = String::new();
     let (status, reason) = match outcome {
         Ok(result) => {
@@ -493,23 +574,11 @@ fn render_outcome(outcome: &JobOutcome) -> (u16, &'static str, String) {
         }
     };
     body.push('\n');
-    (status, reason, body)
-}
-
-/// Write a rendered answer. `X-Cache` says how it was produced
-/// (`hit`/`miss`/`coalesced`).
-fn respond_outcome(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    ordinal: u64,
-    (status, reason, body): (u16, &str, String),
-    cache_state: &str,
-) {
-    let headers = [("X-Cache", cache_state)];
-    if shared.cfg.fault.wants_response_drop(ordinal) {
-        respond_http_truncated(stream, status, reason, &headers, &body);
-    } else {
-        respond_http(stream, status, reason, &headers, &body);
+    Reply {
+        status,
+        reason,
+        cache: Some(cache_state),
+        body,
     }
 }
 

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use smtsim_core::{Simulator, ToJson};
 use smtsim_serve::request::parse_sim_request;
-use smtsim_serve::server::{Server, ServerConfig, ServerHandle};
+use smtsim_serve::server::{Server, ServerConfig, ServerHandle, KEEP_ALIVE_IDLE};
 use smtsim_serve::{http_get, http_post, ServeFaultPlan};
 
 /// A small, fast request body. Distinct seeds give distinct
@@ -405,4 +405,164 @@ fn torn_cache_write_recovers_on_restart_byte_identically() {
     let reloaded = smtsim_core::ResultCache::load_from(&cache);
     assert_eq!(reloaded.skipped_lines(), 1, "the torn line is logged");
     let _ = std::fs::remove_file(&cache);
+}
+
+/// A counter's value in a `/healthz` body.
+fn healthz_counter(body: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let at = body.find(&key).expect("counter is reported") + key.len();
+    body[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|digits| digits.parse().ok())
+        .expect("counter is a number")
+}
+
+#[test]
+fn one_thread_reuses_one_connection() {
+    let handle = launch(ServerConfig::default());
+    let addr = handle.bound_addr();
+    let body = tiny_body(113);
+    let want = fresh_answer(&body);
+
+    for i in 0..10 {
+        let r = http_post(&addr, "/run", &body, 10_000).expect("answered");
+        assert_eq!(r.status, 200);
+        assert_eq!(r.header("connection"), Some("keep-alive"));
+        assert_eq!(
+            r.header("x-cache"),
+            Some(if i == 0 { "miss" } else { "hit" })
+        );
+        assert_eq!(r.body, want, "answer {i} must match `smtsim run --json`");
+    }
+    let health = http_get(&addr, "/healthz", 2_000).expect("healthz");
+    assert_eq!(healthz_counter(&health.body, "serve.connections_total"), 1);
+    assert_eq!(healthz_counter(&health.body, "serve.requests_total"), 11);
+
+    shutdown_and_join(handle);
+}
+
+#[test]
+fn idle_connection_closed_by_the_server_is_resent_once() {
+    // One worker, so once another client is answered the worker has
+    // let go of this thread's idle connection.
+    let handle = launch(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let addr = handle.bound_addr();
+    let body = tiny_body(114);
+    let want = fresh_answer(&body);
+
+    let first = http_post(&addr, "/run", &body, 10_000).expect("first run");
+    assert_eq!(first.header("connection"), Some("keep-alive"));
+    std::thread::sleep(KEEP_ALIVE_IDLE * 2);
+    let other = addr.clone();
+    std::thread::spawn(move || http_get(&other, "/healthz", 10_000))
+        .join()
+        .expect("no panic")
+        .expect("the worker left the idle connection for a new one");
+
+    let again = http_post(&addr, "/run", &body, 10_000).expect("resent on a fresh connection");
+    assert_eq!(again.status, 200);
+    assert_eq!(again.header("x-cache"), Some("hit"));
+    assert_eq!(again.body, want);
+    let c = handle.service_counters();
+    assert_eq!(
+        c.connections_total.load(Ordering::Relaxed),
+        3,
+        "the first connection, the other client's, and the resend's"
+    );
+    assert_eq!(c.requests_total.load(Ordering::Relaxed), 3);
+
+    shutdown_and_join(handle);
+}
+
+#[test]
+fn an_idle_kept_connection_does_not_starve_a_new_client() {
+    // One worker, and a request timeout far past the test's patience:
+    // only the idle bound can free the worker for the second client.
+    let handle = launch(ServerConfig {
+        workers: 1,
+        request_timeout_ms: 30_000,
+        ..ServerConfig::default()
+    });
+    let addr = handle.bound_addr();
+
+    let (a_addr, a_body) = (addr.clone(), tiny_body(115));
+    let (kept_tx, kept_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let holder = std::thread::spawn(move || {
+        let r = http_post(&a_addr, "/run", &a_body, 10_000).expect("first client answered");
+        kept_tx
+            .send(r.header("connection").map(str::to_string))
+            .expect("send");
+        // Hold the idle connection open until the second client is done.
+        let _ = done_rx.recv();
+    });
+    let kept = kept_rx.recv().expect("first client reports");
+    assert_eq!(kept.as_deref(), Some("keep-alive"));
+
+    let body = tiny_body(116);
+    let second = http_post(&addr, "/run", &body, 5_000).expect("second client answered");
+    assert_eq!(second.status, 200);
+    assert_eq!(second.body, fresh_answer(&body));
+    done_tx.send(()).expect("holder waits");
+    holder.join().expect("no panic");
+
+    shutdown_and_join(handle);
+}
+
+#[test]
+fn connection_close_request_gets_close_and_eof() {
+    let handle = launch(ServerConfig::default());
+    let addr = handle.bound_addr();
+
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    raw.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let mut answer = String::new();
+    raw.read_to_string(&mut answer)
+        .expect("the server answers, then closes");
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+    assert!(answer.contains("\r\nConnection: close\r\n"), "{answer}");
+
+    shutdown_and_join(handle);
+}
+
+#[test]
+fn drop_aimed_at_the_second_request_on_a_kept_connection() {
+    let handle = launch(ServerConfig {
+        fault: ServeFaultPlan {
+            drop_response_for: Some(2),
+            ..ServeFaultPlan::default()
+        },
+        ..ServerConfig::default()
+    });
+    let addr = handle.bound_addr();
+    let body = tiny_body(117);
+    let want = fresh_answer(&body);
+
+    let first = http_post(&addr, "/run", &body, 10_000).expect("first run");
+    assert_eq!(first.body, want);
+    assert_eq!(first.header("connection"), Some("keep-alive"));
+
+    let torn = http_post(&addr, "/run", &body, 10_000);
+    let err = torn.expect_err("a half-written response must not parse as success");
+    assert!(err.contains("truncated"), "{err}");
+    let c = handle.service_counters();
+    assert_eq!(
+        c.connections_total.load(Ordering::Relaxed),
+        1,
+        "the dropped answer was the second on the first connection"
+    );
+
+    let retry = http_post(&addr, "/run", &body, 10_000).expect("retry");
+    assert_eq!(retry.status, 200);
+    assert_eq!(retry.header("x-cache"), Some("hit"));
+    assert_eq!(retry.body, want);
+
+    shutdown_and_join(handle);
 }
