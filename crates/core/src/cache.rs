@@ -11,6 +11,15 @@
 //! invariant is what makes a resumed sweep or a cached HTTP answer
 //! indistinguishable from a recomputed one.
 //!
+//! Each answer is rendered once. An entry keeps its answer bytes
+//! ([`render_answer`], what `smtsim run --json` prints) next to the
+//! outcome: [`ResultCache::store_outcome`] renders them, builds the
+//! journal line around them and hands them back, so the caller's
+//! reply, its coalesced followers and every later hit
+//! ([`CacheEntry::answer`]) share the same bytes. An entry loaded from
+//! a journal renders its answer on the first call and keeps it, so
+//! loading renders nothing.
+//!
 //! Each line carries a self-checksum:
 //!
 //! ```text
@@ -30,7 +39,7 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::json::{parse_json, JsonObject};
+use crate::json::{parse_json, JsonObject, ToJson};
 use crate::result::SimResult;
 use crate::sweep::JobOutcome;
 use std::collections::BTreeMap;
@@ -38,6 +47,7 @@ use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 /// FNV-1a 64-bit — the config fingerprint and cache-line checksum.
 /// Pinned by tests: this is a file format, not an implementation
@@ -107,8 +117,8 @@ pub fn config_fingerprint(cfg: &SimConfig) -> String {
     format!("{:016x}", h.0)
 }
 
-/// One cached outcome: the label it was computed under plus the result
-/// or deterministic error.
+/// One cached outcome: the label it was computed under, the result or
+/// deterministic error, and the answer it renders to.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
     /// Free-form label recorded at store time (e.g. the request's
@@ -116,6 +126,29 @@ pub struct CacheEntry {
     pub label: String,
     /// The cached outcome.
     pub outcome: JobOutcome,
+    /// [`render_answer`] of `outcome`: set at store time, or on the
+    /// first [`CacheEntry::answer`] of an entry loaded from a journal.
+    answer: OnceLock<Arc<str>>,
+}
+
+impl CacheEntry {
+    /// The entry's answer bytes, rendered at most once per entry and
+    /// shared: a caller gets a pointer to them, not a new rendering.
+    pub fn answer(&self) -> Arc<str> {
+        Arc::clone(self.answer.get_or_init(|| render_answer(&self.outcome)))
+    }
+}
+
+/// The bytes that answer `outcome`: the result's JSON (what `smtsim
+/// run --json` prints) or the error's, plus a trailing newline.
+pub fn render_answer(outcome: &JobOutcome) -> Arc<str> {
+    let mut out = String::new();
+    match outcome {
+        Ok(result) => result.write_json(&mut out),
+        Err(err) => err.write_json(&mut out),
+    }
+    out.push('\n');
+    Arc::from(out)
 }
 
 /// An append-only, fingerprint-keyed store of job outcomes.
@@ -219,24 +252,33 @@ impl ResultCache {
     }
 
     /// Store an outcome under `fingerprint`, appending a checksummed
-    /// line to the backing file (when there is one). A transient
-    /// failure ([`SimError::is_transient`]) is not stored at all, in
-    /// memory or on disk: a later run simulates it afresh, it never
-    /// replays it.
+    /// line to the backing file (when there is one), and return its
+    /// answer bytes: the outcome is rendered once, for the line, the
+    /// entry and the caller. A transient failure
+    /// ([`SimError::is_transient`]) is not stored at all, in memory or
+    /// on disk, and returns `None`: a later run simulates it afresh, it
+    /// never replays it.
     /// A failed append is reported but non-fatal: the entry still
     /// serves from memory — a cache that cannot persist degrades, it
     /// does not take requests down with it.
-    pub fn store_outcome(&mut self, fingerprint: &str, label: &str, outcome: &JobOutcome) {
+    pub fn store_outcome(
+        &mut self,
+        fingerprint: &str,
+        label: &str,
+        outcome: &JobOutcome,
+    ) -> Option<Arc<str>> {
         if outcome.as_ref().is_err_and(SimError::is_transient) {
-            return;
+            return None;
         }
-        let line = format_cache_line(self.seq, label, fingerprint, outcome);
+        let answer = render_answer(outcome);
+        let line = journal_line(self.seq, label, fingerprint, outcome.is_ok(), &answer);
         self.seq += 1;
         self.entries.insert(
             fingerprint.to_string(),
             CacheEntry {
                 label: label.to_string(),
                 outcome: outcome.clone(),
+                answer: OnceLock::from(Arc::clone(&answer)),
             },
         );
         if let Some(path) = &self.path {
@@ -249,6 +291,7 @@ impl ResultCache {
                 eprintln!("warning: cache append failed for {}: {e}", path.display());
             }
         }
+        Some(answer)
     }
 
     /// Force the backing file's contents to stable storage (graceful
@@ -269,16 +312,35 @@ impl ResultCache {
 /// Render one cache line (with trailing newline). Public so tests and
 /// the corruption fuzzer build lines the exact way the cache does.
 pub fn format_cache_line(seq: u64, label: &str, fingerprint: &str, outcome: &JobOutcome) -> String {
-    let mut body = String::new();
+    journal_line(
+        seq,
+        label,
+        fingerprint,
+        outcome.is_ok(),
+        &render_answer(outcome),
+    )
+}
+
+/// The cache line of an outcome whose answer is already rendered: its
+/// `result` (or, when not `ok`, `error`) field is `answer` without the
+/// trailing newline.
+fn journal_line(seq: u64, label: &str, fingerprint: &str, ok: bool, answer: &str) -> String {
+    /// JSON that is already rendered, written as it is.
+    struct Rendered<'a>(&'a str);
+    impl ToJson for Rendered<'_> {
+        fn write_json(&self, out: &mut String) {
+            out.push_str(self.0);
+        }
+    }
+    let json = Rendered(answer.strip_suffix('\n').unwrap_or(answer));
+    let mut body = String::with_capacity(answer.len() + 128);
     {
         let mut o = JsonObject::begin(&mut body);
         o.field("job", &seq)
             .field("label", &label)
-            .field("cfg", &fingerprint);
-        match outcome {
-            Ok(r) => o.field("ok", &true).field("result", r),
-            Err(e) => o.field("ok", &false).field("error", e),
-        };
+            .field("cfg", &fingerprint)
+            .field("ok", &ok)
+            .field(if ok { "result" } else { "error" }, &json);
         o.end();
     }
     let sum = fnv64(body.as_bytes());
@@ -315,7 +377,12 @@ pub fn parse_cache_line(line: &str) -> Option<(String, CacheEntry)> {
     } else {
         Err(SimError::from_json(v.get("error")?).ok()?)
     };
-    Some((fingerprint, CacheEntry { label, outcome }))
+    let entry = CacheEntry {
+        label,
+        outcome,
+        answer: OnceLock::new(),
+    };
+    Some((fingerprint, entry))
 }
 
 /// `h` as 16 lowercase hex digits, the way `{:016x}` writes it.
@@ -364,6 +431,49 @@ mod tests {
             outcome.as_ref().unwrap().to_json(),
             "replayed result must re-serialise byte-identically"
         );
+    }
+
+    /// The `result`/`error` field of `line`, as written.
+    fn outcome_field(line: &str, ok: bool) -> &str {
+        let key = if ok { ",\"result\":" } else { ",\"error\":" };
+        let start = line.find(key).unwrap() + key.len();
+        let end = line.rfind(",\"sum\":\"").unwrap();
+        &line[start..end]
+    }
+
+    #[test]
+    fn the_journal_line_holds_the_entrys_answer_bytes() {
+        let path = temp_path("answer.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let failed: JobOutcome = Err(SimError::InvalidConfig("bad \"topology\"".into()));
+        let outcomes = [("ok", small_outcome()), ("err", failed)];
+        let mut c = ResultCache::load_from(&path);
+        for (fp, outcome) in &outcomes {
+            let stored = c.store_outcome(fp, "lbl", outcome).expect("stored");
+            let entry = c.cached(fp).unwrap();
+            assert!(Arc::ptr_eq(&stored, &entry.answer()), "rendered once");
+            assert_eq!(*stored, *render_answer(outcome));
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let reloaded = ResultCache::load_from(&path);
+        for (seq, ((fp, outcome), line)) in outcomes.iter().zip(text.lines()).enumerate() {
+            let answer = c.cached(fp).unwrap().answer();
+            let field = outcome_field(line, outcome.is_ok());
+            assert_eq!(format!("{field}\n"), *answer, "line and entry disagree");
+            let replayed = reloaded.cached(fp).unwrap();
+            let first = replayed.answer();
+            assert_eq!(first, answer, "a reloaded entry gives the same bytes");
+            assert!(
+                Arc::ptr_eq(&first, &replayed.answer()),
+                "kept, not re-rendered"
+            );
+            assert_eq!(
+                format_cache_line(seq as u64, "lbl", fp, outcome),
+                format!("{line}\n"),
+                "format_cache_line writes what store_outcome appends"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! async, no clocks — all waits are `Condvar` timeouts or socket
 //! timeouts, so the crate stays D2-clean.
 //!
+//! A `/run` answer is rendered once per outcome: the cache entry keeps
+//! its bytes ([`smtsim_core::cache::CacheEntry::answer`]), so a hit
+//! copies a shared pointer under the cache lock and runs no JSON code.
+//!
 //! Panic-freedom is a design rule here, not an aspiration: every
 //! mutex lock recovers from poisoning, every socket error maps to a
 //! response or a dropped connection, and simulation panics are
@@ -24,10 +28,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use smtsim_core::cache::{config_fingerprint, format_cache_line, ResultCache};
+use smtsim_core::cache::{config_fingerprint, format_cache_line, render_answer, ResultCache};
 use smtsim_core::json::write_escaped;
 use smtsim_core::sweep::JobOutcome;
-use smtsim_core::{run_sweep, SimConfig, SimError, SweepJob, ToJson};
+use smtsim_core::{run_sweep, SimConfig, SimError, SweepJob};
 
 use crate::fault::ServeFaultPlan;
 use crate::http::{
@@ -37,9 +41,9 @@ use crate::metrics::ServeCounters;
 
 /// How long a kept connection may sit idle before the first byte of
 /// its next request; after that the worker closes it and goes back to
-/// the queue. It equals the workers' queue-poll interval, so a kept
-/// connection delays a newly queued one by no more than an idle worker
-/// would. Once the first byte is in, `request_timeout_ms` applies.
+/// the queue. A connection queued while no worker is free ends one
+/// such wait at once instead (see `await_request`). Once the first
+/// byte is in, `request_timeout_ms` applies.
 pub const KEEP_ALIVE_IDLE: Duration = Duration::from_millis(50);
 
 /// Everything a server instance needs to know at launch.
@@ -72,12 +76,40 @@ impl Default for ServerConfig {
     }
 }
 
+/// A rendered `/run` answer: a result (200) or an error (500), and
+/// its body, shared with the cache entry that keeps it.
+#[derive(Clone)]
+struct Answer {
+    ok: bool,
+    body: Arc<str>,
+}
+
 /// One in-flight simulation that followers with the same fingerprint
 /// block on instead of re-simulating.
 #[derive(Default)]
 struct Inflight {
-    done: Mutex<Option<JobOutcome>>,
+    done: Mutex<Option<Answer>>,
     cv: Condvar,
+}
+
+/// The accept queue, and what the accept thread needs to see to keep a
+/// queued connection from waiting on a kept one.
+#[derive(Default)]
+struct Queue {
+    /// Accepted connections no worker has claimed yet.
+    conns: VecDeque<TcpStream>,
+    /// Workers blocked waiting for a connection.
+    waiting: usize,
+    /// Per worker, a clone of the kept connection it waits on for a
+    /// next request (see [`await_request`]).
+    idle: Vec<Option<TcpStream>>,
+}
+
+impl Queue {
+    /// A queued connection has no free worker to take it.
+    fn starved(&self) -> bool {
+        self.conns.len() > self.waiting
+    }
 }
 
 /// State shared by the accept thread and every worker.
@@ -86,7 +118,7 @@ struct Shared {
     counters: ServeCounters,
     cache: Mutex<ResultCache>,
     inflight: Mutex<BTreeMap<String, Arc<Inflight>>>,
-    queue: Mutex<VecDeque<TcpStream>>,
+    queue: Mutex<Queue>,
     queue_cv: Condvar,
     draining: AtomicBool,
     accept_stop: AtomicBool,
@@ -120,7 +152,10 @@ impl Server {
             counters: ServeCounters::default(),
             cache: Mutex::new(cache),
             inflight: Mutex::new(BTreeMap::new()),
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                idle: (0..worker_count).map(|_| None).collect(),
+                ..Queue::default()
+            }),
             queue_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             accept_stop: AtomicBool::new(false),
@@ -130,7 +165,7 @@ impl Server {
             let s = Arc::clone(&shared);
             let spawned = thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&s))
+                .spawn(move || worker_loop(&s, i))
                 .map_err(|e| format!("spawn worker: {e}"))?;
             workers.push(spawned);
         }
@@ -196,7 +231,11 @@ impl ServerHandle {
 }
 
 /// Accept loop: shed while draining, shed when the queue is full,
-/// otherwise enqueue for the workers.
+/// otherwise enqueue for the workers. When no worker is free for the
+/// new connection, one idle wait on a kept connection ends now: its
+/// read half is shut, so the worker sees the peer leave and comes to
+/// the queue, and that client resends its next request on a fresh
+/// connection.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     for conn in listener.incoming() {
         if shared.accept_stop.load(Ordering::SeqCst) {
@@ -214,7 +253,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             continue;
         }
         let mut q = lock_clean(&shared.queue);
-        if q.len() >= shared.cfg.max_queue {
+        if q.conns.len() >= shared.cfg.max_queue {
             drop(q);
             ServeCounters::bump_tally(&shared.counters.shed_total);
             shed(
@@ -225,11 +264,16 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             );
             continue;
         }
-        q.push_back(stream);
+        q.conns.push_back(stream);
         shared
             .counters
             .queue_depth
-            .store(q.len() as u64, Ordering::Relaxed);
+            .store(q.conns.len() as u64, Ordering::Relaxed);
+        if q.starved() {
+            if let Some(kept) = q.idle.iter_mut().find_map(Option::take) {
+                let _ = kept.shutdown(Shutdown::Read);
+            }
+        }
         drop(q);
         shared.queue_cv.notify_one();
     }
@@ -268,30 +312,32 @@ fn shed(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
 /// Worker loop: pop a connection, serve it, repeat; exit once the
 /// server is draining and the queue is empty (queued-before-drain
 /// requests still get answers).
-fn worker_loop(shared: &Arc<Shared>) {
+fn worker_loop(shared: &Arc<Shared>, worker: usize) {
     loop {
         let popped = {
             let mut q = lock_clean(&shared.queue);
             loop {
-                if let Some(s) = q.pop_front() {
+                if let Some(s) = q.conns.pop_front() {
                     shared
                         .counters
                         .queue_depth
-                        .store(q.len() as u64, Ordering::Relaxed);
+                        .store(q.conns.len() as u64, Ordering::Relaxed);
                     break Some(s);
                 }
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
+                q.waiting += 1;
                 q = shared
                     .queue_cv
                     .wait_timeout(q, Duration::from_millis(50))
                     .unwrap_or_else(|poisoned| poisoned.into_inner())
                     .0;
+                q.waiting -= 1;
             }
         };
         match popped {
-            Some(mut stream) => handle_conn(shared, &mut stream),
+            Some(mut stream) => handle_conn(shared, worker, &mut stream),
             None => return,
         }
     }
@@ -299,11 +345,12 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// Serve one connection: its first request, then every later request
 /// the client sends on it while each answer leaves it open.
-fn handle_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
+fn handle_conn(shared: &Arc<Shared>, worker: usize, stream: &mut TcpStream) {
     let timeout = (shared.cfg.request_timeout_ms > 0)
         .then(|| Duration::from_millis(shared.cfg.request_timeout_ms));
     let _ = stream.set_write_timeout(timeout);
     let mut pending = Vec::new();
+    let mut handle = None;
     loop {
         let _ = stream.set_read_timeout(timeout);
         if !serve_request(shared, stream, &mut pending) {
@@ -311,17 +358,43 @@ fn handle_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
         }
         // Wait for the next request's first byte, unless it is already
         // in. A peer that hangs up or stays quiet is let go.
-        if pending.is_empty() {
-            let _ = stream.set_read_timeout(Some(KEEP_ALIVE_IDLE));
-            if !matches!(stream.peek(&mut [0u8]), Ok(n) if n > 0) {
-                return;
-            }
+        if pending.is_empty() && !await_request(shared, worker, stream, &mut handle) {
+            return;
         }
         if shared.draining.load(Ordering::SeqCst) {
             shed_draining(shared, stream);
             return;
         }
     }
+}
+
+/// Wait up to [`KEEP_ALIVE_IDLE`] for the first byte of the kept
+/// connection's next request; false when it is to be let go. The wait
+/// is not started while a queued connection has no free worker. During
+/// it, `handle` (a clone of `stream`, made on the connection's first
+/// wait) sits in the worker's idle slot, where the accept thread may
+/// take it and shut the read half; the wait then ends at once, and so
+/// does the connection.
+fn await_request(
+    shared: &Shared,
+    worker: usize,
+    stream: &TcpStream,
+    handle: &mut Option<TcpStream>,
+) -> bool {
+    if handle.is_none() {
+        *handle = stream.try_clone().ok();
+    }
+    {
+        let mut q = lock_clean(&shared.queue);
+        if q.starved() {
+            return false;
+        }
+        q.idle[worker] = handle.take();
+    }
+    let _ = stream.set_read_timeout(Some(KEEP_ALIVE_IDLE));
+    let arrived = matches!(stream.peek(&mut [0u8]), Ok(n) if n > 0);
+    *handle = lock_clean(&shared.queue).idle[worker].take();
+    arrived && handle.is_some()
 }
 
 /// Read one request and answer it. True when the answer left the
@@ -376,7 +449,7 @@ fn serve_request(shared: &Arc<Shared>, stream: &mut TcpStream, pending: &mut Vec
     let keep = !req.wants_close()
         && reply.status != 400
         && !shared.draining.load(Ordering::SeqCst)
-        && lock_clean(&shared.queue).is_empty();
+        && lock_clean(&shared.queue).conns.is_empty();
     respond_http(
         stream,
         reply.status,
@@ -395,7 +468,7 @@ struct Reply {
     /// `X-Cache` value for `/run` answers: how the body was produced
     /// (`hit`/`miss`/`coalesced`).
     cache: Option<&'static str>,
-    body: String,
+    body: Arc<str>,
 }
 
 impl Reply {
@@ -404,7 +477,24 @@ impl Reply {
             status,
             reason,
             cache: None,
-            body,
+            body: Arc::from(body),
+        }
+    }
+
+    /// The reply to a `/run` request: 200 + `SimResult` JSON
+    /// (byte-identical to `smtsim run --json`) or 500 + `SimError`
+    /// JSON, tagged with how it was produced (`X-Cache`).
+    fn answered(answer: Answer, cache_state: &'static str) -> Reply {
+        let (status, reason) = if answer.ok {
+            (200, "OK")
+        } else {
+            (500, "Internal Server Error")
+        };
+        Reply {
+            status,
+            reason,
+            cache: Some(cache_state),
+            body: answer.body,
         }
     }
 }
@@ -455,14 +545,18 @@ fn handle_run(shared: &Arc<Shared>, ordinal: u64, body: &str) -> Reply {
     };
     let fingerprint = config_fingerprint(&cfg);
 
-    // A hit renders its body from the cached entry under the lock; the
-    // lock is released before the answer is written.
+    // A hit takes the entry's shared answer bytes under the lock (an
+    // entry loaded from the journal renders them on its first hit);
+    // the lock is released before the answer is written.
     let hit = lock_clean(&shared.cache)
         .cached(&fingerprint)
-        .map(|entry| render_outcome(&entry.outcome, "hit"));
+        .map(|entry| Answer {
+            ok: entry.outcome.is_ok(),
+            body: entry.answer(),
+        });
     if let Some(answer) = hit {
         ServeCounters::bump_tally(&shared.counters.cache_hits);
-        return answer;
+        return Reply::answered(answer, "hit");
     }
 
     // Leader simulates; followers with the same fingerprint wait on
@@ -484,8 +578,8 @@ fn handle_run(shared: &Arc<Shared>, ordinal: u64, body: &str) -> Reply {
         let answer = {
             let mut done = lock_clean(&slot.done);
             loop {
-                if let Some(outcome) = done.as_ref() {
-                    break render_outcome(outcome, "coalesced");
+                if let Some(answer) = done.as_ref() {
+                    break Reply::answered(answer.clone(), "coalesced");
                 }
                 done = slot
                     .cv
@@ -498,14 +592,18 @@ fn handle_run(shared: &Arc<Shared>, ordinal: u64, body: &str) -> Reply {
     }
 
     let outcome = execute(shared, &cfg, &label, ordinal);
-    persist_outcome(shared, ordinal, &label, &fingerprint, &outcome);
+    let stored = persist_outcome(shared, ordinal, &label, &fingerprint, &outcome);
+    let answer = Answer {
+        ok: outcome.is_ok(),
+        body: stored.unwrap_or_else(|| render_answer(&outcome)),
+    };
     {
         let mut done = lock_clean(&slot.done);
-        *done = Some(outcome.clone());
+        *done = Some(answer.clone());
         slot.cv.notify_all();
     }
     lock_clean(&shared.inflight).remove(&fingerprint);
-    render_outcome(&outcome, "miss")
+    Reply::answered(answer, "miss")
 }
 
 /// Run the job once. A panic comes back as `SimError::JobPanicked`
@@ -529,16 +627,17 @@ fn execute(shared: &Arc<Shared>, cfg: &SimConfig, label: &str, ordinal: u64) -> 
 }
 
 /// Record the outcome in the cache (which drops a panic: a later
-/// request simulates afresh rather than replay it). The torn-write
-/// fault swaps the append for half a line and skips the in-memory
-/// insert, leaving exactly what a kill -9 mid-append leaves.
+/// request simulates afresh rather than replay it) and return the
+/// stored answer bytes, or `None` when nothing was stored. The
+/// torn-write fault swaps the append for half a line and skips the
+/// in-memory insert, leaving exactly what a kill -9 mid-append leaves.
 fn persist_outcome(
     shared: &Arc<Shared>,
     ordinal: u64,
     label: &str,
     fingerprint: &str,
     outcome: &JobOutcome,
-) {
+) -> Option<Arc<str>> {
     let mut cache = lock_clean(&shared.cache);
     if shared.cfg.fault.wants_torn_cache_write(ordinal) {
         if let Some(path) = cache.backing_path() {
@@ -553,33 +652,9 @@ fn persist_outcome(
                 eprintln!("warning: torn-write injection failed: {e}");
             }
         }
-        return;
+        return None;
     }
-    cache.store_outcome(fingerprint, label, outcome);
-}
-
-/// The answer to `outcome`: 200 + `SimResult` JSON (byte-identical
-/// to `smtsim run --json`) or 500 + `SimError` JSON, tagged with how
-/// it was produced (`X-Cache`: `hit`/`miss`/`coalesced`).
-fn render_outcome(outcome: &JobOutcome, cache_state: &'static str) -> Reply {
-    let mut body = String::new();
-    let (status, reason) = match outcome {
-        Ok(result) => {
-            result.write_json(&mut body);
-            (200, "OK")
-        }
-        Err(err) => {
-            err.write_json(&mut body);
-            (500, "Internal Server Error")
-        }
-    };
-    body.push('\n');
-    Reply {
-        status,
-        reason,
-        cache: Some(cache_state),
-        body,
-    }
+    cache.store_outcome(fingerprint, label, outcome)
 }
 
 #[cfg(test)]

@@ -82,6 +82,11 @@ fn assert_survivors_exact(cache: &ResultCache, originals: &[(String, String)]) {
                 *json,
                 "cached entry {fp} must replay byte-identically or not at all"
             );
+            assert_eq!(
+                *entry.answer(),
+                format!("{json}\n"),
+                "cached entry {fp} must answer with its original bytes"
+            );
         }
     }
 }

@@ -9,6 +9,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use smtsim_core::{Simulator, ToJson};
@@ -31,6 +32,17 @@ fn fresh_answer(body: &str) -> String {
         .run()
         .expect("tiny run succeeds");
     format!("{}\n", result.to_json())
+}
+
+/// What the server must answer for a body whose run fails
+/// deterministically: the error JSON plus the trailing newline.
+fn fresh_error_answer(body: &str) -> String {
+    let (cfg, _label) = parse_sim_request(body).expect("test body is valid");
+    let err = Simulator::build(&cfg)
+        .expect("builds")
+        .run()
+        .expect_err("the run fails");
+    format!("{}\n", err.to_json())
 }
 
 fn launch(cfg: ServerConfig) -> ServerHandle {
@@ -490,6 +502,7 @@ fn an_idle_kept_connection_does_not_starve_a_new_client() {
     let addr = handle.bound_addr();
 
     let (a_addr, a_body) = (addr.clone(), tiny_body(115));
+    let a_want = fresh_answer(&a_body);
     let (kept_tx, kept_rx) = std::sync::mpsc::channel();
     let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
     let holder = std::thread::spawn(move || {
@@ -497,8 +510,11 @@ fn an_idle_kept_connection_does_not_starve_a_new_client() {
         kept_tx
             .send(r.header("connection").map(str::to_string))
             .expect("send");
-        // Hold the idle connection open until the second client is done.
+        // Hold the idle connection open until the second client is done,
+        // then post on it again: the server let it go, so the request is
+        // resent on a fresh connection.
         let _ = done_rx.recv();
+        http_post(&a_addr, "/run", &a_body, 10_000)
     });
     let kept = kept_rx.recv().expect("first client reports");
     assert_eq!(kept.as_deref(), Some("keep-alive"));
@@ -507,8 +523,26 @@ fn an_idle_kept_connection_does_not_starve_a_new_client() {
     let second = http_post(&addr, "/run", &body, 5_000).expect("second client answered");
     assert_eq!(second.status, 200);
     assert_eq!(second.body, fresh_answer(&body));
+
+    // The worker is waiting on the holder's idle connection again; a
+    // new client ends that wait at once instead of after it expires,
+    // so its read deadline of half the idle bound is met.
+    let other = addr.clone();
+    let patience = (KEEP_ALIVE_IDLE / 2).as_millis() as u64;
+    let health = std::thread::spawn(move || http_get(&other, "/healthz", patience))
+        .join()
+        .expect("no panic")
+        .expect("a new client is answered within half the idle bound");
+    assert_eq!(health.status, 200);
+
     done_tx.send(()).expect("holder waits");
-    holder.join().expect("no panic");
+    let again = holder
+        .join()
+        .expect("no panic")
+        .expect("the holder's next post is resent");
+    assert_eq!(again.status, 200);
+    assert_eq!(again.header("x-cache"), Some("hit"));
+    assert_eq!(again.body, a_want);
 
     shutdown_and_join(handle);
 }
@@ -565,4 +599,88 @@ fn drop_aimed_at_the_second_request_on_a_kept_connection() {
     assert_eq!(retry.body, want);
 
     shutdown_and_join(handle);
+}
+
+#[test]
+fn every_way_an_answer_leaves_the_server_is_byte_identical() {
+    let cache = temp_cache("answers");
+    let body = tiny_body(118);
+    let want = fresh_answer(&body);
+    let failing =
+        "{\"workload\":\"2W1\",\"policy\":\"icount\",\"cycles\":2000,\"seed\":118,\"watchdog_cycles\":1}";
+    let want_error = fresh_error_answer(failing);
+    let answered = |addr: &str, body: &str, status: u16, cache: &str, want: &str| {
+        let r = http_post(addr, "/run", body, 30_000).expect("answered");
+        assert_eq!((r.status, r.header("x-cache")), (status, Some(cache)));
+        assert_eq!(
+            r.body, want,
+            "{cache} answer must match `smtsim run --json`"
+        );
+    };
+
+    let handle = launch(ServerConfig {
+        cache_path: Some(cache.clone()),
+        ..ServerConfig::default()
+    });
+    let addr = handle.bound_addr();
+    answered(&addr, &body, 200, "miss", &want);
+    answered(&addr, &body, 200, "hit", &want);
+    answered(&addr, failing, 500, "miss", &want_error);
+    answered(&addr, failing, 500, "hit", &want_error);
+
+    // Two identical requests at once: one leads, the other follows.
+    // A follower that arrives after the leader stored its answer is a
+    // hit instead, so try a few long-running configs until one
+    // coalesces; every answer must match either way.
+    let mut coalesced = false;
+    for seed in 0..5 {
+        let body = format!(
+            "{{\"workload\":\"2W1\",\"policy\":\"icount\",\"cycles\":60000,\"seed\":{}}}",
+            1180 + seed
+        );
+        let want = fresh_answer(&body);
+        let gate = Arc::new(Barrier::new(2));
+        let pair: Vec<_> = (0..2)
+            .map(|_| {
+                let (addr, body, gate) = (addr.clone(), body.clone(), Arc::clone(&gate));
+                std::thread::spawn(move || {
+                    gate.wait();
+                    http_post(&addr, "/run", &body, 30_000)
+                })
+            })
+            .collect();
+        for t in pair {
+            let r = t.join().expect("no panic").expect("answered");
+            assert_eq!(r.status, 200);
+            assert_eq!(r.body, want, "a coalesced answer must be byte-identical");
+            coalesced |= r.header("x-cache") == Some("coalesced");
+        }
+        if coalesced {
+            break;
+        }
+    }
+    assert!(coalesced, "no request followed an in-flight leader");
+    shutdown_and_join(handle);
+
+    // A restarted server answers from entries loaded from the journal:
+    // the first hit renders the answer, the second reuses it.
+    let handle = launch(ServerConfig {
+        cache_path: Some(cache.clone()),
+        ..ServerConfig::default()
+    });
+    let addr = handle.bound_addr();
+    for _ in 0..2 {
+        answered(&addr, &body, 200, "hit", &want);
+        answered(&addr, failing, 500, "hit", &want_error);
+    }
+    assert_eq!(
+        handle
+            .service_counters()
+            .jobs_simulated
+            .load(Ordering::Relaxed),
+        0,
+        "every answer replayed"
+    );
+    shutdown_and_join(handle);
+    let _ = std::fs::remove_file(&cache);
 }

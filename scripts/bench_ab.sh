@@ -10,7 +10,10 @@
 # CARGO_TARGET_DIRs, then runs PAIRS alternated pairs per workload: the
 # side that runs first flips on every pair, so clock throttling cannot
 # favour one side. Each side's records are appended to a file of its
-# own, and `benchmark compare` reads the two files at the end.
+# own, and `benchmark compare` reads the two files at the end. After
+# the verdicts it prints each side's median of the serve latencies that
+# compare does not judge (hit_p50_ms, hit_p90_ms, cold_p50_ms), for each
+# workload whose records carry them.
 #
 # Defaults: 10 pairs, 8 seconds per run, seed 1, every workload
 # (paper-sweep, long-latency, serve-figures). The scratch directory is
@@ -59,4 +62,27 @@ for w in "${workloads[@]}"; do
     done
 done
 
-"$work/target-change/release/benchmark" compare "$work/parent.jsonl" "$work/change.jsonl"
+status=0
+"$work/target-change/release/benchmark" compare "$work/parent.jsonl" "$work/change.jsonl" ||
+    status=$?
+
+median() { # side workload metric: median of the metric over the side's records
+    grep -F '"benchmark":"smtsim"' "$work/$1.jsonl" | grep -F "\"workload\":\"$2\"" |
+        grep -oE "\"$3\":\\{\"value\":[-+0-9.eE]+" | awk -F: '{ print $NF }' | sort -g |
+        awk '{ v[NR] = $1 }
+             END { if (NR) print (NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2) }' ||
+        true # a workload without the metric has no match
+}
+echo
+echo "serve latency medians, not judged by compare:"
+printf '%-13s %-12s %10s %10s\n' workload metric parent change
+for w in "${workloads[@]}"; do
+    for m in hit_p50_ms hit_p90_ms cold_p50_ms; do
+        before=$(median parent "$w" "$m")
+        after=$(median change "$w" "$m")
+        if [ -n "$before$after" ]; then
+            printf '%-13s %-12s %10s %10s\n' "$w" "$m" "${before:--}" "${after:--}"
+        fi
+    done
+done
+exit "$status"
