@@ -16,9 +16,7 @@
 //! outcome: [`ResultCache::store_outcome`] renders them, builds the
 //! journal line around them and hands them back, so the caller's
 //! reply, its coalesced followers and every later hit
-//! ([`CacheEntry::answer`]) share the same bytes. An entry loaded from
-//! a journal renders its answer on the first call and keeps it, so
-//! loading renders nothing.
+//! ([`CacheEntry::answer`]) share the same bytes.
 //!
 //! Each line carries a self-checksum:
 //!
@@ -27,25 +25,38 @@
 //! ```
 //!
 //! `sum` is the FNV-1a hash of the line *without* the `sum` field.
-//! Loading checks it before it parses anything: it hashes the line up
-//! to the last `,"sum":"` plus a closing `}`, in place, and compares
-//! the result byte for byte with the 16 lowercase hex digits written
-//! there. A torn tail (kill -9 mid-append), a truncated line, or a
-//! flipped bit anywhere fails that check — or, for the few damaged
-//! lines that pass it, the JSON parse — and reads as "skip and
-//! re-simulate", never as a wrong cached answer and never as a panic
-//! (`crates/serve/tests/corruption.rs` fuzzes exactly this). Only an
-//! intact line is parsed into a result.
+//! Loading checks it in place and parses no answer: a line must end
+//! with `,"sum":"`, 16 lowercase hex digits and `"}`, the digits must
+//! equal the hash of everything before `,"sum":"` plus a closing `}`,
+//! and the line must open the way the cache writes it, `{"job":N,`
+//! then the `label` and `cfg` strings and `ok`. The line is then kept
+//! under its `cfg` key. [`ResultCache::cached`] decodes a kept line the
+//! first time it is asked for (the `result` or `error` value parsed as
+//! [`parse_cache_line`] parses it) and keeps the entry; the entry's
+//! answer is that value's bytes as the line holds them, plus `"\n"`.
+//! Those are the bytes a fresh run renders: every raw field is an
+//! integer, bool or string, and a change to the JSON a result renders
+//! to moves a fidelity golden and so [`MODEL_STAMP`], which re-keys
+//! every config. A line that passes the checksum but does not decode
+//! reads as absent from then on, so its job is re-simulated, never
+//! served. A restart therefore pays one hash per line and a parse only
+//! for the answers somebody asks for.
+//!
+//! A torn tail (kill -9 mid-append), a truncated line, or a flipped
+//! bit anywhere fails that check — or, for the few damaged lines that
+//! pass it, the decode — and reads as "skip and re-simulate", never as
+//! a wrong cached answer and never as a panic
+//! (`crates/serve/tests/corruption.rs` fuzzes exactly this).
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::json::{parse_json, JsonObject, ToJson};
+use crate::json::{parse_json, parse_string, JsonObject, ToJson};
 use crate::result::SimResult;
 use crate::sweep::JobOutcome;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
@@ -126,17 +137,30 @@ pub struct CacheEntry {
     pub label: String,
     /// The cached outcome.
     pub outcome: JobOutcome,
-    /// [`render_answer`] of `outcome`: set at store time, or on the
-    /// first [`CacheEntry::answer`] of an entry loaded from a journal.
-    answer: OnceLock<Arc<str>>,
+    /// [`render_answer`] of `outcome` (for an entry decoded from a
+    /// journal line, the line's own bytes of it), set when the entry
+    /// is built.
+    answer: Arc<str>,
 }
 
 impl CacheEntry {
-    /// The entry's answer bytes, rendered at most once per entry and
-    /// shared: a caller gets a pointer to them, not a new rendering.
+    /// The entry's answer bytes, shared: a caller gets a pointer to
+    /// them, not a new rendering.
     pub fn answer(&self) -> Arc<str> {
-        Arc::clone(self.answer.get_or_init(|| render_answer(&self.outcome)))
+        Arc::clone(&self.answer)
     }
+}
+
+/// One indexed fingerprint: an entry stored by this process is built
+/// at once; one loaded from the journal keeps its verified line and
+/// decodes it on the first lookup.
+#[derive(Debug)]
+struct Slot {
+    /// The verified journal line of a loaded entry; empty for a stored
+    /// one.
+    line: Box<str>,
+    /// The decoded entry, or `None` for a line that does not decode.
+    entry: OnceLock<Option<CacheEntry>>,
 }
 
 /// The bytes that answer `outcome`: the result's JSON (what `smtsim
@@ -160,7 +184,7 @@ pub fn render_answer(outcome: &JobOutcome) -> Arc<str> {
 #[derive(Debug)]
 pub struct ResultCache {
     path: Option<PathBuf>,
-    entries: BTreeMap<String, CacheEntry>,
+    entries: BTreeMap<String, Slot>,
     skipped: u64,
     seq: u64,
 }
@@ -176,9 +200,10 @@ impl ResultCache {
         }
     }
 
-    /// Open (or create) the cache file at `path`, replaying every
-    /// intact line. Corrupt lines are counted in [`ResultCache::skipped_lines`]
-    /// and otherwise ignored; an unreadable file behaves as empty.
+    /// Open (or create) the cache file at `path`, indexing every intact
+    /// line without decoding it. Corrupt lines are counted in
+    /// [`ResultCache::skipped_lines`] and otherwise ignored; an
+    /// unreadable file behaves as empty.
     pub fn load_from(path: &Path) -> ResultCache {
         let mut cache = ResultCache {
             path: Some(path.to_path_buf()),
@@ -186,27 +211,26 @@ impl ResultCache {
             skipped: 0,
             seq: 0,
         };
-        let mut file = match File::open(path) {
-            Ok(f) => f,
-            Err(_) => return cache, // fresh cache: nothing recorded yet
+        // A missing file is a fresh cache: nothing recorded yet.
+        let Ok(data) = std::fs::read(path) else {
+            return cache;
         };
         // Byte-split rather than BufRead::lines(): a single flipped
         // bit can make a line invalid UTF-8, and that must cost one
-        // line (lossy decode breaks its checksum), not abort the load
-        // and orphan every intact entry after it.
-        let mut data = Vec::new();
-        if file.read_to_end(&mut data).is_err() {
-            return cache;
-        }
+        // line (its checksum no longer matches), not abort the load and
+        // orphan every intact entry after it.
         for raw in data.split(|&b| b == b'\n') {
             if raw.is_empty() {
                 continue;
             }
-            let line = String::from_utf8_lossy(raw);
-            match parse_cache_line(&line) {
-                Some((fp, entry)) => {
+            match verify_line(raw) {
+                Some((fingerprint, line)) => {
                     cache.seq += 1;
-                    cache.entries.insert(fp, entry);
+                    let slot = Slot {
+                        line: line.into(),
+                        entry: OnceLock::new(),
+                    };
+                    cache.entries.insert(fingerprint, slot);
                 }
                 None => cache.skipped = cache.skipped.saturating_add(1),
             }
@@ -215,22 +239,24 @@ impl ResultCache {
         // newline; appending straight after it would weld the next
         // entry onto the garbage and lose both. Close the wound once
         // at open time so appends always start on a fresh line.
-        if let Ok(mut f) = OpenOptions::new().read(true).append(true).open(path) {
-            let mut last = [0u8; 1];
-            let read_tail = f.seek(SeekFrom::End(-1)).is_ok() && f.read_exact(&mut last).is_ok();
-            if read_tail && last[0] != b'\n' {
+        if data.last().is_some_and(|&b| b != b'\n') {
+            if let Ok(mut f) = OpenOptions::new().append(true).open(path) {
                 let _ = f.write_all(b"\n");
             }
         }
         cache
     }
 
-    /// Look up the cached outcome for a config fingerprint.
+    /// Look up the cached outcome for a config fingerprint. An entry
+    /// loaded from the journal is decoded on its first lookup; one
+    /// whose line does not decode reads as absent.
     pub fn cached(&self, fingerprint: &str) -> Option<&CacheEntry> {
-        self.entries.get(fingerprint)
+        let slot = self.entries.get(fingerprint)?;
+        slot.entry.get_or_init(|| decode_line(&slot.line)).as_ref()
     }
 
-    /// Number of cached entries.
+    /// Number of indexed entries (a loaded line counts once its
+    /// checksum holds; it is decoded on its first lookup).
     pub fn entry_count(&self) -> u64 {
         self.entries.len() as u64
     }
@@ -273,14 +299,16 @@ impl ResultCache {
         let answer = render_answer(outcome);
         let line = journal_line(self.seq, label, fingerprint, outcome.is_ok(), &answer);
         self.seq += 1;
-        self.entries.insert(
-            fingerprint.to_string(),
-            CacheEntry {
-                label: label.to_string(),
-                outcome: outcome.clone(),
-                answer: OnceLock::from(Arc::clone(&answer)),
-            },
-        );
+        let entry = CacheEntry {
+            label: label.to_string(),
+            outcome: outcome.clone(),
+            answer: Arc::clone(&answer),
+        };
+        let slot = Slot {
+            line: Box::default(),
+            entry: OnceLock::from(Some(entry)),
+        };
+        self.entries.insert(fingerprint.to_string(), slot);
         if let Some(path) = &self.path {
             let appended = OpenOptions::new()
                 .create(true)
@@ -354,35 +382,105 @@ fn journal_line(seq: u64, label: &str, fingerprint: &str, ok: bool, answer: &str
 /// by [`format_cache_line`].
 ///
 /// The checksum is checked first, straight on `line`, so a corrupt line
-/// costs one hash and no parse.
+/// costs one hash and no parse. Loading makes the same check and
+/// [`ResultCache::cached`] the same decode.
 pub fn parse_cache_line(line: &str) -> Option<(String, CacheEntry)> {
+    let (fingerprint, line) = verify_line(line.as_bytes())?;
+    Some((fingerprint, decode_line(line)?))
+}
+
+/// How every cache line ends: `,"sum":"`, 16 hex digits, `"}`.
+const SUM_KEY: &[u8] = b",\"sum\":\"";
+const SUM_TAIL: usize = SUM_KEY.len() + 16 + 2;
+
+/// Check one line without parsing its answer: it ends with the
+/// checksum of everything before it, is UTF-8, and opens the way
+/// [`journal_line`] writes it. Returns its `cfg` key and its text.
+fn verify_line(raw: &[u8]) -> Option<(String, &str)> {
+    let (body, tail) = raw.split_at(raw.len().checked_sub(SUM_TAIL)?);
+    let (key, tail) = tail.split_at(SUM_KEY.len());
+    let (digits, close) = tail.split_at(16);
+    if key != SUM_KEY || close != b"\"}" {
+        return None;
+    }
     // Re-derive the checksum over the line as it looked before the
     // `sum` field was spliced in: everything before it, then `}`.
-    const SUM_KEY: &str = ",\"sum\":\"";
-    let idx = line.rfind(SUM_KEY)?;
+    if *digits != hex16(fnv64_extend(fnv64(body), b"}")) {
+        return None;
+    }
+    let line = std::str::from_utf8(raw).ok()?;
+    Some((read_head(line)?.cfg, line))
+}
+
+/// The fields of a cache line before its answer.
+struct Head {
+    label: String,
+    cfg: String,
+    ok: bool,
+    /// Byte offset of the `result` (or `error`) value.
+    value: usize,
+}
+
+/// Read `{"job":N,"label":S,"cfg":S,"ok":B,` and the key that follows,
+/// exactly as [`journal_line`] writes them.
+fn read_head(line: &str) -> Option<Head> {
     let bytes = line.as_bytes();
-    let sum = hex16(fnv64_extend(fnv64(&bytes[..idx]), b"}"));
-    if !bytes[idx + SUM_KEY.len()..].starts_with(&sum) {
+    let mut pos = 0;
+    let literal = |pos: &mut usize, text: &str| {
+        let found = bytes[*pos..].starts_with(text.as_bytes());
+        if found {
+            *pos += text.len();
+        }
+        found
+    };
+    if !literal(&mut pos, "{\"job\":") {
         return None;
     }
-    let v = parse_json(line).ok()?;
-    // ...and the field holds those 16 digits and nothing more.
-    if v.req_str("sum").ok()?.as_bytes() != sum {
+    let digits = bytes[pos..]
+        .iter()
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    pos += digits;
+    if digits == 0 || !literal(&mut pos, ",\"label\":") {
         return None;
     }
-    let fingerprint = v.req_str("cfg").ok()?.to_string();
-    let label = v.req_str("label").ok()?.to_string();
-    let outcome = if v.req_bool("ok").ok()? {
-        Ok(SimResult::from_json(v.get("result")?).ok()?)
+    let label = parse_string(line, &mut pos).ok()?;
+    if !literal(&mut pos, ",\"cfg\":") {
+        return None;
+    }
+    let cfg = parse_string(line, &mut pos).ok()?;
+    let ok = if literal(&mut pos, ",\"ok\":true,\"result\":") {
+        true
+    } else if literal(&mut pos, ",\"ok\":false,\"error\":") {
+        false
     } else {
-        Err(SimError::from_json(v.get("error")?).ok()?)
+        return None;
     };
-    let entry = CacheEntry {
+    Some(Head {
         label,
-        outcome,
-        answer: OnceLock::new(),
+        cfg,
+        ok,
+        value: pos,
+    })
+}
+
+/// Decode a line [`verify_line`] accepted: parse its `result` (or
+/// `error`) value into the outcome, and keep that value's bytes as the
+/// answer. `None` when the value does not decode.
+fn decode_line(line: &str) -> Option<CacheEntry> {
+    let head = read_head(line)?;
+    let value = line.get(head.value..line.len().checked_sub(SUM_TAIL)?)?;
+    let v = parse_json(value).ok()?;
+    let outcome = if head.ok {
+        Ok(SimResult::from_json(&v).ok()?)
+    } else {
+        Err(SimError::from_json(&v).ok()?)
     };
-    Some((fingerprint, entry))
+    Some(CacheEntry {
+        label: head.label,
+        outcome,
+        answer: Arc::from(format!("{value}\n")),
+    })
 }
 
 /// `h` as 16 lowercase hex digits, the way `{:016x}` writes it.
@@ -473,6 +571,53 @@ mod tests {
                 "format_cache_line writes what store_outcome appends"
             );
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_checksum_valid_line_that_does_not_decode_is_re_simulated() {
+        let w = Workload::by_name("2W1").unwrap();
+        let cfg = SimConfig::for_workload(w, PolicyKind::Icount).with_cycles(2_000);
+        let fp = config_fingerprint(&cfg);
+        // Checksummed lines whose answer is not a result: an object of
+        // the wrong shape, and a value that is not JSON at all.
+        for (name, bad) in [("shape", "{\"policy\":1}\n"), ("json", "{\"policy\":\n")] {
+            let path = temp_path(&format!("undecodable-{name}.jsonl"));
+            let line = journal_line(0, "bad", &fp, true, bad);
+            std::fs::write(&path, &line).unwrap();
+            assert!(parse_cache_line(line.trim_end()).is_none());
+            let c = ResultCache::load_from(&path);
+            assert_eq!((c.entry_count(), c.skipped_lines()), (1, 0), "indexed");
+            assert!(c.cached(&fp).is_none(), "{name}: never served");
+            assert!(c.cached(&fp).is_none(), "{name}: stays absent");
+
+            let jobs = [crate::sweep::SweepJob::new("job", cfg.clone())];
+            let out = crate::sweep::run_sweep_journaled(&jobs, 1, Some(&path));
+            let fresh = crate::sim::Simulator::build(&cfg).unwrap().run();
+            let fresh_answer = render_answer(&fresh);
+            assert_eq!(*render_answer(&out[0].1), *fresh_answer, "re-simulated");
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(text.lines().count(), 2, "{name}: re-recorded");
+            let reloaded = ResultCache::load_from(&path);
+            assert_eq!(*reloaded.cached(&fp).unwrap().answer(), *fresh_answer);
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn a_torn_tail_is_closed_once_and_an_intact_file_is_left_alone() {
+        let path = temp_path("tail.jsonl");
+        let line = format_cache_line(0, "lbl", "f1", &small_outcome());
+        std::fs::write(&path, &line).unwrap();
+        let _ = ResultCache::load_from(&path);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), line);
+        let torn = format!("{line}{}", &line[..line.len() / 2]);
+        std::fs::write(&path, &torn).unwrap();
+        let c = ResultCache::load_from(&path);
+        assert_eq!((c.entry_count(), c.skipped_lines()), (1, 1));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{torn}\n"));
+        let _ = ResultCache::load_from(&path);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{torn}\n"));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -436,7 +436,10 @@ fn parse_array(src: &str, pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+/// Parse the JSON string that starts at `src[*pos]`, leaving `pos`
+/// just past its closing quote. The journal reads a line's key with it
+/// without parsing the rest of the line.
+pub(crate) fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
     let bytes = src.as_bytes();
     expect_byte(bytes, pos, b'"')?;
     let mut s = String::new();

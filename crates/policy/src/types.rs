@@ -166,13 +166,14 @@ pub(crate) fn order_by(
     out: &mut Vec<usize>,
     key: impl Fn(&ThreadSnapshot) -> u32,
 ) {
+    // Sort positions in `snaps` by their `(key, tid)` pair, then name
+    // each position's thread.
     out.clear();
-    out.extend(snaps.iter().map(|s| s.tid));
-    out.sort_by_key(|&tid| {
-        // lint: allow(D3) -- out was populated from snaps two lines up, every tid resolves
-        let s = snaps.iter().find(|s| s.tid == tid).expect("tid in snaps");
-        (key(s), tid as u32)
-    });
+    out.extend(0..snaps.len());
+    out.sort_unstable_by_key(|&i| (key(&snaps[i]), snaps[i].tid));
+    for i in out.iter_mut() {
+        *i = snaps[*i].tid;
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //!
 //! A `/run` answer is rendered once per outcome: the cache entry keeps
 //! its bytes ([`smtsim_core::cache::CacheEntry::answer`]), so a hit
-//! copies a shared pointer under the cache lock and runs no JSON code.
+//! copies a shared pointer under the cache lock and runs no JSON
+//! emitter. An entry loaded from the journal is parsed on its first
+//! hit, under that lock, and answers with its line's bytes.
 //!
 //! Panic-freedom is a design rule here, not an aspiration: every
 //! mutex lock recovers from poisoning, every socket error maps to a
@@ -546,8 +548,8 @@ fn handle_run(shared: &Arc<Shared>, ordinal: u64, body: &str) -> Reply {
     let fingerprint = config_fingerprint(&cfg);
 
     // A hit takes the entry's shared answer bytes under the lock (an
-    // entry loaded from the journal renders them on its first hit);
-    // the lock is released before the answer is written.
+    // entry loaded from the journal is decoded on its first hit); the
+    // lock is released before the answer is written.
     let hit = lock_clean(&shared.cache)
         .cached(&fingerprint)
         .map(|entry| Answer {

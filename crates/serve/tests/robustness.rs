@@ -663,7 +663,7 @@ fn every_way_an_answer_leaves_the_server_is_byte_identical() {
     shutdown_and_join(handle);
 
     // A restarted server answers from entries loaded from the journal:
-    // the first hit renders the answer, the second reuses it.
+    // the first hit decodes the line, the second reuses the entry.
     let handle = launch(ServerConfig {
         cache_path: Some(cache.clone()),
         ..ServerConfig::default()

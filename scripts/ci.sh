@@ -94,6 +94,9 @@ echo "== serve (fault tolerance, cache replay, kill -9 restart) =="
 # byte-identical replayed answer — only exists as a script.
 cargo test -q --offline -p smtsim-serve --test robustness
 cargo test -q --offline -p smtsim-serve --test corruption
+# An older binary's journal must still load, decode on lookup exactly
+# as parse_cache_line does, and re-render byte for byte.
+cargo test -q --offline -p smtsim-core --test journal_format
 scripts/serve_smoke.sh
 
 echo "== rustdoc (-D warnings) =="
