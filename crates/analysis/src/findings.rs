@@ -141,8 +141,8 @@ detailed models produce; a reduced-fidelity component there is assumed to be a m
 Scope: the declared golden-figure file list. Fix: move fidelity studies to their own driver \
 or waive with the stated reason.",
             Rule::D10 => "A heap allocation inside the cycle loop costs allocator traffic \
-every simulated cycle — the single biggest obstacle to the cycles/sec target (ROADMAP item \
-1). Scope: call-graph — allocation sites (Vec::new, vec!, Box::new, .clone(), format!, \
+every simulated cycle; the rule keeps the cycle loop allocation-free. Scope: call-graph — \
+allocation sites (Vec::new, vec!, Box::new, .clone(), format!, \
 to_string, collect, String::from, to_vec, to_owned, with_capacity) inside non-test functions \
 transitively reachable from a cycle-loop root: Simulator::step, SmtCore::tick, \
 MemoryModel::tick, MemorySystem::tick, FastMemory::tick. Findings print the full call chain from the root. Fix: hoist into a \

@@ -13,10 +13,15 @@
 //!
 //! Each answer is rendered once. An entry keeps its answer bytes
 //! ([`render_answer`], what `smtsim run --json` prints) next to the
-//! outcome: [`ResultCache::store_outcome`] renders them, builds the
-//! journal line around them and hands them back, so the caller's
-//! reply, its coalesced followers and every later hit
+//! outcome and its journal line is built around them, so the request
+//! that stored it, those that waited on its slot and every later hit
 //! ([`CacheEntry::answer`]) share the same bytes.
+//!
+//! Each fingerprint has one `Arc`'d [`Slot`] whose `OnceLock` makes its
+//! entry once: the serving layer takes it under its cache lock
+//! ([`ResultCache::slot`]) and asks it ([`Slot::entry_or`]) after, so
+//! no decode or simulation runs under the lock, and identical
+//! concurrent asks wait for the one entry.
 //!
 //! Each line carries a self-checksum:
 //!
@@ -30,9 +35,10 @@
 //! equal the hash of everything before `,"sum":"` plus a closing `}`,
 //! and the line must open the way the cache writes it, `{"job":N,`
 //! then the `label` and `cfg` strings and `ok`. The line is then kept
-//! under its `cfg` key. [`ResultCache::cached`] decodes a kept line the
-//! first time it is asked for (the `result` or `error` value parsed as
-//! [`parse_cache_line`] parses it) and keeps the entry; the entry's
+//! under its `cfg` key. [`ResultCache::cached`] (or [`Slot::entry_or`])
+//! decodes a kept line the first time it is asked for (the `result` or
+//! `error` value parsed as [`parse_cache_line`] parses it) and keeps
+//! the entry in its slot; the entry's
 //! answer is that value's bytes as the line holds them, plus `"\n"`.
 //! Those are the bytes a fresh run renders: every raw field is an
 //! integer, bool or string, and a change to the JSON a result renders
@@ -151,16 +157,31 @@ impl CacheEntry {
     }
 }
 
-/// One indexed fingerprint: an entry stored by this process is built
-/// at once; one loaded from the journal keeps its verified line and
-/// decodes it on the first lookup.
-#[derive(Debug)]
-struct Slot {
-    /// The verified journal line of a loaded entry; empty for a stored
-    /// one.
+/// One indexed fingerprint. Its entry is set once: when stored, when a
+/// loaded journal line is first asked for (decoded), or, in a slot
+/// fresh from [`ResultCache::slot`], by the first asker's computation.
+#[derive(Debug, Default)]
+pub struct Slot {
+    /// The verified journal line of a loaded entry; empty otherwise.
     line: Box<str>,
-    /// The decoded entry, or `None` for a line that does not decode.
+    /// The entry, or `None` for a line that does not decode.
     entry: OnceLock<Option<CacheEntry>>,
+}
+
+impl Slot {
+    /// The slot's entry: the one it holds, else its journal line
+    /// decoded now, else (a fresh slot) what `compute` returns.
+    /// Concurrent callers wait for the first one's decode or
+    /// computation and get the same entry. `None` when the line does
+    /// not decode.
+    pub fn entry_or(&self, compute: impl FnOnce() -> CacheEntry) -> Option<&CacheEntry> {
+        self.entry
+            .get_or_init(|| match &*self.line {
+                "" => Some(compute()),
+                line => decode_line(line),
+            })
+            .as_ref()
+    }
 }
 
 /// The bytes that answer `outcome`: the result's JSON (what `smtsim
@@ -184,7 +205,7 @@ pub fn render_answer(outcome: &JobOutcome) -> Arc<str> {
 #[derive(Debug)]
 pub struct ResultCache {
     path: Option<PathBuf>,
-    entries: BTreeMap<String, Slot>,
+    entries: BTreeMap<String, Arc<Slot>>,
     skipped: u64,
     seq: u64,
 }
@@ -230,7 +251,7 @@ impl ResultCache {
                         line: line.into(),
                         entry: OnceLock::new(),
                     };
-                    cache.entries.insert(fingerprint, slot);
+                    cache.entries.insert(fingerprint, Arc::new(slot));
                 }
                 None => cache.skipped = cache.skipped.saturating_add(1),
             }
@@ -252,7 +273,64 @@ impl ResultCache {
     /// whose line does not decode reads as absent.
     pub fn cached(&self, fingerprint: &str) -> Option<&CacheEntry> {
         let slot = self.entries.get(fingerprint)?;
+        if slot.line.is_empty() {
+            // Stored, or a fresh slot whose computation is not done.
+            return slot.entry.get()?.as_ref();
+        }
         slot.entry.get_or_init(|| decode_line(&slot.line)).as_ref()
+    }
+
+    /// The slot of `fingerprint`, to ask with [`Slot::entry_or`] once
+    /// the cache's guard is released, and whether it is recorded (holds
+    /// a journal line or a finished entry). A fingerprint with no slot,
+    /// or whose line did not decode, is indexed a fresh one.
+    pub fn slot(&mut self, fingerprint: &str) -> (Arc<Slot>, bool) {
+        let slot = self.entries.entry(fingerprint.to_string()).or_default();
+        if matches!(slot.entry.get(), Some(None)) {
+            *slot = Arc::default();
+        }
+        let recorded = !slot.line.is_empty() || slot.entry.get().is_some();
+        (Arc::clone(slot), recorded)
+    }
+
+    /// The entry of `outcome` for `slot`, the fresh slot of
+    /// `fingerprint`, to hand back from its computation; its line is
+    /// appended as [`ResultCache::store_outcome`] appends it. A
+    /// transient outcome, or any when `keep` is false, is not: the slot
+    /// leaves the index, so only those already asking it get the entry.
+    pub fn store_in(
+        &mut self,
+        fingerprint: &str,
+        slot: &Arc<Slot>,
+        label: &str,
+        outcome: JobOutcome,
+        keep: bool,
+    ) -> CacheEntry {
+        let entry = CacheEntry {
+            label: label.to_string(),
+            answer: render_answer(&outcome),
+            outcome,
+        };
+        if !keep || entry.outcome.as_ref().is_err_and(SimError::is_transient) {
+            if matches!(self.entries.get(fingerprint), Some(s) if Arc::ptr_eq(s, slot)) {
+                self.entries.remove(fingerprint);
+            }
+            return entry;
+        }
+        let ok = entry.outcome.is_ok();
+        let line = journal_line(self.seq, label, fingerprint, ok, &entry.answer);
+        self.seq += 1;
+        if let Some(path) = &self.path {
+            let appended = OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .and_then(|mut f| f.write_all(line.as_bytes()).and_then(|()| f.flush()));
+            if let Err(e) = appended {
+                eprintln!("warning: cache append failed for {}: {e}", path.display());
+            }
+        }
+        entry
     }
 
     /// Number of indexed entries (a loaded line counts once its
@@ -296,30 +374,12 @@ impl ResultCache {
         if outcome.as_ref().is_err_and(SimError::is_transient) {
             return None;
         }
-        let answer = render_answer(outcome);
-        let line = journal_line(self.seq, label, fingerprint, outcome.is_ok(), &answer);
-        self.seq += 1;
-        let entry = CacheEntry {
-            label: label.to_string(),
-            outcome: outcome.clone(),
-            answer: Arc::clone(&answer),
-        };
-        let slot = Slot {
-            line: Box::default(),
-            entry: OnceLock::from(Some(entry)),
-        };
-        self.entries.insert(fingerprint.to_string(), slot);
-        if let Some(path) = &self.path {
-            let appended = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| f.write_all(line.as_bytes()).and_then(|()| f.flush()));
-            if let Err(e) = appended {
-                eprintln!("warning: cache append failed for {}: {e}", path.display());
-            }
-        }
-        Some(answer)
+        let slot = Arc::<Slot>::default();
+        self.entries
+            .insert(fingerprint.to_string(), Arc::clone(&slot));
+        let entry =
+            slot.entry_or(|| self.store_in(fingerprint, &slot, label, outcome.clone(), true));
+        entry.map(CacheEntry::answer)
     }
 
     /// Force the backing file's contents to stable storage (graceful
@@ -602,6 +662,26 @@ mod tests {
             assert_eq!(*reloaded.cached(&fp).unwrap().answer(), *fresh_answer);
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    #[test]
+    fn a_taken_slot_decodes_its_line_without_the_cache() {
+        // The cache is dropped once the slot is taken: nothing the
+        // decode needs is behind whatever guards the cache.
+        let w = Workload::by_name("2W1").unwrap();
+        let cfg = SimConfig::for_workload(w, PolicyKind::Icount).with_cycles(2_000);
+        let fp = config_fingerprint(&cfg);
+        let fresh = crate::sim::Simulator::build(&cfg).unwrap().run();
+        let path = temp_path("slot.jsonl");
+        std::fs::write(&path, format_cache_line(0, "lbl", &fp, &fresh)).unwrap();
+        let (slot, recorded) = ResultCache::load_from(&path).slot(&fp);
+        assert!(recorded, "a loaded line is recorded");
+        let entry = slot
+            .entry_or(|| panic!("a recorded line is decoded, not computed"))
+            .expect("the line decodes");
+        assert_eq!(*entry.answer(), *render_answer(&fresh));
+        assert_eq!(entry.label, "lbl");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

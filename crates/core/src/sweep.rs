@@ -65,8 +65,8 @@ fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// Run one job with panic isolation: a panic is caught and reported as
 /// `SimError::JobPanicked` in the job's slot. It is not retried — a
 /// simulation is a pure function of its config, so a second attempt
-/// would panic the same way.
-fn run_job(job: &SweepJob) -> JobOutcome {
+/// would panic the same way. The serving layer runs its jobs here too.
+pub fn run_job(job: &SweepJob) -> JobOutcome {
     catch_unwind(AssertUnwindSafe(|| {
         Simulator::build(&job.config).and_then(|s| s.run())
     }))

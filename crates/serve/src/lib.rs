@@ -7,9 +7,9 @@
 //! [`SimConfig::validate`](smtsim_core::SimConfig::validate) path
 //! (400s with did-you-mean hints), and answers repeat queries
 //! **byte-identically** from a persistent fingerprint-keyed result
-//! cache ([`smtsim_core::cache::ResultCache`]). Identical in-flight
-//! configs are deduplicated: the second requester blocks on the
-//! first's result and never re-simulates.
+//! cache ([`smtsim_core::cache::ResultCache`]). Identical concurrent
+//! requests wait on their config's one cache slot for the first one's
+//! answer and never re-simulate.
 //!
 //! Robustness model (proven in `tests/robustness.rs`):
 //!

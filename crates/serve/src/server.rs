@@ -1,5 +1,5 @@
 //! The server: bounded accept queue, worker pool, fingerprint cache,
-//! in-flight dedup, graceful drain.
+//! graceful drain.
 //!
 //! Threading model: one accept thread pushes connections into a
 //! bounded queue (shedding 429 when full, 503 while draining); N
@@ -9,19 +9,21 @@
 //! async, no clocks — all waits are `Condvar` timeouts or socket
 //! timeouts, so the crate stays D2-clean.
 //!
-//! A `/run` answer is rendered once per outcome: the cache entry keeps
-//! its bytes ([`smtsim_core::cache::CacheEntry::answer`]), so a hit
-//! copies a shared pointer under the cache lock and runs no JSON
-//! emitter. An entry loaded from the journal is parsed on its first
-//! hit, under that lock, and answers with its line's bytes.
+//! A `/run` request takes its fingerprint's cache slot
+//! ([`smtsim_core::cache::Slot`]) under the cache lock and asks it for
+//! its entry once the lock is released: a stored entry, a journal line
+//! decoded on its first ask, or a simulation run by the first request
+//! while identical ones wait. Each answer is rendered once: the entry
+//! keeps its bytes ([`smtsim_core::cache::CacheEntry::answer`]), so a
+//! reply copies a shared pointer and runs no JSON emitter.
 //!
 //! Panic-freedom is a design rule here, not an aspiration: every
 //! mutex lock recovers from poisoning, every socket error maps to a
 //! response or a dropped connection, and simulation panics are
-//! already absorbed by `run_sweep`'s supervisor into
+//! absorbed by the sweep runner's panic boundary (`run_job`) into
 //! `SimError::JobPanicked`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -30,10 +32,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use smtsim_core::cache::{config_fingerprint, format_cache_line, render_answer, ResultCache};
+use smtsim_core::cache::{config_fingerprint, format_cache_line, CacheEntry, ResultCache, Slot};
 use smtsim_core::json::write_escaped;
-use smtsim_core::sweep::JobOutcome;
-use smtsim_core::{run_sweep, SimConfig, SimError, SweepJob};
+use smtsim_core::sweep::run_job;
+use smtsim_core::{SimError, SweepJob};
 
 use crate::fault::ServeFaultPlan;
 use crate::http::{
@@ -78,22 +80,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// A rendered `/run` answer: a result (200) or an error (500), and
-/// its body, shared with the cache entry that keeps it.
-#[derive(Clone)]
-struct Answer {
-    ok: bool,
-    body: Arc<str>,
-}
-
-/// One in-flight simulation that followers with the same fingerprint
-/// block on instead of re-simulating.
-#[derive(Default)]
-struct Inflight {
-    done: Mutex<Option<Answer>>,
-    cv: Condvar,
-}
-
 /// The accept queue, and what the accept thread needs to see to keep a
 /// queued connection from waiting on a kept one.
 #[derive(Default)]
@@ -119,7 +105,6 @@ struct Shared {
     cfg: ServerConfig,
     counters: ServeCounters,
     cache: Mutex<ResultCache>,
-    inflight: Mutex<BTreeMap<String, Arc<Inflight>>>,
     queue: Mutex<Queue>,
     queue_cv: Condvar,
     draining: AtomicBool,
@@ -153,7 +138,6 @@ impl Server {
             cfg,
             counters: ServeCounters::default(),
             cache: Mutex::new(cache),
-            inflight: Mutex::new(BTreeMap::new()),
             queue: Mutex::new(Queue {
                 idle: (0..worker_count).map(|_| None).collect(),
                 ..Queue::default()
@@ -486,8 +470,8 @@ impl Reply {
     /// The reply to a `/run` request: 200 + `SimResult` JSON
     /// (byte-identical to `smtsim run --json`) or 500 + `SimError`
     /// JSON, tagged with how it was produced (`X-Cache`).
-    fn answered(answer: Answer, cache_state: &'static str) -> Reply {
-        let (status, reason) = if answer.ok {
+    fn answered(entry: &CacheEntry, cache_state: &'static str) -> Reply {
+        let (status, reason) = if entry.outcome.is_ok() {
             (200, "OK")
         } else {
             (500, "Internal Server Error")
@@ -496,7 +480,7 @@ impl Reply {
             status,
             reason,
             cache: Some(cache_state),
-            body: answer.body,
+            body: entry.answer(),
         }
     }
 }
@@ -535,128 +519,77 @@ fn error_body(message: &str) -> String {
     out
 }
 
-/// The `POST /run` lifecycle: validate, fingerprint, consult cache,
-/// dedup in-flight, simulate, persist, answer.
+/// The `POST /run` lifecycle: validate, fingerprint, ask the
+/// fingerprint's cache slot for its entry (stored, decoded, or
+/// simulated and persisted by the first asker), answer.
 fn handle_run(shared: &Arc<Shared>, ordinal: u64, body: &str) -> Reply {
     if let Some(ms) = shared.cfg.fault.wants_response_stall(ordinal) {
         thread::sleep(Duration::from_millis(ms));
     }
-    let (cfg, label) = match crate::request::parse_sim_request(body) {
-        Ok(parsed) => parsed,
+    let job = match crate::request::parse_sim_request(body) {
+        Ok((cfg, label)) => SweepJob::new(label, cfg),
         Err(msg) => return Reply::plain(400, "Bad Request", error_body(&msg)),
     };
-    let fingerprint = config_fingerprint(&cfg);
-
-    // A hit takes the entry's shared answer bytes under the lock (an
-    // entry loaded from the journal is decoded on its first hit); the
-    // lock is released before the answer is written.
-    let hit = lock_clean(&shared.cache)
-        .cached(&fingerprint)
-        .map(|entry| Answer {
-            ok: entry.outcome.is_ok(),
-            body: entry.answer(),
+    let fingerprint = config_fingerprint(&job.config);
+    loop {
+        // Only taking the slot needs the lock. A slot recorded then is
+        // a hit; any other is being computed, by this request (a miss)
+        // or by one it waits on (coalesced).
+        let (slot, recorded) = lock_clean(&shared.cache).slot(&fingerprint);
+        let mut simulated = false;
+        let entry = slot.entry_or(|| {
+            simulated = true;
+            simulate(shared, ordinal, &job, &fingerprint, &slot)
         });
-    if let Some(answer) = hit {
-        ServeCounters::bump_tally(&shared.counters.cache_hits);
-        return Reply::answered(answer, "hit");
-    }
-
-    // Leader simulates; followers with the same fingerprint wait on
-    // the leader's slot and never re-simulate.
-    let (slot, leader) = {
-        let mut inflight = lock_clean(&shared.inflight);
-        match inflight.get(&fingerprint) {
-            Some(existing) => (Arc::clone(existing), false),
-            None => {
-                let fresh = Arc::new(Inflight::default());
-                inflight.insert(fingerprint.clone(), Arc::clone(&fresh));
-                (fresh, true)
-            }
-        }
-    };
-    ServeCounters::bump_tally(&shared.counters.cache_misses);
-
-    if !leader {
-        let answer = {
-            let mut done = lock_clean(&slot.done);
-            loop {
-                if let Some(answer) = done.as_ref() {
-                    break Reply::answered(answer.clone(), "coalesced");
-                }
-                done = slot
-                    .cv
-                    .wait_timeout(done, Duration::from_millis(50))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .0;
-            }
+        // A journal line that does not decode: take a fresh slot.
+        let Some(entry) = entry else { continue };
+        let (tally, state) = match (recorded, simulated) {
+            (true, _) => (&shared.counters.cache_hits, "hit"),
+            (false, true) => (&shared.counters.cache_misses, "miss"),
+            (false, false) => (&shared.counters.cache_misses, "coalesced"),
         };
-        return answer;
-    }
-
-    let outcome = execute(shared, &cfg, &label, ordinal);
-    let stored = persist_outcome(shared, ordinal, &label, &fingerprint, &outcome);
-    let answer = Answer {
-        ok: outcome.is_ok(),
-        body: stored.unwrap_or_else(|| render_answer(&outcome)),
-    };
-    {
-        let mut done = lock_clean(&slot.done);
-        *done = Some(answer.clone());
-        slot.cv.notify_all();
-    }
-    lock_clean(&shared.inflight).remove(&fingerprint);
-    Reply::answered(answer, "miss")
-}
-
-/// Run the job once. A panic comes back as `SimError::JobPanicked`
-/// (answered 500 and never cached); it is not retried, because a
-/// simulation is a pure function of its config.
-fn execute(shared: &Arc<Shared>, cfg: &SimConfig, label: &str, ordinal: u64) -> JobOutcome {
-    if shared.cfg.fault.wants_poisoned_job(ordinal) {
-        return Err(SimError::JobPanicked {
-            label: label.to_string(),
-            payload: String::from("injected poison (ServeFaultPlan)"),
-        });
-    }
-    ServeCounters::bump_tally(&shared.counters.jobs_simulated);
-    let job = SweepJob::new(label, cfg.clone());
-    match run_sweep(std::slice::from_ref(&job), 1).pop() {
-        Some((_, outcome)) => outcome,
-        None => Err(SimError::InvalidConfig(String::from(
-            "sweep returned no outcome",
-        ))),
+        ServeCounters::bump_tally(tally);
+        return Reply::answered(entry, state);
     }
 }
 
-/// Record the outcome in the cache (which drops a panic: a later
-/// request simulates afresh rather than replay it) and return the
-/// stored answer bytes, or `None` when nothing was stored. The
-/// torn-write fault swaps the append for half a line and skips the
-/// in-memory insert, leaving exactly what a kill -9 mid-append leaves.
-fn persist_outcome(
-    shared: &Arc<Shared>,
+/// Run the job once, through the sweep runner's panic boundary, and
+/// settle `slot` with its outcome. A panic comes back as
+/// `SimError::JobPanicked` (answered 500 and never cached); it is not
+/// retried, because a simulation is a pure function of its config. The
+/// torn-write fault swaps the append for half a line and keeps the
+/// entry out of the cache, exactly what a kill -9 mid-append leaves.
+fn simulate(
+    shared: &Shared,
     ordinal: u64,
-    label: &str,
+    job: &SweepJob,
     fingerprint: &str,
-    outcome: &JobOutcome,
-) -> Option<Arc<str>> {
+    slot: &Arc<Slot>,
+) -> CacheEntry {
+    let outcome = if shared.cfg.fault.wants_poisoned_job(ordinal) {
+        Err(SimError::JobPanicked {
+            label: job.label.clone(),
+            payload: String::from("injected poison (ServeFaultPlan)"),
+        })
+    } else {
+        ServeCounters::bump_tally(&shared.counters.jobs_simulated);
+        run_job(job)
+    };
     let mut cache = lock_clean(&shared.cache);
-    if shared.cfg.fault.wants_torn_cache_write(ordinal) {
-        if let Some(path) = cache.backing_path() {
-            let line = format_cache_line(cache.next_seq(), label, fingerprint, outcome);
-            let torn = &line.as_bytes()[..line.len() / 2];
-            let appended = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| f.write_all(torn));
-            if let Err(e) = appended {
-                eprintln!("warning: torn-write injection failed: {e}");
-            }
+    let torn = shared.cfg.fault.wants_torn_cache_write(ordinal);
+    if let Some(path) = cache.backing_path().filter(|_| torn) {
+        let line = format_cache_line(cache.next_seq(), &job.label, fingerprint, &outcome);
+        let half = &line.as_bytes()[..line.len() / 2];
+        let appended = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .and_then(|mut f| f.write_all(half));
+        if let Err(e) = appended {
+            eprintln!("warning: torn-write injection failed: {e}");
         }
-        return None;
     }
-    cache.store_outcome(fingerprint, label, outcome)
+    cache.store_in(fingerprint, slot, &job.label, outcome, !torn)
 }
 
 #[cfg(test)]

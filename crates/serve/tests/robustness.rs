@@ -663,12 +663,31 @@ fn every_way_an_answer_leaves_the_server_is_byte_identical() {
     shutdown_and_join(handle);
 
     // A restarted server answers from entries loaded from the journal:
-    // the first hit decodes the line, the second reuses the entry.
+    // the first hit decodes the line, the second reuses the entry. Two
+    // first hits at once on one entry both wait for its one decode.
     let handle = launch(ServerConfig {
         cache_path: Some(cache.clone()),
         ..ServerConfig::default()
     });
     let addr = handle.bound_addr();
+    let gate = Arc::new(Barrier::new(2));
+    let pair: Vec<_> = (0..2)
+        .map(|_| {
+            let (addr, body, gate) = (addr.clone(), body.clone(), Arc::clone(&gate));
+            std::thread::spawn(move || {
+                gate.wait();
+                http_post(&addr, "/run", &body, 30_000)
+            })
+        })
+        .collect();
+    for t in pair {
+        let r = t.join().expect("no panic").expect("answered");
+        assert_eq!((r.status, r.header("x-cache")), (200, Some("hit")));
+        assert_eq!(
+            r.body, want,
+            "a concurrent first hit must be byte-identical"
+        );
+    }
     for _ in 0..2 {
         answered(&addr, &body, 200, "hit", &want);
         answered(&addr, failing, 500, "hit", &want_error);

@@ -73,12 +73,19 @@ S1=""
 wait "$REQ" 2>/dev/null || true
 
 # Server 2, same journal: the first config must replay byte-identically
-# without re-simulating anything the journal already holds.
+# without re-simulating anything the journal already holds. Two clients
+# ask for it at once, so both first hits meet on one entry's decode.
 "$BIN" serve --addr 127.0.0.1:0 --cache "$TMP/cache" > "$TMP/server2.log" 2>&1 &
 S2=$!
 disown "$S2"
 ADDR2=$(bound_addr "$TMP/server2.log")
 
-"$BIN" request --addr "$ADDR2" --body "$BODY" > "$TMP/replayed.json"
-cmp "$TMP/golden.json" "$TMP/replayed.json"
-echo "serve smoke: cache replay after kill -9 is byte-identical"
+"$BIN" request --addr "$ADDR2" --body "$BODY" > "$TMP/replayed1.json" &
+R1=$!
+"$BIN" request --addr "$ADDR2" --body "$BODY" > "$TMP/replayed2.json" &
+R2=$!
+wait "$R1"
+wait "$R2"
+cmp "$TMP/golden.json" "$TMP/replayed1.json"
+cmp "$TMP/golden.json" "$TMP/replayed2.json"
+echo "serve smoke: two concurrent cache replays after kill -9 are byte-identical"
