@@ -7,6 +7,14 @@
 //! to the shared [`MemoryModel`] for instruction fetches, loads and
 //! stores, and to its [`FetchPolicy`] through snapshots, events and
 //! actions.
+//!
+//! A squash (a FLUSH, or a mispredicted branch resolving) copies
+//! nothing: it drains the thread's front end, pops the ROB tail newest
+//! first, and rewinds the thread's stream to the oldest squashed
+//! correct-path instruction ([`smtsim_trace::ReplayableStream::rewind_to`]),
+//! which fetch then hands out again. Wrong-path fetch synthesises one
+//! instruction at a time at a `(block, slot)` cursor into the thread's
+//! code dictionary ([`smtsim_trace::BasicBlockDict::synth_wrong_path`]).
 
 use crate::bpred::PerceptronPredictor;
 use crate::btb::Btb;
@@ -24,7 +32,6 @@ use smtsim_obs::{EventRing, TraceEvent};
 use smtsim_policy::{FetchPolicy, PolicyAction, ThreadSnapshot};
 use smtsim_trace::{DynInstr, InstrClass, UncondKind};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// What an in-flight memory request resolves to. A load carries its
 /// ROB position next to its token (see [`crate::rob::Rob::at`]).
@@ -116,8 +123,6 @@ pub struct SmtCore {
     wheel: CompletionWheel,
     /// Reusable drain buffer for [`Self::wheel`] (D10).
     exec_due: Vec<Due>,
-    /// Per-thread wrong-path prefetch buffers.
-    wp_buffers: Vec<VecDeque<DynInstr>>,
     next_token: u64,
     /// Optional commit log: (tid, trace seq) per committed instruction.
     /// Used by tests to verify the golden property that every thread
@@ -144,13 +149,6 @@ pub struct SmtCore {
     iq: [IssueQueue; 3],
     /// Per physical register, per queue: the slots waiting on it.
     reg_waiting: Vec<[u64; 3]>,
-    /// Squash-path scratch: drained front-end entries, removed ROB
-    /// entries, and the two replay lists. Squashes are frequent enough
-    /// (every mispredict, every FLUSH) to live inside the D10 contract.
-    squash_fes: Vec<FrontendEntry>,
-    squash_rob: Vec<RobEntry>,
-    replay_buf: Vec<DynInstr>,
-    replay_fe: Vec<DynInstr>,
     /// Drain buffers for the memory system's per-core outboxes (D10:
     /// a delivery every few cycles must not allocate).
     mem_events: Vec<MemEvent>,
@@ -183,7 +181,7 @@ impl SmtCore {
         );
         let threads: Vec<ThreadCtx> = programs
             .into_iter()
-            .map(|p| ThreadCtx::new(p, cfg.rob_per_thread as usize, cfg.ras_entries as usize))
+            .map(|p| ThreadCtx::new(p, &cfg))
             .collect();
         let issue_width = (cfg.int_units + cfg.fp_units + cfg.ls_units) as usize;
         SmtCore {
@@ -202,7 +200,6 @@ impl SmtCore {
             store_fwd: (0..threads.len()).map(|_| VecDeque::new()).collect(),
             wheel: CompletionWheel::new(issue_width),
             exec_due: Vec::with_capacity(issue_width),
-            wp_buffers: (0..threads.len()).map(|_| VecDeque::new()).collect(),
             next_token: 1,
             commit_log: None,
             trace: None,
@@ -218,10 +215,6 @@ impl SmtCore {
                 IssueQueue::new(cfg.ls_queue),
             ],
             reg_waiting: vec![[0; 3]; cfg.phys_regs as usize],
-            squash_fes: Vec::new(),
-            squash_rob: Vec::new(),
-            replay_buf: Vec::new(),
-            replay_fe: Vec::new(),
             mem_events: Vec::new(),
             mem_done: Vec::new(),
             fetch_active_cycles: 0,
@@ -546,7 +539,6 @@ impl SmtCore {
         self.squash_younger(tid, branch_token, SquashCause::BranchMispredict, now);
         let t = &mut self.threads[tid];
         t.wrong_path = None;
-        self.wp_buffers[tid].clear();
         t.redirect_at = now + 1;
     }
 
@@ -1006,53 +998,36 @@ impl SmtCore {
     // ----------------------------------------------------------------
 
     /// Squash every instruction of `tid` younger than `keep_token`:
-    /// restore rename state, free queue slots, replay correct-path
-    /// instructions into the stream, account squash energy. Returns the
-    /// number of instructions removed (front-end + ROB, wrong-path
-    /// included) — the `flush` trace event's cost figure.
+    /// restore rename state, free queue slots, rewind the stream to the
+    /// oldest squashed correct-path instruction, account squash energy.
+    /// Returns the number of instructions removed (front-end + ROB,
+    /// wrong-path included) — the `flush` trace event's cost figure.
     fn squash_younger(&mut self, tid: usize, keep_token: u64, cause: SquashCause, now: u64) -> u32 {
-        // Front-end entries are all younger than anything in the ROB.
         let mut squashed: u32 = 0;
-        let mut replay_frontend = std::mem::take(&mut self.replay_fe);
-        replay_frontend.clear();
-        let mut fes = std::mem::take(&mut self.squash_fes);
-        fes.clear();
-        {
-            let t = &mut self.threads[tid];
-            fes.extend(t.frontend.drain(..));
-            squashed += fes.len() as u32;
-            for fe in fes.drain(..) {
-                debug_assert!(fe.token > keep_token);
-                let stage = if now >= fe.fetched_at + 2 {
-                    PipelineStage::Decode
-                } else {
-                    PipelineStage::Fetch
-                };
-                t.energy.squash(cause, stage);
-                if fe.instr.class == InstrClass::BranchCond && !fe.wrong_path {
+        // The oldest squashed correct-path instruction; fetch resumes there.
+        let mut rewind = None;
+        // Front-end entries are all younger than anything in the ROB;
+        // they drain oldest first.
+        let t = &mut self.threads[tid];
+        for fe in t.frontend.drain(..) {
+            debug_assert!(fe.token > keep_token);
+            squashed += 1;
+            let stage = if now >= fe.fetched_at + 2 {
+                PipelineStage::Decode
+            } else {
+                PipelineStage::Fetch
+            };
+            t.energy.squash(cause, stage);
+            if !fe.wrong_path {
+                if fe.instr.class == InstrClass::BranchCond {
                     t.branches_in_flight = t.branches_in_flight.saturating_sub(1);
                 }
-                if !fe.wrong_path {
-                    replay_frontend.push(fe.instr);
-                }
+                rewind.get_or_insert(fe.instr.seq);
             }
         }
-        let mut removed = std::mem::take(&mut self.squash_rob);
-        removed.clear();
-        self.threads[tid]
-            .rob
-            .squash_younger_into(keep_token, &mut removed);
-        while self.store_fwd[tid]
-            .back()
-            .is_some_and(|&(t, _)| t > keep_token)
-        {
-            self.store_fwd[tid].pop_back();
-        }
-        squashed += removed.len() as u32;
-        let mut replay_rob = std::mem::take(&mut self.replay_buf);
-        replay_rob.clear();
-        for e in &removed {
-            // Newest-first: rename rollback order is correct.
+        // ROB entries pop newest first: rename rollback order is correct.
+        while let Some(e) = self.threads[tid].rob.pop_younger(keep_token) {
+            squashed += 1;
             if let (Some(lr), Some((newr, prev))) = (e.instr.dst, e.dst) {
                 self.regs.rollback(tid, lr, newr, prev);
             }
@@ -1084,27 +1059,27 @@ impl SmtCore {
             }
             self.threads[tid].energy.squash(cause, e.deepest_stage());
             if !e.wrong_path {
-                replay_rob.push(e.instr);
+                rewind = Some(e.instr.seq);
             }
         }
-        // Replay in program order: ROB entries (reversed to oldest
-        // first) then front-end entries.
-        replay_rob.reverse();
-        replay_rob.append(&mut replay_frontend);
-        self.threads[tid].stream.unfetch(replay_rob.drain(..));
-        self.squash_fes = fes;
-        self.squash_rob = removed;
-        self.replay_buf = replay_rob;
-        self.replay_fe = replay_frontend;
+        while self.store_fwd[tid]
+            .back()
+            .is_some_and(|&(t, _)| t > keep_token)
+        {
+            self.store_fwd[tid].pop_back();
+        }
+        let t = &mut self.threads[tid];
+        if let Some(seq) = rewind {
+            t.stream.rewind_to(seq);
+        }
 
         // If the wrong-path resolver died, the thread is back on the
         // correct path.
-        let t = &mut self.threads[tid];
-        if let Some(wp) = &t.wrong_path {
-            if wp.resolver > keep_token {
-                t.wrong_path = None;
-                self.wp_buffers[tid].clear();
-            }
+        if t.wrong_path
+            .as_ref()
+            .is_some_and(|wp| wp.resolver > keep_token)
+        {
+            t.wrong_path = None;
         }
         // If a flush offender died (mispredict squashing past it), the
         // gate must open.
@@ -1178,11 +1153,10 @@ impl SmtCore {
                 break; // fetch queue full: bounded run-ahead
             }
             // Next PC on the active path.
-            let wrong_path = self.threads[tid].wrong_path.is_some();
-            let pc = if wrong_path {
-                self.peek_wrong_path(tid).pc
-            } else {
-                self.threads[tid].stream.peek().pc
+            let t = &mut self.threads[tid];
+            let pc = match &t.wrong_path {
+                Some(wp) => t.dict.pc_at(wp.cursor),
+                None => t.stream.peek().pc,
             };
             // I-cache: at most one new line per thread per cycle.
             let l = line_base(pc);
@@ -1208,10 +1182,10 @@ impl SmtCore {
                 }
             }
             // Pull the instruction.
-            let (instr, is_wrong_path) = if wrong_path {
-                (self.next_wrong_path(tid), true)
-            } else {
-                (self.threads[tid].stream.fetch(), false)
+            let t = &mut self.threads[tid];
+            let (instr, is_wrong_path) = match &mut t.wrong_path {
+                Some(wp) => (t.dict.synth_wrong_path(&mut wp.cursor), true),
+                None => (t.stream.fetch(), false),
             };
             let token = self.next_token;
             self.next_token += 1;
@@ -1298,53 +1272,15 @@ impl SmtCore {
             (false, false) => (false, 0),
         };
         if mispredicted {
-            self.threads[tid].wrong_path = Some(WrongPathMode {
+            let t = &mut self.threads[tid];
+            t.wrong_path = Some(WrongPathMode {
                 resolver: token,
-                cursor: wrong_pc,
+                cursor: t.dict.wrong_path_cursor(wrong_pc),
             });
-            self.wp_buffers[tid].clear();
             return (true, true);
         }
         // Correctly-predicted taken branches end the fetch run.
         (actual_taken, false)
-    }
-
-    fn peek_wrong_path(&mut self, tid: usize) -> DynInstr {
-        if self.wp_buffers[tid].is_empty() {
-            self.refill_wp(tid);
-        }
-        // lint: allow(D3) -- refill_wp synthesises a non-empty run before this read
-        *self.wp_buffers[tid].front().expect("refilled wp buffer")
-    }
-
-    fn next_wrong_path(&mut self, tid: usize) -> DynInstr {
-        if self.wp_buffers[tid].is_empty() {
-            self.refill_wp(tid);
-        }
-        let i = self.wp_buffers[tid]
-            .pop_front()
-            // lint: allow(D3) -- refill_wp synthesises a non-empty run before this pop
-            .expect("refilled wp buffer");
-        if let Some(wp) = &mut self.threads[tid].wrong_path {
-            // Treat junk conditional branches as not-taken.
-            wp.cursor = if i.class == InstrClass::BranchUncond {
-                i.target
-            } else {
-                i.fallthrough()
-            };
-        }
-        i
-    }
-
-    fn refill_wp(&mut self, tid: usize) {
-        let cursor = self.threads[tid]
-            .wrong_path
-            .as_ref()
-            // lint: allow(D3) -- only called while the thread is in wrong-path mode (callers check)
-            .expect("wrong-path mode")
-            .cursor;
-        let dict = Arc::clone(&self.threads[tid].dict);
-        dict.synth_wrong_path_into(cursor, 8, &mut self.wp_buffers[tid]);
     }
 
     // ----------------------------------------------------------------

@@ -185,19 +185,16 @@ impl Rob {
         Some(e)
     }
 
-    /// Remove every entry younger than `keep_token`, appending them to
-    /// `out` **newest first** (the order rename rollback requires).
-    /// Into-style so the caller's scratch buffer survives across
-    /// squashes (rule D10: the squash path must not allocate).
-    pub fn squash_younger_into(&mut self, keep_token: u64, out: &mut Vec<RobEntry>) {
-        while !self.is_empty() {
-            let e = *self.slot(self.tail - 1);
-            if e.token <= keep_token {
-                break;
-            }
-            out.push(e);
-            self.tail -= 1;
+    /// Remove and return the newest entry if it is younger than
+    /// `keep_token`. A squash calls this until `None`, which visits the
+    /// squashed entries **newest first** (the order rename rollback
+    /// requires).
+    pub fn pop_younger(&mut self, keep_token: u64) -> Option<RobEntry> {
+        if self.is_empty() || self.slot(self.tail - 1).token <= keep_token {
+            return None;
         }
+        self.tail -= 1;
+        Some(*self.slot(self.tail))
     }
 
     /// Iterate oldest → newest.
@@ -321,9 +318,9 @@ mod tests {
         for t in 0..10 {
             r.push(entry(t));
         }
-        let mut removed = Vec::new();
-        r.squash_younger_into(4, &mut removed);
-        let tokens: Vec<u64> = removed.iter().map(|e| e.token).collect();
+        let tokens: Vec<u64> = std::iter::from_fn(|| r.pop_younger(4))
+            .map(|e| e.token)
+            .collect();
         assert_eq!(tokens, vec![9, 8, 7, 6, 5]);
         assert_eq!(r.len(), 5);
         assert_eq!(r.iter().last().unwrap().token, 4);
@@ -333,9 +330,7 @@ mod tests {
     fn squash_with_future_token_is_noop() {
         let mut r = Rob::new(8);
         r.push(entry(0));
-        let mut removed = Vec::new();
-        r.squash_younger_into(100, &mut removed);
-        assert!(removed.is_empty());
+        assert!(r.pop_younger(100).is_none());
         assert_eq!(r.len(), 1);
     }
 
@@ -375,8 +370,7 @@ mod tests {
             r.push(entry(t));
         }
         let stale = (r.push(entry(10)), 10);
-        let mut removed = Vec::new();
-        r.squash_younger_into(3, &mut removed);
+        while r.pop_younger(3).is_some() {}
         assert!(r.at(stale.0, stale.1).is_none());
         let reused = r.push(entry(11));
         assert_eq!(reused, stale.0, "the squashed position is reused");
@@ -401,7 +395,6 @@ mod tests {
             // that were squashed (they must never resolve again).
             let mut issued: Vec<(u64, u64)> = Vec::new();
             let mut squashed: Vec<(u64, u64)> = Vec::new();
-            let mut removed = Vec::new();
             for _ in 0..g.usize_in(1..300) {
                 match g.u32_in(0..10) {
                     0..=4 if r.has_room() => {
@@ -426,9 +419,7 @@ mod tests {
                         } else {
                             r.entry_at(g.usize_in(0..r.len())).token
                         };
-                        removed.clear();
-                        r.squash_younger_into(keep, &mut removed);
-                        for e in &removed {
+                        while let Some(e) = r.pop_younger(keep) {
                             let rec = issued.iter().find(|&&(_, t)| t == e.token).unwrap();
                             squashed.push(*rec);
                         }

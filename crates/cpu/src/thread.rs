@@ -1,5 +1,6 @@
 //! Per-hardware-context state.
 
+use crate::config::CoreConfig;
 use crate::ras::ReturnAddressStack;
 use crate::rob::Rob;
 use smtsim_energy::EnergyAccount;
@@ -64,8 +65,10 @@ pub struct FrontendEntry {
 pub struct WrongPathMode {
     /// Token of the mispredicted branch that will redirect.
     pub resolver: u64,
-    /// Next wrong-path PC to fetch from the basic-block dictionary.
-    pub cursor: u64,
+    /// Next wrong-path instruction to fetch, as a `(block, slot)`
+    /// position in the basic-block dictionary
+    /// ([`BasicBlockDict::synth_wrong_path`]).
+    pub cursor: (u32, u32),
 }
 
 /// Why a thread's fetch is currently gated.
@@ -121,15 +124,18 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    /// New context over a thread program.
-    pub fn new(program: ThreadProgram, rob_capacity: usize, ras_entries: usize) -> Self {
+    /// New context over a thread program. The stream's replay ring
+    /// covers everything the thread can hold fetched but uncommitted:
+    /// a full ROB plus a full front-end queue.
+    pub fn new(program: ThreadProgram, cfg: &CoreConfig) -> Self {
+        let rob = cfg.rob_per_thread as usize;
         ThreadCtx {
-            stream: ReplayableStream::new(program.stream),
+            stream: ReplayableStream::new(program.stream, rob + cfg.fetch_queue as usize),
             dict: program.dict,
             warm_regions: program.warm_regions,
             frontend: VecDeque::new(),
-            rob: Rob::new(rob_capacity),
-            ras: ReturnAddressStack::new(ras_entries),
+            rob: Rob::new(rob),
+            ras: ReturnAddressStack::new(cfg.ras_entries as usize),
             wrong_path: None,
             icache_wait: None,
             gate: FetchGate::Open,
@@ -166,7 +172,7 @@ mod tests {
 
     fn ctx() -> ThreadCtx {
         let gen = TraceGenerator::new(spec::benchmark_by_name("gzip").unwrap(), 1);
-        ThreadCtx::new(ThreadProgram::from_generator(gen), 256, 100)
+        ThreadCtx::new(ThreadProgram::from_generator(gen), &CoreConfig::paper())
     }
 
     #[test]
@@ -194,7 +200,7 @@ mod tests {
         let mut t = ctx();
         let a = t.stream.fetch();
         let b = t.stream.fetch();
-        t.stream.unfetch(vec![a, b]);
+        t.stream.rewind_to(a.seq);
         assert_eq!(t.stream.fetch(), a);
         assert_eq!(t.stream.fetch(), b);
     }

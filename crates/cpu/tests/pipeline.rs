@@ -13,6 +13,10 @@ use smtsim_trace::check::Cases;
 use smtsim_trace::{spec, TraceGenerator};
 
 fn make_core(policy: PolicyKind, benchmarks: &[&str], seed: u64) -> SmtCore {
+    make_core_with(CoreConfig::paper(), policy, benchmarks, seed)
+}
+
+fn make_core_with(cfg: CoreConfig, policy: PolicyKind, benchmarks: &[&str], seed: u64) -> SmtCore {
     let env = PolicyEnv::paper(1);
     let programs = benchmarks
         .iter()
@@ -24,7 +28,7 @@ fn make_core(policy: PolicyKind, benchmarks: &[&str], seed: u64) -> SmtCore {
             ))
         })
         .collect();
-    SmtCore::new(0, CoreConfig::paper(), build_policy(policy, &env), programs)
+    SmtCore::new(0, cfg, build_policy(policy, &env), programs)
 }
 
 fn run_from(core: &mut SmtCore, mem: &mut MemoryModel, start: u64, cycles: u64) -> u64 {
@@ -188,6 +192,28 @@ fn mispredicts_happen_and_are_recovered() {
     // Wrong-path work shows up as mispredict squash energy…
     assert!(stats.energy().branch_squashed_total() > 0);
     // …but correctness is untouched.
+    assert_in_order_exactly_once(core.commit_log(), 2);
+}
+
+/// The replay ring is sized from the core's config, not the paper's
+/// core: with a ROB and fetch queue four times the paper's, FLUSH-S30
+/// rewinds past more correct-path instructions than a ring sized for
+/// the paper's ROB and fetch queue holds (the first such flush on this
+/// pair comes within a thousand instructions), and every one of them
+/// must replay in order, exactly once.
+#[test]
+fn replay_ring_covers_the_configured_rob_and_fetch_queue() {
+    let cfg = CoreConfig {
+        rob_per_thread: 1024,
+        fetch_queue: 64,
+        phys_regs: 4096,
+        ..CoreConfig::paper()
+    };
+    let mut core = make_core_with(cfg, PolicyKind::FlushSpec(30), &["equake", "art"], 1);
+    core.enable_commit_log();
+    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    run(&mut core, &mut mem, 50_000);
+    assert!(core.stats().flushes_executed > 0);
     assert_in_order_exactly_once(core.commit_log(), 2);
 }
 

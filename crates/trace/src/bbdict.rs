@@ -12,7 +12,6 @@
 use crate::instr::{DynInstr, InstrClass, UncondKind};
 use crate::profile::BenchProfile;
 use crate::rng::Xoshiro256pp;
-use std::collections::VecDeque;
 
 /// Base address of the synthetic code segments. Each benchmark's code
 /// lives at `CODE_BASE + hash(name) · CODE_SPACING`, so instances of the
@@ -379,47 +378,47 @@ impl BasicBlockDict {
         }
     }
 
-    /// Synthesise `n` wrong-path instructions starting at `pc`,
-    /// appending them to `out` (into-style so the core's per-thread
-    /// wrong-path buffer is reused — rule D10: the fetch path must not
-    /// allocate).
+    /// The wrong-path cursor `(block, slot)` at `pc`: the block
+    /// [`Self::block_index_at`] finds and the slot `pc` falls on,
+    /// clamped into that block.
+    pub fn wrong_path_cursor(&self, pc: u64) -> (u32, u32) {
+        let bi = self.block_index_at(pc);
+        let block = self.block(bi);
+        let slot = (pc.saturating_sub(block.base_pc) / 4).min(block.len() as u64 - 1);
+        (bi, slot as u32)
+    }
+
+    /// PC of the instruction at a wrong-path `cursor`.
+    #[inline]
+    pub fn pc_at(&self, (block, slot): (u32, u32)) -> u64 {
+        self.block(block).base_pc + 4 * slot as u64
+    }
+
+    /// Synthesise the wrong-path instruction at `cursor` and advance the
+    /// cursor past it.
     ///
     /// Wrong-path instructions never commit; they exist to occupy fetch
     /// bandwidth and pollute the I-cache exactly as SMTsim models. The
-    /// stream follows fall-through / always-taken unconditional control
+    /// cursor follows fall-through / always-taken unconditional control
     /// flow through the dictionary (the machine has no outcomes for the
     /// wrong path, so conditional branches are treated as not-taken).
-    pub fn synth_wrong_path_into(&self, pc: u64, n: usize, out: &mut VecDeque<DynInstr>) {
-        let mut pushed = 0usize;
-        let mut bi = self.block_index_at(pc);
-        let mut block = self.block(bi);
-        // Offset within the block.
-        let mut slot = (((pc.saturating_sub(block.base_pc)) / 4) as usize).min(block.len() - 1);
-        while pushed < n {
-            let cls = self.class_at(block, slot);
-            let ipc = block.base_pc + 4 * slot as u64;
-            let mut instr = DynInstr::nop(0, ipc);
-            instr.class = cls;
-            if cls == InstrClass::BranchUncond {
-                let t = self.block(block.taken_succ).base_pc;
-                instr.taken = true;
-                instr.target = t;
-                instr.uncond_kind = UncondKind::Jump;
-            }
-            out.push_back(instr);
-            pushed += 1;
-            if slot + 1 < block.len() && cls != InstrClass::BranchUncond {
-                slot += 1;
-            } else {
-                bi = if cls == InstrClass::BranchUncond {
-                    block.taken_succ
-                } else {
-                    block.fallthrough_succ
-                };
-                block = self.block(bi);
-                slot = 0;
-            }
-        }
+    pub fn synth_wrong_path(&self, cursor: &mut (u32, u32)) -> DynInstr {
+        let (bi, slot) = *cursor;
+        let block = self.block(bi);
+        let cls = self.class_at(block, slot as usize);
+        let mut instr = DynInstr::nop(0, block.base_pc + 4 * slot as u64);
+        instr.class = cls;
+        *cursor = if cls == InstrClass::BranchUncond {
+            instr.taken = true;
+            instr.target = self.block(block.taken_succ).base_pc;
+            instr.uncond_kind = UncondKind::Jump;
+            (block.taken_succ, 0)
+        } else if slot as usize + 1 < block.len() {
+            (bi, slot + 1)
+        } else {
+            (block.fallthrough_succ, 0)
+        };
+        instr
     }
 }
 
@@ -498,9 +497,17 @@ mod tests {
     #[test]
     fn wrong_path_stream_has_requested_length_and_valid_pcs() {
         let d = dict_for("mcf");
-        let mut wp = VecDeque::new();
-        d.synth_wrong_path_into(d.entry_pc() + 8, 50, &mut wp);
+        let mut cursor = d.wrong_path_cursor(d.entry_pc() + 8);
+        let wp: Vec<DynInstr> = (0..50)
+            .map(|_| {
+                let pc = d.pc_at(cursor);
+                let i = d.synth_wrong_path(&mut cursor);
+                assert_eq!(i.pc, pc, "pc_at names the next instruction");
+                i
+            })
+            .collect();
         assert_eq!(wp.len(), 50);
+        assert_eq!(wp[0].pc, d.entry_pc() + 8);
         for i in &wp {
             let bi = d.block_index_at(i.pc);
             let b = d.block(bi);

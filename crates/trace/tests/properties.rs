@@ -69,7 +69,7 @@ fn class_field_invariants() {
     });
 }
 
-/// Unfetching any suffix of fetched instructions replays them
+/// Rewinding to any fetched instruction replays the suffix from it
 /// byte-identically and in order.
 #[test]
 fn replay_suffix_roundtrip() {
@@ -78,11 +78,11 @@ fn replay_suffix_roundtrip() {
         let seed = g.u64_in(0..1_000_000);
         let fetch = g.usize_in(2..200);
         let keep = g.usize_in(0..100);
-        let mut s = ReplayableStream::new(TraceGenerator::new(p, seed));
+        let mut s = ReplayableStream::new(TraceGenerator::new(p, seed), fetch);
         let fetched: Vec<DynInstr> = (0..fetch).map(|_| s.fetch()).collect();
         let keep = keep.min(fetch - 1);
         let squashed = fetched[keep..].to_vec();
-        s.unfetch(squashed.clone());
+        s.rewind_to(squashed[0].seq);
         for want in &squashed {
             assert_eq!(&s.fetch(), want);
         }
@@ -101,8 +101,8 @@ fn wrong_path_stays_in_code() {
         let n = g.usize_in(1..64);
         let gen = TraceGenerator::new(p, 0);
         let dict = gen.dict_arc();
-        let mut wp = std::collections::VecDeque::new();
-        dict.synth_wrong_path_into(pc, n, &mut wp);
+        let mut cursor = dict.wrong_path_cursor(pc);
+        let wp: Vec<DynInstr> = (0..n).map(|_| dict.synth_wrong_path(&mut cursor)).collect();
         assert_eq!(wp.len(), n);
         let lo = dict.entry_pc();
         let hi = lo + dict.code_bytes();

@@ -86,6 +86,17 @@ cargo test -q --offline -p smtsim-cpu --test pipeline scheduler_invariants_hold_
 cargo test -q --offline -p smtsim-cpu --test mechanisms duplicate_source_issues_once_its_register_is_ready
 cargo test -q --offline -p smtsim-mem --test properties prewarm_equivalence
 cargo test -q --offline -p smtsim-mem --test properties warm_ranges_install_lazily_as_eager_fills
+# A squash rewinds the thread's trace to its oldest squashed
+# correct-path instruction, and the trace's ring must still hold every
+# instruction a squash can rewind past. A rewind that lands one
+# instruction off, or a ring sized from anything but the core's ROB
+# and fetch queue, replays the wrong instructions: every thread must
+# still commit its trace in order, exactly once, across FLUSH and
+# mispredicts, and a rewound suffix must replay byte for byte.
+cargo test -q --offline -p smtsim-cpu --test pipeline different_policies_still_commit_correctly
+cargo test -q --offline -p smtsim-cpu --test pipeline mispredicts_happen_and_are_recovered
+cargo test -q --offline -p smtsim-cpu --test pipeline replay_ring_covers_the_configured_rob_and_fetch_queue
+cargo test -q --offline -p smtsim-trace --test properties replay_suffix_roundtrip
 
 echo "== serve (fault tolerance, cache replay, kill -9 restart) =="
 # Gate 7: the serving layer's robustness suite (DESIGN.md §15). Also
