@@ -37,7 +37,7 @@ fn main() -> ExitCode {
             }
             "--explain" => {
                 let Some(id) = args.next() else {
-                    eprintln!("smtsim-lint: --explain needs a rule id (D1..D12)");
+                    eprintln!("smtsim-lint: --explain needs a rule id (try --list-rules)");
                     return ExitCode::from(2);
                 };
                 let Some(rule) = Rule::parse(&id) else {

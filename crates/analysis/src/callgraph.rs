@@ -42,9 +42,7 @@ use std::collections::{BTreeMap, VecDeque};
 const CYCLE_ROOTS: &[(&str, &str)] = &[
     ("Simulator", "step"),
     ("SmtCore", "tick"),
-    ("MemoryModel", "tick"),
     ("MemorySystem", "tick"),
-    ("FastMemory", "tick"),
 ];
 
 /// Run/sweep entry points: D11's root set (methods by `(owner, name)`,
@@ -638,18 +636,18 @@ mod tests {
     fn dispatch_macro_plain_calls_resolve_to_methods() {
         let f = findings(&[
             (
-                "crates/mem/src/model.rs",
-                "impl MemoryModel { pub fn tick(&mut self, now: u64) { dispatch!(self, tick_inner(now)) } }\n",
+                "crates/mem/src/system.rs",
+                "impl MemorySystem { pub fn tick(&mut self, now: u64) { dispatch!(self, tick_inner(now)) } }\n",
             ),
             (
-                "crates/mem/src/system.rs",
+                "crates/mem/src/bus.rs",
                 "impl Bus { fn tick_inner(&mut self, now: u64) { self.buf.clone(); } }\n",
             ),
         ]);
         let d10: Vec<_> = f.iter().filter(|f| f.rule == Rule::D10).collect();
         assert!(
             d10.iter()
-                .any(|f| f.path.ends_with("system.rs") && f.symbol == "clone"),
+                .any(|f| f.path.ends_with("bus.rs") && f.symbol == "clone"),
             "{f:?}"
         );
     }

@@ -29,8 +29,8 @@ pub enum Rule {
     /// Every registered metric must be documented in METRICS.md, and
     /// METRICS.md must not document metrics that no longer exist.
     D8,
-    /// No reduced-fidelity components in golden-figure drivers.
-    D9,
+    // D9 (no reduced-fidelity components in golden-figure drivers)
+    // was retired with the fast memory model; its number stays unused.
     /// No heap allocation reachable from the cycle-loop roots
     /// (call-graph scope).
     D10,
@@ -46,7 +46,7 @@ pub enum Rule {
 }
 
 /// All rules, in id order.
-pub const ALL_RULES: [Rule; 13] = [
+pub const ALL_RULES: [Rule; 12] = [
     Rule::D1,
     Rule::D2,
     Rule::D3,
@@ -55,7 +55,6 @@ pub const ALL_RULES: [Rule; 13] = [
     Rule::D6,
     Rule::D7,
     Rule::D8,
-    Rule::D9,
     Rule::D10,
     Rule::D11,
     Rule::D12,
@@ -74,7 +73,6 @@ impl Rule {
             Rule::D6 => "D6",
             Rule::D7 => "D7",
             Rule::D8 => "D8",
-            Rule::D9 => "D9",
             Rule::D10 => "D10",
             Rule::D11 => "D11",
             Rule::D12 => "D12",
@@ -93,7 +91,6 @@ impl Rule {
             Rule::D6 => "no floating-point cycle/counter struct fields or float accumulation into counters",
             Rule::D7 => "no catch_unwind outside crates/core/src/sweep.rs (panic isolation has one blessed boundary)",
             Rule::D8 => "every registered MetricSpec name must appear in METRICS.md, and METRICS.md must not list unregistered metrics",
-            Rule::D9 => "no reduced-fidelity components (FastMemory, with_fidelity) in golden-figure drivers without an inline waiver",
             Rule::D10 => "no heap allocation (Vec::new, vec!, Box::new, clone, format!, to_string, collect, ...) in functions reachable from the cycle-loop roots",
             Rule::D11 => "no panic site (unwrap/expect outside D3's hot files, panic!, unreachable!) in functions reachable from a run/sweep entry point",
             Rule::D12 => "no nondeterminism source (wall-clock call, hash-ordered collection) reachable from sim state where D1/D2 do not already apply",
@@ -105,70 +102,90 @@ impl Rule {
     /// waive. Feeds `smtsim-lint --explain` and the generated LINTS.md.
     pub fn explain(&self) -> &'static str {
         match self {
-            Rule::D1 => "HashMap/HashSet iterate in per-process random order, so any simulator \
+            Rule::D1 => {
+                "HashMap/HashSet iterate in per-process random order, so any simulator \
 state or output derived from iterating one diverges between same-seed runs. Scope: every \
 non-test token in simulator crates' src/ trees. Fix: BTreeMap/BTreeSet, a sorted Vec, or an \
 index-keyed slab. Graph-scoped follow-up: D12 catches hash collections *outside* this scope \
-that the cycle loop can still reach.",
-            Rule::D2 => "Wall-clock reads (Instant::now, SystemTime) are nondeterministic input. \
+that the cycle loop can still reach."
+            }
+            Rule::D2 => {
+                "Wall-clock reads (Instant::now, SystemTime) are nondeterministic input. \
 Only crates/bench — host-time measurement, explicitly outside the replay bar — may read the \
 clock. Scope: every file outside crates/bench. Graph-scoped follow-up: D12 catches clock reads \
-*inside* crates/bench that simulator code can reach.",
-            Rule::D3 => "unwrap()/expect() in the cycle loop turns a recoverable model bug into \
+*inside* crates/bench that simulator code can reach."
+            }
+            Rule::D3 => {
+                "unwrap()/expect() in the cycle loop turns a recoverable model bug into \
 a process abort mid-sweep. Scope: call-graph — unwrap/expect sites in the declared hot-path \
 file list, inside functions reachable from a cycle-loop root (Simulator::step and the \
 tick-protocol entry points); when the linted file set defines no such root, the rule falls \
 back to flagging the whole hot file. Fix: restructure to Result, debug_assert!, or waive with \
-the invariant stated.",
-            Rule::D4 => "A pub counter on a stats struct that never reaches the ToJson impl is \
+the invariant stated."
+            }
+            Rule::D4 => {
+                "A pub counter on a stats struct that never reaches the ToJson impl is \
 a number the paper pipeline silently drops. Scope: structs whose name ends in Stats, \
 cross-checked against their write_json field list. Fix: serialize the field or demote its \
-visibility.",
-            Rule::D5 => "#[allow(clippy::...)] disables a defense-in-depth lint for everyone \
+visibility."
+            }
+            Rule::D5 => {
+                "#[allow(clippy::...)] disables a defense-in-depth lint for everyone \
 who edits the file later; the waiver comment records why that is safe. Scope: every file. \
-Fix: state the reason in a `// lint: allow(D5) -- reason` waiver on the same or previous line.",
-            Rule::D6 => "Floating-point cycle/event counters accumulate rounding that drifts \
+Fix: state the reason in a `// lint: allow(D5) -- reason` waiver on the same or previous line."
+            }
+            Rule::D6 => {
+                "Floating-point cycle/event counters accumulate rounding that drifts \
 across replays and platforms. Scope: counter-named struct fields and `+=` accumulations in \
-simulator code. Fix: count in integers; derive ratios at report time.",
-            Rule::D7 => "catch_unwind swallows panics, which hides replay-breaking bugs. The \
+simulator code. Fix: count in integers; derive ratios at report time."
+            }
+            Rule::D7 => {
+                "catch_unwind swallows panics, which hides replay-breaking bugs. The \
 sweep runner (crates/core/src/sweep.rs) is the one blessed isolation boundary. Scope: every \
-other file, test code included (tests assert panics with #[should_panic]).",
-            Rule::D8 => "METRICS.md is generated from the metric registry; drift in either \
+other file, test code included (tests assert panics with #[should_panic])."
+            }
+            Rule::D8 => {
+                "METRICS.md is generated from the metric registry; drift in either \
 direction means the docs lie. Scope: the registry/doc pair. Fix: re-bless METRICS.md \
-(BLESS=1) or remove the stale doc row.",
-            Rule::D9 => "Golden-figure drivers reproduce published numbers, which only the \
-detailed models produce; a reduced-fidelity component there is assumed to be a mistake. \
-Scope: the declared golden-figure file list. Fix: move fidelity studies to their own driver \
-or waive with the stated reason.",
-            Rule::D10 => "A heap allocation inside the cycle loop costs allocator traffic \
+(BLESS=1) or remove the stale doc row."
+            }
+            Rule::D10 => {
+                "A heap allocation inside the cycle loop costs allocator traffic \
 every simulated cycle; the rule keeps the cycle loop allocation-free. Scope: call-graph — \
 allocation sites (Vec::new, vec!, Box::new, .clone(), format!, \
 to_string, collect, String::from, to_vec, to_owned, with_capacity) inside non-test functions \
 transitively reachable from a cycle-loop root: Simulator::step, SmtCore::tick, \
-MemoryModel::tick, MemorySystem::tick, FastMemory::tick. Findings print the full call chain from the root. Fix: hoist into a \
+MemorySystem::tick. Findings print the full call chain from the root. Fix: hoist into a \
 reusable scratch buffer on the owning struct; for cold diagnostic paths, waive at the site \
-or put a function-scope waiver on the subtree's entry fn.",
-            Rule::D11 => "A panic reachable from a run/sweep entry point can kill a job \
+or put a function-scope waiver on the subtree's entry fn."
+            }
+            Rule::D11 => {
+                "A panic reachable from a run/sweep entry point can kill a job \
 mid-sweep; failure must be a value (SimError), not an abort. Scope: call-graph — \
 unwrap()/expect() sites outside D3's hot-file list, plus panic!/unreachable!/todo!/\
 unimplemented! anywhere, inside non-test functions reachable from Simulator::run, run_sweep, \
 run_sweep_journaled or run_sweep_ok. unwrap/expect inside the hot-file list is D3's \
 jurisdiction (tighter, cycle-rooted scope). Fix: return Result, or waive with the invariant \
-stated.",
-            Rule::D12 => "The graph upgrade of D1/D2: nondeterminism sources in code those \
+stated."
+            }
+            Rule::D12 => {
+                "The graph upgrade of D1/D2: nondeterminism sources in code those \
 file-scoped rules exempt (clock reads inside crates/bench, hash collections outside \
 simulator src/) are still defects when the simulator can actually reach them. Scope: \
 call-graph — Instant::now/SystemTime::now calls in crates/bench and HashMap/HashSet uses \
 outside D1's scope, inside non-test functions reachable from a cycle-loop or run root. Fix: \
-keep clock reads and hash collections out of anything the simulator calls.",
-            Rule::D13 => "The network is nondeterministic input and the serving layer is the one \
+keep clock reads and hash collections out of anything the simulator calls."
+            }
+            Rule::D13 => {
+                "The network is nondeterministic input and the serving layer is the one \
 blessed place to touch it: a socket read inside the simulator would put host I/O timing in the \
 replay path, and a sim-to-serve call would invert the dependency the workspace is layered \
 around (serve drives the simulator, never the reverse). Scope: lexical — the idents \
 TcpListener/TcpStream/UdpSocket and the path `std::net` in any file outside crates/serve, test \
 code included; call-graph — functions defined in crates/serve reachable from a cycle-loop or \
 run root. Fix: keep socket code in crates/serve and hand it plain strings/bytes across the \
-boundary.",
+boundary."
+            }
         }
     }
 

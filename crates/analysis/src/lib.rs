@@ -8,7 +8,7 @@
 //! static gate that keeps those out: a hand-rolled Rust lexer
 //! ([`lexer`]) feeding a rule engine ([`rules`], [`coverage`],
 //! [`metrics_doc`]) that walks every `.rs` file in the workspace and
-//! enforces eight rules:
+//! enforces twelve rules:
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
@@ -20,7 +20,6 @@
 //! | D6 | no floating-point cycle/counter fields or accumulation |
 //! | D7 | no `catch_unwind` outside the sweep's panic boundary |
 //! | D8 | the metric registry and METRICS.md must agree, both ways |
-//! | D9 | golden-figure drivers must not use reduced-fidelity components |
 //! | D10 | no heap allocation reachable from the cycle-loop roots |
 //! | D11 | no panic site reachable from a run/sweep entry point |
 //! | D12 | no nondeterminism source reachable from sim state (graph D1/D2) |

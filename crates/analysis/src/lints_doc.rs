@@ -13,7 +13,7 @@ use crate::findings::{Rule, ALL_RULES};
 /// How a rule decides what code it judges.
 pub fn scope_kind(rule: Rule) -> &'static str {
     match rule {
-        Rule::D1 | Rule::D2 | Rule::D5 | Rule::D6 | Rule::D7 | Rule::D9 => "file",
+        Rule::D1 | Rule::D2 | Rule::D5 | Rule::D6 | Rule::D7 => "file",
         Rule::D4 => "cross-file",
         Rule::D8 => "registry/doc pair",
         Rule::D3 | Rule::D10 | Rule::D11 | Rule::D12 => "call-graph",
@@ -34,7 +34,9 @@ metadata, then regenerate with\n\
 `smtsim-lint --explain D<n>` prints the same text per rule.\n\n\
 File-scoped rules judge tokens by the file's path class; call-graph\n\
 rules judge functions by *reachability* from the simulator's entry\n\
-points and report the full call chain from the root (DESIGN.md §14).\n\n\
+points and report the full call chain from the root (DESIGN.md §14).\n\
+D9 (no reduced-fidelity components in golden-figure drivers) was\n\
+retired with the fast memory model; its number stays unused.\n\n\
 | Rule | Scope | Invariant |\n\
 |------|-------|-----------|\n",
     );

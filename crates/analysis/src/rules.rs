@@ -1,4 +1,4 @@
-//! The per-file determinism rules (D1, D2, D3, D5, D6, D7, D9, D13).
+//! The per-file determinism rules (D1, D2, D3, D5, D6, D7, D13).
 //!
 //! Each rule is a pass over one file's token stream. Rules never look
 //! inside comments or string literals (the lexer already separated
@@ -24,9 +24,6 @@ pub struct FileClass {
     pub test_file: bool,
     /// One of the cycle-loop files D3 applies to.
     pub hot_path: bool,
-    /// A golden-figure driver: reproduces the paper's figures, so it
-    /// must run the detailed models (D9's scope).
-    pub golden_figure: bool,
 }
 
 /// The files whose code runs once per simulated cycle (or per fetched
@@ -41,8 +38,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/cpu/src/bpred.rs",
     "crates/cpu/src/btb.rs",
     "crates/cpu/src/ras.rs",
-    "crates/mem/src/model.rs",
-    "crates/mem/src/fastmem.rs",
     "crates/mem/src/system.rs",
     "crates/mem/src/cache.rs",
     "crates/mem/src/bus.rs",
@@ -53,22 +48,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/mem/src/histogram.rs",
     "crates/core/src/sim.rs",
 ];
-
-/// The files that regenerate the paper's figures and tables. They
-/// exist to reproduce published numbers, so referencing a
-/// reduced-fidelity component from one is assumed to be a mistake
-/// unless waived inline (D9). A fidelity *study* belongs in its own
-/// driver, not in the golden-figure path.
-const GOLDEN_FIGURE_FILES: &[&str] = &[
-    "crates/bench/src/figures.rs",
-    "crates/bench/src/bin/figures.rs",
-    "crates/core/src/calibration.rs",
-];
-
-/// Identifiers that select a reduced-fidelity model. `with_fidelity`
-/// is included because even `Fidelity::detailed()` passed explicitly
-/// in a figure driver deserves a stated reason.
-const REDUCED_FIDELITY_IDENTS: &[&str] = &["FastMemory", "with_fidelity"];
 
 /// Crates whose `src/` trees count as simulator code for D1/D6.
 const SIM_CRATES: &[&str] = &["cpu", "mem", "policy", "trace", "core", "energy", "obs"];
@@ -88,13 +67,11 @@ impl FileClass {
                     .any(|c| rel.starts_with(&format!("crates/{c}/src/"))));
         let hot_path =
             HOT_PATH_FILES.contains(&rel) || (rel.starts_with("crates/policy/src/") && !test_file);
-        let golden_figure = GOLDEN_FIGURE_FILES.contains(&rel);
         FileClass {
             simulator,
             bench,
             test_file,
             hot_path,
-            golden_figure,
         }
     }
 }
@@ -244,9 +221,8 @@ const PANIC_BOUNDARY_FILE: &str = "crates/core/src/sweep.rs";
 const NET_BOUNDARY_PREFIX: &str = "crates/serve/";
 
 /// Socket types whose mere mention outside the serve crate is a D13
-/// finding (mirrors REDUCED_FIDELITY_IDENTS' mention-based form: an
-/// import alone already creates the dependency the rule exists to
-/// forbid).
+/// finding: an import alone already creates the dependency the rule
+/// exists to forbid.
 const NET_IDENTS: &[&str] = &["TcpListener", "TcpStream", "UdpSocket"];
 
 /// Run D1, D2, D3, D5, D6 and D7 over one file. Waivers are applied
@@ -372,25 +348,6 @@ pub fn check_file(rel: &str, toks: &[Tok<'_>], out: &mut Vec<Finding>) {
                     format!("#[allow(clippy::{lint})] silences a defense-in-depth lint; state why with a waiver"),
                 );
             }
-        }
-
-        // D9: reduced-fidelity components in golden-figure drivers.
-        // Not test-exempt: a figure driver's tests pin published
-        // numbers, which only the detailed models produce.
-        if class.golden_figure
-            && t.kind == TokKind::Ident
-            && REDUCED_FIDELITY_IDENTS.contains(&t.text)
-        {
-            push(
-                out,
-                Rule::D9,
-                t,
-                t.text,
-                format!(
-                    "`{}` in a golden-figure driver: published figures come from the detailed models; move fidelity studies to a separate driver or waive with a stated reason",
-                    t.text
-                ),
-            );
         }
 
         // D7: catch_unwind anywhere but the sweep's isolation boundary.
@@ -649,23 +606,6 @@ mod tests {
         assert_eq!(findings("tests/property.rs", in_test).len(), 1);
         // ...but the sweep runner is the blessed boundary.
         assert!(findings("crates/core/src/sweep.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d9_flags_reduced_fidelity_in_figure_drivers() {
-        let src = "fn f(cfg: SimConfig) { run(cfg.with_fidelity(Fidelity::fast())); }\n";
-        let f = findings("crates/bench/src/figures.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::D9);
-        assert_eq!(f[0].symbol, "with_fidelity");
-        // The same code is fine anywhere that is not a figure driver.
-        assert!(findings("crates/bench/src/bin/benchmark/sims.rs", src).is_empty());
-        // A mention inside a comment or string never flags.
-        assert!(findings(
-            "crates/bench/src/figures.rs",
-            "// FastMemory is documented here\nlet s = \"with_fidelity\";\n"
-        )
-        .is_empty());
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Fixture: a golden-figure driver that reaches for the fast models.
+//! Fixture: a figure driver whose file-rule finding carries an inline
+//! waiver.
 
 pub fn fig1(cfg: SimConfig) -> SimResult {
-    // D9: figures must come from the detailed models.
-    let cfg = cfg.with_fidelity(Fidelity::fast());
     run(cfg)
 }
 
-pub fn fig2_waived(cfg: SimConfig) -> SimResult {
-    // lint: allow(D9) -- sanity overlay comparing fast-model trends, not published numbers
-    let fast = FastMemory::new(cfg.mem);
-    overlay(fast)
+// lint: allow(D5) -- the row builder mirrors the figure's eight table columns one to one
+#[allow(clippy::too_many_arguments)]
+pub fn fig2_row(a: u64, b: u64, c: u64, d: u64, e: u64, f: u64, g: u64, h: u64) -> Row {
+    Row::new([a, b, c, d, e, f, g, h])
 }

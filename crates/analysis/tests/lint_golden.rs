@@ -65,12 +65,10 @@ fn fixture_findings_cover_every_rule() {
             rule.id()
         );
     }
-    // One D3 and one D9 are waived inline; everything else is raw.
+    // One D3 and one D5 are waived inline; everything else is raw.
     assert_eq!(report.waived_count(), 2);
     assert!(report.unwaived_count() > 0);
-    // The sanctioned wall-clock user and test regions stay silent
-    // (the bench tree still gets D9 findings — its figure drivers are
-    // exactly where that rule bites).
+    // The sanctioned wall-clock user and test regions stay silent.
     assert!(
         !report
             .findings

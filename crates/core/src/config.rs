@@ -56,9 +56,6 @@ pub struct SimConfig {
     /// Memory hierarchy configuration; `num_cores` and `l2_clusters`
     /// are the machine's core count and L2 partitioning.
     pub mem: MemConfig,
-    /// Model implementation the memory hierarchy runs at (DESIGN.md
-    /// §13).
-    pub fidelity: Fidelity,
     /// Fetch policy for every core.
     pub policy: PolicyKind,
     /// Benchmark names, one per hardware thread, in thread order
@@ -87,7 +84,6 @@ impl SimConfig {
         SimConfig {
             core: CoreConfig::paper(),
             mem: MemConfig::paper(workload.cores()),
-            fidelity: Fidelity::detailed(),
             policy,
             benchmarks: workload
                 .benchmark_names()
@@ -108,7 +104,6 @@ impl SimConfig {
         SimConfig {
             core: CoreConfig::paper(),
             mem: MemConfig::paper(cores),
-            fidelity: Fidelity::detailed(),
             policy,
             benchmarks: benchmarks.iter().map(|s| s.to_string()).collect(),
             cycles: DEFAULT_CYCLES,
@@ -143,15 +138,10 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style override of the memory-model fidelity.
-    pub fn with_fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-
-    /// The memory-model fidelity this experiment runs at.
+    /// Always [`Fidelity::detailed`]. Stays only for the benchmark
+    /// package's traced driver (see [`crate::fidelity`]).
     pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
+        Fidelity::detailed()
     }
 
     /// Number of SMT cores — `mem.num_cores`, not a division of the
@@ -299,16 +289,6 @@ mod tests {
         cfg.benchmarks.truncate(2);
         let err = cfg.validate().unwrap_err();
         assert!(err.contains("machine has 4 threads"), "{err}");
-    }
-
-    #[test]
-    fn fidelity_defaults_detailed_and_overrides() {
-        let w = Workload::by_name("2W1").unwrap();
-        let cfg = SimConfig::for_workload(w, PolicyKind::Icount);
-        assert_eq!(cfg.fidelity(), Fidelity::detailed());
-        let cfg = cfg.with_fidelity(Fidelity::fast());
-        assert_eq!(cfg.fidelity(), Fidelity::fast());
-        cfg.validate().unwrap();
     }
 
     #[test]

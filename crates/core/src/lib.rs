@@ -4,19 +4,17 @@
 //!
 //! Assembles the full machine of the paper: `N` two-context SMT cores
 //! ([`smtsim_cpu::SmtCore`]) sharing one banked L2 behind
-//! ([`smtsim_mem::MemoryModel`]), each core running a pluggable fetch
+//! ([`smtsim_mem::MemorySystem`]), each core running a pluggable fetch
 //! policy ([`smtsim_policy`]), fed by synthetic SPEC2000 traces
 //! ([`smtsim_trace`]), with the paper's energy accounting
 //! ([`smtsim_energy`]).
 //!
 //! * [`workloads`] — the paper's Fig. 1 workload table (2W1 … 8W5) plus
 //!   the Fig. 5(b) special bzip2/twolf workload;
-//! * [`fidelity`] — the memory-model fidelity selection (DESIGN.md
-//!   §13);
 //! * [`config`] — one [`config::SimConfig`] describes a complete
-//!   experiment (machine + fidelity + workload + policy + interval);
+//!   experiment (machine + workload + policy + interval);
 //! * [`resolve`] — run parameters (workload or benchmark names,
-//!   policy, fidelity, cycles, seed, watchdog) → validated
+//!   policy, cycles, seed, watchdog) → validated
 //!   [`config::SimConfig`], shared by the CLI and serve;
 //! * [`sim`] — the cycle-level driver;
 //! * [`result`] — measurement snapshot with throughput/energy helpers;
@@ -49,7 +47,7 @@ pub use cache::{config_fingerprint, CacheEntry, ResultCache};
 pub use calibration::{calibrate, calibrate_one, CalRow};
 pub use config::SimConfig;
 pub use error::{CoreDiagnostic, ProgressDiagnostic, SimError};
-pub use fidelity::{Fidelity, MemFidelity};
+pub use fidelity::Fidelity;
 pub use json::ToJson;
 pub use obs::{MetricsRecorder, TraceRow};
 pub use resolve::RunParams;

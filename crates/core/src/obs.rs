@@ -14,7 +14,7 @@
 //! * [`chrome_trace`] — the same stream as a Chrome `trace_event` JSON
 //!   document loadable in `about:tracing` or Perfetto;
 //! * [`MetricsRecorder`] — samples every registered metric every `N`
-//!   cycles from the live [`SmtCore`]s and [`MemoryModel`];
+//!   cycles from the live [`SmtCore`]s and [`MemorySystem`];
 //! * [`all_metrics`] / [`metrics_markdown`] — the cross-crate registry
 //!   and the generator behind METRICS.md.
 //!
@@ -45,7 +45,7 @@
 
 use crate::json::{JsonObject, ToJson};
 use smtsim_cpu::{CoreStats, SmtCore};
-use smtsim_mem::MemoryModel;
+use smtsim_mem::MemorySystem;
 use smtsim_obs::{MetricKind, MetricSample, MetricSpec, TraceEvent, TraceRecord};
 
 // ----------------------------------------------------------------
@@ -183,7 +183,7 @@ impl ToJson for MetricSample {
 /// id order) into one stream sorted by `(cycle, rank, seq)`. The sort
 /// key is total — no two records compare equal — so the merge is
 /// deterministic regardless of collection order.
-pub fn collect_rows(cores: &[SmtCore], mem: &MemoryModel) -> Vec<TraceRow> {
+pub fn collect_rows(cores: &[SmtCore], mem: &MemorySystem) -> Vec<TraceRow> {
     let mut rows = Vec::new();
     if let Some(ring) = mem.trace() {
         rows.extend(ring.records().map(|r| TraceRow { rank: 0, rec: *r }));
@@ -398,7 +398,7 @@ impl MetricsRecorder {
     /// Samples are appended in registry order (cpu, mem, policy, core),
     /// instances in index order within each metric.
     // lint: allow(D10) -- opt-in interval sampling: snapshots allocate by design and never run in golden-figure configs
-    pub fn sample(&mut self, now: u64, cores: &[SmtCore], mem: &MemoryModel) {
+    pub fn sample(&mut self, now: u64, cores: &[SmtCore], mem: &MemorySystem) {
         let stats: Vec<CoreStats> = cores.iter().map(|c| c.stats()).collect();
         let committed: Vec<u64> = stats
             .iter()

@@ -1,7 +1,7 @@
 //! Run parameters → validated [`SimConfig`].
 //!
 //! The one place a run's user-level parameters — workload or benchmark
-//! list, policy, fidelity, cycles, seed, watchdog — are turned into an
+//! list, policy, cycles, seed, watchdog — are turned into an
 //! experiment. The `smtsim` CLI (`run`, `sweep`) and serve (`POST
 //! /run`) only spell their own flags or keys into a [`RunParams`];
 //! defaults, name lookup, did-you-mean hints and validation live here,
@@ -14,7 +14,6 @@
 //!
 //! let cfg = RunParams {
 //!     workload: Some("4W3"),
-//!     fidelity: Some("mem=fast"),
 //!     ..RunParams::default()
 //! }
 //! .resolve()
@@ -28,7 +27,6 @@
 //! ```
 
 use crate::config::{SimConfig, DEFAULT_CYCLES, DEFAULT_SEED, DEFAULT_WATCHDOG};
-use crate::fidelity::Fidelity;
 use crate::suggest::unknown_name;
 use crate::workloads::{Workload, ALL_WORKLOADS, FIG5B_WORKLOAD};
 use smtsim_policy::PolicyKind;
@@ -44,8 +42,6 @@ pub struct RunParams<'a> {
     pub benchmarks: Option<Vec<&'a str>>,
     /// Fetch-policy name, e.g. `flush-s30` (default MFLUSH).
     pub policy: Option<&'a str>,
-    /// Fidelity spelling, e.g. `mem=fast` (default detailed).
-    pub fidelity: Option<&'a str>,
     /// Simulated cycles (default [`DEFAULT_CYCLES`]).
     pub cycles: Option<u64>,
     /// Base RNG seed (default [`DEFAULT_SEED`]).
@@ -69,10 +65,6 @@ impl RunParams<'_> {
                 )
             })?,
         };
-        let fidelity = match self.fidelity {
-            None => Fidelity::detailed(),
-            Some(spec) => Fidelity::parse(spec).map_err(|e| format!("bad fidelity: {e}"))?,
-        };
         let base = match (self.workload, &self.benchmarks) {
             (Some(_), Some(_)) => {
                 return Err("give either a workload or a benchmark list, not both".into())
@@ -92,7 +84,6 @@ impl RunParams<'_> {
             (None, None) => return Err("need a workload or a benchmark list".into()),
         };
         let cfg = base
-            .with_fidelity(fidelity)
             .with_cycles(self.cycles.unwrap_or(DEFAULT_CYCLES))
             .with_seed(self.seed.unwrap_or(DEFAULT_SEED))
             .with_watchdog(self.watchdog.unwrap_or(DEFAULT_WATCHDOG));
@@ -164,7 +155,6 @@ mod tests {
         let cfg = RunParams {
             benchmarks: Some(vec!["mcf", "gzip"]),
             policy: Some("flush-s30"),
-            fidelity: Some("mem=fast"),
             cycles: Some(1234),
             seed: Some(99),
             watchdog: Some(0),
@@ -174,7 +164,6 @@ mod tests {
         .unwrap();
         assert_eq!(cfg.benchmarks, ["mcf", "gzip"]);
         assert_eq!(cfg.policy, PolicyKind::FlushSpec(30));
-        assert_eq!(cfg.fidelity, Fidelity::fast());
         assert_eq!((cfg.cycles, cfg.seed, cfg.watchdog_cycles), (1234, 99, 0));
     }
 
@@ -196,13 +185,6 @@ mod tests {
                     ..wl("2W1")
                 },
                 "did you mean 'mflush'",
-            ),
-            (
-                RunParams {
-                    fidelity: Some("core=approx"),
-                    ..wl("2W1")
-                },
-                "mem is the only component",
             ),
             (
                 RunParams {

@@ -1,13 +1,9 @@
 //! The cycle-level CMP+SMT simulator.
 //!
 //! A [`Simulator`] owns `N` [`SmtCore`]s and the shared
-//! [`MemoryModel`]. Each cycle the memory system advances first, then
+//! [`MemorySystem`]. Each cycle the memory system advances first, then
 //! every core, in id order — matching the in-order tick protocol the
-//! component crates document. Which memory model sits behind the
-//! [`MemoryModel`] facade — the detailed golden-figure hierarchy or the
-//! fast scouting one — is chosen by the config's
-//! [`crate::fidelity::Fidelity`] (DESIGN.md §13);
-//! the driver itself is fidelity-agnostic.
+//! component crates document.
 //!
 //! The cycle loop carries a forward-progress watchdog: if no core
 //! commits an instruction and no memory transaction retires for
@@ -22,7 +18,7 @@ use crate::obs::{self, MetricsRecorder, TraceRow};
 use crate::result::SimResult;
 use smtsim_cpu::thread::ThreadProgram;
 use smtsim_cpu::SmtCore;
-use smtsim_mem::MemoryModel;
+use smtsim_mem::MemorySystem;
 use smtsim_obs::MetricSample;
 
 use smtsim_policy::build_policy;
@@ -32,7 +28,7 @@ use smtsim_trace::{spec, TraceGenerator};
 pub struct Simulator {
     cfg: SimConfig,
     cores: Vec<SmtCore>,
-    mem: MemoryModel,
+    mem: MemorySystem,
     now: u64,
     /// Per-core committed-instruction count at the last observation.
     last_committed: Vec<u64>,
@@ -61,7 +57,7 @@ impl Simulator {
         cfg.validate().map_err(SimError::InvalidConfig)?;
         let env = cfg.policy_env();
         let contexts = cfg.core.contexts as usize;
-        let mem = MemoryModel::new(cfg.mem, cfg.fidelity().mem);
+        let mem = MemorySystem::new(cfg.mem);
         let num_cores = cfg.cores() as usize;
         let mut cores = Vec::with_capacity(num_cores);
         for core_id in 0..cfg.cores() {
@@ -372,8 +368,8 @@ impl Simulator {
         &self.cores
     }
 
-    /// The shared memory model.
-    pub fn mem(&self) -> &MemoryModel {
+    /// The shared memory system.
+    pub fn mem(&self) -> &MemorySystem {
         &self.mem
     }
 }

@@ -1,21 +1,20 @@
-//! Pluggable-fidelity equivalence and robustness suite (DESIGN.md §13).
+//! Model goldens and robustness suite.
 //!
-//! The refactor's load-bearing invariant: with `fidelity = mem=detailed`
-//! (the default), every code path — single run, policy sweep, journaled sweep with replay —
-//! reproduces the pre-refactor output **byte for byte**. The fixtures
-//! under `fixtures/fidelity/` were captured from the pre-refactor
-//! binary (CLI default seed `0x5eed`; the mflush fixture pins
-//! `--seed 7`) and are compared as raw bytes, never as parsed values.
+//! The load-bearing invariant: every code path — single run, policy
+//! sweep, journaled sweep with replay — reproduces the output of the
+//! binary that captured the fixtures **byte for byte**. The fixtures
+//! under `fixtures/fidelity/` (named after the retired fidelity
+//! selection, DESIGN.md §13) were captured before that refactor (CLI
+//! default seed `0x5eed`; the mflush fixture pins `--seed 7`) and are
+//! compared as raw bytes, never as parsed values.
 //!
-//! The fast memory model gets the complementary guarantees: same-seed
-//! byte-determinism, the policy ordering the paper's conclusions rest
-//! on (EXPERIMENTS.md, "Fidelity validity"), and config validation that
-//! *returns* `SimError::InvalidConfig` instead of panicking, whatever
-//! geometry a caller invents.
+//! Beside the goldens: the policy ordering the paper's conclusions rest
+//! on, and config validation that *returns* `SimError::InvalidConfig`
+//! instead of panicking, whatever geometry a caller invents.
 
 use smtsim_core::json::{write_escaped, JsonObject};
 use smtsim_core::{
-    run_sweep_journaled, Fidelity, SimConfig, SimError, Simulator, SweepJob, ToJson, Workload,
+    run_sweep_journaled, SimConfig, SimError, Simulator, SweepJob, ToJson, Workload,
 };
 use smtsim_policy::mflush::McRegReducer;
 use smtsim_policy::PolicyKind;
@@ -66,11 +65,6 @@ fn detailed_run_reproduces_pre_refactor_goldens() {
         if let Some(s) = seed {
             cfg = cfg.with_seed(s);
         }
-        assert_eq!(
-            cfg.fidelity(),
-            Fidelity::detailed(),
-            "default fidelity must be the golden-figure one"
-        );
         assert_eq!(
             run_stdout(&cfg),
             golden(fixture),
@@ -242,57 +236,22 @@ fn journal_replay_reproduces_pre_refactor_golden() {
 }
 
 #[test]
-fn reduced_fidelity_is_same_seed_byte_deterministic() {
-    let w = Workload::by_name("4W3").unwrap();
-    let cfg = SimConfig::for_workload(w, PolicyKind::Mflush)
-        .with_cycles(50_000)
-        .with_fidelity(Fidelity::fast());
-    let a = run_stdout(&cfg);
-    let b = run_stdout(&cfg.clone());
-    assert_eq!(a, b, "mem=fast must be byte-deterministic");
-}
-
-#[test]
-fn fast_memory_keeps_the_policy_ordering_on_2w3() {
-    // mcf+gzip: FLUSH frees the resources mcf's L2 misses clog, so in
-    // the detailed model MFLUSH and FLUSH-S30 beat ICOUNT by ~1.4x at
-    // this cycle count (2.7x at 150k cycles). Both models are checked
-    // at the same budget, so the fast model's agreement cannot be
-    // vacuous.
+fn flush_policies_beat_icount_on_2w3() {
+    // mcf+gzip: FLUSH frees the resources mcf's L2 misses clog, so
+    // MFLUSH and FLUSH-S30 beat ICOUNT by ~1.4x at this cycle count
+    // (2.7x at 150k cycles).
     let w = Workload::by_name("2W3").unwrap();
-    for fidelity in [Fidelity::detailed(), Fidelity::fast()] {
-        let throughput = |policy| {
-            let cfg = SimConfig::for_workload(w, policy)
-                .with_cycles(20_000)
-                .with_fidelity(fidelity);
-            Simulator::build(&cfg).unwrap().run().unwrap().throughput()
-        };
-        let icount = throughput(PolicyKind::Icount);
-        for policy in [PolicyKind::Mflush, PolicyKind::FlushSpec(30)] {
-            let t = throughput(policy);
-            assert!(
-                t > 1.25 * icount,
-                "{}: {} {t:.4} must beat ICOUNT {icount:.4} by >25%",
-                fidelity.label(),
-                policy.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn every_fidelity_runs_end_to_end() {
-    let w = Workload::by_name("2W2").unwrap();
-    for fidelity in [Fidelity::detailed(), Fidelity::fast()] {
-        let cfg = SimConfig::for_workload(w, PolicyKind::Icount)
-            .with_cycles(5_000)
-            .with_fidelity(fidelity);
-        let r = Simulator::build(&cfg).unwrap().run().unwrap();
+    let throughput = |policy| {
+        let cfg = SimConfig::for_workload(w, policy).with_cycles(20_000);
+        Simulator::build(&cfg).unwrap().run().unwrap().throughput()
+    };
+    let icount = throughput(PolicyKind::Icount);
+    for policy in [PolicyKind::Mflush, PolicyKind::FlushSpec(30)] {
+        let t = throughput(policy);
         assert!(
-            r.total_committed() > 100,
-            "{} starved: {}",
-            fidelity.label(),
-            r.total_committed()
+            t > 1.25 * icount,
+            "{} {t:.4} must beat ICOUNT {icount:.4} by >25%",
+            policy.label()
         );
     }
 }

@@ -6,10 +6,10 @@
 //! diagnoses, watchdog fire cycles. These tests pin that bar from
 //! three directions:
 //!
-//! 1. same-seed byte-identity with skip off vs on, at both memory
-//!    fidelities (the skip must also engage, so the equality is
-//!    exercised rather than vacuous), plus pinned committed and
-//!    skipped-cycle counts per tracked MFLUSH workload;
+//! 1. same-seed byte-identity with skip off vs on (the skip must also
+//!    engage, so the equality is exercised rather than vacuous), plus
+//!    pinned committed and skipped-cycle counts per tracked MFLUSH
+//!    workload;
 //! 2. a `FaultPlan` whose consequences land inside what would
 //!    otherwise be one unbounded idle window — the watchdog must fire
 //!    at the exact same cycle with an identical structured diagnosis;
@@ -20,9 +20,8 @@
 //!    would slip through silently; this proves the equality gate has
 //!    the resolution the invariant claims.
 
-use smtsim_core::fidelity::MemFidelity;
 use smtsim_core::json::ToJson;
-use smtsim_core::{Fidelity, SimConfig, Simulator, Workload};
+use smtsim_core::{SimConfig, Simulator, Workload};
 use smtsim_mem::FaultPlan;
 use smtsim_policy::PolicyKind;
 
@@ -41,31 +40,23 @@ fn run(cfg: &SimConfig) -> (String, u64) {
 }
 
 #[test]
-fn skip_is_byte_identical_at_every_fidelity() {
+fn skip_is_byte_identical_to_ticking_every_cycle() {
     for workload in ["2W1", "4W3"] {
-        for mem in [MemFidelity::Detailed, MemFidelity::Fast] {
-            let fidelity = Fidelity { mem };
-            let cfg = base(workload).with_fidelity(fidelity);
-            let (off_json, off_skipped) = run(&cfg.clone().with_skip_ahead(false));
-            let (on_json, on_skipped) = run(&cfg.with_skip_ahead(true));
-            assert_eq!(off_skipped, 0, "skip_ahead=false must never skip");
-            assert_eq!(
-                off_json,
-                on_json,
-                "{workload}/{}: skip-ahead changed the result bytes",
-                fidelity.label()
+        let cfg = base(workload);
+        let (off_json, off_skipped) = run(&cfg.clone().with_skip_ahead(false));
+        let (on_json, on_skipped) = run(&cfg.with_skip_ahead(true));
+        assert_eq!(off_skipped, 0, "skip_ahead=false must never skip");
+        assert_eq!(
+            off_json, on_json,
+            "{workload}: skip-ahead changed the result bytes"
+        );
+        // The memory-bound workload must actually engage the mechanism,
+        // otherwise the equality above tests nothing.
+        if workload == "2W1" {
+            assert!(
+                on_skipped > 0,
+                "{workload}: skip never engaged; identity is vacuous"
             );
-            // Detailed memory on the memory-bound workload must
-            // actually engage the mechanism, otherwise the equality
-            // above tests nothing. (Fast memory leaves no stall window
-            // long enough to skip.)
-            if workload == "2W1" && mem == MemFidelity::Detailed {
-                assert!(
-                    on_skipped > 0,
-                    "{workload}/{}: skip never engaged; identity is vacuous",
-                    fidelity.label()
-                );
-            }
         }
     }
 }

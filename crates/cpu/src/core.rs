@@ -4,7 +4,7 @@
 //! One [`SmtCore::tick`] advances a cycle in reverse pipeline order
 //! (memory returns, execute completions, commit, stores, issue,
 //! dispatch, policy, fetch), matching SMTsim's structure. The core talks
-//! to the shared [`MemoryModel`] for instruction fetches, loads and
+//! to the shared [`MemorySystem`] for instruction fetches, loads and
 //! stores, and to its [`FetchPolicy`] through snapshots, events and
 //! actions.
 //!
@@ -26,7 +26,7 @@ use crate::thread::{FetchGate, FrontendEntry, ThreadCtx, ThreadProgram, WrongPat
 use crate::wheel::{CompletionWheel, Due};
 use smtsim_energy::{PipelineStage, SquashCause};
 use smtsim_mem::addr::{bank_of, line_base};
-use smtsim_mem::{AccessKind, AccessResult, Completion, MemEvent, MemoryModel, ReqId, WarmRegion};
+use smtsim_mem::{AccessKind, AccessResult, Completion, MemEvent, MemorySystem, ReqId, WarmRegion};
 
 use smtsim_obs::{EventRing, TraceEvent};
 use smtsim_policy::{FetchPolicy, PolicyAction, ThreadSnapshot};
@@ -246,7 +246,7 @@ impl SmtCore {
     /// set (L1D + L2 + D-TLB) and its L2-resident working set (L2 +
     /// D-TLB). The main-memory stream stays cold — those accesses are
     /// *supposed* to miss. Call once before the measurement loop.
-    pub fn prewarm(&mut self, mem: &mut MemoryModel) {
+    pub fn prewarm(&mut self, mem: &mut MemorySystem) {
         let core = self.core_id;
         for t in &self.threads {
             let [(l1b, l1s), (l2b, l2s)] = t.warm_regions;
@@ -263,7 +263,7 @@ impl SmtCore {
 
     /// Advance one cycle. The caller must have ticked `mem` for `now`
     /// already.
-    pub fn tick(&mut self, now: u64, mem: &mut MemoryModel) {
+    pub fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
         self.process_mem(now, mem);
         self.exec_complete(now);
         self.commit(now);
@@ -276,7 +276,7 @@ impl SmtCore {
 
     /// Earliest cycle ≥ `from` at which a tick could do observable work,
     /// assuming the memory system delivers nothing in between (the
-    /// caller intersects this with [`MemoryModel::next_event_cycle`]).
+    /// caller intersects this with [`MemorySystem::next_event_cycle`]).
     /// The core half of the stall skip-ahead horizon (DESIGN.md §16).
     ///
     /// The pipeline acts every cycle unless *every* stage is provably
@@ -413,7 +413,7 @@ impl SmtCore {
     // Memory returns
     // ----------------------------------------------------------------
 
-    fn process_mem(&mut self, now: u64, mem: &mut MemoryModel) {
+    fn process_mem(&mut self, now: u64, mem: &mut MemorySystem) {
         let mut events = std::mem::take(&mut self.mem_events);
         mem.drain_events_into(self.core_id, &mut events);
         for ev in events.drain(..) {
@@ -593,7 +593,7 @@ impl SmtCore {
     // Store drain (committed stores access the L1D)
     // ----------------------------------------------------------------
 
-    fn drain_stores(&mut self, now: u64, mem: &mut MemoryModel) {
+    fn drain_stores(&mut self, now: u64, mem: &mut MemorySystem) {
         for _ in 0..2 {
             let Some(&addr) = self.store_queue.front() else {
                 break;
@@ -619,7 +619,7 @@ impl SmtCore {
     // Issue
     // ----------------------------------------------------------------
 
-    fn issue(&mut self, now: u64, mem: &mut MemoryModel) {
+    fn issue(&mut self, now: u64, mem: &mut MemorySystem) {
         // Per queue, the ready slots oldest (smallest token) first
         // across both threads: sorting `token << 6 | slot` keys orders
         // by token, and tokens are unique. Entries that cannot issue
@@ -681,7 +681,7 @@ impl SmtCore {
         token: u64,
         pos: u64,
         now: u64,
-        mem: &mut MemoryModel,
+        mem: &mut MemorySystem,
     ) -> bool {
         let (class, addr, queue, addr_pc, wrong_path) = {
             let e = self.threads[tid]
@@ -1096,7 +1096,7 @@ impl SmtCore {
     // Fetch
     // ----------------------------------------------------------------
 
-    fn fetch(&mut self, now: u64, mem: &mut MemoryModel) {
+    fn fetch(&mut self, now: u64, mem: &mut MemorySystem) {
         if !self.snaps_fresh {
             self.build_snapshots();
         }
@@ -1142,7 +1142,7 @@ impl SmtCore {
         &mut self,
         tid: usize,
         now: u64,
-        mem: &mut MemoryModel,
+        mem: &mut MemorySystem,
         budget: &mut u32,
     ) -> u32 {
         let mut fetched = 0;

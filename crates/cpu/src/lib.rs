@@ -22,13 +22,12 @@
 //!   hierarchy.
 //!
 //! The pipeline above is [`SmtCore`]; cores talk to the memory
-//! hierarchy through [`smtsim_mem::MemoryModel`], so the same core runs
-//! against the detailed or the fast memory model (DESIGN.md §13).
+//! hierarchy through [`smtsim_mem::MemorySystem`].
 //!
 //! ```
 //! use smtsim_cpu::thread::ThreadProgram;
 //! use smtsim_cpu::{CoreConfig, SmtCore};
-//! use smtsim_mem::{MemConfig, MemoryModel};
+//! use smtsim_mem::{MemConfig, MemorySystem};
 //! use smtsim_policy::{build_policy, PolicyEnv, PolicyKind};
 //! use smtsim_trace::{spec, TraceGenerator};
 //!
@@ -48,7 +47,7 @@
 //!     build_policy(PolicyKind::Mflush, &PolicyEnv::paper(1)),
 //!     programs,
 //! );
-//! let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+//! let mut mem = MemorySystem::new(MemConfig::paper(1));
 //! core.prewarm(&mut mem);
 //! for now in 0..5_000 {
 //!     mem.tick(now);

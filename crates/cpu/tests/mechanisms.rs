@@ -5,7 +5,7 @@
 
 use smtsim_cpu::thread::ThreadProgram;
 use smtsim_cpu::{CoreConfig, SmtCore};
-use smtsim_mem::{MemConfig, MemoryModel};
+use smtsim_mem::{MemConfig, MemorySystem};
 use smtsim_policy::{build_policy, PolicyEnv, PolicyKind};
 use smtsim_trace::{spec, InstrClass, InstrStream, TraceGenerator, UncondKind};
 
@@ -24,7 +24,7 @@ fn make_core(policy: PolicyKind, benchmarks: &[&str], seed: u64) -> SmtCore {
     SmtCore::new(0, CoreConfig::paper(), build_policy(policy, &env), programs)
 }
 
-fn run(core: &mut SmtCore, mem: &mut MemoryModel, cycles: u64) {
+fn run(core: &mut SmtCore, mem: &mut MemorySystem, cycles: u64) {
     core.prewarm(mem);
     for now in 0..cycles {
         mem.tick(now);
@@ -66,7 +66,7 @@ fn fetch_queue_bounds_runahead() {
         })
         .collect();
     let mut core = SmtCore::new(0, cfg, build_policy(PolicyKind::Icount, &env), programs);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     core.prewarm(&mut mem);
     for now in 0..20_000 {
         mem.tick(now);
@@ -111,7 +111,7 @@ fn store_forwarding_engages_on_read_after_write_streams() {
         }
     }
     let mut core = core_on_streams(CoreConfig::paper(), || RawStream { seq: 0 });
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     for now in 0..5_000 {
         mem.tick(now);
         core.tick(now, &mut mem);
@@ -171,7 +171,7 @@ fn never_committed_with_ras(ras_entries: u32) -> u64 {
     cfg.ras_entries = ras_entries;
     let mut core = core_on_streams(cfg, || NestedCallStream { seq: 0 });
     core.enable_commit_log();
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     for now in 0..5_000 {
         mem.tick(now);
         core.tick(now, &mut mem);
@@ -229,7 +229,7 @@ fn flush_energy_lands_in_multiple_stages() {
     // the precondition for Fig. 11's stage-weighted accounting to mean
     // anything.
     let mut core = make_core(PolicyKind::FlushSpec(30), &["mcf", "swim"], 9);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 30_000);
     let e = core.stats().energy();
     let by_stage = e.flush_squashed_by_stage();
@@ -251,7 +251,7 @@ fn wrong_path_loads_do_not_touch_the_data_cache() {
     // memory system's load count must equal the correct-path loads
     // issued (junk loads execute without cache access).
     let mut core = make_core(PolicyKind::Icount, &["twolf", "twolf"], 13);
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     run(&mut core, &mut mem, 20_000);
     let s = core.stats();
     // `loads_issued` counts correct-path loads issued *to memory*
@@ -295,7 +295,7 @@ fn duplicate_source_issues_once_its_register_is_ready() {
     }
     let mut core = core_on_streams(CoreConfig::paper(), || DupSourceStream { seq: 0 });
     core.enable_commit_log();
-    let mut mem = MemoryModel::detailed(MemConfig::paper(1));
+    let mut mem = MemorySystem::new(MemConfig::paper(1));
     for now in 0..3_000 {
         mem.tick(now);
         core.tick(now, &mut mem);

@@ -50,41 +50,6 @@ pub enum WarmRegion {
     L2Data,
 }
 
-/// Number of lines a warm of `bytes` covers: one per 64 bytes stepped
-/// from the start address, the first being the line holding it.
-pub(crate) fn warm_line_count(bytes: u64) -> u64 {
-    bytes.div_ceil(LINE_BYTES)
-}
-
-/// The core-private half of a range warm, shared by both memory models:
-/// the region's L1 lines, then every page overlapping
-/// `[base, base + bytes)` in its TLB, each in ascending order.
-pub(crate) fn prewarm_private(
-    region: WarmRegion,
-    (l1i, l1d): (&mut SetAssocCache, &mut SetAssocCache),
-    (itlb, dtlb): (&mut Tlb, &mut Tlb),
-    base: u64,
-    bytes: u64,
-) {
-    let lines = warm_line_count(bytes);
-    let tlb = match region {
-        WarmRegion::Code => {
-            l1i.fill_lines(base, lines, 1);
-            itlb
-        }
-        WarmRegion::L1Data => {
-            l1d.fill_lines(base, lines, 1);
-            dtlb
-        }
-        WarmRegion::L2Data => dtlb,
-    };
-    let mut page = page_base(base);
-    while page < base + bytes {
-        tlb.access(page);
-        page += PAGE_BYTES;
-    }
-}
-
 /// Outcome of [`MemorySystem::access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessResult {
@@ -435,6 +400,14 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
+    /// [`MemorySystem::new`] under the retired fidelity-dispatch
+    /// constructor's name. Stays only because the benchmark package's
+    /// traced driver calls it; goes with the next benchmark change
+    /// (ROADMAP item 2).
+    pub fn detailed(cfg: MemConfig) -> Self {
+        MemorySystem::new(cfg)
+    }
+
     /// Build the hierarchy. Panics on invalid configuration.
     pub fn new(cfg: MemConfig) -> Self {
         cfg.validate().expect("invalid MemConfig");
@@ -1063,19 +1036,31 @@ impl MemorySystem {
     /// benchmark, i.e. the caches start *warm*. Drivers use this to
     /// reproduce that starting condition before measurement.
     ///
-    /// Lines interleave across the banks, so bank `k` of the range takes
-    /// every `l2_banks`-th line from the range's `k`-th; every cache sees
-    /// its lines in ascending order, as a line-by-line warm would.
+    /// The range covers one line per 64 bytes from the line holding
+    /// `base`. The region's L1 takes those lines and its TLB every page
+    /// overlapping the range; lines interleave across the banks, so bank
+    /// `k` of the range takes every `l2_banks`-th line from the range's
+    /// `k`-th. Every cache sees its lines in ascending order, as a
+    /// line-by-line warm would.
     pub fn prewarm_range(&mut self, core: u32, region: WarmRegion, base: u64, bytes: u64) {
+        let lines = bytes.div_ceil(LINE_BYTES);
         let port = &mut self.cores[core as usize];
-        prewarm_private(
-            region,
-            (&mut port.l1i, &mut port.l1d),
-            (&mut port.itlb, &mut port.dtlb),
-            base,
-            bytes,
-        );
-        let lines = warm_line_count(bytes);
+        let tlb = match region {
+            WarmRegion::Code => {
+                port.l1i.fill_lines(base, lines, 1);
+                &mut port.itlb
+            }
+            WarmRegion::L1Data => {
+                port.l1d.fill_lines(base, lines, 1);
+                &mut port.dtlb
+            }
+            WarmRegion::L2Data => &mut port.dtlb,
+        };
+        let mut page = page_base(base);
+        while page < base + bytes {
+            tlb.access(page);
+            page += PAGE_BYTES;
+        }
         let banks = self.cfg.l2_banks as u64;
         let cluster = self.cfg.cluster_of(core);
         for k in 0..banks.min(lines) {
@@ -1096,14 +1081,6 @@ impl MemorySystem {
     /// (`cluster * l2_banks + line bank`).
     pub fn debug_bank_tags(&self, bank: usize) -> &SetAssocCache {
         self.banks[bank].cache()
-    }
-
-    /// Diagnostic: live request ids with (core, kind, addr, issued_at).
-    pub fn debug_inflight(&self) -> Vec<(ReqId, u32, AccessKind, u64, u64)> {
-        self.inflight
-            .iter()
-            .map(|(k, f)| (k, f.core, f.kind, f.addr, f.issued_at))
-            .collect()
     }
 
     /// Diagnostic: per-core MSHR occupancy and tracked lines.

@@ -21,14 +21,13 @@ use smtsim_core::suggest::unknown_name;
 use smtsim_core::{RunParams, SimConfig};
 
 /// Top-level keys a request may carry.
-const KNOWN_KEYS: [&str; 7] = [
+const KNOWN_KEYS: [&str; 6] = [
     "workload",
     "benchmarks",
     "policy",
     "cycles",
     "seed",
     "watchdog_cycles",
-    "fidelity",
 ];
 
 /// Parse and validate one `POST /run` body. `Ok` carries the config
@@ -78,7 +77,6 @@ pub fn parse_sim_request(body: &str) -> Result<(SimConfig, String), String> {
         workload: opt_str("workload")?,
         benchmarks,
         policy: opt_str("policy")?,
-        fidelity: opt_str("fidelity")?,
         cycles: opt_u64("cycles")?,
         seed: opt_u64("seed")?,
         watchdog: opt_u64("watchdog_cycles")?,
@@ -137,6 +135,7 @@ mod tests {
             "{\"workload\":\"2W2\",\"cycles\":\"many\"}",
             "{\"workload\":\"2W2\",\"fidelity\":\"mem=warp\"}",
             "{\"workload\":\"2W2\",\"fidelity\":\"core=approx\"}",
+            "{\"workload\":\"2W2\",\"fidelity\":\"mem=detailed\"}",
             "{\"workload\":2}",
         ] {
             assert!(

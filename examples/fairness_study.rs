@@ -4,7 +4,7 @@
 //! min/max fairness index, plus per-thread speedups over ICOUNT.
 //!
 //! ```text
-//! cargo run --release --example fairness_study [WORKLOAD] [CYCLES] [--fidelity mem=fast]
+//! cargo run --release --example fairness_study [WORKLOAD] [CYCLES]
 //! ```
 
 use mflush::prelude::*;
@@ -12,11 +12,7 @@ use mflush::sim::report::bar_chart;
 use mflush::sim::{run_sweep_ok, SweepJob};
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let fidelity = Fidelity::extract_from_args(&mut args).unwrap_or_else(|e| {
-        eprintln!("bad value for --fidelity: {e}");
-        std::process::exit(2);
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let workload = args.first().map(String::as_str).unwrap_or("4W3");
     let cycles: u64 = args.get(1).and_then(|c| c.parse().ok()).unwrap_or(100_000);
     let w = Workload::by_name(workload).expect("workload name like 4W3");
@@ -34,9 +30,7 @@ fn main() {
         .map(|p| {
             SweepJob::new(
                 p.label(),
-                SimConfig::for_workload(w, *p)
-                    .with_cycles(cycles)
-                    .with_fidelity(fidelity),
+                SimConfig::for_workload(w, *p).with_cycles(cycles),
             )
         })
         .collect();

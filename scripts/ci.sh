@@ -67,10 +67,11 @@ echo "== observability (trace determinism, METRICS.md drift) =="
 cargo test -q --offline -p smtsim-core --test obs_trace
 cargo test -q --offline -p smtsim-core --test metrics_doc
 
-echo "== fidelity equivalence (detailed == pre-refactor bytes) =="
-# Gate 6: the pluggable-fidelity refactor's invariant (DESIGN.md §13).
-# Also part of the workspace test gate; named here because byte-drift
-# in the default fidelity silently invalidates every golden figure.
+echo "== model goldens (== pre-refactor bytes) =="
+# Gate 6: the model's byte-level goldens (crates/core/tests/fidelity.rs,
+# named after the retired fidelity selection, DESIGN.md §13). Also part
+# of the workspace test gate; named here because byte-drift in the
+# model silently invalidates every golden figure.
 # The range prewarm must leave every tag array and TLB exactly as the
 # line-by-line warm did, or every warmed run drifts from its golden;
 # warm ranges installed set by set on first look must answer every

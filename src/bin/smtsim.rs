@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! smtsim run --workload 8W3 --policy mflush --cycles 200000
-//! smtsim run --workload 8W3 --fidelity mem=fast --json
 //! smtsim run --benchmarks mcf,gzip,swim,crafty --policy flush-s50 --json
 //! smtsim run --workload 4W3 --policy flush-s30 --trace-events trace.jsonl --metrics-interval 5000
 //! smtsim run --workload 4W3 --trace-events trace.json --trace-format chrome
@@ -21,9 +20,8 @@
 //! take (with a "did you mean" over its flags) or a repeated flag,
 //! `--workload` together with `--benchmarks`, and every run parameter
 //! [`smtsim_core::resolve::RunParams`] rejects — unknown
-//! workload/benchmark/policy names (with a "did you mean"), a bad
-//! `--fidelity`, a benchmark list that does not fill whole cores, or
-//! `--cycles 0`.
+//! workload/benchmark/policy names (with a "did you mean"), a benchmark
+//! list that does not fill whole cores, or `--cycles 0`.
 //!
 //! This binary lives in the root `mflush` package (not a simulator
 //! crate) because `serve`/`request` pull in `smtsim-serve`, and lint
@@ -42,10 +40,10 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          smtsim run (--workload <xWy> | --benchmarks a,b,c,d) [--policy <p>] [--json]\n             \
-         [--cycles N] [--seed N] [--watchdog N] [--fidelity mem=<detailed|fast>]\n             \
+         [--cycles N] [--seed N] [--watchdog N]\n             \
          [--trace-events FILE] [--metrics-interval N] [--trace-format jsonl|chrome]\n  \
          smtsim sweep (--workload <xWy> | --benchmarks a,b,c,d) [--cycles N] [--seed N]\n             \
-         [--watchdog N] [--fidelity ...] [--journal FILE] [--csv | --json]\n  \
+         [--watchdog N] [--journal FILE] [--csv | --json]\n  \
          smtsim serve [--addr HOST:PORT] [--cache DIR] [--max-queue N] [--workers N]\n  \
          smtsim request --body JSON [--addr HOST:PORT] [--timeout MS]\n  \
          smtsim calibrate [--cycles N] [--json]\n  \
@@ -64,7 +62,6 @@ const RUN_FLAGS: &[&str] = &[
     "cycles",
     "seed",
     "watchdog",
-    "fidelity",
     "json",
     "trace-events",
     "metrics-interval",
@@ -76,7 +73,6 @@ const SWEEP_FLAGS: &[&str] = &[
     "cycles",
     "seed",
     "watchdog",
-    "fidelity",
     "journal",
     "csv",
     "json",
@@ -150,7 +146,6 @@ fn run_params(args: &Args) -> RunParams<'_> {
         workload: args.get("workload"),
         benchmarks: args.get("benchmarks").map(|list| list.split(',').collect()),
         policy: args.get("policy"),
-        fidelity: args.get("fidelity"),
         cycles: args.get_u64("cycles"),
         seed: args.get_u64("seed"),
         watchdog: args.get_u64("watchdog"),

@@ -38,7 +38,6 @@ pub use smtsim_trace as trace;
 /// Most-used items in one import.
 pub mod prelude {
     pub use smtsim_core::config::SimConfig;
-    pub use smtsim_core::fidelity::Fidelity;
     pub use smtsim_core::sim::Simulator;
     pub use smtsim_core::workloads::Workload;
     pub use smtsim_policy::PolicyKind;
