@@ -5,10 +5,12 @@
 //! L2's 12 ways, which forces a non-power-of-two set count (handled by
 //! modulo indexing).
 //!
-//! Warm-up is lazy: [`SetAssocCache::fill_lines`] records its range, and
-//! each set installs its share of the recorded ranges the first time an
-//! access, fill or probe looks at it. A short run looks at a small part
-//! of an L2 bank, so most warm lines are never installed at all.
+//! Sets are built on first look. A new cache reserves room for every
+//! set's ways but writes none of them, and [`SetAssocCache::fill_lines`]
+//! only records its range. The first access, fill or probe that looks
+//! at a set appends the set's empty ways to the tag arena and installs
+//! its share of the recorded ranges. A short run looks at a small part
+//! of an L2 bank, so most tag lines are never written at all.
 
 use crate::addr::{line_index, LINE_BYTES};
 
@@ -134,8 +136,8 @@ impl WarmRange {
     #[inline]
     fn first_in(&self, set: u64, sets: u64) -> Option<u64> {
         let d = (set + sets - self.line0 % sets) % sets;
-        // `sets` is far below 2^32 (the tag array is allocated), so the
-        // product of two residues below `period` fits in a u64.
+        // `sets` is below 2^32 (a set's slot is a u32), so the product
+        // of two residues below `period` fits in a u64.
         d.is_multiple_of(self.gcd)
             .then(|| d / self.gcd * self.inv % self.period)
     }
@@ -150,37 +152,105 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 
 /// `a⁻¹ mod m` for `gcd(a, m) == 1` (0 when `m == 1`).
 fn mod_inverse(a: u64, m: u64) -> u64 {
-    // Extended Euclid on (m, a), tracking a's coefficient only.
-    let (mut r0, mut r1) = (m as i128, a as i128);
-    let (mut t0, mut t1) = (0i128, 1i128);
+    // Extended Euclid on (m, a), tracking a's coefficient only. The
+    // remainders stay below `m` and the coefficients within ±m, and `m`
+    // is a set count (below 2^32), so i64 is exact.
+    let (mut r0, mut r1) = (m as i64, a as i64);
+    let (mut t0, mut t1) = (0i64, 1i64);
     while r1 != 0 {
         let q = r0 / r1;
         (r0, r1) = (r1, r0 - q * r1);
         (t0, t1) = (t1, t0 - q * t1);
     }
-    t0.rem_euclid(m as i128) as u64
+    t0.rem_euclid(m as i64) as u64
 }
+
+/// Install `tag` with use stamp `stamp` in a set's `ways`. Returns the
+/// tag of the victim if a **dirty** line had to be written back.
+#[inline]
+fn fill_at(ways: &mut [Line], tag: u64, dirty: bool, stamp: u64) -> Option<u64> {
+    // One scan of the valid prefix: an already-present line (e.g.
+    // racing fills after an MSHR merge) is just refreshed; the first
+    // invalid way ends the prefix.
+    let mut free = None;
+    for (i, l) in ways.iter_mut().enumerate() {
+        if !l.valid() {
+            free = Some(i);
+            break;
+        }
+        if l.tag == tag {
+            l.touch(stamp, dirty);
+            return None;
+        }
+    }
+    // Pick a victim: first invalid way, else the LRU way.
+    // `unwrap_or(0)` never fires: a set has ≥ 1 way by geometry
+    // validation, and way 0 is a sound victim.
+    let victim_idx = free.unwrap_or_else(|| {
+        ways.iter()
+            .enumerate()
+            .min_by_key(|(_, l)| l.last_use())
+            .map(|(i, _)| i)
+            .unwrap_or(0)
+    });
+    let victim = &mut ways[victim_idx];
+    let writeback = (victim.valid() && victim.dirty()).then_some(victim.tag);
+    *victim = Line {
+        tag,
+        meta: stamp << 2 | (dirty as u64) << 1 | VALID,
+    };
+    writeback
+}
+
+/// Replay `set`'s lines of every range in `warm` into its `ways`
+/// through the fill logic, range by range and in ascending line order
+/// with their recorded stamps — the order and stamps of the eager fill,
+/// so the set ends exactly as that fill would have left it. Dirty
+/// victims are dropped without a writeback (warm-up runs before any
+/// line is written).
+fn install(ways: &mut [Line], set: u64, sets: u64, warm: &[WarmRange]) {
+    for r in warm {
+        let Some(mut k) = r.first_in(set, sets) else {
+            continue;
+        };
+        while k < r.count {
+            let _ = fill_at(ways, (r.line0 + k * r.step) / sets, false, r.stamp0 + k + 1);
+            k += r.period;
+        }
+    }
+}
+
+/// [`SetAssocCache::slot`] of a set that is not built yet.
+const UNBUILT: u32 = u32::MAX;
 
 /// Tag-only set-associative cache.
 ///
+/// Each set is built the first time an access, fill or probe looks at
+/// it: its `ways` empty lines are appended to one tag arena, reserved at
+/// construction for every set and never reallocated, and its share of
+/// the recorded warm ranges is installed. Which sets are built, and in
+/// what order, cannot be observed: equality compares each set's ways by
+/// set index, an unbuilt set reading as what building it would install.
+///
 /// Within a set the valid ways always form a prefix: lines are only
 /// ever replaced, never invalidated.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     sets: u64,
     ways: usize,
+    /// The built sets' ways, `ways` lines per set in the order the sets
+    /// were built.
     lines: Vec<Line>,
+    /// Per set: its position among the built sets in `lines`, or
+    /// [`UNBUILT`].
+    slot: Vec<u32>,
     stamp: u64,
     hits: u64,
     misses: u64,
-    /// Recorded warm ranges, in `fill_lines` order; empty once every
-    /// set has installed them.
+    /// Recorded warm ranges, in `fill_lines` order; each set installs
+    /// its share when it is built.
     warm: Vec<WarmRange>,
-    /// One bit per set: its share of `warm` is installed.
-    installed: Vec<u64>,
-    /// Number of bits set in `installed`.
-    installed_sets: u64,
 }
 
 impl SetAssocCache {
@@ -189,18 +259,18 @@ impl SetAssocCache {
     pub fn new(geometry: CacheGeometry) -> Self {
         geometry.validate().expect("invalid cache geometry");
         let sets = geometry.sets();
+        assert!(sets < UNBUILT as u64, "{sets} sets overflow the slot map");
         let ways = geometry.ways as usize;
         SetAssocCache {
             geometry,
             sets,
             ways,
-            lines: vec![Line::default(); (sets as usize) * ways],
+            lines: Vec::with_capacity(sets as usize * ways),
+            slot: vec![UNBUILT; sets as usize],
             stamp: 0,
             hits: 0,
             misses: 0,
             warm: Vec::new(),
-            installed: vec![0; sets.div_ceil(64) as usize],
-            installed_sets: 0,
         }
     }
 
@@ -209,84 +279,65 @@ impl SetAssocCache {
         self.geometry
     }
 
-    /// `(set, tag)` of `addr`, with the set's warm lines installed: every
-    /// access, fill and probe looks at a set through here.
+    /// `(set, first way's index in lines, tag)` of `addr`, the set built
+    /// if it was not: every access, fill and probe looks at a set
+    /// through here.
     #[inline]
-    fn locate(&mut self, addr: u64) -> (usize, u64) {
+    fn locate(&mut self, addr: u64) -> (u64, usize, u64) {
         let line = line_index(addr);
-        let set = (line % self.sets) as usize;
-        if !self.warm.is_empty() {
-            self.install(set);
+        let set = line % self.sets;
+        let mut slot = self.slot[set as usize];
+        if slot == UNBUILT {
+            slot = self.build(set);
         }
-        (set, line / self.sets)
+        (set, slot as usize * self.ways, line / self.sets)
     }
 
-    /// Replay `set`'s lines of every recorded range through the fill
-    /// logic, range by range and in ascending line order with their
-    /// recorded stamps — the order and stamps of the eager fill, so the
-    /// set ends exactly as that fill would have left it. Dirty victims
-    /// are dropped without a writeback (warm-up runs before any line is
-    /// written).
-    fn install(&mut self, set: usize) {
-        let bit = 1u64 << (set % 64);
-        if self.installed[set / 64] & bit != 0 {
-            return;
-        }
-        self.installed[set / 64] |= bit;
-        self.installed_sets += 1;
-        for i in 0..self.warm.len() {
-            let r = self.warm[i];
-            let Some(mut k) = r.first_in(set as u64, self.sets) else {
-                continue;
-            };
-            while k < r.count {
-                let tag = (r.line0 + k * r.step) / self.sets;
-                let _ = self.fill_at(set, tag, false, r.stamp0 + k + 1);
-                k += r.period;
-            }
-        }
-        if self.installed_sets == self.sets {
-            self.warm.clear();
-            self.installed.fill(0);
-            self.installed_sets = 0;
-        }
+    /// Append `set`'s empty ways to the arena and install its share of
+    /// every recorded warm range; returns its slot.
+    #[cold]
+    fn build(&mut self, set: u64) -> u32 {
+        let base = self.lines.len();
+        let slot = (base / self.ways) as u32;
+        self.slot[set as usize] = slot;
+        self.lines.resize(base + self.ways, Line::default());
+        install(&mut self.lines[base..], set, self.sets, &self.warm);
+        slot
     }
 
-    /// Install every recorded warm line now, leaving the cache as the
-    /// eager fill would have: what [`SetAssocCache::fill_lines`] does
-    /// before recording on a cache whose sets have started installing,
-    /// and how tests compare a warmed cache with a line-by-line oracle.
+    /// Build every set now, leaving the cache as the eager fill would
+    /// have: what [`SetAssocCache::fill_lines`] does before applying a
+    /// range to a cache with built sets.
     pub fn install_warm(&mut self) {
-        for set in 0..self.sets as usize {
-            if self.warm.is_empty() {
-                return;
+        for set in 0..self.sets {
+            if self.slot[set as usize] == UNBUILT {
+                self.build(set);
             }
-            self.install(set);
         }
     }
 
+    /// The ways of the set whose first way is `lines[base]`.
     #[inline]
-    fn set_slice(&mut self, set: usize) -> &mut [Line] {
-        let start = set * self.ways;
-        &mut self.lines[start..start + self.ways]
+    fn ways_at(&mut self, base: usize) -> &mut [Line] {
+        &mut self.lines[base..base + self.ways]
     }
 
     /// Probe without updating replacement state or stats (used by tag
     /// checks that should not disturb LRU, e.g. MSHR merging checks).
-    /// Takes `&mut self` only to install the set's warm lines.
+    /// Takes `&mut self` only to build the set.
     pub fn probe(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.set_slice(set).iter().any(|l| l.holds(tag))
+        let (_, base, tag) = self.locate(addr);
+        self.ways_at(base).iter().any(|l| l.holds(tag))
     }
 
     /// Access `addr`; on a hit, update recency (and the dirty bit for
     /// writes). Misses do **not** allocate — call [`SetAssocCache::fill`]
     /// when the refill arrives, as a real cache would.
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
-        let (set, tag) = self.locate(addr);
+        let (_, base, tag) = self.locate(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        for l in self.set_slice(set) {
+        for l in self.ways_at(base) {
             if l.holds(tag) {
                 l.touch(stamp, is_write);
                 self.hits += 1;
@@ -300,83 +351,94 @@ impl SetAssocCache {
     /// Install the line for `addr`. Returns the evicted line's base
     /// address if a **dirty** line had to be written back.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<u64> {
-        let (set, tag) = self.locate(addr);
+        let (set, base, tag) = self.locate(addr);
         self.stamp += 1;
-        self.fill_at(set, tag, dirty, self.stamp)
+        let stamp = self.stamp;
+        // Rebuild the victim's base address from (tag, set).
+        fill_at(self.ways_at(base), tag, dirty, stamp)
+            .map(|victim| (victim * self.sets + set) * LINE_BYTES)
     }
 
     /// Warm `count` clean lines: the line holding `first`, then every
     /// `step`-th line after it, in ascending order — the same state as
     /// that many [`SetAssocCache::fill`] calls, except that dirty victims
     /// are dropped without a writeback (cache warm-up runs before any
-    /// line is written). The range is only recorded here, and the stamp
-    /// advanced past it; each set installs its lines when it is first
-    /// looked at. A cache whose sets have started installing earlier
-    /// ranges installs all of them first.
+    /// line is written). On a cache with no built set the range is only
+    /// recorded, and the stamp advanced past it; each set installs its
+    /// lines when it is built. A cache with built sets builds every set
+    /// and applies the range to each.
     pub fn fill_lines(&mut self, first: u64, count: u64, step: u64) {
-        if self.installed_sets > 0 {
-            self.install_warm();
-        }
         if count == 0 {
             return;
         }
         let range = WarmRange::new(line_index(first), count, step, self.stamp, self.sets);
-        self.warm.push(range);
         self.stamp += count;
-    }
-
-    /// Install `tag` in `set` with use stamp `stamp`.
-    fn fill_at(&mut self, set: usize, tag: u64, dirty: bool, stamp: u64) -> Option<u64> {
-        let slice_start = set * self.ways;
-
-        // One scan of the valid prefix: an already-present line (e.g.
-        // racing fills after an MSHR merge) is just refreshed; the first
-        // invalid way ends the prefix.
-        let mut free = None;
-        for (i, l) in self.set_slice(set).iter_mut().enumerate() {
-            if !l.valid() {
-                free = Some(i);
-                break;
-            }
-            if l.tag == tag {
-                l.touch(stamp, dirty);
-                return None;
-            }
+        if self.lines.is_empty() {
+            self.warm.push(range);
+            return;
         }
-        // Pick a victim: first invalid way, else the LRU way.
-        // `unwrap_or(0)` never fires: a set has ≥ 1 way by geometry
-        // validation, and way 0 is a sound victim.
-        let victim_idx = free.unwrap_or_else(|| {
-            self.lines[slice_start..slice_start + self.ways]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use())
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        });
-        let victim = &mut self.lines[slice_start + victim_idx];
-        let writeback = if victim.valid() && victim.dirty() {
-            // Reconstruct the victim's base address from (tag, set).
-            Some((victim.tag * self.sets + set as u64) * LINE_BYTES)
-        } else {
-            None
-        };
-        *victim = Line {
-            tag,
-            meta: stamp << 2 | (dirty as u64) << 1 | VALID,
-        };
-        writeback
+        self.install_warm();
+        let sets = self.sets;
+        for set in 0..sets {
+            let base = self.slot[set as usize] as usize * self.ways;
+            install(self.ways_at(base), set, sets, &[range]);
+        }
     }
 
     /// (hits, misses) recorded by [`SetAssocCache::access`].
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
+
+    /// `set`'s ways: its arena lines once built, else what building it
+    /// would install, replayed into `scratch`.
+    fn ways_of<'a>(&'a self, set: u64, scratch: &'a mut Vec<Line>) -> &'a [Line] {
+        match self.slot[set as usize] {
+            UNBUILT => {
+                scratch.clear();
+                scratch.resize(self.ways, Line::default());
+                install(scratch, set, self.sets, &self.warm);
+                scratch
+            }
+            slot => &self.lines[slot as usize * self.ways..][..self.ways],
+        }
+    }
+}
+
+/// A clone keeps the arena's room for every set, so building its
+/// remaining sets never reallocates.
+impl Clone for SetAssocCache {
+    fn clone(&self) -> Self {
+        let mut lines = Vec::with_capacity(self.lines.capacity());
+        lines.extend_from_slice(&self.lines);
+        SetAssocCache {
+            lines,
+            slot: self.slot.clone(),
+            warm: self.warm.clone(),
+            ..*self
+        }
+    }
+}
+
+/// Layout-independent: equal geometry, stamp and stats, and every set's
+/// ways equal by set index, however many sets each side has built and
+/// in whatever order.
+impl PartialEq for SetAssocCache {
+    fn eq(&self, other: &Self) -> bool {
+        if self.geometry != other.geometry
+            || self.stamp != other.stamp
+            || self.stats() != other.stats()
+        {
+            return false;
+        }
+        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
+        (0..self.sets).all(|set| self.ways_of(set, &mut mine) == other.ways_of(set, &mut theirs))
+    }
 }
 
 #[cfg(test)]
 impl SetAssocCache {
-    /// Number of valid lines, recorded warm lines installed first.
+    /// Number of valid lines, every set built first.
     fn valid_lines(&mut self) -> usize {
         self.install_warm();
         self.lines.iter().filter(|l| l.valid()).count()
@@ -384,7 +446,12 @@ impl SetAssocCache {
 
     /// Total line slots.
     fn capacity_lines(&self) -> usize {
-        self.lines.len()
+        self.sets as usize * self.ways
+    }
+
+    /// Number of sets built so far.
+    fn built_sets(&self) -> usize {
+        self.lines.len() / self.ways
     }
 }
 
@@ -399,6 +466,91 @@ mod tests {
             ways,
             line_bytes: 64,
         })
+    }
+
+    /// A 12-way cache of 7 sets with two recorded warm ranges that
+    /// cover every set, built nowhere yet.
+    fn warmed_cache() -> SetAssocCache {
+        let mut c = SetAssocCache::new(CacheGeometry {
+            bytes: 7 * 12 * 64,
+            ways: 12,
+            line_bytes: 64,
+        });
+        c.fill_lines(0x4000, 60, 1);
+        c.fill_lines(0x9040, 30, 3);
+        c
+    }
+
+    #[test]
+    fn mod_inverse_inverts_every_unit_below_300() {
+        for m in 1..300 {
+            for a in (0..m).filter(|&a| gcd(a, m) == 1) {
+                assert_eq!(a * mod_inverse(a, m) % m, 1 % m, "{a}⁻¹ mod {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn new_and_recorded_caches_build_no_set() {
+        assert_eq!(small_cache(2).built_sets(), 0);
+        assert_eq!(warmed_cache().built_sets(), 0);
+    }
+
+    #[test]
+    fn one_access_builds_exactly_one_set() {
+        let mut c = warmed_cache();
+        c.access(0x4000, false);
+        assert_eq!(c.built_sets(), 1);
+        c.probe(0x4000 + 7 * 64); // same set, next tag
+        assert_eq!(c.built_sets(), 1);
+        c.fill(0x4000 + 64, false); // next set
+        assert_eq!(c.built_sets(), 2);
+    }
+
+    #[test]
+    fn install_warm_builds_every_set() {
+        let mut c = warmed_cache();
+        c.probe(0x4000);
+        c.install_warm();
+        assert_eq!(c.built_sets(), 7);
+        assert_eq!(c.valid_lines(), 7 * 12);
+    }
+
+    #[test]
+    fn sets_built_in_different_orders_compare_equal() {
+        let (mut a, mut b) = (warmed_cache(), warmed_cache());
+        let unbuilt = warmed_cache();
+        for set in 0..7 {
+            a.probe(0x4000 + set * 64);
+            b.probe(0x4000 + (6 - set) * 64);
+        }
+        assert!(a == b, "build order is not state");
+        assert!(a == unbuilt, "an unbuilt set reads as built");
+        assert!(unbuilt == b, "an unbuilt set reads as built");
+        // Same stamp and stats, one different tag in set 3.
+        a.fill(0x4000 + 3 * 64 + 7 * 64 * 20, false);
+        b.fill(0x4000 + 3 * 64 + 7 * 64 * 21, false);
+        assert!(a != b, "one filled line differs");
+    }
+
+    #[test]
+    fn stamp_or_stats_differences_compare_unequal() {
+        let c = warmed_cache();
+        let mut stamp = c.clone();
+        stamp.stamp += 1;
+        let mut hits = c.clone();
+        hits.hits += 1;
+        let mut misses = c.clone();
+        misses.misses += 1;
+        assert!(c == c.clone());
+        assert!(c != stamp && c != hits && c != misses);
+    }
+
+    #[test]
+    fn a_clone_keeps_room_for_every_set() {
+        let mut c = warmed_cache();
+        c.probe(0);
+        assert!(c.clone().lines.capacity() >= c.capacity_lines());
     }
 
     #[test]

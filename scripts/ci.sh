@@ -14,6 +14,14 @@ echo "== format (cargo fmt --check) =="
 # package is not a workspace member, so this does not reach it.
 cargo fmt --all -- --check
 
+echo "== shell syntax (bash -n) =="
+# Gate 0b: every script parses. No gate runs bench_ab.sh or
+# step_ab.sh (host time never gates), and loc.sh only prints, so a
+# broken edit to one of them would otherwise go unnoticed.
+for script in scripts/*.sh; do
+    bash -n "$script"
+done
+
 echo "== build (release, offline) =="
 # Gate 1.
 cargo build --release --offline --workspace
@@ -75,7 +83,9 @@ echo "== model goldens (== pre-refactor bytes) =="
 # The range prewarm must leave every tag array and TLB exactly as the
 # line-by-line warm did, or every warmed run drifts from its golden;
 # warm ranges installed set by set on first look must answer every
-# access, fill and probe as that warm would.
+# access, fill and probe as that warm would. A set is built (its tag
+# lines written) only when first looked at, and which sets are built,
+# or in what order, must not change what the cache compares equal to.
 # The issue-queue scheduler must agree with the ROB after every tick
 # and wake an instruction that reads one register twice, or runs wedge
 # or issue out of order. `figures all ablations extensions --cycles
@@ -87,6 +97,14 @@ cargo test -q --offline -p smtsim-cpu --test pipeline scheduler_invariants_hold_
 cargo test -q --offline -p smtsim-cpu --test mechanisms duplicate_source_issues_once_its_register_is_ready
 cargo test -q --offline -p smtsim-mem --test properties prewarm_equivalence
 cargo test -q --offline -p smtsim-mem --test properties warm_ranges_install_lazily_as_eager_fills
+cargo test -q --offline -p smtsim-mem --lib -- --exact \
+    cache::tests::mod_inverse_inverts_every_unit_below_300 \
+    cache::tests::new_and_recorded_caches_build_no_set \
+    cache::tests::one_access_builds_exactly_one_set \
+    cache::tests::install_warm_builds_every_set \
+    cache::tests::sets_built_in_different_orders_compare_equal \
+    cache::tests::stamp_or_stats_differences_compare_unequal \
+    cache::tests::a_clone_keeps_room_for_every_set
 # A squash rewinds the thread's trace to its oldest squashed
 # correct-path instruction, and the trace's ring must still hold every
 # instruction a squash can rewind past. A rewind that lands one
