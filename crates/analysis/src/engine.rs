@@ -7,7 +7,6 @@
 //! scheduling) can perturb the output between runs.
 
 use crate::callgraph::{check_graph, Graph};
-use crate::coverage::Coverage;
 use crate::findings::{Finding, LintReport, Rule};
 use crate::lexer::lex;
 use crate::metrics_doc::{check_metrics_doc, collect_registrations, Registration};
@@ -75,7 +74,6 @@ pub fn lint_files_doc(
     metrics_doc: Option<&str>,
 ) -> LintReport {
     let mut findings: Vec<Finding> = Vec::new();
-    let mut coverage = Coverage::default();
     let mut waivers: BTreeMap<&str, Waivers> = BTreeMap::new();
     let mut registrations: Vec<Registration> = Vec::new();
     let mut defs: Vec<FnDef> = Vec::new();
@@ -83,12 +81,10 @@ pub fn lint_files_doc(
     for (rel, src) in files {
         let toks = lex(src);
         check_file(rel, &toks, &mut findings);
-        coverage.scan_file(rel, &toks);
         collect_registrations(rel, &toks, &mut registrations);
         defs.extend(parse_file(rel, &toks));
         waivers.insert(rel, Waivers::collect(&toks));
     }
-    coverage.finish(&mut findings);
     check_metrics_doc(&registrations, metrics_doc, &mut findings);
 
     // The call-graph pass (D10–D12, and D3's graph scope). When the

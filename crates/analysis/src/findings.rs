@@ -7,7 +7,7 @@
 //! `(path, line, rule, symbol)`, so repeated runs over the same tree
 //! are byte-identical.
 
-use smtsim_core::json::{JsonObject, ToJson};
+use smtsim_core::json::{Shape, ToJson};
 
 /// The determinism rules (DESIGN.md §10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -18,8 +18,9 @@ pub enum Rule {
     D2,
     /// No `unwrap()`/`expect()` in cycle-loop files without a waiver.
     D3,
-    /// Every `pub` field of a stats struct must reach its `ToJson` impl.
-    D4,
+    // D4 (every pub stats field must reach its ToJson impl) was
+    // retired when the record tables made a dropped field
+    // unwritable; its number stays unused.
     /// No `#[allow(clippy::...)]` without a waiver.
     D5,
     /// No floating-point cycle/counter fields or accumulation.
@@ -46,11 +47,10 @@ pub enum Rule {
 }
 
 /// All rules, in id order.
-pub const ALL_RULES: [Rule; 12] = [
+pub const ALL_RULES: [Rule; 11] = [
     Rule::D1,
     Rule::D2,
     Rule::D3,
-    Rule::D4,
     Rule::D5,
     Rule::D6,
     Rule::D7,
@@ -68,7 +68,6 @@ impl Rule {
             Rule::D1 => "D1",
             Rule::D2 => "D2",
             Rule::D3 => "D3",
-            Rule::D4 => "D4",
             Rule::D5 => "D5",
             Rule::D6 => "D6",
             Rule::D7 => "D7",
@@ -86,7 +85,6 @@ impl Rule {
             Rule::D1 => "no HashMap/HashSet in non-test simulator code (iteration order is per-process random)",
             Rule::D2 => "no wall-clock reads (Instant::now, SystemTime) outside crates/bench",
             Rule::D3 => "no unwrap()/expect() in cycle-loop files without an inline waiver",
-            Rule::D4 => "every pub field of a stats struct must be serialized by its ToJson impl",
             Rule::D5 => "no #[allow(clippy::...)] without an inline waiver",
             Rule::D6 => "no floating-point cycle/counter struct fields or float accumulation into counters",
             Rule::D7 => "no catch_unwind outside crates/core/src/sweep.rs (panic isolation has one blessed boundary)",
@@ -123,12 +121,6 @@ tick-protocol entry points); when the linted file set defines no such root, the 
 back to flagging the whole hot file. Fix: restructure to Result, debug_assert!, or waive with \
 the invariant stated."
             }
-            Rule::D4 => {
-                "A pub counter on a stats struct that never reaches the ToJson impl is \
-a number the paper pipeline silently drops. Scope: structs whose name ends in Stats, \
-cross-checked against their write_json field list. Fix: serialize the field or demote its \
-visibility."
-            }
             Rule::D5 => {
                 "#[allow(clippy::...)] disables a defense-in-depth lint for everyone \
 who edits the file later; the waiver comment records why that is safe. Scope: every file. \
@@ -146,8 +138,9 @@ other file, test code included (tests assert panics with #[should_panic])."
             }
             Rule::D8 => {
                 "METRICS.md is generated from the metric registry; drift in either \
-direction means the docs lie. Scope: the registry/doc pair. Fix: re-bless METRICS.md \
-(BLESS=1) or remove the stale doc row."
+direction means the docs lie. Scope: the registry/doc pair — METRICS.md's metric table, \
+not its generated Result fields section (result JSON paths, byte-checked by the metrics_doc \
+test). Fix: re-bless METRICS.md (BLESS=1) or remove the stale doc row."
             }
             Rule::D10 => {
                 "A heap allocation inside the cycle loop costs allocator traffic \
@@ -195,27 +188,47 @@ boundary."
     }
 }
 
-/// One rule violation at one source location.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    pub rule: Rule,
-    /// Path relative to the lint root, `/`-separated.
-    pub path: String,
-    /// 1-based line.
-    pub line: u32,
-    /// The offending symbol (`HashMap`, `unwrap`, a field name, …);
-    /// part of the baseline fingerprint, so it must not contain line
-    /// numbers or other churn-prone detail.
-    pub symbol: String,
-    pub message: String,
-    /// For call-graph rules (D3 graph scope, D10–D12): the shortest
-    /// call chain from a root to the function containing the site,
-    /// root first (`["Simulator::step", "SmtCore::tick", …]`).
-    /// Empty for file-scoped rules.
-    pub chain: Vec<String>,
-    /// Suppressed by an inline waiver or a baseline entry.
-    pub waived: bool,
+smtsim_core::record! {
+    /// One rule violation at one source location.
+    #[derive(Debug, Clone)]
+    pub struct Finding {
+        #[label]
+        /// The rule violated.
+        pub rule: Rule,
+        #[label]
+        /// Path relative to the lint root, `/`-separated.
+        pub path: String,
+        #[label]
+        /// 1-based line.
+        pub line: u32,
+        #[label]
+        /// The offending symbol (`HashMap`, `unwrap`, a field name, …);
+        /// part of the baseline fingerprint, so it must not contain line
+        /// numbers or other churn-prone detail.
+        pub symbol: String,
+        #[label]
+        /// What is wrong, and how to fix it.
+        pub message: String,
+        #[label]
+        /// For call-graph rules (D3 graph scope, D10–D12): the shortest
+        /// call chain from a root to the function containing the site,
+        /// root first (`["Simulator::step", "SmtCore::tick", …]`).
+        /// Empty for file-scoped rules.
+        pub chain: Vec<String>,
+        #[label]
+        /// Suppressed by an inline waiver or a baseline entry.
+        pub waived: bool,
+    }
 }
+
+/// A rule renders as its id (`"D1"`).
+impl ToJson for Rule {
+    fn write_json(&self, out: &mut String) {
+        self.id().write_json(out);
+    }
+}
+
+impl Shape for Rule {}
 
 impl Finding {
     /// Baseline fingerprint: stable across unrelated edits to the file.
@@ -247,27 +260,29 @@ impl Finding {
     }
 }
 
-impl ToJson for Finding {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("rule", &self.rule.id())
-            .field("path", &self.path)
-            .field("line", &(self.line as u64))
-            .field("symbol", &self.symbol)
-            .field("message", &self.message)
-            .field("chain", &self.chain)
-            .field("waived", &self.waived);
-        o.end();
+smtsim_core::record! {
+    /// The complete result of one lint run.
+    #[derive(Debug, Clone)]
+    pub struct LintReport {
+        #[label]
+        /// Version of the report's format.
+        "version": u64 = |_r| 1,
+        #[counter("files")]
+        /// Number of `.rs` files scanned.
+        pub files_scanned: u64,
+        #[counter("findings")]
+        /// Findings, waived ones included.
+        "total": u64 = |r| r.findings.len() as u64,
+        #[counter("findings")]
+        /// Findings suppressed by a waiver or baseline entry.
+        "waived": u64 = |r| r.waived_count(),
+        #[counter("findings")]
+        /// Findings not suppressed.
+        "unwaived": u64 = |r| r.unwaived_count(),
+        #[record]
+        /// Every finding, waived ones included, sorted.
+        pub findings: Vec<Finding>,
     }
-}
-
-/// The complete result of one lint run.
-#[derive(Debug, Clone)]
-pub struct LintReport {
-    /// Number of `.rs` files scanned.
-    pub files_scanned: u64,
-    /// Every finding, waived ones included, sorted.
-    pub findings: Vec<Finding>,
 }
 
 impl LintReport {
@@ -289,19 +304,6 @@ impl LintReport {
 
     pub fn waived_count(&self) -> u64 {
         self.findings.iter().filter(|f| f.waived).count() as u64
-    }
-}
-
-impl ToJson for LintReport {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("version", &1u64)
-            .field("files_scanned", &self.files_scanned)
-            .field("total", &(self.findings.len() as u64))
-            .field("waived", &self.waived_count())
-            .field("unwaived", &self.unwaived_count())
-            .field("findings", &self.findings);
-        o.end();
     }
 }
 

@@ -6,16 +6,17 @@
 //! break silently: one `HashMap` iteration, one wall-clock read, one
 //! stats field that never reaches the JSON report. This crate is the
 //! static gate that keeps those out: a hand-rolled Rust lexer
-//! ([`lexer`]) feeding a rule engine ([`rules`], [`coverage`],
-//! [`metrics_doc`]) that walks every `.rs` file in the workspace and
-//! enforces twelve rules:
+//! ([`lexer`]) feeding a rule engine ([`rules`], [`metrics_doc`]) that
+//! walks every `.rs` file in the workspace and enforces eleven rules
+//! (a stats field that never reaches the report cannot be written:
+//! the record tables of `smtsim_core::json` declare each reported
+//! field once):
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | D1 | no `HashMap`/`HashSet` in non-test simulator code |
 //! | D2 | no wall-clock (`Instant::now`, `SystemTime`) outside `crates/bench` |
 //! | D3 | no `unwrap()`/`expect()` in cycle-loop files without a waiver |
-//! | D4 | every `pub` stats field must reach its `ToJson` impl |
 //! | D5 | no `#[allow(clippy::…)]` without a waiver |
 //! | D6 | no floating-point cycle/counter fields or accumulation |
 //! | D7 | no `catch_unwind` outside the sweep's panic boundary |
@@ -44,7 +45,6 @@
 //! walkdir — see DESIGN.md §9/§10.
 
 pub mod callgraph;
-pub mod coverage;
 pub mod engine;
 pub mod findings;
 pub mod lexer;

@@ -14,7 +14,6 @@ use crate::findings::{Rule, ALL_RULES};
 pub fn scope_kind(rule: Rule) -> &'static str {
     match rule {
         Rule::D1 | Rule::D2 | Rule::D5 | Rule::D6 | Rule::D7 => "file",
-        Rule::D4 => "cross-file",
         Rule::D8 => "registry/doc pair",
         Rule::D3 | Rule::D10 | Rule::D11 | Rule::D12 => "call-graph",
         Rule::D13 => "file + call-graph",
@@ -35,8 +34,12 @@ metadata, then regenerate with\n\
 File-scoped rules judge tokens by the file's path class; call-graph\n\
 rules judge functions by *reachability* from the simulator's entry\n\
 points and report the full call chain from the root (DESIGN.md §14).\n\
-D9 (no reduced-fidelity components in golden-figure drivers) was\n\
-retired with the fast memory model; its number stays unused.\n\n\
+D4 (every pub field of a stats struct must be serialized by its\n\
+ToJson impl) was retired when the record tables (`record!` in\n\
+`crates/obs/src/json.rs`) made a field missing from the report\n\
+unwritable. D9 (no reduced-fidelity components in golden-figure\n\
+drivers) was retired with the fast memory model. Their numbers stay\n\
+unused.\n\n\
 | Rule | Scope | Invariant |\n\
 |------|-------|-----------|\n",
     );

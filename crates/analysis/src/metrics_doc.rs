@@ -107,10 +107,16 @@ fn is_metric_token(tok: &str) -> bool {
 }
 
 /// Extract `(name, line)` for every backticked metric-shaped token in
-/// the METRICS.md text, first occurrence per name.
+/// the METRICS.md text, first occurrence per name. The text stops at
+/// the "Result fields" section: its rows are result JSON paths
+/// generated from the record tables, which the `metrics_doc` drift
+/// test checks byte for byte.
 pub fn doc_metric_names(doc: &str) -> Vec<(String, u32)> {
+    let metrics = doc
+        .split_once(smtsim_core::obs::RESULT_FIELDS_HEADING)
+        .map_or(doc, |(metrics, _)| metrics);
     let mut names: Vec<(String, u32)> = Vec::new();
-    for (lineno, line) in doc.lines().enumerate() {
+    for (lineno, line) in metrics.lines().enumerate() {
         let mut rest = line;
         while let Some(open) = rest.find('`') {
             let after = &rest[open + 1..];
@@ -219,6 +225,16 @@ mod tests {
                    prose `NotAMetric.Name` and `plain` and `mem.dram.round_trips`\n";
         let names: Vec<String> = doc_metric_names(doc).into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["cpu.thread.ipc", "mem.dram.round_trips"]);
+    }
+
+    #[test]
+    fn result_field_paths_are_not_metric_names() {
+        let doc = format!(
+            "| `x.alpha` |\n{}\n\n| `mem.l2_hit_rate` |\n",
+            smtsim_core::obs::RESULT_FIELDS_HEADING
+        );
+        let names: Vec<String> = doc_metric_names(&doc).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["x.alpha"]);
     }
 
     #[test]

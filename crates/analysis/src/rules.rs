@@ -5,8 +5,6 @@
 //! them), and most skip `#[cfg(test)]` / `#[test]` regions — test code
 //! may use hash maps and panic freely; only the simulator's replayed
 //! state is held to the determinism bar.
-//!
-//! D4 (JSON field coverage) is cross-file and lives in [`crate::coverage`].
 
 use crate::findings::{Finding, Rule};
 use crate::lexer::{Tok, TokKind};

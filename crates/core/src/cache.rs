@@ -37,16 +37,19 @@
 //! then the `label` and `cfg` strings and `ok`. The line is then kept
 //! under its `cfg` key. [`ResultCache::cached`] (or [`Slot::entry_or`])
 //! decodes a kept line the first time it is asked for (the `result` or
-//! `error` value parsed as [`parse_cache_line`] parses it) and keeps
-//! the entry in its slot; the entry's
-//! answer is that value's bytes as the line holds them, plus `"\n"`.
+//! `error` value parsed as [`parse_cache_line`] parses it, the result
+//! checked against its counter identities) and keeps the entry in its
+//! slot. The decoded outcome must render back to the value's bytes as
+//! the line holds them, and that rendering, plus `"\n"`, is the
+//! entry's answer: what is served is what sweeps and figures use.
 //! Those are the bytes a fresh run renders: every raw field is an
 //! integer, bool or string, and a change to the JSON a result renders
 //! to moves a fidelity golden and so [`MODEL_STAMP`], which re-keys
-//! every config. A line that passes the checksum but does not decode
-//! reads as absent from then on, so its job is re-simulated, never
-//! served. A restart therefore pays one hash per line and a parse only
-//! for the answers somebody asks for.
+//! every config. A line that passes the checksum but does not decode,
+//! or decodes to something that renders otherwise, reads as absent
+//! from then on, so its job is re-simulated, never served. A restart
+//! therefore pays one hash per line, and a parse and a render only for
+//! the answers somebody asks for.
 //!
 //! A torn tail (kill -9 mid-append), a truncated line, or a flipped
 //! bit anywhere fails that check — or, for the few damaged lines that
@@ -144,8 +147,8 @@ pub struct CacheEntry {
     /// The cached outcome.
     pub outcome: JobOutcome,
     /// [`render_answer`] of `outcome` (for an entry decoded from a
-    /// journal line, the line's own bytes of it), set when the entry
-    /// is built.
+    /// journal line, equal to the line's bytes of it), set when the
+    /// entry is built.
     answer: Arc<str>,
 }
 
@@ -525,8 +528,11 @@ fn read_head(line: &str) -> Option<Head> {
 }
 
 /// Decode a line [`verify_line`] accepted: parse its `result` (or
-/// `error`) value into the outcome, and keep that value's bytes as the
-/// answer. `None` when the value does not decode.
+/// `error`) value into the outcome, which must render back to that
+/// value's bytes, and keep that rendering as the answer. `None` when
+/// the value does not decode, or decodes to an outcome that renders
+/// otherwise (a derived field that disagrees with the stored ones):
+/// what is served and what sweeps and figures use must be one answer.
 fn decode_line(line: &str) -> Option<CacheEntry> {
     let head = read_head(line)?;
     let value = line.get(head.value..line.len().checked_sub(SUM_TAIL)?)?;
@@ -536,10 +542,14 @@ fn decode_line(line: &str) -> Option<CacheEntry> {
     } else {
         Err(SimError::from_json(&v).ok()?)
     };
+    let answer = render_answer(&outcome);
+    if answer.strip_suffix('\n') != Some(value) {
+        return None;
+    }
     Some(CacheEntry {
         label: head.label,
         outcome,
-        answer: Arc::from(format!("{value}\n")),
+        answer,
     })
 }
 
@@ -662,6 +672,39 @@ mod tests {
             assert_eq!(*reloaded.cached(&fp).unwrap().answer(), *fresh_answer);
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    #[test]
+    fn a_line_whose_answer_does_not_re_render_is_re_simulated() {
+        let w = Workload::by_name("2W1").unwrap();
+        let cfg = SimConfig::for_workload(w, PolicyKind::Icount).with_cycles(2_000);
+        let fp = config_fingerprint(&cfg);
+        let fresh = crate::sim::Simulator::build(&cfg).unwrap().run().unwrap();
+        let answer = fresh.to_json();
+        let throughput = format!("\"throughput\":{},", fresh.throughput().to_json());
+        assert!(answer.contains(&throughput));
+        // The stored fields decode, but the derived `throughput` is not
+        // what they give, so the line's bytes are not its outcome's.
+        let edited = answer.replacen(&throughput, "\"throughput\":9.99,", 1);
+        let line = journal_line(0, "edited", &fp, true, &edited);
+        let v = parse_json(&edited).unwrap();
+        assert!(SimResult::from_json(&v).is_ok(), "the stored fields decode");
+        assert!(parse_cache_line(line.trim_end()).is_none());
+
+        let path = temp_path("rerender.jsonl");
+        std::fs::write(&path, &line).unwrap();
+        let c = ResultCache::load_from(&path);
+        assert_eq!((c.entry_count(), c.skipped_lines()), (1, 0), "indexed");
+        assert!(c.cached(&fp).is_none(), "never served");
+        let jobs = [crate::sweep::SweepJob::new("job", cfg.clone())];
+        let out = crate::sweep::run_sweep_journaled(&jobs, 1, Some(&path));
+        assert_eq!(out[0].1.as_ref().unwrap().to_json(), answer, "re-simulated");
+        let reloaded = ResultCache::load_from(&path);
+        assert_eq!(
+            *reloaded.cached(&fp).unwrap().answer(),
+            format!("{answer}\n")
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

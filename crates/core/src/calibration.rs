@@ -13,22 +13,30 @@ use crate::sweep::{run_sweep_ok, SweepJob};
 use smtsim_policy::PolicyKind;
 use smtsim_trace::spec;
 
-/// One benchmark's measured behaviour (self-paired on one SMT core
-/// under ICOUNT).
-#[derive(Debug, Clone)]
-pub struct CalRow {
-    /// Benchmark name (the paper's Fig. 1 legend key).
-    pub name: String,
-    /// Committed IPC per thread.
-    pub ipc_per_thread: f64,
-    /// Branch prediction accuracy (committed conditional branches).
-    pub branch_accuracy: f64,
-    /// L1D load miss rate.
-    pub l1d_miss_rate: f64,
-    /// Shared-L2 demand hit rate.
-    pub l2_hit_rate: f64,
-    /// D-TLB miss rate per load+store.
-    pub dtlb_miss_rate: f64,
+smtsim_obs::record! {
+    /// One benchmark's measured behaviour (self-paired on one SMT core
+    /// under ICOUNT).
+    #[derive(Debug, Clone)]
+    pub struct CalRow {
+        #[label]
+        /// Benchmark name (the paper's Fig. 1 legend key).
+        pub name: String,
+        #[gauge("instr/cycle")]
+        /// Committed IPC per thread.
+        pub ipc_per_thread: f64,
+        #[gauge("fraction")]
+        /// Branch prediction accuracy (committed conditional branches).
+        pub branch_accuracy: f64,
+        #[gauge("fraction")]
+        /// L1D load miss rate.
+        pub l1d_miss_rate: f64,
+        #[gauge("fraction")]
+        /// Shared-L2 demand hit rate.
+        pub l2_hit_rate: f64,
+        #[gauge("fraction")]
+        /// D-TLB miss rate per load+store.
+        pub dtlb_miss_rate: f64,
+    }
 }
 
 /// The self-paired ICOUNT run that calibrates benchmark `name`.

@@ -6,7 +6,7 @@
 //! values: a sweep with one failed job still returns every other job's
 //! result, byte-identical to a fault-free sweep.
 
-use crate::json::{JsonObject, JsonValue, ToJson};
+use crate::json::{field, JsonObject, JsonValue, ToJson};
 use smtsim_cpu::ThreadProbe;
 use std::fmt;
 
@@ -40,34 +40,49 @@ pub enum SimError {
     },
 }
 
-/// Machine-state snapshot attached to a `NoForwardProgress` error:
-/// enough to diagnose *which* resource wedged without re-running under
-/// a debugger. Deterministic — built purely from simulated state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressDiagnostic {
-    /// Fetch-policy label in force (e.g. `"MFLUSH"`).
-    pub policy: String,
-    /// The watchdog interval that fired.
-    pub watchdog_cycles: u64,
-    /// Memory requests still in flight system-wide.
-    pub inflight: u64,
-    /// Per-core pipeline and MSHR state.
-    pub cores: Vec<CoreDiagnostic>,
+smtsim_obs::record! {
+    /// Machine-state snapshot attached to a `NoForwardProgress` error:
+    /// enough to diagnose *which* resource wedged without re-running under
+    /// a debugger. Deterministic — built purely from simulated state.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ProgressDiagnostic {
+        #[label]
+        /// Fetch-policy label in force (e.g. `"MFLUSH"`).
+        pub policy: String,
+        #[gauge("cycles")]
+        /// The watchdog interval that fired.
+        pub watchdog_cycles: u64,
+        #[gauge("requests")]
+        /// Memory requests still in flight system-wide.
+        pub inflight: u64,
+        #[record]
+        /// Per-core pipeline and MSHR state.
+        pub cores: Vec<CoreDiagnostic>,
+    }
+    decode;
 }
 
-/// One core's slice of a [`ProgressDiagnostic`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoreDiagnostic {
-    /// Core id.
-    pub core: u32,
-    /// Cycle of this core's most recent commit (0 = never).
-    pub last_commit_cycle: u64,
-    /// Occupied MSHR entries.
-    pub mshr_occupancy: u64,
-    /// Whether the MSHR file is full (no new misses can issue).
-    pub mshr_full: bool,
-    /// Per-thread fetch/ROB state.
-    pub threads: Vec<ThreadProbe>,
+smtsim_obs::record! {
+    /// One core's slice of a [`ProgressDiagnostic`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct CoreDiagnostic {
+        #[label]
+        /// Core id.
+        pub core: u32,
+        #[gauge("cycle")]
+        /// Cycle of this core's most recent commit (0 = never).
+        pub last_commit_cycle: u64,
+        #[gauge("entries")]
+        /// Occupied MSHR entries.
+        pub mshr_occupancy: u64,
+        #[label]
+        /// Whether the MSHR file is full (no new misses can issue).
+        pub mshr_full: bool,
+        #[record]
+        /// Per-thread fetch/ROB state.
+        pub threads: Vec<ThreadProbe>,
+    }
+    decode;
 }
 
 impl fmt::Display for SimError {
@@ -91,42 +106,6 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-impl ToJson for ThreadProbe {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("tid", &self.tid)
-            .field("gate", &self.gate)
-            .field("frontend", &self.frontend)
-            .field("rob", &self.rob)
-            .field("icache_wait", &self.icache_wait)
-            .field("committed", &self.committed);
-        o.end();
-    }
-}
-
-impl ToJson for CoreDiagnostic {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("core", &self.core)
-            .field("last_commit_cycle", &self.last_commit_cycle)
-            .field("mshr_occupancy", &self.mshr_occupancy)
-            .field("mshr_full", &self.mshr_full)
-            .field("threads", &self.threads);
-        o.end();
-    }
-}
-
-impl ToJson for ProgressDiagnostic {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("policy", &self.policy)
-            .field("watchdog_cycles", &self.watchdog_cycles)
-            .field("inflight", &self.inflight)
-            .field("cores", &self.cores);
-        o.end();
-    }
-}
 
 impl ToJson for SimError {
     fn write_json(&self, out: &mut String) {
@@ -157,49 +136,6 @@ impl ToJson for SimError {
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON decoding — the inverse of the impls above, used by the result
-// journal to replay recorded failures byte-identically.
-// ---------------------------------------------------------------------
-
-fn snapshot_from_json(v: &JsonValue) -> Result<ThreadProbe, String> {
-    Ok(ThreadProbe {
-        tid: v.req_u64("tid")? as u32,
-        gate: v.req_str("gate")?.to_string(),
-        frontend: v.req_u64("frontend")? as u32,
-        rob: v.req_u64("rob")? as u32,
-        icache_wait: v.req_bool("icache_wait")?,
-        committed: v.req_u64("committed")?,
-    })
-}
-
-fn core_diag_from_json(v: &JsonValue) -> Result<CoreDiagnostic, String> {
-    Ok(CoreDiagnostic {
-        core: v.req_u64("core")? as u32,
-        last_commit_cycle: v.req_u64("last_commit_cycle")?,
-        mshr_occupancy: v.req_u64("mshr_occupancy")?,
-        mshr_full: v.req_bool("mshr_full")?,
-        threads: v
-            .req_arr("threads")?
-            .iter()
-            .map(snapshot_from_json)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn diag_from_json(v: &JsonValue) -> Result<ProgressDiagnostic, String> {
-    Ok(ProgressDiagnostic {
-        policy: v.req_str("policy")?.to_string(),
-        watchdog_cycles: v.req_u64("watchdog_cycles")?,
-        inflight: v.req_u64("inflight")?,
-        cores: v
-            .req_arr("cores")?
-            .iter()
-            .map(core_diag_from_json)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
 impl SimError {
     /// Whether the error says nothing permanent about the config.
     /// True only for [`SimError::JobPanicked`]: a panic is a simulator
@@ -218,16 +154,16 @@ impl SimError {
     /// so `encode(decode(encode(e))) == encode(e)` holds byte-for-byte).
     pub fn from_json(v: &JsonValue) -> Result<SimError, String> {
         match v.req_str("error")? {
-            "invalid_config" => Ok(SimError::InvalidConfig(v.req_str("detail")?.to_string())),
+            "invalid_config" => Ok(SimError::InvalidConfig(field(v, "detail")?)),
             "no_forward_progress" => Ok(SimError::NoForwardProgress {
-                cycle: v.req_u64("cycle")?,
-                core: v.req_u64("core")? as u32,
-                last_commit_cycle: v.req_u64("last_commit_cycle")?,
-                diagnostic: diag_from_json(v.get("diagnostic").ok_or("missing diagnostic")?)?,
+                cycle: field(v, "cycle")?,
+                core: field(v, "core")?,
+                last_commit_cycle: field(v, "last_commit_cycle")?,
+                diagnostic: field(v, "diagnostic")?,
             }),
             "job_panicked" => Ok(SimError::JobPanicked {
-                label: v.req_str("label")?.to_string(),
-                payload: v.req_str("payload")?.to_string(),
+                label: field(v, "label")?,
+                payload: field(v, "payload")?,
             }),
             other => Err(format!("unknown error kind {other:?}")),
         }
@@ -282,6 +218,46 @@ mod tests {
             assert_eq!(back, e);
             assert_eq!(back.to_json(), j, "re-encode must be byte-identical");
         }
+    }
+
+    #[test]
+    fn from_json_rejects_damaged_documents() {
+        let good = sample_npf().to_json();
+        let mut damaged = Vec::new();
+        // A `u32` field holding 2^32 would read back as 0 if it were
+        // truncated; it must not decode at all.
+        // The error's `core` and its diagnostic's both.
+        let core = "\"core\":";
+        let keys = [
+            good.find(core).unwrap(),
+            good.rfind(core).unwrap(),
+            good.find("\"tid\":").unwrap(),
+            good.find("\"frontend\":").unwrap(),
+            good.find("\"rob\":").unwrap(),
+        ];
+        assert_ne!(keys[0], keys[1]);
+        for key in keys {
+            let at = key + good[key..].find(':').unwrap() + 1;
+            let len = good[at..].find([',', '}']).unwrap();
+            assert_eq!(
+                good[at..at + len].parse::<u64>().map(|n| n < 1 << 32),
+                Ok(true)
+            );
+            damaged.push(format!("{}4294967296{}", &good[..at], &good[at + len..]));
+        }
+        damaged.push(good.replace("\"mshr_full\":true", "\"mshr_full\":1"));
+        damaged.push(good.replace("\"gate\":\"Open\"", "\"gate\":null"));
+        damaged.push(good.replace(",\"inflight\":3", ""));
+        damaged.push(r#"{"error":"no_such_error"}"#.to_string());
+        for bad in damaged {
+            assert_ne!(bad, good);
+            let v = parse_json(&bad).unwrap();
+            assert!(SimError::from_json(&v).is_err(), "accepted {bad}");
+        }
+        assert_eq!(
+            SimError::from_json(&parse_json(&good).unwrap()),
+            Ok(sample_npf())
+        );
     }
 
     #[test]

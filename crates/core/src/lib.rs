@@ -22,8 +22,8 @@
 //!   sweeps (each simulation is independent, so sweeps scale with host
 //!   cores);
 //! * [`report`] — plain-text tables matching the paper's figures;
-//! * [`json`] — dependency-free JSON emission ([`json::ToJson`]) for
-//!   machine-readable results;
+//! * [`json`] — dependency-free JSON emission ([`json::ToJson`]),
+//!   parsing and the record tables (re-exported from [`smtsim_obs`]);
 //! * [`obs`] — cycle-level observability: merged event traces (JSONL
 //!   and Chrome `trace_event` export) and the interval metrics sampler
 //!   behind METRICS.md.
@@ -33,7 +33,6 @@ pub mod calibration;
 pub mod config;
 pub mod error;
 pub mod fidelity;
-pub mod json;
 pub mod obs;
 pub mod report;
 pub mod resolve;
@@ -53,5 +52,6 @@ pub use obs::{MetricsRecorder, TraceRow};
 pub use resolve::RunParams;
 pub use result::SimResult;
 pub use sim::Simulator;
+pub use smtsim_obs::{json, record};
 pub use sweep::{run_sweep, run_sweep_journaled, run_sweep_ok, SweepJob};
 pub use workloads::Workload;

@@ -43,7 +43,8 @@
 //! assert!(jsonl.lines().all(|l| l.starts_with("{\"cycle\":")));
 //! ```
 
-use crate::json::{JsonObject, ToJson};
+use crate::json::{FieldSpec, JsonObject, ToJson};
+use crate::result::SimResult;
 use smtsim_cpu::{CoreStats, SmtCore};
 use smtsim_mem::MemorySystem;
 use smtsim_obs::{MetricKind, MetricSample, MetricSpec, TraceEvent, TraceRecord};
@@ -86,15 +87,44 @@ pub fn all_metrics() -> Vec<MetricSpec> {
 // Merged trace rows
 // ----------------------------------------------------------------
 
-/// One event in the merged machine-wide stream: the record plus the
-/// rank of the ring it came from (0 = memory system, `1 + core_id` =
-/// that core). `(cycle, rank, seq)` is the total order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRow {
-    /// Ring rank: 0 for the memory system, `1 + core_id` for a core.
-    pub rank: u32,
-    /// The recorded event.
-    pub rec: TraceRecord,
+smtsim_obs::record! {
+    /// One event in the merged machine-wide stream: the record plus the
+    /// rank of the ring it came from (0 = memory system, `1 + core_id` =
+    /// that core). `(cycle, rank, seq)` is the total order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct TraceRow {
+        #[via]
+        /// Ring rank: 0 for the memory system, `1 + core_id` for a core.
+        pub rank: u32,
+        #[via]
+        /// The recorded event.
+        pub rec: TraceRecord,
+        #[counter("cycles")]
+        /// Simulated cycle of the event.
+        "cycle": u64 = |r| r.rec.cycle,
+        #[label]
+        /// The ring it came from: `mem`, or `core<N>` for core `N`.
+        "src": String = |r| r.src(),
+        #[counter("events")]
+        /// Emission index within its ring.
+        "seq": u64 = |r| r.rec.seq,
+        #[label]
+        /// The event's [`TraceEvent::kind`].
+        "kind": &str = |r| r.rec.event.kind(),
+        /// The event's payload fields (DESIGN.md §12).
+        .. = |r, o| event_payload(o, &r.rec.event),
+    }
+}
+
+impl TraceRow {
+    /// The ring the row came from: `mem`, or `core<N>`.
+    fn src(&self) -> String {
+        if self.rank == 0 {
+            String::from("mem")
+        } else {
+            format!("core{}", self.rank - 1)
+        }
+    }
 }
 
 /// Write the event's payload fields into an open JSON object.
@@ -147,35 +177,6 @@ fn event_payload(o: &mut JsonObject<'_>, ev: &TraceEvent) {
         TraceEvent::DramRoundTrip { core, latency } => {
             o.field("core", &core).field("latency", &latency);
         }
-    }
-}
-
-impl ToJson for TraceRow {
-    fn write_json(&self, out: &mut String) {
-        let src = if self.rank == 0 {
-            String::from("mem")
-        } else {
-            format!("core{}", self.rank - 1)
-        };
-        let mut o = JsonObject::begin(out);
-        o.field("cycle", &self.rec.cycle);
-        o.field("src", &src);
-        o.field("seq", &self.rec.seq);
-        o.field("kind", &self.rec.event.kind());
-        event_payload(&mut o, &self.rec.event);
-        o.end();
-    }
-}
-
-impl ToJson for MetricSample {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("cycle", &self.cycle);
-        o.field("src", &"metrics");
-        o.field("metric", &self.name);
-        o.field("instance", &self.instance);
-        o.field("value", &self.value);
-        o.end();
     }
 }
 
@@ -327,7 +328,7 @@ pub fn chrome_trace(rows: &[TraceRow], samples: &[MetricSample]) -> String {
     for sample in samples {
         sep(&mut s);
         let mut o = JsonObject::begin(&mut s);
-        o.field("name", &format!("{}[{}]", sample.name, sample.instance));
+        o.field("name", &format!("{}[{}]", sample.metric, sample.instance));
         o.field("ph", &"C");
         o.field("ts", &sample.cycle);
         o.field("pid", &0u32);
@@ -530,10 +531,10 @@ impl MetricsRecorder {
         });
     }
 
-    fn push(&mut self, cycle: u64, name: &'static str, instance: u32, value: f64) {
+    fn push(&mut self, cycle: u64, metric: &'static str, instance: u32, value: f64) {
         self.samples.push(MetricSample {
             cycle,
-            name,
+            metric,
             instance,
             value,
         });
@@ -584,7 +585,45 @@ pub fn metrics_markdown() -> String {
             m.doc
         ));
     }
+    s.push_str(RESULT_FIELDS_HEADING);
+    s.push_str(
+        "\n\nEvery key of a run's result JSON (what `smtsim run --json`\n\
+         prints, the sweep journal stores and `smtsim serve` answers), one\n\
+         row per key, in the order the JSON writes them. **Generated** from\n\
+         the `record!` tables of `SimResult` and the structs it holds: each\n\
+         row's description is its doc comment. `a.b` is key `b` of the\n\
+         object under `a`; `a[].b` is key `b` of every object in the list\n\
+         under `a`. A *derived* row is computed from the stored ones\n\
+         whenever the result is rendered: it is never stored, and decoding\n\
+         reads only the stored rows.\n\n",
+    );
+    s.push_str("| Path | Kind | Unit | Paper figure | Description |\n");
+    s.push_str("|------|------|------|--------------|-------------|\n");
+    result_field_rows(&mut s, "", SimResult::FIELDS);
     s
+}
+
+/// The heading of METRICS.md's section generated from the result
+/// tables; lint rule D8 reads only the metric rows above it.
+pub const RESULT_FIELDS_HEADING: &str = "\n## Result fields";
+
+/// One METRICS.md row per row of `fields`, under `prefix`, each
+/// record's rows after its own.
+fn result_field_rows(s: &mut String, prefix: &str, fields: &[FieldSpec]) {
+    let dash = |text: &'static str| if text.is_empty() { "\u{2014}" } else { text };
+    for f in fields {
+        let path = format!("{prefix}{}", f.key);
+        let derived = if f.derived { ", derived" } else { "" };
+        let doc = f.doc.split_whitespace().collect::<Vec<_>>().join(" ");
+        s.push_str(&format!(
+            "| `{path}` | {}{derived} | {} | {} | {doc} |\n",
+            f.kind.as_str(),
+            dash(f.unit),
+            dash(f.figure),
+        ));
+        let nested = if f.list { "[]." } else { "." };
+        result_field_rows(s, &format!("{path}{nested}"), f.rows);
+    }
 }
 
 #[cfg(test)]
@@ -646,7 +685,7 @@ mod tests {
         );
         let sample = MetricSample {
             cycle: 100,
-            name: "core.throughput_ipc",
+            metric: "core.throughput_ipc",
             instance: 0,
             value: 1.5,
         };
@@ -679,7 +718,7 @@ mod tests {
         ];
         let samples = vec![MetricSample {
             cycle: 10,
-            name: "core.throughput_ipc",
+            metric: "core.throughput_ipc",
             instance: 0,
             value: 0.5,
         }];
@@ -707,7 +746,7 @@ mod tests {
         }];
         let samples = vec![MetricSample {
             cycle: 5,
-            name: "cpu.thread.ipc",
+            metric: "cpu.thread.ipc",
             instance: 3,
             value: 0.25,
         }];
@@ -723,7 +762,12 @@ mod tests {
     #[test]
     fn markdown_has_one_row_per_metric() {
         let doc = metrics_markdown();
-        let rows = doc.lines().filter(|l| l.starts_with("| `")).count();
-        assert_eq!(rows, all_metrics().len());
+        let (metrics, fields) = doc.split_once(RESULT_FIELDS_HEADING).unwrap();
+        let rows = |text: &str| text.lines().filter(|l| l.starts_with("| `")).count();
+        assert_eq!(rows(metrics), all_metrics().len());
+        fn paths(fields: &[FieldSpec]) -> usize {
+            fields.iter().map(|f| 1 + paths(f.rows)).sum()
+        }
+        assert_eq!(rows(fields), paths(SimResult::FIELDS));
     }
 }

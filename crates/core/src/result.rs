@@ -1,25 +1,51 @@
 //! Measurement snapshot of one simulation run.
 
-use crate::json::JsonValue;
-use smtsim_cpu::{CoreStats, ThreadStats};
+use smtsim_cpu::CoreStats;
 use smtsim_energy::EnergyAccount;
-use smtsim_mem::{CoreMemStats, LatencyHistogram, MemStats};
+use smtsim_mem::{LatencyHistogram, MemStats};
 
-/// Everything the figure harness needs from one run.
-#[derive(Debug, Clone)]
-pub struct SimResult {
-    /// Policy label (e.g. `"FLUSH-S100"`).
-    pub policy: String,
-    /// Workload description (benchmark names, thread order).
-    pub workload: Vec<String>,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Per-core statistics.
-    pub cores: Vec<CoreStats>,
-    /// Memory-system statistics.
-    pub mem: MemStats,
-    /// Distribution of L2-hit service times for loads (Fig. 4).
-    pub l2_hit_hist: LatencyHistogram,
+smtsim_obs::record! {
+    /// Everything the figure harness needs from one run.
+    #[derive(Debug, Clone)]
+    pub struct SimResult {
+        #[label]
+        /// Policy label (e.g. `"FLUSH-S100"`).
+        pub policy: String,
+        #[label]
+        /// Workload description (benchmark names, thread order).
+        pub workload: Vec<String>,
+        #[counter("cycles")]
+        /// Simulated cycles.
+        pub cycles: u64,
+        #[gauge("instr/cycle", "Figs. 2, 3, 5, 8")]
+        /// System throughput: instructions committed by every thread,
+        /// per cycle.
+        "throughput": f64 = |r| r.throughput(),
+        #[gauge("instr/cycle")]
+        /// Harmonic mean of the per-thread IPCs (0 when a thread
+        /// committed nothing).
+        "hmean_ipc": f64 = |r| r.hmean_ipc(),
+        #[gauge("instr/cycle")]
+        /// Each thread's committed instructions per cycle, in thread
+        /// order.
+        "per_thread_ipc": Vec<f64> = |r| r.per_thread_ipc(),
+        #[counter("events")]
+        /// FLUSH response actions executed, all cores.
+        "total_flushes": u64 = |r| r.total_flushes(),
+        #[record]
+        /// Per-core statistics.
+        pub cores: Vec<CoreStats>,
+        #[record]
+        /// Memory-system statistics.
+        pub mem: MemStats,
+        #[record]
+        /// Distribution of L2-hit service times for loads (Fig. 4).
+        pub l2_hit_hist: LatencyHistogram,
+        #[record]
+        /// Every thread's energy ledger, merged.
+        "energy": EnergyAccount = |r| r.energy(),
+    }
+    decode with SimResult::check_identities;
 }
 
 impl SimResult {
@@ -116,125 +142,47 @@ impl SimResult {
             .collect()
     }
 
-    /// Decode a result from its own JSON rendering (the sweep journal's
-    /// replay path). Only the *raw* fields are read — every float in
-    /// the JSON (`throughput`, `hmean_ipc`, `l2_hit_rate`, energy
-    /// ratios, …) is derived from them and recomputed at emit time, so
-    /// `decode(encode(r)).to_json() == r.to_json()` byte-for-byte.
-    pub fn from_json(v: &JsonValue) -> Result<SimResult, String> {
-        Ok(SimResult {
-            policy: v.req_str("policy")?.to_string(),
-            workload: v
-                .req_arr("workload")?
+    /// The identities between the counters of one run, checked on
+    /// every decoded result:
+    ///
+    /// * each core's per-thread `flushes` sum to its
+    ///   `flushes_executed` (so `total_flushes` agrees with both);
+    /// * the memory system reports one entry per core;
+    /// * no thread committed or squashed more instructions than it
+    ///   fetched: `fetched − committed − flush_squashed −
+    ///   branch_squashed` (the instructions still in flight when the
+    ///   run ended) is not negative.
+    pub fn check_identities(&self) -> Result<(), String> {
+        if self.mem.cores.len() != self.cores.len() {
+            return Err(format!(
+                "{} cores but {} memory-system entries",
+                self.cores.len(),
+                self.mem.cores.len()
+            ));
+        }
+        for (i, core) in self.cores.iter().enumerate() {
+            let flushes = core
+                .threads
                 .iter()
-                .map(|w| {
-                    w.as_str()
-                        .map(String::from)
-                        .ok_or_else(|| "non-string workload entry".to_string())
-                })
-                .collect::<Result<_, _>>()?,
-            cycles: v.req_u64("cycles")?,
-            cores: v
-                .req_arr("cores")?
-                .iter()
-                .map(core_stats_from_json)
-                .collect::<Result<_, _>>()?,
-            mem: mem_stats_from_json(v.get("mem").ok_or("missing mem")?)?,
-            l2_hit_hist: histogram_from_json(v.get("l2_hit_hist").ok_or("missing l2_hit_hist")?)?,
-        })
+                .try_fold(0u64, |sum, t| sum.checked_add(t.flushes));
+            if flushes != Some(core.flushes_executed) {
+                return Err(format!(
+                    "core {i}: its threads' flushes do not sum to its {} flushes",
+                    core.flushes_executed
+                ));
+            }
+            for (tid, t) in core.threads.iter().enumerate() {
+                if t.in_flight().is_none() {
+                    return Err(format!(
+                        "core {i} thread {tid}: more instructions committed or squashed \
+                         than the {} fetched",
+                        t.fetched
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
-}
-
-fn u64_array(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
-    v.req_arr(key)?
-        .iter()
-        .map(|x| x.as_u64().ok_or_else(|| format!("non-integer in {key:?}")))
-        .collect()
-}
-
-fn u64_array8(v: &JsonValue, key: &str) -> Result<[u64; 8], String> {
-    u64_array(v, key)?
-        .try_into()
-        .map_err(|_| format!("{key:?} is not 8 entries"))
-}
-
-fn energy_from_json(v: &JsonValue) -> Result<EnergyAccount, String> {
-    Ok(EnergyAccount::from_parts(
-        v.req_u64("committed")?,
-        u64_array8(v, "flush_squashed")?,
-        u64_array8(v, "branch_squashed")?,
-    ))
-}
-
-fn thread_stats_from_json(v: &JsonValue) -> Result<ThreadStats, String> {
-    Ok(ThreadStats {
-        committed: v.req_u64("committed")?,
-        fetched: v.req_u64("fetched")?,
-        branches: v.req_u64("branches")?,
-        mispredicts: v.req_u64("mispredicts")?,
-        loads_issued: v.req_u64("loads_issued")?,
-        flushes: v.req_u64("flushes")?,
-        energy: energy_from_json(v.get("energy").ok_or("missing energy")?)?,
-    })
-}
-
-fn core_stats_from_json(v: &JsonValue) -> Result<CoreStats, String> {
-    Ok(CoreStats {
-        threads: v
-            .req_arr("threads")?
-            .iter()
-            .map(thread_stats_from_json)
-            .collect::<Result<_, _>>()?,
-        fetch_active_cycles: v.req_u64("fetch_active_cycles")?,
-        iq_full_stalls: v.req_u64("iq_full_stalls")?,
-        reg_full_stalls: v.req_u64("reg_full_stalls")?,
-        rob_full_stalls: v.req_u64("rob_full_stalls")?,
-        mshr_retries: v.req_u64("mshr_retries")?,
-        flushes_executed: v.req_u64("flushes_executed")?,
-        stalls_executed: v.req_u64("stalls_executed")?,
-        store_forwards: v.req_u64("store_forwards")?,
-    })
-}
-
-fn core_mem_stats_from_json(v: &JsonValue) -> Result<CoreMemStats, String> {
-    Ok(CoreMemStats {
-        ifetches: v.req_u64("ifetches")?,
-        ifetch_l1_misses: v.req_u64("ifetch_l1_misses")?,
-        loads: v.req_u64("loads")?,
-        load_l1_misses: v.req_u64("load_l1_misses")?,
-        stores: v.req_u64("stores")?,
-        store_l1_misses: v.req_u64("store_l1_misses")?,
-        l2_hits: v.req_u64("l2_hits")?,
-        l2_misses: v.req_u64("l2_misses")?,
-        itlb_misses: v.req_u64("itlb_misses")?,
-        dtlb_misses: v.req_u64("dtlb_misses")?,
-        mshr_merges: v.req_u64("mshr_merges")?,
-        mshr_full_stalls: v.req_u64("mshr_full_stalls")?,
-        writebacks: v.req_u64("writebacks")?,
-        prefetches: v.req_u64("prefetches")?,
-    })
-}
-
-fn mem_stats_from_json(v: &JsonValue) -> Result<MemStats, String> {
-    Ok(MemStats {
-        cores: v
-            .req_arr("cores")?
-            .iter()
-            .map(core_mem_stats_from_json)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn histogram_from_json(v: &JsonValue) -> Result<LatencyHistogram, String> {
-    Ok(LatencyHistogram::from_parts(
-        v.req_u64("bin_width")?,
-        u64_array(v, "bins")?,
-        v.req_u64("overflow")?,
-        v.req_u64("count")?,
-        v.req_u64("sum")?,
-        v.req_opt_u64("min")?,
-        v.req_opt_u64("max")?,
-    ))
 }
 
 #[cfg(test)]
@@ -323,18 +271,50 @@ mod tests {
         let _ = a.per_thread_speedup(&b);
     }
 
-    #[test]
-    fn json_roundtrip_is_byte_identical() {
-        use crate::json::{parse_json, ToJson};
-        // A real simulation result, so every field is exercised with
-        // non-trivial values (histogram populated, energy non-zero).
+    /// A real 4W3 MFLUSH run's result: every field non-trivial (histogram
+    /// populated, energy non-zero, flushes executed).
+    fn real_result(cycles: u64) -> SimResult {
         use crate::config::SimConfig;
         use crate::sim::Simulator;
         use crate::workloads::Workload;
         use smtsim_policy::PolicyKind;
         let w = Workload::by_name("4W3").unwrap();
-        let cfg = SimConfig::for_workload(w, PolicyKind::Mflush).with_cycles(8_000);
-        let r = Simulator::build(&cfg).unwrap().run().unwrap();
+        let cfg = SimConfig::for_workload(w, PolicyKind::Mflush).with_cycles(cycles);
+        Simulator::build(&cfg).unwrap().run().unwrap()
+    }
+
+    /// `json` with the value of the first `"key":` replaced by `value`.
+    fn with_value(json: &str, key: &str, value: &str) -> String {
+        let start = json.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+        let rest = &json[start..];
+        // The value ends where its brackets close, or at the `,`, `]`
+        // or `}` after a scalar.
+        let mut depth = 0;
+        let mut len = rest.len();
+        for (i, c) in rest.char_indices() {
+            match c {
+                '[' | '{' => depth += 1,
+                ']' | '}' if depth > 0 => {
+                    depth -= 1;
+                    if depth == 0 {
+                        len = i + 1;
+                        break;
+                    }
+                }
+                ',' | ']' | '}' if depth == 0 => {
+                    len = i;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        format!("{}{value}{}", &json[..start], &rest[len..])
+    }
+
+    #[test]
+    fn json_roundtrip_is_byte_identical() {
+        use crate::json::{parse_json, ToJson};
+        let r = real_result(8_000);
         let encoded = r.to_json();
         let decoded = SimResult::from_json(&parse_json(&encoded).unwrap()).unwrap();
         assert_eq!(decoded.to_json(), encoded);
@@ -342,14 +322,40 @@ mod tests {
 
     #[test]
     fn from_json_rejects_damaged_documents() {
-        use crate::json::parse_json;
+        use crate::json::{parse_json, ToJson};
+        let r = real_result(4_000);
+        let real = r.to_json();
+        // The first thread squashed instructions: fetching only those it
+        // committed leaves the squashed ones unaccounted for.
+        let first = &r.cores[0].threads[0];
+        assert!(
+            first.fetched > first.committed
+                && first.in_flight() < Some(first.fetched - first.committed)
+        );
+        let committed_only = first.committed.to_string();
         for bad in [
-            r#"{"policy":"X"}"#,
-            r#"{"policy":1,"workload":[],"cycles":5}"#,
-            r#"[1,2,3]"#,
+            r#"{"policy":"X"}"#.to_string(),
+            r#"{"policy":1,"workload":[],"cycles":5}"#.to_string(),
+            r#"[1,2,3]"#.to_string(),
+            // A histogram `LatencyHistogram::new` would refuse.
+            with_value(&real, "bin_width", "0"),
+            with_value(&real, "bins", "[]"),
+            // Integers the field cannot hold, and arrays of the wrong
+            // length.
+            with_value(&real, "cycles", "-1"),
+            with_value(&real, "cycles", "18446744073709551616"),
+            with_value(&real, "cycles", "1.5"),
+            with_value(&real, "flush_squashed", "[0,0,0,0,0,0,0,0,0]"),
+            with_value(&real, "flush_squashed", "[0,0,0,0,0,0,0]"),
+            // Counters that break an identity.
+            with_value(&real, "flushes", "1000000007"),
+            with_value(&real, "fetched", "0"),
+            with_value(&real, "fetched", &committed_only),
+            with_value(&real, "mem", r#"{"cores":[],"l2_hit_rate":0.0}"#),
         ] {
-            let v = parse_json(bad).unwrap();
+            let v = parse_json(&bad).unwrap();
             assert!(SimResult::from_json(&v).is_err(), "accepted {bad}");
         }
+        assert!(SimResult::from_json(&parse_json(&real).unwrap()).is_ok());
     }
 }

@@ -12,9 +12,9 @@
 //! on, and config validation that *returns* `SimError::InvalidConfig`
 //! instead of panicking, whatever geometry a caller invents.
 
-use smtsim_core::json::{write_escaped, JsonObject};
+use smtsim_core::json::{parse_json, write_escaped, FieldSpec, JsonObject, JsonValue};
 use smtsim_core::{
-    run_sweep_journaled, SimConfig, SimError, Simulator, SweepJob, ToJson, Workload,
+    run_sweep_journaled, SimConfig, SimError, SimResult, Simulator, SweepJob, ToJson, Workload,
 };
 use smtsim_policy::mflush::McRegReducer;
 use smtsim_policy::PolicyKind;
@@ -233,6 +233,97 @@ fn journal_replay_reproduces_pre_refactor_golden() {
 
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_dir(&dir);
+}
+
+/// Every result held by a fidelity golden: the `run_*` files are one
+/// result each, the `sweep`/`policies` files a sweep whose jobs all
+/// succeeded.
+fn golden_results() -> Vec<(String, JsonValue)> {
+    let dir = format!("{}/tests/fixtures/fidelity", env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    let mut results = Vec::new();
+    for name in names {
+        let doc = parse_json(&golden(&name)).unwrap();
+        match doc.get("jobs") {
+            None => results.push((name, doc)),
+            Some(jobs) => {
+                for job in jobs.as_arr().unwrap() {
+                    let label = job.req_str("label").unwrap();
+                    let result = job.get("result").expect("every golden job succeeded");
+                    results.push((format!("{name} {label}"), result.clone()));
+                }
+            }
+        }
+    }
+    assert_eq!(results.len(), 4 + 7 + 14, "five files of results");
+    results
+}
+
+/// The counter identities `SimResult::check_identities` declares hold
+/// on every golden (its decoder checks them), and what each thread
+/// still had in flight at the end fits in its ROB plus the fetch queue.
+#[test]
+fn every_golden_holds_the_counter_identities() {
+    let machine = SimConfig::for_workload(Workload::by_name("2W1").unwrap(), PolicyKind::Icount);
+    let bound = u64::from(machine.core.rob_per_thread + machine.core.fetch_queue);
+    for (name, json) in golden_results() {
+        let r = SimResult::from_json(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+        r.check_identities().unwrap();
+        for t in r.cores.iter().flat_map(|c| &c.threads) {
+            let in_flight = t.in_flight().unwrap();
+            assert!(
+                in_flight <= bound,
+                "{name}: {in_flight} in flight > {bound}"
+            );
+        }
+    }
+}
+
+/// Every key of a real result's JSON is a registered row of its
+/// `record!` table, each registered row's key appears exactly once and
+/// in declaration order, and a list of records holds records of its
+/// rows: so METRICS.md's "Result fields" section lists what a result
+/// reports, no more and no less.
+#[test]
+fn every_result_key_is_a_registered_field_in_order() {
+    fn walk(path: &str, value: &JsonValue, rows: &[FieldSpec]) {
+        let JsonValue::Obj(fields) = value else {
+            panic!("{path} is not an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let registered: Vec<&str> = rows.iter().map(|f| f.key).collect();
+        assert_eq!(
+            keys, registered,
+            "{path}: keys differ from the registered rows"
+        );
+        for ((key, v), f) in fields.iter().zip(rows) {
+            let path = format!("{path}.{key}");
+            match (f.list, v) {
+                (true, JsonValue::Arr(items)) if !f.rows.is_empty() => {
+                    for item in items {
+                        walk(&format!("{path}[]"), item, f.rows);
+                    }
+                }
+                (true, JsonValue::Arr(_)) => {}
+                (true, _) => panic!("{path} is registered as a list"),
+                (false, v) if !f.rows.is_empty() => walk(&path, v, f.rows),
+                (false, JsonValue::Obj(_) | JsonValue::Arr(_)) => {
+                    panic!("{path} is registered as a leaf")
+                }
+                (false, _) => {}
+            }
+        }
+    }
+    for (name, json) in golden_results() {
+        let r = SimResult::from_json(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let rendered = parse_json(&r.to_json()).unwrap();
+        assert_eq!(rendered, json, "{name} re-renders to its bytes");
+        walk(&name, &rendered, SimResult::FIELDS);
+    }
 }
 
 #[test]

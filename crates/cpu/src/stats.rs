@@ -2,16 +2,34 @@
 
 use smtsim_energy::EnergyAccount;
 
-/// Per-thread statistics snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadStats {
-    pub committed: u64,
-    pub fetched: u64,
-    pub branches: u64,
-    pub mispredicts: u64,
-    pub loads_issued: u64,
-    pub flushes: u64,
-    pub energy: EnergyAccount,
+smtsim_obs::record! {
+    /// Per-thread statistics snapshot.
+    #[derive(Debug, Clone, Default)]
+    pub struct ThreadStats {
+        #[counter("instr")]
+        /// Instructions the thread committed.
+        pub committed: u64,
+        #[counter("instr")]
+        /// Instructions the thread fetched, wrong-path and later
+        /// squashed ones included.
+        pub fetched: u64,
+        #[counter("branches")]
+        /// Conditional branches the thread committed.
+        pub branches: u64,
+        #[counter("branches")]
+        /// Committed conditional branches that were mispredicted.
+        pub mispredicts: u64,
+        #[counter("loads")]
+        /// Loads the thread issued to memory.
+        pub loads_issued: u64,
+        #[counter("events")]
+        /// FLUSH response actions taken against this thread.
+        pub flushes: u64,
+        #[record]
+        /// The thread's energy ledger.
+        pub energy: EnergyAccount,
+    }
+    decode;
 }
 
 impl ThreadStats {
@@ -24,6 +42,22 @@ impl ThreadStats {
         }
     }
 
+    /// Instructions fetched but neither committed nor squashed: those
+    /// still in flight when the snapshot was taken. `None` when the
+    /// counters say more left the pipeline than entered it.
+    pub fn in_flight(&self) -> Option<u64> {
+        let by_stage = [
+            self.energy.flush_squashed_by_stage(),
+            self.energy.branch_squashed_by_stage(),
+        ];
+        by_stage
+            .iter()
+            .flatten()
+            .try_fold(self.fetched.checked_sub(self.committed)?, |left, &n| {
+                left.checked_sub(n)
+            })
+    }
+
     /// Branch prediction accuracy (1.0 when no branches committed).
     pub fn branch_accuracy(&self) -> f64 {
         if self.branches == 0 {
@@ -34,47 +68,69 @@ impl ThreadStats {
     }
 }
 
-/// Point-in-time view of one hardware thread's pipeline state, taken
-/// by the forward-progress watchdog when it aborts a livelocked run.
-/// Unlike [`ThreadStats`] (cumulative counters), this captures *where*
-/// the thread is stuck right now.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreadProbe {
-    /// Hardware thread id within the core.
-    pub tid: u32,
-    /// Fetch-gate state rendered as text (`"Open"`,
-    /// `"PolicyStall"`, `"Flushed { offender: .. }"`).
-    pub gate: String,
-    /// Instructions waiting in the frontend buffer.
-    pub frontend: u32,
-    /// ROB occupancy.
-    pub rob: u32,
-    /// Whether fetch is blocked on an outstanding I-cache miss.
-    pub icache_wait: bool,
-    /// Instructions committed so far.
-    pub committed: u64,
+smtsim_obs::record! {
+    /// Point-in-time view of one hardware thread's pipeline state, taken
+    /// by the forward-progress watchdog when it aborts a livelocked run.
+    /// Unlike [`ThreadStats`] (cumulative counters), this captures *where*
+    /// the thread is stuck right now.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ThreadProbe {
+        #[label]
+        /// Hardware thread id within the core.
+        pub tid: u32,
+        #[label]
+        /// Fetch-gate state rendered as text (`"Open"`,
+        /// `"PolicyStall"`, `"Flushed { offender: .. }"`).
+        pub gate: String,
+        #[gauge("instr")]
+        /// Instructions waiting in the frontend buffer.
+        pub frontend: u32,
+        #[gauge("entries")]
+        /// ROB occupancy.
+        pub rob: u32,
+        #[label]
+        /// Whether fetch is blocked on an outstanding I-cache miss.
+        pub icache_wait: bool,
+        #[counter("instr")]
+        /// Instructions committed so far.
+        pub committed: u64,
+    }
+    decode;
 }
 
-/// Per-core statistics snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct CoreStats {
-    pub threads: Vec<ThreadStats>,
-    /// Cycles in which at least one instruction was fetched.
-    pub fetch_active_cycles: u64,
-    /// Issue-queue-full dispatch stalls.
-    pub iq_full_stalls: u64,
-    /// Register-file-exhausted dispatch stalls.
-    pub reg_full_stalls: u64,
-    /// ROB-full dispatch stalls.
-    pub rob_full_stalls: u64,
-    /// Load issues rejected because the MSHR file was full.
-    pub mshr_retries: u64,
-    /// FLUSH response actions executed.
-    pub flushes_executed: u64,
-    /// Policy stall actions executed.
-    pub stalls_executed: u64,
-    /// Loads satisfied by store-to-load forwarding.
-    pub store_forwards: u64,
+smtsim_obs::record! {
+    /// Per-core statistics snapshot.
+    #[derive(Debug, Clone, Default)]
+    pub struct CoreStats {
+        #[record]
+        /// Per-thread statistics, in context order.
+        pub threads: Vec<ThreadStats>,
+        #[counter("cycles")]
+        /// Cycles in which at least one instruction was fetched.
+        pub fetch_active_cycles: u64,
+        #[counter("thread-cycles")]
+        /// Issue-queue-full dispatch stalls.
+        pub iq_full_stalls: u64,
+        #[counter("thread-cycles")]
+        /// Register-file-exhausted dispatch stalls.
+        pub reg_full_stalls: u64,
+        #[counter("thread-cycles")]
+        /// ROB-full dispatch stalls.
+        pub rob_full_stalls: u64,
+        #[counter("loads")]
+        /// Load issues rejected because the MSHR file was full.
+        pub mshr_retries: u64,
+        #[counter("events")]
+        /// FLUSH response actions executed.
+        pub flushes_executed: u64,
+        #[counter("events")]
+        /// Policy stall actions executed.
+        pub stalls_executed: u64,
+        #[counter("loads")]
+        /// Loads satisfied by store-to-load forwarding.
+        pub store_forwards: u64,
+    }
+    decode;
 }
 
 impl CoreStats {

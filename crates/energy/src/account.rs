@@ -19,31 +19,39 @@ pub enum SquashCause {
     BranchMispredict,
 }
 
-/// Per-thread (or aggregated) energy ledger, in units of
-/// "energy to commit one instruction".
-#[derive(Debug, Clone, Default)]
-pub struct EnergyAccount {
-    committed: u64,
-    /// Squashed-by-flush counts per deepest-completed stage.
-    flush_squashed: [u64; 8],
-    /// Squashed-by-mispredict counts per deepest-completed stage.
-    branch_squashed: [u64; 8],
+smtsim_obs::record! {
+    /// Per-thread (or aggregated) energy ledger, in units of
+    /// "energy to commit one instruction".
+    #[derive(Debug, Clone, Default)]
+    pub struct EnergyAccount {
+        #[counter("instr")]
+        /// Committed instructions.
+        committed: u64,
+        #[counter("instr")]
+        /// Instructions squashed by FLUSH, by the deepest pipeline
+        /// stage each completed (fetch to commit).
+        flush_squashed: [u64; 8],
+        #[counter("instr")]
+        /// Instructions squashed by branch-mispredict recovery, by the
+        /// deepest pipeline stage each completed.
+        branch_squashed: [u64; 8],
+        #[gauge("commit-energy units", "Fig. 11")]
+        /// Energy spent on FLUSH-squashed instructions: each one
+        /// charged the accumulated ECF of the deepest stage it
+        /// completed.
+        "wasted_energy": f64 = |a| a.wasted_energy(),
+        #[gauge("fraction")]
+        /// `wasted_energy` over the energy of the committed
+        /// instructions (0 when nothing committed).
+        "waste_ratio": f64 = |a| a.waste_ratio(),
+    }
+    decode;
 }
 
 impl EnergyAccount {
     /// Fresh ledger.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reconstruct a ledger from serialized parts (the sweep journal's
-    /// decoder).
-    pub fn from_parts(committed: u64, flush_squashed: [u64; 8], branch_squashed: [u64; 8]) -> Self {
-        EnergyAccount {
-            committed,
-            flush_squashed,
-            branch_squashed,
-        }
     }
 
     /// Record one committed instruction (1 energy unit of useful work).

@@ -5,16 +5,34 @@
 //! queue until it is finally served". We collect that distribution in
 //! fixed-width bins with an overflow bucket.
 
-/// Fixed-width latency histogram with overflow.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    bin_width: u64,
-    bins: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
+smtsim_obs::record! {
+    /// Fixed-width latency histogram with overflow.
+    #[derive(Debug, Clone)]
+    pub struct LatencyHistogram {
+        #[gauge("cycles")]
+        /// Width of one bin.
+        bin_width: u64,
+        #[counter("loads", "Fig. 4")]
+        /// Samples per bin: bin `i` holds latencies in
+        /// `[i * bin_width, (i + 1) * bin_width)`.
+        bins: Vec<u64>,
+        #[counter("loads")]
+        /// Samples beyond the last bin.
+        overflow: u64,
+        #[counter("loads")]
+        /// Samples recorded.
+        count: u64,
+        #[counter("cycles")]
+        /// Sum of all samples.
+        sum: u64,
+        #[gauge("cycles")]
+        /// Smallest sample (`null` when empty).
+        min: Option<u64>,
+        #[gauge("cycles")]
+        /// Largest sample (`null` when empty).
+        max: Option<u64>,
+    }
+    decode with LatencyHistogram::check_shape;
 }
 
 impl LatencyHistogram {
@@ -27,8 +45,8 @@ impl LatencyHistogram {
             overflow: 0,
             count: 0,
             sum: 0,
-            min: u64::MAX,
-            max: 0,
+            min: None,
+            max: None,
         }
     }
 
@@ -37,36 +55,25 @@ impl LatencyHistogram {
         Self::new(5, 40)
     }
 
-    /// Reconstruct a histogram from serialized parts (the sweep
-    /// journal's decoder). `min`/`max` are `None` for an empty
-    /// histogram, mirroring [`LatencyHistogram::min`]/[`max`](Self::max).
-    pub fn from_parts(
-        bin_width: u64,
-        bins: Vec<u64>,
-        overflow: u64,
-        count: u64,
-        sum: u64,
-        min: Option<u64>,
-        max: Option<u64>,
-    ) -> Self {
-        assert!(bin_width > 0 && !bins.is_empty());
-        LatencyHistogram {
-            bin_width,
-            bins,
-            overflow,
-            count,
-            sum,
-            min: min.unwrap_or(u64::MAX),
-            max: max.unwrap_or(0),
+    /// The shape [`LatencyHistogram::new`] insists on, checked on a
+    /// decoded histogram: at least one bin, of non-zero width.
+    fn check_shape(&self) -> Result<(), String> {
+        if self.bin_width == 0 || self.bins.is_empty() {
+            return Err(format!(
+                "histogram of {} bins of width {}",
+                self.bins.len(),
+                self.bin_width
+            ));
         }
+        Ok(())
     }
 
     /// Record one latency sample.
     pub fn record(&mut self, latency: u64) {
         self.count += 1;
         self.sum += latency;
-        self.min = self.min.min(latency);
-        self.max = self.max.max(latency);
+        self.min = Some(self.min.map_or(latency, |m| m.min(latency)));
+        self.max = Some(self.max.map_or(latency, |m| m.max(latency)));
         let idx = (latency / self.bin_width) as usize;
         if idx < self.bins.len() {
             self.bins[idx] += 1;
@@ -83,11 +90,6 @@ impl LatencyHistogram {
     /// Width of one bin in cycles.
     pub fn bin_width(&self) -> u64 {
         self.bin_width
-    }
-
-    /// Raw per-bin counts (without the overflow bucket).
-    pub fn bin_counts(&self) -> &[u64] {
-        &self.bins
     }
 
     /// Samples beyond the last bin.
@@ -111,12 +113,12 @@ impl LatencyHistogram {
 
     /// Minimum sample (None if empty).
     pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
+        self.min
     }
 
     /// Maximum sample (None if empty).
     pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
+        self.max
     }
 
     /// Fraction of samples in `[lo, hi)` cycles (bin-resolution: `lo`
@@ -199,8 +201,8 @@ impl LatencyHistogram {
         self.overflow += other.overflow;
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.min = self.min.into_iter().chain(other.min).min();
+        self.max = self.max.into_iter().chain(other.max).max();
     }
 }
 

@@ -262,29 +262,69 @@ impl MemConfig {
     }
 }
 
-/// Per-core memory statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CoreMemStats {
-    pub ifetches: u64,
-    pub ifetch_l1_misses: u64,
-    pub loads: u64,
-    pub load_l1_misses: u64,
-    pub stores: u64,
-    pub store_l1_misses: u64,
-    pub l2_hits: u64,
-    pub l2_misses: u64,
-    pub itlb_misses: u64,
-    pub dtlb_misses: u64,
-    pub mshr_merges: u64,
-    pub mshr_full_stalls: u64,
-    pub writebacks: u64,
-    pub prefetches: u64,
+smtsim_obs::record! {
+    /// Per-core memory statistics.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct CoreMemStats {
+        #[counter("accesses")]
+        /// Instruction fetch accesses to the L1 I-cache.
+        pub ifetches: u64,
+        #[counter("accesses")]
+        /// Instruction fetches that missed the L1 I-cache.
+        pub ifetch_l1_misses: u64,
+        #[counter("accesses")]
+        /// Demand loads sent to the L1 D-cache.
+        pub loads: u64,
+        #[counter("accesses")]
+        /// Demand loads that missed the L1 D-cache.
+        pub load_l1_misses: u64,
+        #[counter("accesses")]
+        /// Stores sent to the L1 D-cache.
+        pub stores: u64,
+        #[counter("accesses")]
+        /// Stores that missed the L1 D-cache.
+        pub store_l1_misses: u64,
+        #[counter("accesses")]
+        /// Demand accesses that hit the shared L2.
+        pub l2_hits: u64,
+        #[counter("accesses")]
+        /// Demand accesses that missed the shared L2 and went to DRAM.
+        pub l2_misses: u64,
+        #[counter("accesses")]
+        /// I-TLB misses.
+        pub itlb_misses: u64,
+        #[counter("accesses")]
+        /// D-TLB misses.
+        pub dtlb_misses: u64,
+        #[counter("accesses")]
+        /// Misses merged into an MSHR entry already in flight for their line.
+        pub mshr_merges: u64,
+        #[counter("accesses")]
+        /// Misses refused because the MSHR file was full.
+        pub mshr_full_stalls: u64,
+        #[counter("lines")]
+        /// Dirty lines written back from L1 towards the L2.
+        pub writebacks: u64,
+        #[counter("lines")]
+        /// Hardware prefetches issued.
+        pub prefetches: u64,
+    }
+    decode;
 }
 
-/// Aggregate statistics for the whole system.
-#[derive(Debug, Clone, Default)]
-pub struct MemStats {
-    pub cores: Vec<CoreMemStats>,
+smtsim_obs::record! {
+    /// Aggregate statistics for the whole system.
+    #[derive(Debug, Clone, Default)]
+    pub struct MemStats {
+        #[record]
+        /// Per-core statistics, in core order.
+        pub cores: Vec<CoreMemStats>,
+        #[gauge("fraction")]
+        /// Machine-wide L2 demand hit rate: hits over hits plus
+        /// misses, all cores (0 when the L2 saw no demand access).
+        "l2_hit_rate": f64 = |m| m.l2_hit_rate(),
+    }
+    decode;
 }
 
 impl MemStats {

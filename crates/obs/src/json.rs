@@ -1,4 +1,5 @@
-//! Hand-rolled JSON emission.
+//! Hand-rolled JSON: the writer, the parser, and the record tables
+//! that declare each reported struct once.
 //!
 //! The workspace carries no external crates, so result/report/figure
 //! data is serialised by this small writer instead of `serde`. The
@@ -13,14 +14,17 @@
 //!   (`\n`/`\r`/`\t`/`\b`/`\f` short forms, `\u00XX` otherwise);
 //! * no insignificant whitespace.
 //!
-//! Implement [`ToJson`] for a type by opening a [`JsonObject`] (or
-//! writing a scalar/array directly) into the output string.
+//! A struct whose fields are reported is declared through
+//! [`record!`](crate::record): one table row per field generates the
+//! struct, its [`ToJson`] impl, its [`FromJson`] decoder and its
+//! [`FieldSpec`] registration, so a field cannot reach one of them
+//! and miss another. Anything else implements [`ToJson`] by opening a
+//! [`JsonObject`] (or writing a scalar/array directly).
+//!
+//! The module lives in this leaf crate so that the simulator crates
+//! can declare their own stats structs as record tables;
+//! `smtsim_core::json` re-exports it.
 
-use crate::calibration::CalRow;
-use crate::result::SimResult;
-use smtsim_cpu::{CoreStats, ThreadStats};
-use smtsim_energy::EnergyAccount;
-use smtsim_mem::{CoreMemStats, LatencyHistogram, MemStats};
 use std::fmt::Write as _;
 
 /// Types that can render themselves as a JSON value.
@@ -279,13 +283,6 @@ impl JsonValue {
             .ok_or_else(|| format!("missing or non-integer field {key:?}"))
     }
 
-    /// Required bool field of an object.
-    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
-        self.get(key)
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| format!("missing or non-bool field {key:?}"))
-    }
-
     /// Required string field of an object.
     pub fn req_str(&self, key: &str) -> Result<&str, String> {
         self.get(key)
@@ -298,18 +295,6 @@ impl JsonValue {
         self.get(key)
             .and_then(JsonValue::as_arr)
             .ok_or_else(|| format!("missing or non-array field {key:?}"))
-    }
-
-    /// Required `Option<u64>` field: `null` maps to `None`.
-    pub fn req_opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            Some(JsonValue::Null) => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("non-integer field {key:?}")),
-            None => Err(format!("missing field {key:?}")),
-        }
     }
 }
 
@@ -439,7 +424,7 @@ fn parse_array(src: &str, pos: &mut usize) -> Result<JsonValue, String> {
 /// Parse the JSON string that starts at `src[*pos]`, leaving `pos`
 /// just past its closing quote. The journal reads a line's key with it
 /// without parsing the rest of the line.
-pub(crate) fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+pub fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
     let bytes = src.as_bytes();
     expect_byte(bytes, pos, b'"')?;
     let mut s = String::new();
@@ -540,126 +525,374 @@ fn parse_number(src: &str, pos: &mut usize) -> Result<JsonValue, String> {
 }
 
 // ---------------------------------------------------------------------
-// Domain types. `ToJson` is local to this crate, so implementing it for
-// the component crates' types here is fine (and keeps the serialisation
-// policy in one place).
+// Decoding into typed values, and the record tables.
 // ---------------------------------------------------------------------
 
-impl ToJson for EnergyAccount {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("committed", &self.committed())
-            .field("flush_squashed", &self.flush_squashed_by_stage())
-            .field("branch_squashed", &self.branch_squashed_by_stage())
-            .field("wasted_energy", &self.wasted_energy())
-            .field("waste_ratio", &self.waste_ratio());
-        o.end();
+/// Types that can be read back from their own JSON rendering.
+///
+/// The integer impls refuse a value their type cannot hold instead of
+/// truncating it, so a damaged document decodes as an error, never as
+/// a different number.
+pub trait FromJson: Sized {
+    /// Decode `v`, or say why it is not a `Self`.
+    fn from_json(v: &JsonValue) -> Result<Self, String>;
+}
+
+impl FromJson for u64 {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| "not a non-negative integer".to_string())
     }
 }
 
-impl ToJson for ThreadStats {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("committed", &self.committed)
-            .field("fetched", &self.fetched)
-            .field("branches", &self.branches)
-            .field("mispredicts", &self.mispredicts)
-            .field("loads_issued", &self.loads_issued)
-            .field("flushes", &self.flushes)
-            .field("energy", &self.energy);
-        o.end();
+impl FromJson for u32 {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        let n = u64::from_json(v)?;
+        u32::try_from(n).map_err(|_| format!("{n} is out of range for u32"))
     }
 }
 
-impl ToJson for CoreStats {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("threads", &self.threads)
-            .field("fetch_active_cycles", &self.fetch_active_cycles)
-            .field("iq_full_stalls", &self.iq_full_stalls)
-            .field("reg_full_stalls", &self.reg_full_stalls)
-            .field("rob_full_stalls", &self.rob_full_stalls)
-            .field("mshr_retries", &self.mshr_retries)
-            .field("flushes_executed", &self.flushes_executed)
-            .field("stalls_executed", &self.stalls_executed)
-            .field("store_forwards", &self.store_forwards);
-        o.end();
+impl FromJson for bool {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "not a bool".to_string())
     }
 }
 
-impl ToJson for CoreMemStats {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("ifetches", &self.ifetches)
-            .field("ifetch_l1_misses", &self.ifetch_l1_misses)
-            .field("loads", &self.loads)
-            .field("load_l1_misses", &self.load_l1_misses)
-            .field("stores", &self.stores)
-            .field("store_l1_misses", &self.store_l1_misses)
-            .field("l2_hits", &self.l2_hits)
-            .field("l2_misses", &self.l2_misses)
-            .field("itlb_misses", &self.itlb_misses)
-            .field("dtlb_misses", &self.dtlb_misses)
-            .field("mshr_merges", &self.mshr_merges)
-            .field("mshr_full_stalls", &self.mshr_full_stalls)
-            .field("writebacks", &self.writebacks)
-            .field("prefetches", &self.prefetches);
-        o.end();
+impl FromJson for String {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        v.as_str()
+            .map(String::from)
+            .ok_or_else(|| "not a string".to_string())
     }
 }
 
-impl ToJson for MemStats {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("cores", &self.cores)
-            .field("l2_hit_rate", &self.l2_hit_rate());
-        o.end();
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        match v {
+            JsonValue::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
     }
 }
 
-impl ToJson for LatencyHistogram {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("bin_width", &self.bin_width())
-            .field("bins", &self.bin_counts())
-            .field("overflow", &self.overflow())
-            .field("count", &self.count())
-            .field("sum", &self.sum())
-            .field("min", &self.min())
-            .field("max", &self.max());
-        o.end();
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        v.as_arr()
+            .ok_or_else(|| "not an array".to_string())?
+            .iter()
+            .enumerate()
+            .map(|(i, x)| T::from_json(x).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
     }
 }
 
-impl ToJson for SimResult {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("policy", &self.policy)
-            .field("workload", &self.workload)
-            .field("cycles", &self.cycles)
-            .field("throughput", &self.throughput())
-            .field("hmean_ipc", &self.hmean_ipc())
-            .field("per_thread_ipc", &self.per_thread_ipc())
-            .field("total_flushes", &self.total_flushes())
-            .field("cores", &self.cores)
-            .field("mem", &self.mem)
-            .field("l2_hit_hist", &self.l2_hit_hist)
-            .field("energy", &self.energy());
-        o.end();
+impl<T: FromJson, const N: usize> FromJson for [T; N] {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        Vec::<T>::from_json(v)?
+            .try_into()
+            .map_err(|items: Vec<T>| format!("{} entries, not {N}", items.len()))
     }
 }
 
-impl ToJson for CalRow {
-    fn write_json(&self, out: &mut String) {
-        let mut o = JsonObject::begin(out);
-        o.field("name", &self.name)
-            .field("ipc_per_thread", &self.ipc_per_thread)
-            .field("branch_accuracy", &self.branch_accuracy)
-            .field("l1d_miss_rate", &self.l1d_miss_rate)
-            .field("l2_hit_rate", &self.l2_hit_rate)
-            .field("dtlb_miss_rate", &self.dtlb_miss_rate);
-        o.end();
+/// Decode field `key` of the object `v`. A missing field, or one that
+/// does not decode, is an error naming the key.
+pub fn field<T: FromJson>(v: &JsonValue, key: &str) -> Result<T, String> {
+    let value = v.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
+    T::from_json(value).map_err(|e| format!("{key}: {e}"))
+}
+
+/// What a reported row holds: a leaf (number, string, flag, or an
+/// array of those) or a record whose own rows follow. A record table
+/// implements it with its [`FieldSpec`] list; containers forward their
+/// element's.
+pub trait Shape {
+    /// The rows of each record the value holds; empty for a leaf.
+    const ROWS: &'static [FieldSpec] = &[];
+    /// Whether the value renders as a JSON array.
+    const LIST: bool = false;
+}
+
+impl Shape for u64 {}
+impl Shape for u32 {}
+impl Shape for f64 {}
+impl Shape for bool {}
+impl Shape for String {}
+impl Shape for &str {}
+
+impl<T: Shape> Shape for Option<T> {
+    const ROWS: &'static [FieldSpec] = T::ROWS;
+    const LIST: bool = T::LIST;
+}
+
+impl<T: Shape> Shape for Vec<T> {
+    const ROWS: &'static [FieldSpec] = T::ROWS;
+    const LIST: bool = true;
+}
+
+impl<T: Shape, const N: usize> Shape for [T; N] {
+    const ROWS: &'static [FieldSpec] = T::ROWS;
+    const LIST: bool = true;
+}
+
+/// What kind of number (or thing) a reported row is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldKind {
+    /// A cumulative tally over the run.
+    Counter,
+    /// A value at one instant, a setting, or a value computed from
+    /// tallies.
+    Gauge,
+    /// Text or a flag that names or classifies something.
+    Label,
+    /// A record, or a list of records, whose rows are listed below it.
+    Record,
+}
+
+impl FieldKind {
+    /// Stable lowercase tag (`"counter"`, `"gauge"`, …).
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            FieldKind::Counter => "counter",
+            FieldKind::Gauge => "gauge",
+            FieldKind::Label => "label",
+            FieldKind::Record => "record",
+        }
     }
+}
+
+/// The registration of one reported row of a record table, generated
+/// by [`record!`](crate::record) as an entry of the table's `FIELDS`
+/// list. METRICS.md's "Result fields" section is rendered from these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldSpec {
+    /// The JSON key: the field's name, or a derived row's key.
+    pub key: &'static str,
+    /// Counter, gauge, label or record.
+    pub kind: FieldKind,
+    /// `true` for a derived row: computed from the stored fields when
+    /// rendered, never stored, recomputed after decoding.
+    pub derived: bool,
+    /// Unit of the value (`instr`, `cycles`, …), or `""`.
+    pub unit: &'static str,
+    /// Paper figure the row feeds (`"Fig. 4"`), or `""`.
+    pub figure: &'static str,
+    /// The row's doc comment (for a stored row, also its rustdoc).
+    pub doc: &'static str,
+    /// The rows of the record(s) this row holds; empty for a leaf.
+    pub rows: &'static [FieldSpec],
+    /// Whether the value renders as a JSON array.
+    pub list: bool,
+}
+
+/// Declare a record table: a struct whose every field is reported.
+///
+/// Each row declares one thing once, and the table generates the
+/// struct, its [`ToJson`](crate::json::ToJson) impl (keys in row
+/// order), a `FIELDS` list of [`FieldSpec`](crate::json::FieldSpec)s
+/// and a [`Shape`](crate::json::Shape) impl. A row starts with its
+/// kind — `#[counter(unit, figure)]`, `#[gauge(unit, figure)]`,
+/// `#[label]` or `#[record]`, unit and figure optional — then its doc
+/// comment, then one of:
+///
+/// * `pub name: Type,` — a stored field, reported under its own name;
+/// * `"key": Type = |s| expr,` — a derived row, reported where it is
+///   declared as `expr` computed from `s: &Self`, never stored;
+/// * `.. = |s, o| expr,` — derived keys spliced into the object
+///   (`o` is the open [`JsonObject`](crate::json::JsonObject)),
+///   unregistered;
+/// * `#[via] pub name: Type,` — a stored field reported only through
+///   the derived rows (in place of a kind).
+///
+/// A table followed by `decode;` (or `decode with path;`, where
+/// `path(&value)` returns `Result<(), String>` and is checked on every
+/// decoded value) also gets a [`FromJson`](crate::json::FromJson) impl
+/// and an inherent `from_json`: stored rows are read back, derived
+/// rows recomputed, so a decoded value re-renders to its own bytes.
+///
+/// ```
+/// use smtsim_obs::json::{parse_json, ToJson};
+///
+/// smtsim_obs::record! {
+///     #[derive(Debug, Clone, PartialEq)]
+///     pub struct Tally {
+///         #[counter("events")]
+///         /// Events seen.
+///         pub seen: u64,
+///         #[gauge("fraction")]
+///         /// Share of events kept.
+///         "kept_share": f64 = |t| t.kept as f64 / t.seen as f64,
+///         #[counter("events")]
+///         /// Events kept.
+///         pub kept: u64,
+///     }
+///     decode;
+/// }
+///
+/// let t = Tally { seen: 4, kept: 1 };
+/// assert_eq!(t.to_json(), r#"{"seen":4,"kept_share":0.25,"kept":1}"#);
+/// assert_eq!(Tally::from_json(&parse_json(&t.to_json()).unwrap()), Ok(t));
+/// assert_eq!(Tally::FIELDS[1].key, "kept_share");
+/// assert!(Tally::FIELDS[1].derived);
+/// ```
+#[macro_export]
+macro_rules! record {
+    // Row kinds and their unit/figure arguments.
+    (@kind counter) => { $crate::json::FieldKind::Counter };
+    (@kind gauge) => { $crate::json::FieldKind::Gauge };
+    (@kind label) => { $crate::json::FieldKind::Label };
+    (@kind record) => { $crate::json::FieldKind::Record };
+    (@unit) => { "" };
+    (@unit $unit:literal $(, $figure:literal)?) => { $unit };
+    (@figure $($unit:literal)?) => { "" };
+    (@figure $unit:literal, $figure:literal) => { $figure };
+
+    // One row's part of `write_json`.
+    (@emit $this:ident $o:ident (stored $name:ident)) => {
+        $o.field(stringify!($name), &$this.$name);
+    };
+    (@emit $this:ident $o:ident (derived $key:literal $ty:ty; $s:ident $e:expr)) => {{
+        let $s = $this;
+        let value: $ty = $e;
+        $o.field($key, &value);
+    }};
+    (@emit $this:ident $o:ident (splice $s:ident $so:ident $e:expr)) => {{
+        let $s = $this;
+        let $so = &mut $o;
+        $e;
+    }};
+
+    // The decoder, for a table followed by `decode;`.
+    (@decode $name:ident [$($field:ident)*]) => {};
+    (@decode $name:ident [$($field:ident)*] decode $(with $check:path)?;) => {
+        impl $crate::json::FromJson for $name {
+            fn from_json(v: &$crate::json::JsonValue) -> Result<Self, String> {
+                let decoded = $name {
+                    $($field: $crate::json::field(v, stringify!($field))?,)*
+                };
+                $($check(&decoded)?;)?
+                Ok(decoded)
+            }
+        }
+
+        impl $name {
+            /// Decode a value from its own JSON rendering: the stored
+            /// rows are read back (the derived ones are recomputed
+            /// when it is rendered again), so a value decoded from a
+            /// rendering re-renders to the same bytes.
+            pub fn from_json(v: &$crate::json::JsonValue) -> Result<Self, String> {
+                <Self as $crate::json::FromJson>::from_json(v)
+            }
+        }
+    };
+
+    // Every row read: generate the struct and its impls.
+    (@rows [$($head:tt)*] [$name:ident $($tail:tt)*]
+        [$({$($decl:tt)*})*] [$($field:ident)*] [$($emit:tt)*] [$($spec:tt)*]
+    ) => {
+        $($head)* $name {
+            $($($decl)*,)*
+        }
+
+        impl $crate::json::ToJson for $name {
+            fn write_json(&self, out: &mut String) {
+                let this = self;
+                let mut o = $crate::json::JsonObject::begin(out);
+                $($crate::record!(@emit this o $emit);)*
+                o.end();
+            }
+        }
+
+        impl $name {
+            /// The reported rows, in JSON key order.
+            pub const FIELDS: &'static [$crate::json::FieldSpec] = &[$($spec)*];
+        }
+
+        impl $crate::json::Shape for $name {
+            const ROWS: &'static [$crate::json::FieldSpec] = Self::FIELDS;
+        }
+
+        $crate::record!(@decode $name [$($field)*] $($tail)*);
+    };
+    // A stored field reported only through the derived rows.
+    (@rows $head:tt $tail:tt [$($decl:tt)*] $fields:tt $emit:tt $spec:tt
+        #[via]
+        $(#[doc = $doc:literal])*
+        $vis:vis $name:ident : $ty:ty
+        $(, $($rest:tt)*)?
+    ) => {
+        $crate::record!(@rows $head $tail
+            [$($decl)* {$(#[doc = $doc])* $vis $name: $ty}] $fields $emit $spec
+            $($($rest)*)?
+        );
+    };
+    // A stored field.
+    (@rows $head:tt $tail:tt [$($decl:tt)*] [$($field:ident)*] [$($emit:tt)*] [$($spec:tt)*]
+        #[$kind:ident $(($($meta:tt)*))?]
+        $(#[doc = $doc:literal])*
+        $vis:vis $name:ident : $ty:ty
+        $(, $($rest:tt)*)?
+    ) => {
+        $crate::record!(@rows $head $tail
+            [$($decl)* {$(#[doc = $doc])* $vis $name: $ty}]
+            [$($field)* $name]
+            [$($emit)* (stored $name)]
+            [$($spec)* $crate::json::FieldSpec {
+                key: stringify!($name),
+                kind: $crate::record!(@kind $kind),
+                derived: false,
+                unit: $crate::record!(@unit $($($meta)*)?),
+                figure: $crate::record!(@figure $($($meta)*)?),
+                doc: concat!($($doc),*),
+                rows: <$ty as $crate::json::Shape>::ROWS,
+                list: <$ty as $crate::json::Shape>::LIST,
+            },]
+            $($($rest)*)?
+        );
+    };
+    // A derived row.
+    (@rows $head:tt $tail:tt $decls:tt $fields:tt [$($emit:tt)*] [$($spec:tt)*]
+        #[$kind:ident $(($($meta:tt)*))?]
+        $(#[doc = $doc:literal])*
+        $key:literal : $ty:ty = |$s:ident| $e:expr
+        $(, $($rest:tt)*)?
+    ) => {
+        $crate::record!(@rows $head $tail $decls $fields
+            [$($emit)* (derived $key $ty; $s $e)]
+            [$($spec)* $crate::json::FieldSpec {
+                key: $key,
+                kind: $crate::record!(@kind $kind),
+                derived: true,
+                unit: $crate::record!(@unit $($($meta)*)?),
+                figure: $crate::record!(@figure $($($meta)*)?),
+                doc: concat!($($doc),*),
+                rows: <$ty as $crate::json::Shape>::ROWS,
+                list: <$ty as $crate::json::Shape>::LIST,
+            },]
+            $($($rest)*)?
+        );
+    };
+    // Derived keys spliced into the object.
+    (@rows $head:tt $tail:tt $decls:tt $fields:tt [$($emit:tt)*] $spec:tt
+        $(#[doc = $doc:literal])*
+        .. = |$s:ident, $so:ident| $e:expr
+        $(, $($rest:tt)*)?
+    ) => {
+        $crate::record!(@rows $head $tail $decls $fields
+            [$($emit)* (splice $s $so $e)] $spec
+            $($($rest)*)?
+        );
+    };
+
+    // Entry: a table.
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident { $($rows:tt)* }
+        $($tail:tt)*
+    ) => {
+        $crate::record!(@rows [$(#[$attr])* $vis struct] [$name $($tail)*] [] [] [] []
+            $($rows)*
+        );
+    };
 }
 
 #[cfg(test)]
@@ -811,7 +1044,7 @@ mod tests {
         let v = parse_json(src).unwrap();
         assert_eq!(v.req_str("policy").unwrap(), "FLUSH-S100");
         assert_eq!(v.req_u64("cycles").unwrap(), 150000);
-        assert_eq!(v.req_opt_u64("min").unwrap(), None);
+        assert_eq!(field::<Option<u64>>(&v, "min").unwrap(), None);
         assert_eq!(v.req_str("note").unwrap(), "a\nb");
     }
 

@@ -2,11 +2,14 @@
 //! event ring, and the metric-registration types.
 //!
 //! This crate is a dependency-free leaf so the simulator crates
-//! (`smtsim-cpu`, `smtsim-mem`, `smtsim-policy`) can emit events and
-//! register metrics without pulling in the driver. Serialization of
-//! these types stays in `smtsim-core` (the JSON emitter lives there),
-//! which also hosts the cross-crate registry aggregation and the
-//! Chrome `trace_event` exporter — see DESIGN.md §12.
+//! (`smtsim-cpu`, `smtsim-mem`, `smtsim-policy`, `smtsim-energy`) can
+//! emit events, register metrics and declare their reported stats
+//! without pulling in the driver. It also holds the workspace's JSON
+//! writer and parser ([`json`]) and the [`record!`] tables built on
+//! them, so each crate declares its reported structs where it defines
+//! them; `smtsim-core` re-exports [`json`] and hosts the cross-crate
+//! registry aggregation and the Chrome `trace_event` exporter — see
+//! DESIGN.md §9 and §12.
 //!
 //! Two invariants every user of this crate relies on:
 //!
@@ -39,6 +42,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod json;
 
 use std::collections::VecDeque;
 
@@ -281,22 +286,32 @@ pub struct MetricSpec {
     pub figure: &'static str,
 }
 
-/// One sampled value of one metric instance at one simulated cycle.
-///
-/// `instance` disambiguates multi-instance metrics: a global thread
-/// index for per-thread metrics, a core index for per-core, a bank
-/// index for per-bank, and `0` for machine-wide ones.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricSample {
-    /// Simulated cycle the sample was taken at.
-    pub cycle: u64,
-    /// The registered metric name (points into its [`MetricSpec`]).
-    pub name: &'static str,
-    /// Instance index (thread / core / bank, metric-dependent).
-    pub instance: u32,
-    /// The sampled value. Derived from integer counters at sample
-    /// time; the division is replay-stable because both operands are.
-    pub value: f64,
+record! {
+    /// One sampled value of one metric instance at one simulated cycle.
+    ///
+    /// `instance` disambiguates multi-instance metrics: a global thread
+    /// index for per-thread metrics, a core index for per-core, a bank
+    /// index for per-bank, and `0` for machine-wide ones.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct MetricSample {
+        #[counter("cycles")]
+        /// Simulated cycle the sample was taken at.
+        pub cycle: u64,
+        #[label]
+        /// Source of the line in an observability stream: always
+        /// `metrics`.
+        "src": &str = |_s| "metrics",
+        #[label]
+        /// The registered metric name (points into its [`MetricSpec`]).
+        pub metric: &'static str,
+        #[label]
+        /// Instance index (thread / core / bank, metric-dependent).
+        pub instance: u32,
+        #[gauge]
+        /// The sampled value. Derived from integer counters at sample
+        /// time; the division is replay-stable because both operands are.
+        pub value: f64,
+    }
 }
 
 // ---------------------------------------------------------------------
